@@ -11,19 +11,20 @@ on pure states the extension coincides with the plain measure.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import alpha_ratio_negativity, negativity
-from .states import DensityMatrix, PureState, random_haar_pure, substream
-from .tensor import SubsystemLayout, partial_trace
+from .states import PSD_TOL, TRACE_TOL, DensityMatrix, PureState, haar_amplitude_rows
+from .tensor import HERM_TOL_BASE, NORM_TOL, SubsystemLayout, require_finite
 
 VIOLATION_TOL = 1e-9
 HISTOGRAM_BINS = 64
 HISTOGRAM_RANGE = (-0.1, 1.0)
+# Scans draw and evaluate samples in chunks whose amplitudes and largest
+# two-party marginals take about this many bytes; the temporaries of one
+# chunk are a small multiple of it.
+SCAN_CHUNK_BYTES = 1 << 22
 
 # Families the power threshold is proven for: any number of qubits, or
 # three parties with dimensions (2, 2, 3) or (2, 2, 2^m).
@@ -81,6 +82,85 @@ class MonogamyReport:
                 "verdict": "satisfied" if self.satisfied else "violated"}
 
 
+def _check_residual_args(dims: tuple[int, ...], measure: str, alpha: float,
+                         party_a) -> tuple[int, ...]:
+    if len(dims) < 3:
+        raise ValueError(f"need at least 3 parties, got {len(dims)}")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    if measure not in ("ratio", "negativity"):
+        raise ValueError(f"unsupported measure {measure!r}: monogamy residuals are negativity-based")
+    party_a = tuple(sorted(set(int(i) for i in party_a)))
+    if not party_a or len(party_a) >= len(dims):
+        raise ValueError(f"party A {party_a} must be a strict non-empty subset of {len(dims)} parties")
+    return party_a
+
+
+def _powered(neg: np.ndarray, measure: str, alpha: float) -> np.ndarray:
+    return (neg / (neg + 1.0) if measure == "ratio" else neg) ** alpha
+
+
+def ckw_residuals(amplitudes, dims, party_a=(0,), measure: str = "ratio",
+                  alpha: float = 1.0):
+    """(lhs, rhs, residual) of the one-against-rest inequality for a stack
+    of pure states, one normalized amplitude vector per row of `amplitudes`.
+
+    lhs has shape (n,): E^alpha across A|rest from the Schmidt closed form.
+    rhs has shape (n, parties outside A): E^alpha on the reduced state of A
+    and each party outside A, in index order. residual = lhs - rhs summed.
+    Each reduced state is M M^dag for the amplitude tensor M reshaped to
+    (kept, traced) indices; the full density matrix is never formed.
+    """
+    dims = tuple(int(d) for d in dims)
+    party_a = _check_residual_args(dims, measure, alpha, party_a)
+    split = SubsystemLayout(dims, party_a)
+    amps = np.asarray(amplitudes, dtype=complex)
+    if amps.ndim != 2 or amps.shape[1] != split.dim:
+        raise ValueError(f"amplitudes must have shape (n, {split.dim}), got {amps.shape}")
+    require_finite(amps, "amplitudes")
+    norms = np.linalg.norm(amps, axis=1)
+    off = np.abs(norms - 1.0) > NORM_TOL
+    if np.any(off):
+        raise ValueError(f"pure state is not normalized: |psi| = {norms[off][0]!r}")
+    n = amps.shape[0]
+    t = amps.reshape((n,) + dims)
+
+    def grouped(first) -> np.ndarray:
+        # (n, prod dims[first], rest) with the `first` axes leading, in order.
+        d_first = math.prod(dims[i] for i in first)
+        moved = np.moveaxis(t, [1 + i for i in first], range(1, 1 + len(first)))
+        return moved.reshape(n, d_first, split.dim // d_first)
+
+    s = np.linalg.svd(grouped(party_a), compute_uv=False)
+    lhs = _powered(np.maximum(0.0, (np.sum(s, axis=1) ** 2 - 1.0) / 2.0), measure, alpha)
+
+    rhs = np.empty((n, len(split.party_b)))
+    for j, b in enumerate(split.party_b):
+        keep = sorted(party_a + (b,))
+        m = grouped(keep)
+        rho = m @ m.conj().transpose(0, 2, 1)
+        scale = np.maximum(1.0, np.max(np.abs(rho), axis=(1, 2)))
+        if np.any(np.max(np.abs(rho - rho.conj().transpose(0, 2, 1)), axis=(1, 2))
+                  > HERM_TOL_BASE * scale):
+            raise ValueError("reduced state is not Hermitian within tolerance")
+        tr = np.trace(rho, axis1=1, axis2=2)
+        if np.any(np.abs(tr - 1.0) > TRACE_TOL):
+            raise ValueError(f"reduced state trace {tr[np.argmax(np.abs(tr - 1.0))]} != 1")
+        # Partial transpose on A: swap the bra and ket axes of A's parties.
+        k = len(keep)
+        perm = list(range(2 * k))
+        for i in party_a:
+            a = keep.index(i)
+            perm[a], perm[k + a] = perm[k + a], perm[a]
+        kept_dims = tuple(dims[i] for i in keep)
+        pt = rho.reshape((n,) + kept_dims + kept_dims).transpose([0] + [1 + p for p in perm])
+        w = np.linalg.eigvalsh(pt.reshape(rho.shape))
+        neg = (np.sum(np.abs(w), axis=1) - 1.0) / 2.0
+        # The clamp of measures.negativity: zero unless at least PSD_TOL.
+        rhs[:, j] = _powered(np.where(neg >= PSD_TOL, neg, 0.0), measure, alpha)
+    return lhs, rhs, lhs - np.sum(rhs, axis=1)
+
+
 def ckw_residual(psi: PureState, measure: str = "ratio", alpha: float = 1.0,
                  party_a=(0,), violation_tol: float = VIOLATION_TOL) -> MonogamyReport:
     """lhs - sum(rhs) for E^alpha across A|rest versus the pairwise terms.
@@ -88,43 +168,17 @@ def ckw_residual(psi: PureState, measure: str = "ratio", alpha: float = 1.0,
     psi must be pure with at least 3 parties. The left side uses the
     Schmidt closed form on the A|rest split; each right-side term is the
     plain negativity-based value on the reduced two-party mixed state.
+    This is ckw_residuals on a stack of one state.
     """
     if isinstance(psi, DensityMatrix):
         raise ValueError("mixed multipartite states are unsupported (convex roof out of scope)")
     dims = psi.layout.dims
-    if len(dims) < 3:
-        raise ValueError(f"need at least 3 parties, got {len(dims)}")
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    if measure not in ("ratio", "negativity"):
-        raise ValueError(f"unsupported measure {measure!r}: monogamy residuals are negativity-based")
-    party_a = tuple(sorted(set(int(i) for i in party_a)))
-    if not party_a or len(party_a) >= len(dims):
-        raise ValueError(f"party A {party_a} must be a strict non-empty subset of {len(dims)} parties")
-
-    split = SubsystemLayout(dims, party_a)
-    lam = psi.schmidt().coefficients if psi.layout.party_a == party_a else \
-        PureState(psi.amplitudes, split, psi.truncation_deficit).schmidt().coefficients
-    s = float(np.sum(np.sqrt(lam)) ** 2)
-    n_lhs = max(0.0, (s - 1.0) / 2.0)
-    lhs_base = n_lhs / (n_lhs + 1.0) if measure == "ratio" else n_lhs
-    lhs = lhs_base ** alpha
-
-    rho_full = psi.density_matrix()
-    rhs_terms = []
-    for b in split.party_b:
-        keep = sorted(set(party_a) | {b})
-        reduced = partial_trace(rho_full.matrix, psi.layout, keep)
-        kept_dims = tuple(dims[i] for i in keep)
-        kept_a = tuple(keep.index(i) for i in party_a)
-        dm = DensityMatrix(reduced, SubsystemLayout(kept_dims, kept_a), _trusted=True)
-        val = alpha_ratio_negativity(dm, alpha) if measure == "ratio" else negativity(dm) ** alpha
-        rhs_terms.append(float(val))
-
-    residual = lhs - sum(rhs_terms)
+    party_a = _check_residual_args(dims, measure, alpha, party_a)
+    lhs, rhs, residual = ckw_residuals(psi.amplitudes[None, :], dims, party_a, measure, alpha)
+    residual = float(residual[0])
     return MonogamyReport(dims=dims, party_a=party_a, measure=measure, alpha=alpha,
-                          lhs=float(lhs), rhs_terms=tuple(rhs_terms),
-                          residual=float(residual), satisfied=residual >= -violation_tol)
+                          lhs=float(lhs[0]), rhs_terms=tuple(float(v) for v in rhs[0]),
+                          residual=residual, satisfied=residual >= -violation_tol)
 
 
 def ckw_violation_state() -> PureState:
@@ -204,43 +258,34 @@ class ScanReport:
                 "warning": self.warning}
 
 
-def _scan_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("QCHAIN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def sample_monogamy_scan(dims, samples: int, alpha: float, seed: int,
                          violation_tol: float = VIOLATION_TOL) -> ScanReport:
     """Residual statistics over Haar-random pure states of the given dims.
 
     Party A is subsystem 0. Each sample draws from its own (seed, index)
-    substream, so results do not depend on execution order; aggregation
-    (min / count / histogram) is order-independent. For three-qubit scans
-    the known violating state is appended to the sample set. Unsupported
-    dims families still run but the report carries a warning.
+    substream, so results do not depend on execution order or on how the
+    samples are chunked; aggregation (min / count / histogram) is
+    order-independent. For three-qubit scans the known violating state is
+    appended to the sample set. Unsupported dims families still run but
+    the report carries a warning.
     """
     dims = tuple(int(d) for d in dims)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     layout = SubsystemLayout(dims, (0,))
+    _check_residual_args(dims, "ratio", alpha, (0,))
     covered = family_supported(dims)
 
-    def residual_of(index: int) -> float:
-        psi = random_haar_pure(layout, substream(seed, index))
-        return ckw_residual(psi, "ratio", alpha, (0,), violation_tol).residual
-
-    threads = _scan_threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            residuals = list(pool.map(residual_of, range(samples)))
-    else:
-        residuals = [residual_of(i) for i in range(samples)]
+    pair = dims[0] * max(dims[1:])
+    rows = max(1, SCAN_CHUNK_BYTES // (16 * (layout.dim + pair * pair)))
+    residuals = []
+    for start in range(0, samples, rows):
+        amps = haar_amplitude_rows(layout.dim, seed, range(start, min(start + rows, samples)))
+        residuals.append(ckw_residuals(amps, dims, (0,), "ratio", alpha)[2])
     if dims == (2, 2, 2):
-        residuals.append(ckw_residual(ckw_violation_state(), "ratio", alpha, (0,)).residual)
+        residuals.append([ckw_residual(ckw_violation_state(), "ratio", alpha, (0,)).residual])
 
-    arr = np.asarray(residuals)
+    arr = np.concatenate(residuals)
     hist, edges = np.histogram(np.clip(arr, *HISTOGRAM_RANGE),
                                bins=HISTOGRAM_BINS, range=HISTOGRAM_RANGE)
     return ScanReport(dims=dims, samples=samples, alpha=alpha, seed=seed,

@@ -3,7 +3,7 @@ squeezed vacuum, and seeded random sampling.
 
 Sampling is backed by the counter-based Philox generator so that per-sample
 substreams derived from (master_seed, sample_index) are reproducible
-independently of execution order or thread count.
+independently of execution order or chunk size.
 """
 
 from __future__ import annotations
@@ -214,15 +214,36 @@ def tmsvs_truncated(spec: TmsvsSpec) -> PureState:
     return PureState(amps.reshape(-1), layout, truncation_deficit=deficit)
 
 
+def _substream_key(master_seed: int, index: int) -> np.ndarray:
+    return np.array([np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF),
+                     np.uint64(index & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
+
+
 def substream(master_seed: int, index: int) -> np.random.Generator:
     """Independent generator for sample `index` of a seeded scan.
 
     Philox is keyed on the (seed, index) pair directly, so streams do not
     depend on how many samples ran before this one.
     """
-    key = np.array([np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF),
-                    np.uint64(index & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_substream_key(master_seed, index)))
+
+
+def rekey_substream(rng: np.random.Generator, master_seed: int, index: int) -> np.random.Generator:
+    """Reset a Philox-backed generator to the start of substream (master_seed, index).
+
+    Draws after the call equal those of substream(master_seed, index) bit
+    for bit: the key is set, the counter and the output buffer are reset.
+    Re-keying skips the OS-entropy seed sequence that every Philox
+    constructor builds and then discards.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": _substream_key(master_seed, index)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
 
 
 def _as_generator(seed) -> np.random.Generator:
@@ -237,6 +258,24 @@ def random_haar_pure(layout: SubsystemLayout, seed) -> PureState:
     v = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
     v /= np.linalg.norm(v)
     return PureState(v, layout)
+
+
+def haar_amplitude_rows(dim: int, master_seed: int, indices: range) -> np.ndarray:
+    """Stack of Haar-random amplitude vectors, shape (len(indices), dim).
+
+    Row k is normalized from the same normal draws that random_haar_pure
+    takes from substream(master_seed, indices[k]); one generator is
+    re-keyed per row.
+    """
+    raw = np.empty((len(indices), 2, dim))
+    rng = None
+    for k, index in enumerate(indices):
+        rng = substream(master_seed, index) if rng is None else \
+            rekey_substream(rng, master_seed, index)
+        rng.standard_normal(out=raw[k])
+    v = raw[:, 0] + 1j * raw[:, 1]
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v
 
 
 def random_density_matrix(layout: SubsystemLayout, rank: int, seed) -> DensityMatrix:

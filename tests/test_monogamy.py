@@ -3,8 +3,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qchain import monogamy
 from qchain.monogamy import (
+    HISTOGRAM_BINS,
+    HISTOGRAM_RANGE,
+    VIOLATION_TOL,
     alpha_threshold,
     aux_g,
     check_ineq_xya_grid,
@@ -246,6 +252,93 @@ class TestScan:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             sample_monogamy_scan((2, 2, 2), 0, 1.0, seed=1)
+
+
+class TestBatchedScan:
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (2, 2, 4), (3, 3, 3), (2, 2, 2, 2)])
+    @pytest.mark.parametrize("alpha", [1.0, alpha_threshold()])
+    def test_matches_per_sample_reference(self, monkeypatch, dims, alpha):
+        # A small chunk budget makes a 37-sample scan span several chunks.
+        monkeypatch.setattr(monogamy, "SCAN_CHUNK_BYTES", 4096)
+        chunks = []
+        draw = monogamy.haar_amplitude_rows
+
+        def counted(dim, seed, indices):
+            chunks.append(indices)
+            return draw(dim, seed, indices)
+
+        monkeypatch.setattr(monogamy, "haar_amplitude_rows", counted)
+        seed, samples = 21, 37
+        report = sample_monogamy_scan(dims, samples, alpha, seed)
+        assert len(chunks) > 1
+        assert [i for c in chunks for i in c] == list(range(samples))
+
+        layout = SubsystemLayout(dims, (0,))
+        residuals = [ckw_residual(random_haar_pure(layout, substream(seed, i)), "ratio", alpha).residual
+                     for i in range(samples)]
+        if dims == (2, 2, 2):
+            residuals.append(ckw_residual(ckw_violation_state(), "ratio", alpha).residual)
+        arr = np.asarray(residuals)
+        hist, _ = np.histogram(np.clip(arr, *HISTOGRAM_RANGE), bins=HISTOGRAM_BINS,
+                               range=HISTOGRAM_RANGE)
+        assert abs(report.min_residual - arr.min()) < 1e-12
+        assert report.histogram == tuple(int(h) for h in hist)
+        assert report.violation_count == int(np.count_nonzero(arr < -VIOLATION_TOL))
+
+
+class TestScanArgumentGuards:
+    @pytest.mark.parametrize("dims,alpha", [
+        ((2, 2), 3.2),           # fewer than 3 parties
+        ((2, 2, 2), 0.0),
+        ((2, 2, 2), -1.0),
+        ((2, 2, 2), math.inf),
+        ((2, 2, 2), math.nan),
+    ])
+    def test_rejected_before_any_sample(self, monkeypatch, dims, alpha):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(monogamy, "haar_amplitude_rows", refuse)
+        monkeypatch.setattr(monogamy, "ckw_residual", refuse)
+        with pytest.raises(ValueError):
+            sample_monogamy_scan(dims, 10, alpha, seed=1)
+
+
+@st.composite
+def split_layouts(draw):
+    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=3, max_size=4)))
+    party_a = draw(st.sets(st.integers(0, len(dims) - 1), min_size=1, max_size=len(dims) - 1))
+    return dims, tuple(sorted(party_a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(split=split_layouts(), seed=st.integers(0, 2**32),
+       measure=st.sampled_from(["ratio", "negativity"]), alpha=st.floats(1.0, 4.0))
+@example(split=((2, 3, 2), (0, 2)), seed=1, measure="ratio", alpha=3.191)
+@example(split=((3, 2, 2, 3), (0, 2)), seed=2, measure="negativity", alpha=1.0)
+def test_amplitude_marginals_match_dense_route(split, seed, measure, alpha):
+    """ckw_residual against the full density matrix and partial_trace."""
+    dims, party_a = split
+    psi = random_haar_pure(SubsystemLayout(dims, (0,)), substream(seed, 0))
+    report = ckw_residual(psi, measure, alpha, party_a)
+
+    def powered(neg):
+        return (neg / (neg + 1.0) if measure == "ratio" else neg) ** alpha
+
+    layout = SubsystemLayout(dims, party_a)
+    lam = PureState(psi.amplitudes, layout).schmidt().coefficients
+    lhs = powered(max(0.0, (float(np.sum(np.sqrt(lam)) ** 2) - 1.0) / 2.0))
+    rho = psi.density_matrix().matrix
+    terms = []
+    for b in layout.party_b:
+        keep = sorted(set(party_a) | {b})
+        pair = SubsystemLayout([dims[i] for i in keep], [keep.index(i) for i in party_a])
+        dm = DensityMatrix(partial_trace(rho, psi.layout, keep), pair, _trusted=True)
+        terms.append(powered(negativity(dm)))
+    assert abs(report.lhs - lhs) < 1e-12
+    assert len(report.rhs_terms) == len(terms)
+    assert np.max(np.abs(np.subtract(report.rhs_terms, terms))) < 1e-12
+    assert abs(report.residual - (lhs - sum(terms))) < 1e-12
 
 
 class TestFamilySupport:

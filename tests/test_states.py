@@ -14,6 +14,7 @@ from qchain.states import (
     pure_from_schmidt,
     random_density_matrix,
     random_haar_pure,
+    rekey_substream,
     substream,
     tmsvs_truncated,
 )
@@ -213,6 +214,21 @@ class TestRandomStates:
         assert np.array_equal(late, again)
         assert not np.array_equal(substream(123, 1).standard_normal(4),
                                   substream(123, 2).standard_normal(4))
+
+    @pytest.mark.parametrize("seed", [0, -1, 2**64 - 1, 123])
+    @pytest.mark.parametrize("index", [0, 77, 2**32 + 5, 2**64 - 1])
+    def test_rekeyed_generator_matches_substream(self, seed, index):
+        rng = substream(5, 3)
+        # Leave a half-used 32-bit word and a part-drained output buffer.
+        rng.integers(0, 10, size=3, dtype=np.uint32)
+        rng.bit_generator.random_raw(1)
+        assert rekey_substream(rng, seed, index) is rng
+        fresh = substream(seed, index)
+        assert np.array_equal(rng.bit_generator.random_raw(5), fresh.bit_generator.random_raw(5))
+        assert np.array_equal(rng.integers(0, 2**32, size=3, dtype=np.uint32),
+                              fresh.integers(0, 2**32, size=3, dtype=np.uint32))
+        a, b = rng.standard_normal(11), fresh.standard_normal(11)
+        assert a.tobytes() == b.tobytes()
 
 
 class TestValidation:
