@@ -36,6 +36,7 @@ from .reports import (
     make_report,
     state_from_json,
 )
+from .states import PSD_TOL
 from .swapping import chain_compose, qubit_link, qudit_link, tmsvs_link
 
 EXIT_OK = 0
@@ -211,10 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
-        if output:
-            p.add_argument("--output", default=None, help="output path (default stdout)")
-            p.add_argument("--format", choices=("json", "csv"), default="json")
+    def common(p):
+        p.add_argument("--output", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("measure", help="evaluate measures on a state file")
     p.add_argument("--input", required=True, help="state JSON file")
@@ -222,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated measure kinds (default {DEFAULT_MEASURES})")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--cutoff", type=int, default=None, help="Fock cutoff override for tmsvs inputs")
-    p.add_argument("--tol-psd", type=float, default=1e-10)
+    p.add_argument("--tol-psd", type=float, default=PSD_TOL)
     common(p)
     p.set_defaults(fn=cmd_measure)
 
@@ -235,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="per-length chain values (plot-ready)")
     p.add_argument("--input", required=True, help="chain JSON file")
     p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p)
     p.set_defaults(fn=cmd_sweep)
 

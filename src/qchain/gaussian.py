@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .measures import _clamped_negativity
+
 CM_SYMMETRY_TOL = 1e-10
 CM_BONA_FIDE_TOL = 1e-8
 CM_PURITY_TOL = 1e-6
@@ -160,11 +162,7 @@ def cm_ratio_negativity(cm: CovarianceMatrix, modes_a=(0,),
     report = validate_cm(cm)
     if not report.ok:
         raise ValueError(f"invalid covariance matrix: {report.message}")
-    pt = cm_partial_transpose(cm, modes_a)
-    nu = symplectic_eigenvalues(pt.gamma)
-    nu_min = float(nu[-1])
-    trace_norm = max(1.0, 1.0 / nu_min)
-    n = (trace_norm - 1.0) / 2.0
-    if n < 1e-10:  # same roundoff clamp as the Fock-basis route
-        return 0.0
+    # The trace norm is 1/nu_min; it goes through the Fock-basis route's clamp.
+    nu = symplectic_eigenvalues(cm_partial_transpose(cm, modes_a).gamma)
+    n = float(_clamped_negativity(1.0 / nu[-1]))
     return n / (n + 1.0)

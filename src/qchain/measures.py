@@ -1,10 +1,11 @@
 """Entanglement measures built on the partial-transpose trace norm, plus
 the pure-state Schmidt fast paths for concurrence-family quantities.
 
-Mixed states route through a dense partial transpose and Hermitian
-eigendecomposition; pure states use closed forms in their Schmidt
-coefficients. Convex-roof extensions are evaluated only on pure inputs,
-where they coincide with the plain measures.
+`pt_trace_norm` is the one spectral step (Schmidt coefficients for pure
+states, a dense partial-transpose spectrum for mixed ones). Every
+negativity-family value follows from it through one clamp, and a state is
+PPT exactly when its clamped negativity is 0. Convex-roof extensions are
+evaluated only on pure inputs, where they coincide with the plain measures.
 """
 
 from __future__ import annotations
@@ -40,8 +41,10 @@ class MeasureSpec:
             raise ValueError(f"unknown measure kind {self.kind!r}; choose from {MEASURE_KINDS}")
         if self.kind == "alpha_ratio" and not self.alpha > 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.kind == "custom_f" and self.f is None:
-            raise ValueError("custom_f requires a function handle")
+        if self.kind == "custom_f":
+            if self.f is None:
+                raise ValueError("custom_f requires a function handle")
+            _require_valid_f(self.f)
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,17 @@ class MeasureResult:
         return out
 
 
+def _schmidt_trace_norm(lam):
+    """(sum_i sqrt(lambda_i))^2 over the last axis of Schmidt coefficients."""
+    return np.sum(np.sqrt(lam), axis=-1) ** 2
+
+
+def _clamped_negativity(t, psd_tol: float = PSD_TOL):
+    """N = (t - 1)/2 for trace norms t (scalar or array), 0 where N < psd_tol."""
+    n = (np.asarray(t, dtype=float) - 1.0) / 2.0
+    return np.where(n >= psd_tol, n, 0.0)
+
+
 def pt_trace_norm(state: State) -> float:
     """Trace norm of the partial transpose across the state's A|B split.
 
@@ -68,16 +82,14 @@ def pt_trace_norm(state: State) -> float:
     coefficients; for a mixed state the dense spectrum is summed.
     """
     if isinstance(state, PureState):
-        lam = state.schmidt().coefficients
-        return float(np.sum(np.sqrt(lam)) ** 2)
+        return float(_schmidt_trace_norm(state.schmidt().coefficients))
     pt = partial_transpose(state.matrix, state.layout)
     return trace_norm_hermitian(pt)
 
 
 def negativity(state: State, psd_tol: float = PSD_TOL) -> float:
-    """(|rho^T_A|_1 - 1)/2, clamped to 0 when within psd_tol of zero."""
-    n = (pt_trace_norm(state) - 1.0) / 2.0
-    return 0.0 if -psd_tol < n < psd_tol else max(n, 0.0)
+    """(|rho^T_A|_1 - 1)/2, clamped to 0 when below psd_tol."""
+    return float(_clamped_negativity(pt_trace_norm(state), psd_tol))
 
 
 def log_negativity(state: State, base: float = 2.0) -> float:
@@ -91,13 +103,8 @@ def log_negativity(state: State, base: float = 2.0) -> float:
 
 
 def is_ppt(state: State, psd_tol: float = PSD_TOL) -> bool:
-    """True when the partial transpose is positive semidefinite."""
-    if isinstance(state, PureState):
-        # Pure states are PPT exactly when they are product states.
-        return negativity(state, psd_tol) == 0.0
-    pt = partial_transpose(state.matrix, state.layout)
-    w = np.linalg.eigvalsh((pt + pt.conj().T) / 2)
-    return bool(w[0] >= -psd_tol)
+    """True when the clamped negativity is 0; for pure states, product states."""
+    return negativity(state, psd_tol) == 0.0
 
 
 def ratio_negativity(state: State, psd_tol: float = PSD_TOL) -> float:
@@ -122,16 +129,14 @@ def _check_distribution(lam) -> np.ndarray:
 
 
 def negativity_pure(lam) -> float:
-    """((sum sqrt(lambda))^2 - 1)/2 from Schmidt coefficients."""
-    lam = _check_distribution(lam)
-    return (float(np.sum(np.sqrt(lam)) ** 2) - 1.0) / 2.0
+    """((sum sqrt(lambda))^2 - 1)/2 from Schmidt coefficients, clamped as negativity."""
+    return float(_clamped_negativity(_schmidt_trace_norm(_check_distribution(lam))))
 
 
 def ratio_negativity_pure(lam) -> float:
-    """((sum sqrt(lambda))^2 - 1) / ((sum sqrt(lambda))^2 + 1)."""
-    lam = _check_distribution(lam)
-    s = float(np.sum(np.sqrt(lam)) ** 2)
-    return (s - 1.0) / (s + 1.0)
+    """N/(N+1) = ((sum sqrt(lambda))^2 - 1) / ((sum sqrt(lambda))^2 + 1)."""
+    n = negativity_pure(lam)
+    return n / (n + 1.0)
 
 
 def concurrence_pure(psi: PureState) -> float:
@@ -200,11 +205,15 @@ def validate_f(f: Callable[[float], float], samples=None) -> FValidation:
     return FValidation(True, zero_defect, None, "ok")
 
 
-def f_negativity(f: Callable[[float], float], state: State, psd_tol: float = PSD_TOL) -> float:
-    """f(N(rho)) for a validated strictly-increasing f with f(0) = 0."""
+def _require_valid_f(f: Callable[[float], float]) -> None:
     report = validate_f(f)
     if not report.ok:
         raise ValueError(f"invalid f for f-negativity: {report.message}")
+
+
+def f_negativity(f: Callable[[float], float], state: State, psd_tol: float = PSD_TOL) -> float:
+    """f(N(rho)) for a validated strictly-increasing f with f(0) = 0."""
+    _require_valid_f(f)
     return float(f(negativity(state, psd_tol)))
 
 
@@ -222,9 +231,7 @@ def compose_ratio_tensor(chis) -> float:
 def evaluate_measure(spec: MeasureSpec, state: State, psd_tol: float = PSD_TOL) -> MeasureResult:
     """Dispatch a measure evaluation and package the standard report fields."""
     t = pt_trace_norm(state)
-    n = (t - 1.0) / 2.0
-    n = 0.0 if -psd_tol < n < psd_tol else max(n, 0.0)
-    ppt = is_ppt(state, psd_tol)
+    n = float(_clamped_negativity(t, psd_tol))
     alpha = None
     if spec.kind == "negativity":
         value = n
@@ -254,8 +261,8 @@ def evaluate_measure(spec: MeasureSpec, state: State, psd_tol: float = PSD_TOL) 
             raise ValueError("singlet conversion probability needs a 2-qubit pure state")
         value = scp_pure_qubit(lam / lam.sum())
     elif spec.kind == "custom_f":
-        value = f_negativity(spec.f, state, psd_tol)
+        value = spec.f(n)
     else:  # pragma: no cover - guarded by MeasureSpec
         raise ValueError(spec.kind)
     return MeasureResult(measure=spec.kind, value=float(value), trace_norm=float(t),
-                         ppt=ppt, truncation_deficit=state.truncation_deficit, alpha=alpha)
+                         ppt=n == 0.0, truncation_deficit=state.truncation_deficit, alpha=alpha)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PSD_TOL, TRACE_TOL, DensityMatrix, PureState, haar_amplitude_rows
+from .measures import _clamped_negativity, _schmidt_trace_norm
+from .states import TRACE_TOL, DensityMatrix, PureState, haar_amplitude_rows
 from .tensor import HERM_TOL_BASE, NORM_TOL, SubsystemLayout, require_finite
 
 VIOLATION_TOL = 1e-9
@@ -132,7 +133,7 @@ def ckw_residuals(amplitudes, dims, party_a=(0,), measure: str = "ratio",
         return moved.reshape(n, d_first, split.dim // d_first)
 
     s = np.linalg.svd(grouped(party_a), compute_uv=False)
-    lhs = _powered(np.maximum(0.0, (np.sum(s, axis=1) ** 2 - 1.0) / 2.0), measure, alpha)
+    lhs = _powered(_clamped_negativity(_schmidt_trace_norm(s ** 2)), measure, alpha)
 
     rhs = np.empty((n, len(split.party_b)))
     for j, b in enumerate(split.party_b):
@@ -155,9 +156,7 @@ def ckw_residuals(amplitudes, dims, party_a=(0,), measure: str = "ratio",
         kept_dims = tuple(dims[i] for i in keep)
         pt = rho.reshape((n,) + kept_dims + kept_dims).transpose([0] + [1 + p for p in perm])
         w = np.linalg.eigvalsh(pt.reshape(rho.shape))
-        neg = (np.sum(np.abs(w), axis=1) - 1.0) / 2.0
-        # The clamp of measures.negativity: zero unless at least PSD_TOL.
-        rhs[:, j] = _powered(np.where(neg >= PSD_TOL, neg, 0.0), measure, alpha)
+        rhs[:, j] = _powered(_clamped_negativity(np.sum(np.abs(w), axis=1)), measure, alpha)
     return lhs, rhs, lhs - np.sum(rhs, axis=1)
 
 

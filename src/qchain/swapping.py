@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import ratio_negativity
+from .measures import g_concurrence_pure, ratio_negativity
 from .states import TmsvsSpec, tmsvs_truncated
 
 LINK_KINDS = ("qubit_pure", "qudit_pure", "tmsvs")
@@ -92,9 +92,7 @@ def qudit_link(lam=None, d: int | None = None, g_concurrence: float | None = Non
     d = len(lam) if d is None else int(d)
     if len(lam) != d or any(x < 0 for x in lam) or abs(sum(lam) - 1.0) > 1e-10:
         raise ValueError(f"need a probability vector of length d={d}, got {lam}")
-    arr = np.asarray(lam)
-    cg = 0.0 if np.any(arr == 0) else float(d * np.exp(np.mean(np.log(arr))))
-    return LinkResource(kind="qudit_pure", schmidt=lam, d=d, native_value=cg)
+    return LinkResource(kind="qudit_pure", schmidt=lam, d=d, native_value=g_concurrence_pure(lam, d))
 
 
 def tmsvs_link(r: float) -> LinkResource:
@@ -114,8 +112,8 @@ def canonical_qudit_schmidt(g_concurrence: float, d: int) -> tuple[float, ...]:
     The swapping rule fixes only the measure value of the output; this
     one-parameter family supplies a deterministic representative. q is
     solved by bisection (the map q -> G-concurrence is strictly increasing
-    from 0 to 1); the target 1 yields the uniform vector, and for d = 2
-    the family coincides with the canonical qubit pair.
+    from 0 to 1); the target 1 yields the uniform vector. For d = 2 the
+    family agrees with the canonical qubit pair to about 1e-12 in lambda.
     """
     if not (0.0 <= g_concurrence <= 1.0):
         raise ValueError(f"G-concurrence must lie in [0, 1], got {g_concurrence}")
@@ -124,24 +122,20 @@ def canonical_qudit_schmidt(g_concurrence: float, d: int) -> tuple[float, ...]:
     if g_concurrence == 0.0:
         return tuple([1.0] + [0.0] * (d - 1))
 
-    def cg_of(q: float) -> float:
+    def geometric(q: float) -> np.ndarray:
         lam = q ** np.arange(d)
-        lam = lam / lam.sum()
-        return float(d * np.exp(np.mean(np.log(lam))))
+        return lam / lam.sum()
 
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = (lo + hi) / 2.0
-        if cg_of(mid) < g_concurrence:
+        if g_concurrence_pure(geometric(mid), d) < g_concurrence:
             lo = mid
         else:
             hi = mid
         if hi - lo < 1e-12 * max(1.0, hi):
             break
-    q = (lo + hi) / 2.0
-    lam = q ** np.arange(d)
-    lam = lam / lam.sum()
-    return tuple(float(x) for x in lam)
+    return tuple(float(x) for x in geometric((lo + hi) / 2.0))
 
 
 def swap_tmsvs(r1: float, r2: float) -> TmsvsSpec:
@@ -171,6 +165,8 @@ def swap_qudit_gc(link1: LinkResource, link2: LinkResource) -> LinkResource:
     if link1.d != link2.d:
         raise ValueError(f"qudit dimensions differ: {link1.d} != {link2.d}")
     if link1.d == 2:
+        # Closed form: the geometric family is off by up to ~5e-13 in lambda
+        # (~5e-9 in G-concurrence near 0), and d = 2 must match qubit chains exactly.
         c = link1.native_value * link2.native_value
         return qudit_link(lam=canonical_qubit_schmidt(c), d=2)
     cg = link1.native_value * link2.native_value

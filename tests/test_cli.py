@@ -249,3 +249,11 @@ class TestExitCodesAndDeterminism:
         a = json.dumps(strip_meta(json.loads(out1.read_text())), sort_keys=True)
         b = json.dumps(strip_meta(json.loads(out2.read_text())), sort_keys=True)
         assert a == b
+
+
+class TestFormatFlag:
+    @pytest.mark.parametrize("argv", [["measure", "--input", "state.json"],
+                                      ["gaussian", "--r", "0.5"]])
+    def test_rejected_outside_sweep(self, argv, capsys):
+        assert main(argv + ["--format", "csv"]) == EXIT_VALIDATION
+        assert "--format" in capsys.readouterr().err

@@ -396,3 +396,52 @@ class TestEvaluateMeasure:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             MeasureSpec("entropy")
+
+
+def isotropic_edge_state():
+    """p|Phi+><Phi+| + (1-p) I/16 on (4, 4), with p just above the
+    separability bound 1/5: each of the 6 negative partial-transpose
+    eigenvalues is (1 - 5p)/16 = -5e-11, so N = 3e-10 >= PSD_TOL."""
+    p = 0.2 + 16 * 5e-11 / 5
+    phi = np.eye(4).reshape(16) / 2.0
+    rho = p * np.outer(phi, phi) + (1 - p) * np.eye(16) / 16
+    return DensityMatrix(rho.astype(complex), SubsystemLayout((4, 4), (0,)))
+
+
+MIXED_SPECS = [MeasureSpec("negativity"), MeasureSpec("log_negativity"), MeasureSpec("ratio"),
+               MeasureSpec("alpha_ratio", alpha=3.191),
+               MeasureSpec("custom_f", f=lambda x: x / (x + 1))]
+
+
+class TestPptIsZeroNegativity:
+    def test_edge_state_is_npt(self):
+        st = isotropic_edge_state()
+        assert abs(negativity(st) - 3e-10) < 1e-14
+        assert not is_ppt(st)
+        for spec in MIXED_SPECS:
+            res = evaluate_measure(spec, st)
+            assert res.ppt is False, spec.kind
+            assert res.ppt == (res.value == 0.0), spec.kind
+
+
+class TestOneTraceNormPerValue:
+    @pytest.mark.parametrize("spec", MIXED_SPECS, ids=lambda s: s.kind)
+    def test_one_trace_norm_and_one_eigensolve(self, spec, monkeypatch):
+        import qchain.measures as measures
+        dm = random_density_matrix(SubsystemLayout((3, 3), (0,)), 4, 32)
+        calls = {"pt_trace_norm": 0, "eigvalsh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(measures, "pt_trace_norm", counted("pt_trace_norm", measures.pt_trace_norm))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        evaluate_measure(spec, dm)
+        assert calls == {"pt_trace_norm": 1, "eigvalsh": 1}
+
+    def test_invalid_custom_f_rejected_at_spec(self):
+        with pytest.raises(ValueError, match="invalid f"):
+            MeasureSpec("custom_f", f=lambda x: -x)
