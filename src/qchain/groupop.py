@@ -30,8 +30,8 @@ DEFAULT_GRID = 64
 @dataclass(frozen=True)
 class CompositionLaw:
     """A binary law on [lo, hi]; open endpoints are sampled half a grid
-    step inside. The callable must be pure; array broadcasting is used
-    when the callable supports it and falls back to scalar loops."""
+    step inside. The callable must be pure and must broadcast over numpy
+    arrays; errors it raises propagate."""
 
     name: str
     fn: Callable
@@ -41,6 +41,8 @@ class CompositionLaw:
     open_hi: bool = False
 
     def grid(self, n: int = DEFAULT_GRID) -> np.ndarray:
+        if n < 2:
+            raise ValueError(f"grid needs at least 2 points, got {n}")
         lo, hi = self.lo, self.hi
         step = (hi - lo) / (n + 1)
         if self.open_lo:
@@ -50,15 +52,13 @@ class CompositionLaw:
         return np.linspace(lo, hi, n)
 
     def __call__(self, x, y):
-        try:
-            out = self.fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-            out = np.asarray(out, dtype=float)
-            if out.shape != np.broadcast_shapes(np.shape(x), np.shape(y)):
-                raise ValueError
-            return out
-        except Exception:
-            vec = np.vectorize(lambda a, b: float(self.fn(a, b)))
-            return vec(x, y)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        out = np.asarray(self.fn(x, y), dtype=float)
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        if out.shape != shape:
+            raise ValueError(f"law {self.name!r} returned shape {out.shape} for arguments of "
+                             f"shapes {x.shape} and {y.shape}; expected {shape}")
+        return out
 
 
 LAW_REGISTRY = {
@@ -144,8 +144,9 @@ def _find_identity(law: CompositionLaw, xs: np.ndarray, tol: float):
     """Minimize max_x |g(x, e) - x| over candidate e by coarse scan plus
     golden-section refinement; domain endpoints are tried exactly since
     identities of bounded laws usually sit there."""
-    candidates = list(np.linspace(law.lo, law.hi, 512))
-    residuals = [_identity_residual(law, xs, e) for e in candidates]
+    candidates = np.linspace(law.lo, law.hi, 512)
+    residuals = np.maximum(np.max(np.abs(law(xs, candidates[:, None]) - xs), axis=1),
+                           np.max(np.abs(law(candidates[:, None], xs) - xs), axis=1))
     best = int(np.argmin(residuals))
     lo = candidates[max(0, best - 1)]
     hi = candidates[min(len(candidates) - 1, best + 1)]
@@ -190,44 +191,37 @@ def _check_solvability(law: CompositionLaw, xs: np.ndarray, tol: float) -> Axiom
         return AxiomResult(False, "law is not monotone in its second argument; "
                                   "solvability test not applicable", math.inf)
     increasing = bool(diffs[0] > 0)
-    endpoint_failures = 0
-    interior_failures = 0
-    witness = None
-    worst = 0.0
     w_lo, w_hi = float(xs[0]), float(xs[-1])
-    for x in xs:
-        g_lo = float(law(x, w_lo))
-        g_hi = float(law(x, w_hi))
-        lo_val, hi_val = (g_lo, g_hi) if increasing else (g_hi, g_lo)
-        for z in xs:
-            if z < lo_val - tol or z > hi_val + tol:
-                endpoint_failures += 1
-                if witness is None:
-                    witness = (float(x), float(z))
-                continue
-            a, b = w_lo, w_hi
-            for _ in range(100):
-                mid = (a + b) / 2.0
-                val = float(law(x, mid))
-                if (val < z) == increasing:
-                    a = mid
-                else:
-                    b = mid
-                if b - a < 1e-14:
-                    break
-            residual = abs(float(law(x, (a + b) / 2.0)) - z)
-            worst = max(worst, residual)
-            if residual > math.sqrt(tol):
-                interior_failures += 1
-                if witness is None:
-                    witness = (float(x), float(z))
+    g_lo, g_hi = law(xs, w_lo), law(xs, w_hi)
+    lo_val, hi_val = (g_lo, g_hi) if increasing else (g_hi, g_lo)
+    x, z = xs[:, None], xs[None, :]
+    outside = (z < lo_val[:, None] - tol) | (z > hi_val[:, None] + tol)
+    # Each pair stops once its own bracket is below 1e-14, as a scalar
+    # bisection would; a shared step count would move a, b and the residuals.
+    a = np.full(outside.shape, w_lo)
+    b = np.full(outside.shape, w_hi)
+    live = ~outside
+    for _ in range(100):
+        if not live.any():
+            break
+        mid = (a + b) / 2.0
+        below = (law(x, mid) < z) == increasing
+        a = np.where(live & below, mid, a)
+        b = np.where(live & ~below, mid, b)
+        live &= ~(b - a < 1e-14)
+    residual = np.abs(law(x, (a + b) / 2.0) - z)
+    worst = float(np.max(residual, where=~outside, initial=0.0))
+    interior = ~outside & (residual > math.sqrt(tol))
+    failing = outside | interior
     total = len(xs) ** 2
-    if interior_failures == 0 and endpoint_failures == 0:
+    if not failing.any():
         return AxiomResult(True, f"g(x, .) = z solvable for all {total} grid pairs "
                                  f"(max residual {worst:.3e})", worst)
-    detail = (f"{interior_failures} interior failures, {endpoint_failures} targets outside "
-              f"the range of g(x, .) on the domain ({total} pairs)")
-    return AxiomResult(False, detail, worst, witness)
+    # The witness is the first failing pair in (x, z) row-major order.
+    i, k = np.unravel_index(int(np.argmax(failing)), failing.shape)
+    detail = (f"{np.count_nonzero(interior)} interior failures, {np.count_nonzero(outside)} "
+              f"targets outside the range of g(x, .) on the domain ({total} pairs)")
+    return AxiomResult(False, detail, worst, (float(xs[i]), float(xs[k])))
 
 
 def check_group_operation(law: CompositionLaw | str, grid_n: int = DEFAULT_GRID,

@@ -168,6 +168,11 @@ class TestMonogamyCommand:
     def test_requires_dims_or_input(self):
         assert main(["monogamy"]) == EXIT_VALIDATION
 
+    def test_grid_below_library_minimum_rejected(self, capsys):
+        code = main(["monogamy", "--dims", "2,2,2", "--samples", "5", "--grid", "50"])
+        assert code == EXIT_VALIDATION
+        assert "grid_n must be >= 100" in capsys.readouterr().err
+
 
 class TestGroupopCommand:
     def test_tanh_sum_report(self, tmp_path):
@@ -182,6 +187,11 @@ class TestGroupopCommand:
 
     def test_unknown_law(self):
         assert main(["groupop", "--law", "nope"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("grid", ["1", "0"])
+    def test_grid_below_two_rejected(self, grid, capsys):
+        assert main(["groupop", "--law", "tanh_sum", "--grid", grid]) == EXIT_VALIDATION
+        assert "at least 2 points" in capsys.readouterr().err
 
 
 class TestGaussianCommand:

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from qchain.groupop import (
+    SOLVE_TOL,
+    AxiomResult,
     CompositionLaw,
+    _check_solvability,
     check_group_operation,
     get_law,
     necessary_conditions_check,
@@ -78,11 +81,25 @@ class TestCustomLaws:
         g = law.fn
         assert abs(g(g(x, y), z) - g(x, g(y, z))) > 1e-6
 
-    def test_scalar_only_callable_supported(self):
+    def test_scalar_only_callable_raises_its_own_error(self):
         law = CompositionLaw("scalar_product", lambda x, y: float(x) * float(y),
                              0.0, 1.0, open_lo=True)
-        report = check_group_operation(law, grid_n=16)
-        assert report.associativity.passed
+        with pytest.raises(TypeError):
+            check_group_operation(law, grid_n=16)
+
+    def test_non_broadcasting_law_rejected_by_name(self):
+        law = CompositionLaw("constant", lambda x, y: 0.5, 0.0, 1.0)
+        with pytest.raises(ValueError, match="'constant'"):
+            check_group_operation(law, grid_n=16)
+
+    @pytest.mark.parametrize("check", [check_group_operation, necessary_conditions_check,
+                                       lambda law, grid_n: verify_multiplicative_f(law, math.exp, grid_n)],
+                             ids=["check_group_operation", "necessary_conditions_check",
+                                  "verify_multiplicative_f"])
+    @pytest.mark.parametrize("grid_n", [1, 0])
+    def test_grid_below_two_rejected(self, check, grid_n):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            check("product", grid_n=grid_n)
 
     def test_non_finite_law_rejected(self):
         law = CompositionLaw("bad", lambda x, y: x / (y - y), 0.0, 1.0)
@@ -160,3 +177,64 @@ class TestDeterminismAndConsistency:
             report = check_group_operation(name, grid_n=24)
             if report.is_group:
                 assert verify_multiplicative_f(name, f).passed
+
+
+def _scalar_solvability(law, xs, tol):
+    """Per-pair scalar bisection: the reference `_check_solvability` must equal."""
+    probe = law(xs[len(xs) // 2], xs)
+    diffs = np.diff(probe)
+    if not (np.all(diffs > 0) or np.all(diffs < 0)):
+        return AxiomResult(False, "law is not monotone in its second argument; "
+                                  "solvability test not applicable", math.inf)
+    increasing = bool(diffs[0] > 0)
+    endpoint_failures = 0
+    interior_failures = 0
+    witness = None
+    worst = 0.0
+    w_lo, w_hi = float(xs[0]), float(xs[-1])
+    for x in xs:
+        g_lo = float(law(x, w_lo))
+        g_hi = float(law(x, w_hi))
+        lo_val, hi_val = (g_lo, g_hi) if increasing else (g_hi, g_lo)
+        for z in xs:
+            if z < lo_val - tol or z > hi_val + tol:
+                endpoint_failures += 1
+                if witness is None:
+                    witness = (float(x), float(z))
+                continue
+            a, b = w_lo, w_hi
+            for _ in range(100):
+                mid = (a + b) / 2.0
+                val = float(law(x, mid))
+                if (val < z) == increasing:
+                    a = mid
+                else:
+                    b = mid
+                if b - a < 1e-14:
+                    break
+            residual = abs(float(law(x, (a + b) / 2.0)) - z)
+            worst = max(worst, residual)
+            if residual > math.sqrt(tol):
+                interior_failures += 1
+                if witness is None:
+                    witness = (float(x), float(z))
+    total = len(xs) ** 2
+    if interior_failures == 0 and endpoint_failures == 0:
+        return AxiomResult(True, f"g(x, .) = z solvable for all {total} grid pairs "
+                                 f"(max residual {worst:.3e})", worst)
+    detail = (f"{interior_failures} interior failures, {endpoint_failures} targets outside "
+              f"the range of g(x, .) on the domain ({total} pairs)")
+    return AxiomResult(False, detail, worst, witness)
+
+
+class TestSolvabilityMatchesScalarReference:
+    @pytest.mark.parametrize("grid_n", [2, 3, 17, 32])
+    @pytest.mark.parametrize("law", ["product", "tanh_sum", "min", "sum",
+                                     CompositionLaw("one_minus_product", lambda x, y: 1.0 - x * y,
+                                                    0.0, 1.0)],
+                             ids=lambda law: getattr(law, "name", law))
+    def test_exact_match(self, law, grid_n):
+        if isinstance(law, str):
+            law = get_law(law)
+        xs = law.grid(grid_n)
+        assert _check_solvability(law, xs, SOLVE_TOL) == _scalar_solvability(law, xs, SOLVE_TOL)
