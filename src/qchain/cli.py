@@ -60,6 +60,16 @@ def _write_text(path: str | None, text: str) -> None:
         fh.write(text)
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _links_from_spec(doc: dict):
     kind = doc.get("kind")
     raw = doc.get("links")
@@ -88,7 +98,7 @@ def _links_from_spec(doc: dict):
 
 def cmd_measure(args) -> tuple[int, dict]:
     doc = _read_json(args.input)
-    if doc.get("kind") == "tmsvs" and args.cutoff is not None:
+    if isinstance(doc, dict) and doc.get("kind") == "tmsvs" and args.cutoff is not None:
         doc = {**doc, "cutoff": args.cutoff}
     state = state_from_json(doc)
     results = []
@@ -150,9 +160,9 @@ def cmd_monogamy(args) -> tuple[int, dict]:
             raise ValueError("monogamy needs --input or --dims")
         dims = [int(d) for d in args.dims.split(",")]
         samples, alpha, seed = args.samples, args.alpha, args.seed
+    grid = check_ineq_xya_grid(0.5, 0.5, alpha, args.grid).to_json()
     report = sample_monogamy_scan(dims, samples, alpha, seed,
                                   violation_tol=args.tol_violation)
-    grid = check_ineq_xya_grid(0.5, 0.5, alpha, args.grid).to_json()
     config = {"dims": dims, "samples": samples, "alpha": alpha, "seed": seed,
               "tol_violation": args.tol_violation, "grid": args.grid}
     return EXIT_OK, {"config": config,
@@ -218,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated measure kinds (default {DEFAULT_MEASURES})")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--cutoff", type=int, default=None, help="Fock cutoff override for tmsvs inputs")
-    p.add_argument("--tol-psd", type=float, default=PSD_TOL)
+    p.add_argument("--tol-psd", type=_tolerance, default=PSD_TOL)
     common(p)
     p.set_defaults(fn=cmd_measure)
 

@@ -17,7 +17,6 @@ from typing import Callable
 import numpy as np
 
 from .states import PSD_TOL, DensityMatrix, PureState
-from .tensor import partial_transpose, trace_norm_hermitian
 
 State = DensityMatrix | PureState
 
@@ -79,12 +78,12 @@ def pt_trace_norm(state: State) -> float:
     """Trace norm of the partial transpose across the state's A|B split.
 
     For a pure state this is (sum_i sqrt(lambda_i))^2 in its Schmidt
-    coefficients; for a mixed state the dense spectrum is summed.
+    coefficients; for a mixed state the dense spectrum is summed. Both
+    spectral steps run once per state object and are reused.
     """
     if isinstance(state, PureState):
         return float(_schmidt_trace_norm(state.schmidt().coefficients))
-    pt = partial_transpose(state.matrix, state.layout)
-    return trace_norm_hermitian(pt)
+    return state._pt_trace_norm
 
 
 def negativity(state: State, psd_tol: float = PSD_TOL) -> float:

@@ -67,17 +67,6 @@ STATE_SCHEMA = {
     ],
 }
 
-CM_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "modes": {"type": "integer", "minimum": 1},
-        "gamma": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
-        "displacement": {"type": "array", "items": {"type": "number"}},
-    },
-    "required": ["modes", "gamma"],
-    "additionalProperties": False,
-}
-
 CHAIN_SCHEMA = {
     "type": "object",
     "properties": {
@@ -173,13 +162,6 @@ def state_from_json(doc: dict) -> PureState | DensityMatrix:
 def cm_to_json(cm: CovarianceMatrix) -> dict:
     return {"modes": cm.modes, "gamma": [[float(v) for v in row] for row in cm.gamma],
             "displacement": [float(v) for v in cm.displacement]}
-
-
-def cm_from_json(doc: dict) -> CovarianceMatrix:
-    cm = CovarianceMatrix(np.asarray(doc["gamma"], dtype=float), doc.get("displacement"))
-    if cm.modes != int(doc["modes"]):
-        raise ValueError(f"declared modes {doc['modes']} != matrix modes {cm.modes}")
-    return cm
 
 
 def make_report(command: str, config: dict, result, elapsed: float | None = None,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,8 +19,10 @@ from .tensor import (
     SubsystemLayout,
     herm_defect,
     hermitian_eigenvalues,
+    partial_transpose,
     require_finite,
     schmidt_decompose,
+    trace_norm_hermitian,
 )
 
 PSD_TOL = 1e-10
@@ -63,8 +66,17 @@ class PureState:
         rho = np.outer(self.amplitudes, self.amplitudes.conj())
         return DensityMatrix(rho, self.layout, self.truncation_deficit, _trusted=True)
 
-    def schmidt(self, **kwargs):
-        return schmidt_decompose(self.amplitudes, self.layout, **kwargs)
+    def schmidt(self):
+        """Schmidt decomposition across the A|B split, computed once per state;
+        its arrays are read-only."""
+        return self._schmidt
+
+    @cached_property
+    def _schmidt(self):
+        sd = schmidt_decompose(self.amplitudes, self.layout)
+        for a in (sd.coefficients, sd.left, sd.right):
+            a.setflags(write=False)
+        return sd
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,8 +84,14 @@ class DensityMatrix:
     """Hermitian, unit-trace, PSD matrix over a subsystem layout.
 
     Constructors inside this package produce PSD matrices by construction
-    and skip the eigenvalue check; data from untrusted sources (files)
-    goes through validate(). Hermiticity and trace are always enforced.
+    and skip the PSD check; data from untrusted sources (files) goes
+    through validate(). Hermiticity and trace are always enforced.
+
+    A density matrix runs one dense eigensolve: its partial-transpose
+    trace norm is computed once and kept (the matrix is a private
+    read-only copy, so it cannot go stale), and validate() computes
+    eigenvalues only for a matrix it rejects or one whose smallest
+    eigenvalue lies within rounding of -psd_tol.
     """
 
     matrix: np.ndarray
@@ -99,9 +117,28 @@ class DensityMatrix:
             self.validate()
 
     def validate(self, psd_tol: float = PSD_TOL) -> None:
-        w = hermitian_eigenvalues(self.matrix)
-        if w[0] < -psd_tol:
-            raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
+        """Reject a matrix whose smallest eigenvalue is below -psd_tol.
+
+        A Cholesky factorization of rho + psd_tol*I accepts the matrix
+        without an eigensolve; only when it fails are the eigenvalues
+        computed and the rule applied to them, so the error names the
+        smallest one. A smallest eigenvalue within rounding of -psd_tol
+        may be judged either way.
+        """
+        if not (math.isfinite(psd_tol) and psd_tol >= 0):
+            raise ValueError(f"psd_tol must be finite and >= 0, got {psd_tol!r}")
+        shifted = self.matrix.copy()
+        shifted.flat[::shifted.shape[0] + 1] += psd_tol
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            w = hermitian_eigenvalues(self.matrix)
+            if w[0] < -psd_tol:
+                raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}") from None
+
+    @cached_property
+    def _pt_trace_norm(self) -> float:
+        return trace_norm_hermitian(partial_transpose(self.matrix, self.layout))
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))

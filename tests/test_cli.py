@@ -267,3 +267,28 @@ class TestFormatFlag:
     def test_rejected_outside_sweep(self, argv, capsys):
         assert main(argv + ["--format", "csv"]) == EXIT_VALIDATION
         assert "--format" in capsys.readouterr().err
+
+
+class TestMeasureInputChecks:
+    @pytest.mark.parametrize("extra", [[], ["--cutoff", "5"]])
+    def test_json_list_input_rejected(self, tmp_path, extra, capsys):
+        path = write_json(tmp_path / "list.json", [1, 2])
+        assert main(["measure", "--input", path] + extra) == EXIT_VALIDATION
+        assert "must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-10", "inf"])
+    def test_tol_psd_must_be_finite_nonnegative(self, tmp_path, tol, capsys):
+        path = write_json(tmp_path / "tmsvs.json", {"kind": "tmsvs", "r": 0.5})
+        assert main(["measure", "--input", path, f"--tol-psd={tol}"]) == EXIT_VALIDATION
+        assert "--tol-psd" in capsys.readouterr().err
+
+
+def test_monogamy_grid_rejected_before_scan(monkeypatch, capsys):
+    import qchain.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan ran before the grid was checked")
+
+    monkeypatch.setattr(cli, "sample_monogamy_scan", refuse)
+    assert main(["monogamy", "--dims", "2,2,2", "--samples", "5", "--grid", "50"]) == EXIT_VALIDATION
+    assert "grid_n must be >= 100" in capsys.readouterr().err

@@ -445,3 +445,37 @@ class TestOneTraceNormPerValue:
     def test_invalid_custom_f_rejected_at_spec(self):
         with pytest.raises(ValueError, match="invalid f"):
             MeasureSpec("custom_f", f=lambda x: -x)
+
+
+def _count_calls(monkeypatch, owner, names):
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    return calls
+
+
+class TestOneSpectralStepPerState:
+    def test_untrusted_mixed_state_one_eigensolve(self, monkeypatch):
+        from qchain.reports import state_from_json, state_to_json
+        layout = SubsystemLayout((2, 4, 8), (0, 2))
+        doc = state_to_json(random_density_matrix(layout, 8, 5))
+        calls = _count_calls(monkeypatch, np.linalg, ("eigvalsh", "cholesky"))
+        dm = state_from_json(doc)
+        results = [evaluate_measure(MeasureSpec(kind), dm)
+                   for kind in ("negativity", "log_negativity", "ratio")]
+        assert calls == {"eigvalsh": 1, "cholesky": 1}
+        assert len({r.trace_norm for r in results}) == 1
+
+    def test_pure_state_one_svd(self, monkeypatch):
+        psi = random_haar_pure(SubsystemLayout((3, 4), (0,)), 9)
+        calls = _count_calls(monkeypatch, np.linalg, ("svd",))
+        for kind in ("concurrence", "g_concurrence", "ratio"):
+            evaluate_measure(MeasureSpec(kind), psi)
+        assert calls == {"svd": 1}

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qchain.states import (
+    PSD_TOL,
     DensityMatrix,
     PureState,
     TmsvsSpec,
@@ -255,6 +258,61 @@ class TestValidation:
         st = bell_state()
         with pytest.raises(ValueError):
             st.amplitudes[0] = 1.0
+
+    def test_cached_schmidt_arrays_frozen(self):
+        psi = random_haar_pure(SubsystemLayout((2, 3), (0,)), 4)
+        sd = psi.schmidt()
+        assert psi.schmidt() is sd
+        for a in (sd.coefficients, sd.left, sd.right):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
+class TestPsdCheck:
+    def test_negative_eigenvalue_named(self):
+        m = np.diag([0.6, 0.4 + 10 * PSD_TOL, 0.0, -10 * PSD_TOL]).astype(complex)
+        with pytest.raises(ValueError, match=r"negative eigenvalue -1\.000e-09"):
+            DensityMatrix(m, QUBIT_PAIR)
+
+    def test_rank_deficient_accepted(self):
+        psi = random_haar_pure(SubsystemLayout((3, 3), (0,)), 6)
+        DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.layout)
+        dm = DensityMatrix(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex), QUBIT_PAIR)
+        dm.validate(0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-10, math.inf])
+    def test_tolerance_must_be_finite_nonnegative(self, tol):
+        dm = DensityMatrix(np.eye(4, dtype=complex) / 4, QUBIT_PAIR)
+        with pytest.raises(ValueError, match="psd_tol"):
+            dm.validate(tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(2, 6), k=st.floats(-1.0, 3.0), log_tol=st.floats(-10.0, -3.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(d=2, k=0.99, log_tol=-10.0, seed=0)
+@example(d=2, k=1.01, log_tol=-10.0, seed=0)
+def test_cholesky_check_matches_eigenvalue_rule(d, k, log_tol, seed):
+    """validate() rejects exactly when the smallest eigenvalue is below
+    -psd_tol, away from a rounding band around -psd_tol."""
+    tol = 10.0 ** log_tol
+    rng = substream(seed, 0)
+    n = 2 * d
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    w = rng.uniform(0.0, 1.0, n)
+    w[0] = -k * tol
+    w[1:] *= (1.0 - w[0]) / w[1:].sum()
+    rho = (q * w) @ q.conj().T
+    rho = (rho + rho.conj().T) / 2
+    smallest = np.linalg.eigvalsh(rho)[0]
+    assume(abs(smallest + tol) >= 1e-3 * tol)
+    dm = DensityMatrix(rho, SubsystemLayout((2, d), (0,)), _trusted=True)
+    try:
+        dm.validate(tol)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == (smallest >= -tol)
 
 
 class TestKrausBranches:
