@@ -60,14 +60,22 @@ def _write_text(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _tolerance(text: str) -> float:
+def _finite(text: str, ok, rule: str) -> float:
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    if not (math.isfinite(value) and ok(value)):
+        raise argparse.ArgumentTypeError(f"must be a finite number {rule}, got {text!r}")
     return value
+
+
+def _tolerance(text: str) -> float:
+    return _finite(text, lambda v: v >= 0, ">= 0")
+
+
+def _positive(text: str) -> float:
+    return _finite(text, lambda v: v > 0, "> 0")
 
 
 def _links_from_spec(doc: dict):
@@ -100,7 +108,7 @@ def cmd_measure(args) -> tuple[int, dict]:
     doc = _read_json(args.input)
     if isinstance(doc, dict) and doc.get("kind") == "tmsvs" and args.cutoff is not None:
         doc = {**doc, "cutoff": args.cutoff}
-    state = state_from_json(doc)
+    state = state_from_json(doc, args.tol_psd)
     results = []
     for kind in [m.strip() for m in args.measures.split(",") if m.strip()]:
         spec = MeasureSpec(kind=kind, alpha=args.alpha)
@@ -179,8 +187,6 @@ def cmd_groupop(args) -> tuple[int, dict]:
 
 
 def cmd_gaussian(args) -> tuple[int, dict]:
-    if args.r is None or args.r <= 0:
-        raise ValueError("gaussian needs a squeezing parameter --r > 0")
     cm = tmsvs_cm(args.r)
     validation = validate_cm(cm)
     chi = cm_ratio_negativity(cm, (0,))
@@ -226,21 +232,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="state JSON file")
     p.add_argument("--measures", default=DEFAULT_MEASURES,
                    help=f"comma-separated measure kinds (default {DEFAULT_MEASURES})")
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=_positive, default=1.0)
     p.add_argument("--cutoff", type=int, default=None, help="Fock cutoff override for tmsvs inputs")
-    p.add_argument("--tol-psd", type=_tolerance, default=PSD_TOL)
+    p.add_argument("--tol-psd", type=_tolerance, default=PSD_TOL,
+                   help="eigenvalues of a mixed input down to -tol-psd are accepted, and "
+                        "negativities below it read 0")
     common(p)
     p.set_defaults(fn=cmd_measure)
 
     p = sub.add_parser("chain", help="compose a chain spec")
     p.add_argument("--input", required=True, help="chain JSON file")
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=_positive, default=1.0)
     common(p)
     p.set_defaults(fn=cmd_chain)
 
     p = sub.add_parser("sweep", help="per-length chain values (plot-ready)")
     p.add_argument("--input", required=True, help="chain JSON file")
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=_positive, default=1.0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p)
     p.set_defaults(fn=cmd_sweep)
@@ -249,22 +257,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default=None, help="scan config JSON file")
     p.add_argument("--dims", default=None, help="comma-separated party dimensions")
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=_positive, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", type=int, default=500)
-    p.add_argument("--tol-violation", type=float, default=1e-9)
+    p.add_argument("--tol-violation", type=_tolerance, default=1e-9)
     common(p)
     p.set_defaults(fn=cmd_monogamy)
 
     p = sub.add_parser("groupop", help="group-operation analysis of a registry law")
     p.add_argument("--law", required=True, help=f"one of {sorted(LAW_REGISTRY)}")
     p.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    p.add_argument("--tol-assoc", type=float, default=ASSOC_TOL)
+    p.add_argument("--tol-assoc", type=_tolerance, default=ASSOC_TOL)
     common(p)
     p.set_defaults(fn=cmd_groupop)
 
     p = sub.add_parser("gaussian", help="covariance-matrix route for a squeezed state")
-    p.add_argument("--r", type=float, required=True, help="squeezing parameter")
+    p.add_argument("--r", type=_positive, required=True, help="squeezing parameter")
     common(p)
     p.set_defaults(fn=cmd_gaussian)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import _clamped_negativity
+from .measures import _clamped_negativity, _from_negativity
 
 CM_SYMMETRY_TOL = 1e-10
 CM_BONA_FIDE_TOL = 1e-8
@@ -164,5 +164,4 @@ def cm_ratio_negativity(cm: CovarianceMatrix, modes_a=(0,),
         raise ValueError(f"invalid covariance matrix: {report.message}")
     # The trace norm is 1/nu_min; it goes through the Fock-basis route's clamp.
     nu = symplectic_eigenvalues(cm_partial_transpose(cm, modes_a).gamma)
-    n = float(_clamped_negativity(1.0 / nu[-1]))
-    return n / (n + 1.0)
+    return _from_negativity(float(_clamped_negativity(1.0 / nu[-1])), "ratio")

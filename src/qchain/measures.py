@@ -22,6 +22,9 @@ State = DensityMatrix | PureState
 
 MEASURE_KINDS = ("negativity", "log_negativity", "ratio", "alpha_ratio",
                  "concurrence", "g_concurrence", "scp", "custom_f")
+# Kinds evaluated on pure states only: on mixed states they are convex-roof
+# extensions, which are out of scope.
+PURE_ONLY_KINDS = ("concurrence", "g_concurrence", "scp")
 
 F_GRID_POINTS = 1024
 F_GRID_MAX = 100.0
@@ -38,8 +41,8 @@ class MeasureSpec:
     def __post_init__(self):
         if self.kind not in MEASURE_KINDS:
             raise ValueError(f"unknown measure kind {self.kind!r}; choose from {MEASURE_KINDS}")
-        if self.kind == "alpha_ratio" and not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if self.kind == "alpha_ratio":
+            _check_alpha(self.alpha)
         if self.kind == "custom_f":
             if self.f is None:
                 raise ValueError("custom_f requires a function handle")
@@ -72,6 +75,20 @@ def _clamped_negativity(t, psd_tol: float = PSD_TOL):
     """N = (t - 1)/2 for trace norms t (scalar or array), 0 where N < psd_tol."""
     n = (np.asarray(t, dtype=float) - 1.0) / 2.0
     return np.where(n >= psd_tol, n, 0.0)
+
+
+def _check_alpha(alpha: float) -> None:
+    """The one rule for a measure power alpha: finite and > 0."""
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+
+
+def _from_negativity(n, kind: str, alpha: float | None = None):
+    """Measure values from clamped negativities n (scalar or array): N for
+    "negativity", N/(N+1) for "ratio" and "alpha_ratio", raised to alpha
+    when alpha is given."""
+    value = n if kind == "negativity" else n / (n + 1.0)
+    return value if alpha is None else value ** alpha
 
 
 def pt_trace_norm(state: State) -> float:
@@ -108,22 +125,24 @@ def is_ppt(state: State, psd_tol: float = PSD_TOL) -> bool:
 
 def ratio_negativity(state: State, psd_tol: float = PSD_TOL) -> float:
     """N/(N+1) = (|rho^T_A|_1 - 1)/(|rho^T_A|_1 + 1), bounded in [0, 1)."""
-    n = negativity(state, psd_tol)
-    return n / (n + 1.0)
+    return _from_negativity(negativity(state, psd_tol), "ratio")
 
 
 def alpha_ratio_negativity(state: State, alpha: float, psd_tol: float = PSD_TOL) -> float:
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    return ratio_negativity(state, psd_tol) ** alpha
+    _check_alpha(alpha)
+    return _from_negativity(negativity(state, psd_tol), "alpha_ratio", alpha)
 
 
-def _check_distribution(lam) -> np.ndarray:
+def _check_distribution(lam, size: int | None = None) -> np.ndarray:
+    """lam as a float vector of Schmidt coefficients: non-empty, of length
+    `size` when given, non-negative and summing to 1 within 1e-10."""
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 1 or lam.size == 0 or np.any(lam < 0):
-        raise ValueError("Schmidt coefficients must be a non-negative vector")
-    if abs(float(lam.sum()) - 1.0) > 1e-10:
-        raise ValueError(f"Schmidt coefficients must sum to 1, got {lam.sum()!r}")
+        raise ValueError(f"Schmidt coefficients must be a non-negative vector, got {lam}")
+    if size is not None and lam.size != size:
+        raise ValueError(f"need exactly {size} Schmidt coefficients, got {lam.size}")
+    if not abs(float(lam.sum()) - 1.0) <= 1e-10:
+        raise ValueError(f"Schmidt coefficients must sum to 1, got {float(lam.sum())!r}")
     return lam
 
 
@@ -134,8 +153,7 @@ def negativity_pure(lam) -> float:
 
 def ratio_negativity_pure(lam) -> float:
     """N/(N+1) = ((sum sqrt(lambda))^2 - 1) / ((sum sqrt(lambda))^2 + 1)."""
-    n = negativity_pure(lam)
-    return n / (n + 1.0)
+    return _from_negativity(negativity_pure(lam), "ratio")
 
 
 def concurrence_pure(psi: PureState) -> float:
@@ -151,10 +169,7 @@ def g_concurrence_pure(lam, d: int) -> float:
     Vanishing coefficients are the continuous extension of the geometric
     mean; strictly the formula assumes all lambda_j > 0.
     """
-    lam = np.asarray(lam, dtype=float)
-    if lam.size != d:
-        raise ValueError(f"need exactly d={d} coefficients, got {lam.size}")
-    _check_distribution(lam)
+    lam = _check_distribution(lam, d)
     if np.any(lam == 0):
         return 0.0
     return float(d * np.exp(np.mean(np.log(lam))))
@@ -229,31 +244,22 @@ def compose_ratio_tensor(chis) -> float:
 
 def evaluate_measure(spec: MeasureSpec, state: State, psd_tol: float = PSD_TOL) -> MeasureResult:
     """Dispatch a measure evaluation and package the standard report fields."""
+    if spec.kind in PURE_ONLY_KINDS and not isinstance(state, PureState):
+        raise ValueError(f"{spec.kind} is only evaluated on pure states (convex roof out of scope)")
     t = pt_trace_norm(state)
     n = float(_clamped_negativity(t, psd_tol))
-    alpha = None
-    if spec.kind == "negativity":
-        value = n
+    alpha = spec.alpha if spec.kind == "alpha_ratio" else None
+    if spec.kind in ("negativity", "ratio", "alpha_ratio"):
+        value = _from_negativity(n, spec.kind, alpha)
     elif spec.kind == "log_negativity":
         value = math.log2(t)
-    elif spec.kind == "ratio":
-        value = n / (n + 1.0)
-    elif spec.kind == "alpha_ratio":
-        value = (n / (n + 1.0)) ** spec.alpha
-        alpha = spec.alpha
     elif spec.kind == "concurrence":
-        if not isinstance(state, PureState):
-            raise ValueError("concurrence is only evaluated on pure states (convex roof out of scope)")
         value = concurrence_pure(state)
     elif spec.kind == "g_concurrence":
-        if not isinstance(state, PureState):
-            raise ValueError("G-concurrence is only evaluated on pure states (convex roof out of scope)")
         lam = state.schmidt().coefficients
         d = min(state.layout.dim_a, state.layout.dim_b)
         value = g_concurrence_pure(np.concatenate([lam, np.zeros(d - lam.size)]) if lam.size < d else lam, d)
     elif spec.kind == "scp":
-        if not isinstance(state, PureState):
-            raise ValueError("singlet conversion probability is only evaluated on pure states")
         sd = state.schmidt()
         lam = sd.coefficients[:2] if sd.rank <= 2 else None
         if lam is None or state.layout.dim_a != 2 or state.layout.dim_b != 2:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import _clamped_negativity, _schmidt_trace_norm
-from .states import TRACE_TOL, DensityMatrix, PureState, haar_amplitude_rows
-from .tensor import HERM_TOL_BASE, NORM_TOL, SubsystemLayout, require_finite
+from .measures import _check_alpha, _clamped_negativity, _from_negativity, _schmidt_trace_norm
+from .states import DensityMatrix, PureState, haar_amplitude_rows, require_unit_density
+from .tensor import SubsystemLayout, partial_transpose, require_normalized
 
 VIOLATION_TOL = 1e-9
 HISTOGRAM_BINS = 64
@@ -87,18 +87,13 @@ def _check_residual_args(dims: tuple[int, ...], measure: str, alpha: float,
                          party_a) -> tuple[int, ...]:
     if len(dims) < 3:
         raise ValueError(f"need at least 3 parties, got {len(dims)}")
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    _check_alpha(alpha)
     if measure not in ("ratio", "negativity"):
         raise ValueError(f"unsupported measure {measure!r}: monogamy residuals are negativity-based")
     party_a = tuple(sorted(set(int(i) for i in party_a)))
     if not party_a or len(party_a) >= len(dims):
         raise ValueError(f"party A {party_a} must be a strict non-empty subset of {len(dims)} parties")
     return party_a
-
-
-def _powered(neg: np.ndarray, measure: str, alpha: float) -> np.ndarray:
-    return (neg / (neg + 1.0) if measure == "ratio" else neg) ** alpha
 
 
 def ckw_residuals(amplitudes, dims, party_a=(0,), measure: str = "ratio",
@@ -118,11 +113,7 @@ def ckw_residuals(amplitudes, dims, party_a=(0,), measure: str = "ratio",
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.ndim != 2 or amps.shape[1] != split.dim:
         raise ValueError(f"amplitudes must have shape (n, {split.dim}), got {amps.shape}")
-    require_finite(amps, "amplitudes")
-    norms = np.linalg.norm(amps, axis=1)
-    off = np.abs(norms - 1.0) > NORM_TOL
-    if np.any(off):
-        raise ValueError(f"pure state is not normalized: |psi| = {norms[off][0]!r}")
+    require_normalized(amps)
     n = amps.shape[0]
     t = amps.reshape((n,) + dims)
 
@@ -133,30 +124,16 @@ def ckw_residuals(amplitudes, dims, party_a=(0,), measure: str = "ratio",
         return moved.reshape(n, d_first, split.dim // d_first)
 
     s = np.linalg.svd(grouped(party_a), compute_uv=False)
-    lhs = _powered(_clamped_negativity(_schmidt_trace_norm(s ** 2)), measure, alpha)
+    lhs = _from_negativity(_clamped_negativity(_schmidt_trace_norm(s ** 2)), measure, alpha)
 
     rhs = np.empty((n, len(split.party_b)))
     for j, b in enumerate(split.party_b):
         keep = sorted(party_a + (b,))
         m = grouped(keep)
-        rho = m @ m.conj().transpose(0, 2, 1)
-        scale = np.maximum(1.0, np.max(np.abs(rho), axis=(1, 2)))
-        if np.any(np.max(np.abs(rho - rho.conj().transpose(0, 2, 1)), axis=(1, 2))
-                  > HERM_TOL_BASE * scale):
-            raise ValueError("reduced state is not Hermitian within tolerance")
-        tr = np.trace(rho, axis1=1, axis2=2)
-        if np.any(np.abs(tr - 1.0) > TRACE_TOL):
-            raise ValueError(f"reduced state trace {tr[np.argmax(np.abs(tr - 1.0))]} != 1")
-        # Partial transpose on A: swap the bra and ket axes of A's parties.
-        k = len(keep)
-        perm = list(range(2 * k))
-        for i in party_a:
-            a = keep.index(i)
-            perm[a], perm[k + a] = perm[k + a], perm[a]
-        kept_dims = tuple(dims[i] for i in keep)
-        pt = rho.reshape((n,) + kept_dims + kept_dims).transpose([0] + [1 + p for p in perm])
-        w = np.linalg.eigvalsh(pt.reshape(rho.shape))
-        rhs[:, j] = _powered(_clamped_negativity(np.sum(np.abs(w), axis=1)), measure, alpha)
+        rho = require_unit_density(m @ m.conj().transpose(0, 2, 1), "reduced state")
+        pair = SubsystemLayout([dims[i] for i in keep], [keep.index(i) for i in party_a])
+        w = np.linalg.eigvalsh(partial_transpose(rho, pair))
+        rhs[:, j] = _from_negativity(_clamped_negativity(np.sum(np.abs(w), axis=1)), measure, alpha)
     return lhs, rhs, lhs - np.sum(rhs, axis=1)
 
 
@@ -216,14 +193,13 @@ def check_ineq_xya_grid(a: float, b: float, alpha: float, grid_n: int = 500,
         raise ValueError(f"need 0 < a <= b, got a={a}, b={b}")
     if grid_n < 100:
         raise ValueError(f"grid_n must be >= 100, got {grid_n}")
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    _check_alpha(alpha)
     x = np.linspace(0.0, a, grid_n)
     y = np.linspace(0.0, b, grid_n)
     xx, yy = np.meshgrid(x, y, indexing="ij")
     cc = np.sqrt(xx ** 2 + yy ** 2)
-    lhs = (xx / (xx + 1.0)) ** alpha + (yy / (yy + 1.0)) ** alpha
-    rhs = (cc / (cc + 1.0)) ** alpha
+    lhs = _from_negativity(xx, "ratio", alpha) + _from_negativity(yy, "ratio", alpha)
+    rhs = _from_negativity(cc, "ratio", alpha)
     gap = lhs - rhs
     max_violation = float(np.max(gap))
     witness = None

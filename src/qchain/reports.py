@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Any
 
 import numpy as np
 
 from . import __version__
 from .gaussian import CovarianceMatrix
-from .states import DensityMatrix, PureState, TmsvsSpec, tmsvs_truncated
+from .states import PSD_TOL, DensityMatrix, PureState, TmsvsSpec, tmsvs_truncated
 from .tensor import SubsystemLayout
 
 STATE_SCHEMA = {
@@ -141,7 +140,9 @@ def state_to_json(state: PureState | DensityMatrix) -> dict:
     return {**base, "kind": "mixed", "matrix": _pairs(state.matrix)}
 
 
-def state_from_json(doc: dict) -> PureState | DensityMatrix:
+def state_from_json(doc: dict, psd_tol: float = PSD_TOL) -> PureState | DensityMatrix:
+    """The state a document describes; a mixed state's matrix must have no
+    eigenvalue below -psd_tol (DensityMatrix.validate)."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("state document must be an object with a 'kind' field")
     kind = doc["kind"]
@@ -156,7 +157,9 @@ def state_from_json(doc: dict) -> PureState | DensityMatrix:
         amps = _from_pairs(doc["amplitudes"], layout.dim, "amplitudes")
         return PureState(amps, layout, deficit)
     mat = _from_pairs(doc["matrix"], layout.dim ** 2, "matrix").reshape(layout.dim, layout.dim)
-    return DensityMatrix(mat, layout, deficit)
+    state = DensityMatrix(mat, layout, deficit, _trusted=True)
+    state.validate(psd_tol)
+    return state
 
 
 def cm_to_json(cm: CovarianceMatrix) -> dict:
@@ -164,16 +167,11 @@ def cm_to_json(cm: CovarianceMatrix) -> dict:
             "displacement": [float(v) for v in cm.displacement]}
 
 
-def make_report(command: str, config: dict, result, elapsed: float | None = None,
-                with_meta: bool = True) -> dict:
-    report: dict[str, Any] = {"command": command, "version": __version__,
-                              "config": config, "result": result}
-    if with_meta:
-        report["meta"] = {
-            "elapsed_seconds": 0.0 if elapsed is None else float(elapsed),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        }
-    return report
+def make_report(command: str, config: dict, result, elapsed: float) -> dict:
+    meta = {"elapsed_seconds": float(elapsed),
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())}
+    return {"command": command, "version": __version__, "config": config,
+            "result": result, "meta": meta}
 
 
 def dump_report(report: dict) -> str:

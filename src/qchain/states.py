@@ -15,12 +15,12 @@ from functools import cached_property
 import numpy as np
 
 from .tensor import (
-    NORM_TOL,
     SubsystemLayout,
-    herm_defect,
     hermitian_eigenvalues,
     partial_transpose,
     require_finite,
+    require_hermitian,
+    require_normalized,
     schmidt_decompose,
     trace_norm_hermitian,
 )
@@ -30,6 +30,17 @@ TRACE_TOL = 1e-10
 DEFAULT_DEFICIT_TARGET = 1e-12
 MAX_DEFAULT_CUTOFF = 128
 MAX_TRUNCATION_DEFICIT = 0.01
+
+
+def require_unit_density(m: np.ndarray, what: str = "density matrix") -> np.ndarray:
+    """m (one matrix or a stack along leading axes) when each matrix passes
+    tensor.require_hermitian and has trace 1 within TRACE_TOL."""
+    m = require_hermitian(m)
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0) > TRACE_TOL
+    if np.any(off):
+        raise ValueError(f"{what} trace {complex(np.ravel(tr)[np.argmax(off)])} != 1")
+    return m
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -52,12 +63,9 @@ class PureState:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        require_finite(amps, "amplitudes")
         if amps.shape[0] != self.layout.dim:
             raise ValueError(f"amplitude count {amps.shape[0]} != layout dimension {self.layout.dim}")
-        nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > NORM_TOL:
-            raise ValueError(f"pure state is not normalized: |psi| = {nrm!r}")
+        require_normalized(amps)
         if self.truncation_deficit < 0:
             raise ValueError("truncation_deficit must be >= 0")
         object.__setattr__(self, "amplitudes", _freeze(amps))
@@ -104,12 +112,7 @@ class DensityMatrix:
         require_finite(m, "density matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != self.layout.dim:
             raise ValueError(f"density matrix shape {m.shape} incompatible with layout dim {self.layout.dim}")
-        tol = 1e-10 * max(1.0, float(np.max(np.abs(m))))
-        if herm_defect(m) > tol:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr} != 1")
+        require_unit_density(m)
         if self.truncation_deficit < 0:
             raise ValueError("truncation_deficit must be >= 0")
         object.__setattr__(self, "matrix", _freeze(m))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import g_concurrence_pure, ratio_negativity
+from .measures import _check_alpha, _check_distribution, g_concurrence_pure, ratio_negativity
 from .states import TmsvsSpec, tmsvs_truncated
 
 LINK_KINDS = ("qubit_pure", "qudit_pure", "tmsvs")
@@ -59,8 +59,7 @@ class LinkResource:
             lam_min = min(self.schmidt)
             return 2.0 * lam_min
         if measure == "alpha_ratio":
-            if not alpha > 0:
-                raise ValueError(f"alpha must be > 0, got {alpha}")
+            _check_alpha(alpha)
             return self.native_value ** alpha
         return self.native_value
 
@@ -73,9 +72,7 @@ def qubit_link(lam=None, concurrence: float | None = None) -> LinkResource:
         if not (0.0 <= concurrence <= 1.0):
             raise ValueError(f"concurrence must lie in [0, 1], got {concurrence}")
         lam = canonical_qubit_schmidt(concurrence)
-    lam = tuple(float(x) for x in lam)
-    if len(lam) != 2 or any(x < 0 for x in lam) or abs(sum(lam) - 1.0) > 1e-10:
-        raise ValueError(f"need a probability pair, got {lam}")
+    lam = tuple(float(x) for x in _check_distribution(lam, 2))
     c = 2.0 * math.sqrt(lam[0] * lam[1])
     return LinkResource(kind="qubit_pure", schmidt=lam, d=2, native_value=c)
 
@@ -88,10 +85,8 @@ def qudit_link(lam=None, d: int | None = None, g_concurrence: float | None = Non
         if d is None or d < 2:
             raise ValueError("qudit links need the local dimension d >= 2")
         lam = canonical_qudit_schmidt(g_concurrence, d)
-    lam = tuple(float(x) for x in lam)
-    d = len(lam) if d is None else int(d)
-    if len(lam) != d or any(x < 0 for x in lam) or abs(sum(lam) - 1.0) > 1e-10:
-        raise ValueError(f"need a probability vector of length d={d}, got {lam}")
+    lam = tuple(float(x) for x in _check_distribution(lam, None if d is None else int(d)))
+    d = len(lam)
     return LinkResource(kind="qudit_pure", schmidt=lam, d=d, native_value=g_concurrence_pure(lam, d))
 
 

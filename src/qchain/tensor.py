@@ -62,11 +62,12 @@ class SubsystemLayout:
 
 
 def _check_square(m: np.ndarray, layout: SubsystemLayout | None = None) -> np.ndarray:
+    """m as a complex square matrix, or a stack of them along leading axes."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if layout is not None and m.shape[0] != layout.dim:
-        raise ValueError(f"matrix dimension {m.shape[0]} != layout dimension {layout.dim}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if layout is not None and m.shape[-1] != layout.dim:
+        raise ValueError(f"matrix dimension {m.shape[-1]} != layout dimension {layout.dim}")
     return m
 
 
@@ -76,17 +77,29 @@ def require_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
     return a
 
 
-def herm_defect(m: np.ndarray) -> float:
-    """Max-entry deviation of m from its own conjugate transpose."""
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+def require_normalized(psi: np.ndarray) -> np.ndarray:
+    """Finite amplitudes of unit norm within NORM_TOL; psi is one vector or
+    a stack of them along leading axes."""
+    require_finite(psi, "amplitudes")
+    norms = np.linalg.norm(psi, axis=-1)
+    off = np.abs(norms - 1.0) > NORM_TOL
+    if np.any(off):
+        raise ValueError(f"pure state is not normalized: |psi| = {float(norms[off].flat[0])!r}")
+    return psi
 
 
-def require_hermitian(m: np.ndarray, tol_base: float = HERM_TOL_BASE) -> np.ndarray:
+def require_hermitian(m: np.ndarray) -> np.ndarray:
+    """m (one matrix or a stack) when each matrix deviates from its conjugate
+    transpose by at most HERM_TOL_BASE * max(1, its largest |entry|)."""
     m = _check_square(m)
-    tol = tol_base * max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-    defect = herm_defect(m)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian within tolerance: defect {defect:.3e} > {tol:.3e}")
+    if not m.size:
+        return m
+    scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
+    defect = np.max(np.abs(m - np.swapaxes(m, -2, -1).conj()), axis=(-2, -1))
+    off = defect > HERM_TOL_BASE * scale
+    if np.any(off):
+        raise ValueError(f"matrix is not Hermitian within tolerance: defect "
+                         f"{defect[off].flat[0]:.3e} > {HERM_TOL_BASE * scale[off].flat[0]:.3e}")
     return m
 
 
@@ -96,40 +109,40 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def partial_transpose(rho: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
-    """Transpose all party-A tensor indices of a square operator.
+    """Transpose all party-A tensor indices of a square operator, or of each
+    operator in a stack along leading axes.
 
     Pure index bookkeeping (no arithmetic), so applying it twice returns
     the input bit-exactly. Hermiticity of the input is preserved.
     """
     rho = _check_square(rho, layout)
+    lead = rho.ndim - 2
     n = len(layout.dims)
-    t = rho.reshape(layout.dims + layout.dims)
-    perm = list(range(2 * n))
+    t = rho.reshape(rho.shape[:lead] + layout.dims + layout.dims)
+    perm = list(range(lead + 2 * n))
     for i in layout.party_a:
-        perm[i], perm[n + i] = perm[n + i], perm[i]
-    return np.ascontiguousarray(t.transpose(perm)).reshape(layout.dim, layout.dim)
+        a, b = lead + i, lead + n + i
+        perm[a], perm[b] = perm[b], perm[a]
+    return np.ascontiguousarray(t.transpose(perm)).reshape(rho.shape)
 
 
-def hermitian_eigenvalues(m: np.ndarray, tol_base: float = HERM_TOL_BASE) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending.
-
-    Rejects inputs whose Hermiticity defect exceeds tol_base * max(1, |m|_max).
-    """
-    m = require_hermitian(m, tol_base)
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Real eigenvalues of a Hermitian matrix (or of each in a stack), ascending."""
+    m = require_hermitian(m)
     require_finite(m, "matrix")
     return np.linalg.eigvalsh(m)
 
 
-def hermitian_eigensystem(m: np.ndarray, tol_base: float = HERM_TOL_BASE):
+def hermitian_eigensystem(m: np.ndarray):
     """(eigenvalues ascending, column eigenvectors) of a Hermitian matrix."""
-    m = require_hermitian(m, tol_base)
+    m = require_hermitian(m)
     require_finite(m, "matrix")
     return np.linalg.eigh(m)
 
 
-def trace_norm_hermitian(m: np.ndarray, tol_base: float = HERM_TOL_BASE) -> float:
+def trace_norm_hermitian(m: np.ndarray) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.sum(np.abs(hermitian_eigenvalues(m, tol_base))))
+    return float(np.sum(np.abs(hermitian_eigenvalues(m))))
 
 
 def partial_trace(rho: np.ndarray, layout: SubsystemLayout, keep) -> np.ndarray:
@@ -177,22 +190,16 @@ def bipartite_matrix(psi: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
     return np.ascontiguousarray(t.transpose(perm)).reshape(layout.dim_a, layout.dim_b)
 
 
-def schmidt_decompose(psi: np.ndarray, layout: SubsystemLayout,
-                      norm_tol: float = NORM_TOL,
-                      cutoff: float = SCHMIDT_CUTOFF) -> SchmidtDecomposition:
+def schmidt_decompose(psi: np.ndarray, layout: SubsystemLayout) -> SchmidtDecomposition:
     """Schmidt decomposition across the layout's A|B split.
 
-    psi must be normalized within norm_tol. Coefficients sum to 1 and come
-    out descending; the reported rank drops coefficients below `cutoff`.
+    psi must be normalized within NORM_TOL. Coefficients sum to 1 and come
+    out descending; the reported rank drops coefficients below SCHMIDT_CUTOFF.
     """
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    require_finite(psi, "amplitudes")
-    nrm = float(np.linalg.norm(psi))
-    if abs(nrm - 1.0) > norm_tol:
-        raise ValueError(f"state is not normalized: |psi| = {nrm!r}")
+    psi = require_normalized(np.asarray(psi, dtype=complex).reshape(-1))
     mat = bipartite_matrix(psi, layout)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     lam = s ** 2
-    rank = int(np.count_nonzero(lam > cutoff))
+    rank = int(np.count_nonzero(lam > SCHMIDT_CUTOFF))
     return SchmidtDecomposition(coefficients=lam, left=u, right=vh.conj().T,
                                 rank=rank, layout=layout)

@@ -292,3 +292,67 @@ def test_monogamy_grid_rejected_before_scan(monkeypatch, capsys):
     monkeypatch.setattr(cli, "sample_monogamy_scan", refuse)
     assert main(["monogamy", "--dims", "2,2,2", "--samples", "5", "--grid", "50"]) == EXIT_VALIDATION
     assert "grid_n must be >= 100" in capsys.readouterr().err
+
+
+BAD_NUMBERS = ["nan", "inf", "-1"]
+
+
+@pytest.mark.parametrize("value", BAD_NUMBERS)
+@pytest.mark.parametrize("argv,flag", [
+    (["monogamy", "--dims", "2,2,2", "--samples", "20", "--alpha", "1.0", "--seed", "3"],
+     "--tol-violation"),
+    (["groupop", "--law", "tanh_sum", "--grid", "16"], "--tol-assoc"),
+])
+def test_tolerance_flags_must_be_finite_nonnegative(argv, flag, value, capsys):
+    assert main(argv + [f"{flag}={value}"]) == EXIT_VALIDATION
+    assert flag in capsys.readouterr().err
+
+
+class TestFinitePositiveFlags:
+    @pytest.mark.parametrize("value", BAD_NUMBERS + ["0"])
+    def test_measure_alpha(self, tmp_path, value, capsys):
+        path = write_json(tmp_path / "tmsvs.json", {"kind": "tmsvs", "r": 0.5})
+        argv = ["measure", "--input", path, "--measures", "alpha_ratio", f"--alpha={value}"]
+        assert main(argv) == EXIT_VALIDATION
+        assert "--alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["chain", "sweep"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_chain_and_sweep_alpha(self, chain_file, command, value, capsys):
+        assert main([command, "--input", chain_file, f"--alpha={value}"]) == EXIT_VALIDATION
+        assert "--alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_monogamy_alpha(self, value, capsys):
+        assert main(["monogamy", "--dims", "2,2,2", "--samples", "5",
+                     f"--alpha={value}"]) == EXIT_VALIDATION
+        assert "--alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", BAD_NUMBERS)
+    def test_gaussian_r(self, value, capsys):
+        assert main(["gaussian", f"--r={value}"]) == EXIT_VALIDATION
+        assert "--r" in capsys.readouterr().err
+
+
+class TestTolPsdReachesPsdCheck:
+    # diag(0.5 + 1e-9, 0.5, 0, -1e-9): unit trace, smallest eigenvalue -1e-9.
+    DOC = {"dims": [2, 2], "partyA": [0], "kind": "mixed",
+           "matrix": [[float(v), 0.0] for v in np.diag([0.5 + 1e-9, 0.5, 0.0, -1e-9]).reshape(-1)]}
+
+    def test_rejected_at_default_tolerance(self, tmp_path, capsys):
+        path = write_json(tmp_path / "near_psd.json", self.DOC)
+        assert main(["measure", "--input", path]) == EXIT_VALIDATION
+        assert "negative eigenvalue -1.000e-09" in capsys.readouterr().err
+
+    def test_accepted_at_looser_tolerance(self, tmp_path):
+        path = write_json(tmp_path / "near_psd.json", self.DOC)
+        out = tmp_path / "report.json"
+        assert main(["measure", "--input", path, "--tol-psd", "1e-6",
+                     "--measures", "negativity", "--output", str(out)]) == EXIT_OK
+        (result,) = load_report(out)["result"]["measures"]
+        assert result["value"] == 0.0 and result["ppt"] is True
+
+    def test_library_takes_the_tolerance(self):
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            state_from_json(self.DOC)
+        assert state_from_json(self.DOC, 1e-6).layout.dims == (2, 2)

@@ -6,6 +6,7 @@ import pytest
 
 from qchain.measures import (
     MeasureSpec,
+    _from_negativity,
     alpha_ratio_negativity,
     compose_ratio_tensor,
     concurrence_pure,
@@ -479,3 +480,68 @@ class TestOneSpectralStepPerState:
         for kind in ("concurrence", "g_concurrence", "ratio"):
             evaluate_measure(MeasureSpec(kind), psi)
         assert calls == {"svd": 1}
+
+
+class TestOneNegativityRule:
+    NEGATIVITIES = [0.0, 1e-12, 0.25, 0.5, 1.0, 3.7, 1e3, 1e12]
+
+    @pytest.mark.parametrize("kind,alpha", [("negativity", None), ("ratio", None),
+                                            ("alpha_ratio", 2.5), ("ratio", 0.5),
+                                            ("negativity", 3.191)])
+    def test_array_equals_scalar_path(self, kind, alpha):
+        # Division is exact on both paths; numpy's vectorized power may round
+        # differently from the C pow that Python floats use, by at most 1 ulp.
+        arr = _from_negativity(np.array(self.NEGATIVITIES), kind, alpha)
+        for n, v in zip(self.NEGATIVITIES, arr):
+            scalar = _from_negativity(n, kind, alpha)
+            assert type(scalar) is float
+            if alpha is None:
+                assert float(v) == scalar
+            else:
+                assert abs(float(v) - scalar) <= np.spacing(scalar)
+
+    def test_standalone_measures_use_it(self):
+        psi = random_haar_pure(SubsystemLayout((3, 3), (0,)), 17)
+        n = negativity(psi)
+        assert ratio_negativity(psi) == n / (n + 1.0)
+        assert alpha_ratio_negativity(psi, 2.5) == (n / (n + 1.0)) ** 2.5
+        assert evaluate_measure(MeasureSpec("alpha_ratio", alpha=2.5), psi).value == \
+            alpha_ratio_negativity(psi, 2.5)
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.0, -1.0])
+    def test_one_alpha_rule_everywhere(self, alpha):
+        from qchain.monogamy import check_ineq_xya_grid, ckw_residual, ckw_violation_state
+        from qchain.swapping import tmsvs_link
+        calls = [
+            lambda: MeasureSpec("alpha_ratio", alpha=alpha),
+            lambda: alpha_ratio_negativity(bell_state(), alpha),
+            lambda: tmsvs_link(0.5).measure_value("alpha_ratio", alpha),
+            lambda: check_ineq_xya_grid(0.5, 0.5, alpha, 100),
+            lambda: ckw_residual(ckw_violation_state(), alpha=alpha),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+                call()
+
+    def test_mixed_state_rejected_for_each_pure_only_kind(self):
+        dm = random_density_matrix(SubsystemLayout((2, 2), (0,)), 4, 21)
+        for kind in ("concurrence", "g_concurrence", "scp"):
+            with pytest.raises(ValueError, match=f"{kind} is only evaluated on pure states"):
+                evaluate_measure(MeasureSpec(kind), dm)
+
+    @pytest.mark.parametrize("lam", [[0.5, math.nan], [math.nan, math.nan], [1.5, -0.5]])
+    def test_schmidt_vector_rule_rejects_non_distributions(self, lam):
+        from qchain.swapping import qubit_link, qudit_link
+        for call in (lambda: negativity_pure(lam), lambda: g_concurrence_pure(lam, 2),
+                     lambda: qubit_link(lam=lam), lambda: qudit_link(lam=lam)):
+            with pytest.raises(ValueError, match="Schmidt coefficients"):
+                call()
+
+    def test_schmidt_vector_length_checked(self):
+        from qchain.swapping import qubit_link, qudit_link
+        with pytest.raises(ValueError, match="need exactly 2"):
+            qubit_link(lam=[0.5, 0.25, 0.25])
+        with pytest.raises(ValueError, match="need exactly 4"):
+            qudit_link(lam=[0.5, 0.25, 0.25], d=4)
+        with pytest.raises(ValueError, match="need exactly 3"):
+            g_concurrence_pure([0.5, 0.5], 3)

@@ -18,6 +18,7 @@ from qchain.states import (
     random_density_matrix,
     random_haar_pure,
     rekey_substream,
+    require_unit_density,
     substream,
     tmsvs_truncated,
 )
@@ -329,3 +330,35 @@ class TestKrausBranches:
         for p, out in branches:
             assert abs(p - 0.5) < 1e-12
             assert abs(out.purity() - 1.0) < 1e-12
+
+
+class TestRequireUnitDensity:
+    def stack(self, n=6):
+        rng = np.random.default_rng(5)
+        return np.stack([random_density_matrix(QUBIT_PAIR, 3, rng).matrix for _ in range(n)])
+
+    def test_accepts_single_matrix_and_stack(self):
+        stack = self.stack()
+        assert require_unit_density(stack[0]) is not None
+        assert require_unit_density(stack).shape == stack.shape
+        assert require_unit_density(stack.reshape(2, 3, 4, 4)).shape == (2, 3, 4, 4)
+
+    def test_rejects_stack_with_one_wrong_trace(self):
+        stack = self.stack()
+        stack[4] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match=r"reduced state trace \(1\.0000"):
+            require_unit_density(stack, "reduced state")
+
+    def test_rejects_stack_with_one_non_hermitian_matrix(self):
+        stack = self.stack()
+        stack[2, 1, 3] += 1e-6
+        with pytest.raises(ValueError, match="Hermitian"):
+            require_unit_density(stack)
+
+    def test_trace_tolerance_edge(self):
+        stack = self.stack(2)
+        stack[1, 0, 0] += 5e-11
+        require_unit_density(stack)
+        stack[1, 0, 0] += 1e-10
+        with pytest.raises(ValueError, match="trace"):
+            require_unit_density(stack)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qchain.tensor import (
     SubsystemLayout,
@@ -10,6 +12,7 @@ from qchain.tensor import (
     kron,
     partial_trace,
     partial_transpose,
+    require_hermitian,
     schmidt_decompose,
     trace_norm_hermitian,
 )
@@ -261,3 +264,56 @@ def test_pt_trace_norm_multiplicative_under_tensor(rng):
         t2 = trace_norm_hermitian(partial_transpose(r2, layout_pair))
         t12 = trace_norm_hermitian(partial_transpose(kron(r1, r2), layout_big))
         assert abs(t12 - t1 * t2) <= 1e-8 * t1 * t2
+
+
+@st.composite
+def stacked_operators(draw):
+    """(stack, layout): random complex operators on 1-3 subsystems of
+    dimensions 2-3, stacked along 0-2 leading axes."""
+    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=1, max_size=3)))
+    party_a = draw(st.sets(st.integers(0, len(dims) - 1), min_size=1,
+                           max_size=max(1, len(dims) - 1)))
+    if len(dims) == 1:
+        dims, party_a = dims + (2,), {0}
+    layout = SubsystemLayout(dims, party_a)
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = lead + (layout.dim, layout.dim)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape), layout
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=stacked_operators())
+def test_partial_transpose_of_stack_is_per_matrix_and_involutive(case):
+    stack, layout = case
+    out = partial_transpose(stack, layout)
+    assert out.shape == stack.shape
+    flat_in = stack.reshape((-1,) + stack.shape[-2:])
+    for got, m in zip(out.reshape(flat_in.shape), flat_in):
+        assert got.tobytes() == partial_transpose(m, layout).tobytes()
+    assert partial_transpose(out, layout).tobytes() == stack.tobytes()
+
+
+class TestStackChecks:
+    def test_require_hermitian_rejects_one_bad_matrix_in_stack(self, rng):
+        stack = np.stack([random_hermitian(rng, 4) for _ in range(5)])
+        assert require_hermitian(stack) is not None
+        stack[3, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match="Hermitian"):
+            require_hermitian(stack)
+        with pytest.raises(ValueError, match="Hermitian"):
+            require_hermitian(stack.reshape(5, 1, 4, 4))
+
+    def test_require_hermitian_scale_is_per_matrix(self, rng):
+        big = random_hermitian(rng, 3) * 1e6
+        small = random_hermitian(rng, 3)
+        small[0, 1] += 1e-6  # within 1e-10 * 1e6, but not within 1e-10 * |small|
+        require_hermitian(np.stack([big, big]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            require_hermitian(np.stack([big, small]))
+
+    def test_stack_must_be_square(self):
+        with pytest.raises(ValueError, match="square"):
+            partial_transpose(np.zeros((2, 4, 3)), QUBIT_PAIR)
+        with pytest.raises(ValueError, match="layout dimension"):
+            partial_transpose(np.zeros((2, 3, 3)), QUBIT_PAIR)
