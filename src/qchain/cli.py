@@ -27,7 +27,7 @@ from .groupop import (
     check_group_operation,
     necessary_conditions_check,
 )
-from .measures import MeasureSpec, evaluate_measure
+from .measures import MeasureSpec, _check_alpha, evaluate_measure
 from .monogamy import check_ineq_xya_grid, sample_monogamy_scan
 from .reports import (
     SWEEP_CSV_COLUMNS,
@@ -78,6 +78,28 @@ def _positive(text: str) -> float:
     return _finite(text, lambda v: v > 0, "> 0")
 
 
+def _file_integer(value, what: str) -> int:
+    """An integer field of an input file: a JSON integer (a number with no
+    fractional part, as the JSON Schemas read "integer"), never a boolean
+    or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
+            (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _file_alpha(value) -> float:
+    """A power alpha from an input file: a JSON number, finite and > 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"alpha must be a number, got {value!r}")
+    try:
+        alpha = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        alpha = math.inf
+    _check_alpha(alpha)
+    return alpha
+
+
 def _links_from_spec(doc: dict):
     kind = doc.get("kind")
     raw = doc.get("links")
@@ -85,7 +107,9 @@ def _links_from_spec(doc: dict):
         raise ValueError(f"chain kind must be tmsvs|qubit|qudit, got {kind!r}")
     if isinstance(raw, dict):
         params = raw["identical"]
-        count = int(raw["count"])
+        count = _file_integer(raw["count"], "links.count")
+        if count < 1:
+            raise ValueError(f"links.count must be an integer >= 1, got {count}")
         entries = [params] * count
     elif isinstance(raw, list) and raw:
         entries = raw
@@ -121,7 +145,7 @@ def cmd_measure(args) -> tuple[int, dict]:
 def _chain_result(args):
     doc = _read_json(args.input)
     links = _links_from_spec(doc)
-    alpha = float(doc.get("alpha", args.alpha))
+    alpha = _file_alpha(doc.get("alpha", args.alpha))
     measure = doc.get("measure")
     return chain_compose(links, measure=measure, alpha=alpha), doc, alpha
 
@@ -137,7 +161,7 @@ def cmd_sweep(args) -> tuple[int, dict | str]:
     links = _links_from_spec(doc)
     if len({lk.kind for lk in links}) > 1:
         raise ValueError("sweep requires a homogeneous chain")
-    alpha = float(doc.get("alpha", args.alpha))
+    alpha = _file_alpha(doc.get("alpha", args.alpha))
     measure = doc.get("measure")
     rows = []
     for l in range(1, len(links) + 1):
@@ -159,10 +183,10 @@ def cmd_sweep(args) -> tuple[int, dict | str]:
 def cmd_monogamy(args) -> tuple[int, dict]:
     if args.input:
         doc = _read_json(args.input)
-        dims = doc["dims"]
-        samples = int(doc["samples"])
-        alpha = float(doc["alpha"])
-        seed = int(doc["seed"])
+        dims = [_file_integer(d, "dims entry") for d in doc["dims"]]
+        samples = _file_integer(doc["samples"], "samples")
+        alpha = _file_alpha(doc["alpha"])
+        seed = _file_integer(doc["seed"], "seed")
     else:
         if args.dims is None:
             raise ValueError("monogamy needs --input or --dims")

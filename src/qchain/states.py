@@ -95,11 +95,16 @@ class DensityMatrix:
     and skip the PSD check; data from untrusted sources (files) goes
     through validate(). Hermiticity and trace are always enforced.
 
-    A density matrix runs one dense eigensolve: its partial-transpose
-    trace norm is computed once and kept (the matrix is a private
-    read-only copy, so it cannot go stale), and validate() computes
-    eigenvalues only for a matrix it rejects or one whose smallest
-    eigenvalue lies within rounding of -psd_tol.
+    The partial-transpose trace norm is computed once and kept (the
+    matrix is a private read-only copy, so it cannot go stale). Its
+    spectrum is taken per block of the partial transpose
+    (tensor.trace_norm_hermitian): a generic state does not split and
+    runs one dense eigensolve, while a Fock-basis state such as a
+    truncated two-mode squeezed state, whose partial transpose couples
+    |mn> only with |nm>, splits into 1x1 and 2x2 blocks. The dense matrix
+    and its partial transpose are still built in full. validate()
+    computes eigenvalues only for a matrix it rejects or one whose
+    smallest eigenvalue lies within rounding of -psd_tol.
     """
 
     matrix: np.ndarray

@@ -140,9 +140,59 @@ def hermitian_eigensystem(m: np.ndarray):
     return np.linalg.eigh(m)
 
 
+def _coupled_blocks(m: np.ndarray) -> list[np.ndarray]:
+    """Connected components of the graph on range(n) with an edge wherever
+    m[i, j] != 0 or m[j, i] != 0: index arrays, each ascending, in order of
+    their first index. Both sides of the diagonal count, because a matrix
+    Hermitian only within tolerance may be zero on one side, and eigvalsh
+    reads the lower triangle.
+
+    Breadth-first search over the boolean nonzero mask; each row and
+    column is read at most once, and the search stops as soon as every
+    index is placed, so a matrix with no zero entries costs one row.
+    """
+    linked = m != 0
+    unseen = np.ones(m.shape[0], dtype=bool)
+    blocks = []
+    for start in range(m.shape[0]):
+        if not unseen[start]:
+            continue
+        unseen[start] = False
+        layer = np.array([start])
+        members = [layer]
+        while layer.size and unseen.any():
+            near = linked[layer].any(axis=0) | linked[:, layer].any(axis=1)
+            layer = np.flatnonzero(near & unseen)
+            unseen[layer] = False
+            members.append(layer)
+        blocks.append(np.sort(np.concatenate(members)))
+    return blocks
+
+
 def trace_norm_hermitian(m: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.sum(np.abs(hermitian_eigenvalues(m))))
+    """Sum of absolute eigenvalues of a Hermitian matrix.
+
+    The spectrum is taken block by block: m is split into the blocks its
+    nonzero entries couple (_coupled_blocks), so a matrix that is block
+    diagonal up to a permutation of its basis, such as the partial
+    transpose of a Fock-basis two-mode squeezed state (1x1 and 2x2
+    blocks), never goes to one dense eigensolve. Blocks of equal size go
+    to one stacked eigvalsh, and |eigenvalues| are summed by block size,
+    then by each block's first index. A matrix that does not split runs
+    one eigvalsh on the whole matrix.
+    """
+    m = require_hermitian(m)
+    require_finite(m, "matrix")
+    if m.ndim != 2:
+        raise ValueError(f"expected one square matrix, got shape {m.shape}")
+    blocks = _coupled_blocks(m)
+    if len(blocks) <= 1:
+        return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+    spectra = []
+    for size in sorted({b.size for b in blocks}):
+        idx = np.array([b for b in blocks if b.size == size])
+        spectra.append(np.linalg.eigvalsh(m[idx[:, :, None], idx[:, None, :]]).ravel())
+    return float(np.sum(np.abs(np.concatenate(spectra))))
 
 
 def partial_trace(rho: np.ndarray, layout: SubsystemLayout, keep) -> np.ndarray:

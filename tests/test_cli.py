@@ -356,3 +356,50 @@ class TestTolPsdReachesPsdCheck:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             state_from_json(self.DOC)
         assert state_from_json(self.DOC, 1e-6).layout.dims == (2, 2)
+
+
+class TestInputFileFields:
+    CHAIN = {"kind": "tmsvs", "links": {"identical": {"r": 0.5}, "count": 3}}
+    SCAN = {"dims": [2, 2, 2], "samples": 10, "alpha": 1.0, "seed": 1}
+
+    @pytest.mark.parametrize("command", ["chain", "sweep"])
+    @pytest.mark.parametrize("alpha", ["1e999", pytest.param("1" + "0" * 400, id="1e400-int"),
+                                       "true", "0", '"2"'])
+    def test_chain_file_alpha(self, tmp_path, command, alpha, capsys):
+        # Written as raw text: 1e999 parses to inf, which json.dumps cannot
+        # write, and 10**400 to an int beyond the float range.
+        path = tmp_path / "qubit_chain.json"
+        path.write_text('{"kind": "qubit", "links": [{"concurrence": 0.5}], "alpha": %s}' % alpha)
+        assert main([command, "--input", str(path)]) == EXIT_VALIDATION
+        assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,doc,schema,field", [
+        ("chain", {**CHAIN, "links": {"identical": {"r": 0.5}, "count": "3"}},
+         CHAIN_SCHEMA, "links.count"),
+        ("sweep", {**CHAIN, "links": {"identical": {"r": 0.5}, "count": True}},
+         CHAIN_SCHEMA, "links.count"),
+        ("sweep", {**CHAIN, "links": {"identical": {"r": 0.5}, "count": 0}},
+         CHAIN_SCHEMA, "links.count"),
+        ("monogamy", {**SCAN, "seed": 1.7}, SCAN_SCHEMA, "seed"),
+        ("monogamy", {**SCAN, "samples": 10.9}, SCAN_SCHEMA, "samples"),
+        ("monogamy", {**SCAN, "seed": False}, SCAN_SCHEMA, "seed"),
+        ("monogamy", {**SCAN, "dims": [2, 2.5, 2]}, SCAN_SCHEMA, "dims entry"),
+    ])
+    def test_integer_fields(self, tmp_path, command, doc, schema, field, capsys):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, schema)
+        path = write_json(tmp_path / "input.json", doc)
+        assert main([command, "--input", path]) == EXIT_VALIDATION
+        assert f"{field} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,doc,schema", [
+        ("chain", {**CHAIN, "alpha": 2}, CHAIN_SCHEMA),
+        ("sweep", {**CHAIN, "links": {"identical": {"r": 0.5}, "count": 3.0}}, CHAIN_SCHEMA),
+        ("monogamy", {**SCAN, "samples": 10.0, "alpha": 2}, SCAN_SCHEMA),
+    ])
+    def test_schema_valid_numbers_accepted(self, tmp_path, command, doc, schema):
+        # JSON Schema's "integer" admits 3.0; "number" admits 2.
+        jsonschema.validate(doc, schema)
+        path = write_json(tmp_path / "input.json", doc)
+        out = tmp_path / "out.json"
+        assert main([command, "--input", path, "--output", str(out)]) == EXIT_OK

@@ -482,6 +482,32 @@ class TestOneSpectralStepPerState:
         assert calls == {"svd": 1}
 
 
+class TestBlockSpectrum:
+    @staticmethod
+    def _eigvalsh_shapes(monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return eigvalsh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        return shapes
+
+    def test_fock_state_splits_into_small_blocks(self, monkeypatch):
+        rho = tmsvs_truncated(TmsvsSpec.from_r(0.5, cutoff=40)).density_matrix()
+        shapes = self._eigvalsh_shapes(monkeypatch)
+        negativity(rho)
+        assert shapes and all(s[-1] <= 2 for s in shapes)
+
+    def test_irreducible_state_one_whole_eigensolve(self, monkeypatch):
+        dm = random_density_matrix(SubsystemLayout((2, 4, 8), (0,)), 3, 41)
+        shapes = self._eigvalsh_shapes(monkeypatch)
+        negativity(dm)
+        assert shapes == [(64, 64)]
+
+
 class TestOneNegativityRule:
     NEGATIVITIES = [0.0, 1e-12, 0.25, 0.5, 1.0, 3.7, 1e3, 1e12]
 

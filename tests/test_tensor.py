@@ -166,6 +166,57 @@ class TestTraceNorm:
         pt = partial_transpose(mix, QUBIT_PAIR)
         assert abs(trace_norm_hermitian(pt) - 1.5) < 1e-12
 
+    def test_stack_rejected(self):
+        with pytest.raises(ValueError, match="one square matrix"):
+            trace_norm_hermitian(np.stack([np.eye(2), np.eye(2)]))
+
+
+@st.composite
+def hidden_block_diagonal(draw):
+    """A Hermitian block-diagonal matrix conjugated by a random permutation
+    of its basis. Blocks have size 1-6 and are all zero, dense, or
+    tridiagonal (connected only through a chain of entries)."""
+    kinds = draw(st.lists(st.tuples(st.integers(1, 6), st.sampled_from(["zero", "dense", "chain"])),
+                          min_size=1, max_size=10))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = sum(size for size, _ in kinds)
+    m = np.zeros((n, n), dtype=complex)
+    at = 0
+    for size, kind in kinds:
+        block = scale * random_hermitian(rng, size)
+        if kind == "chain":
+            block = np.triu(np.tril(block, 1), -1)
+        if kind != "zero":
+            m[at:at + size, at:at + size] = block
+        at += size
+    perm = rng.permutation(n)
+    return m[np.ix_(perm, perm)]
+
+
+class TestBlockTraceNorm:
+    @settings(max_examples=150, deadline=None)
+    @given(m=hidden_block_diagonal())
+    def test_matches_whole_matrix_spectrum(self, m):
+        reference = float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+        assert abs(trace_norm_hermitian(m) - reference) <= 1e-12 * max(1.0, reference)
+
+    @pytest.mark.parametrize("entry", [(2, 0), (0, 2)])
+    def test_coupling_on_one_side_of_the_diagonal(self, entry):
+        # Hermitian within tolerance with an asymmetric zero pattern; eigvalsh
+        # reads the lower triangle, so only m[2, 0] couples indices 0 and 2.
+        m = np.diag([0.0, 1.0, 0.0]).astype(complex)
+        m[entry] = 1e-11
+        reference = float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+        assert abs(trace_norm_hermitian(m) - reference) <= 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+    def test_no_zero_entries_bit_identical(self, dim, seed):
+        m = random_hermitian(np.random.default_rng(seed), dim)
+        assert np.all(m != 0)
+        assert trace_norm_hermitian(m) == float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+
 
 class TestPartialTrace:
     def test_bell_marginal(self):
