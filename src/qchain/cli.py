@@ -5,13 +5,15 @@ Reports are JSON (or CSV for sweeps) written to --output or stdout. No
 interactive mode: the intended users are scripts and CI.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure
-(tolerance breach), 4 I/O error.
+(tolerance breach, or a NaN or infinite report value, which strict JSON
+cannot hold), 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -33,6 +35,8 @@ from .reports import (
     SWEEP_CSV_COLUMNS,
     cm_to_json,
     dump_report,
+    file_integer,
+    file_number,
     make_report,
     state_from_json,
 )
@@ -48,8 +52,17 @@ DEFAULT_MEASURES = "negativity,log_negativity,ratio"
 
 
 def _read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    # A parsed document holds no reference cycles, so cyclic collection
+    # during the parse (several full passes over a large state's million
+    # lists) finds nothing; it is paused and restored afterwards.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -78,24 +91,9 @@ def _positive(text: str) -> float:
     return _finite(text, lambda v: v > 0, "> 0")
 
 
-def _file_integer(value, what: str) -> int:
-    """An integer field of an input file: a JSON integer (a number with no
-    fractional part, as the JSON Schemas read "integer"), never a boolean
-    or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
-            (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _file_alpha(value) -> float:
     """A power alpha from an input file: a JSON number, finite and > 0."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"alpha must be a number, got {value!r}")
-    try:
-        alpha = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        alpha = math.inf
+    alpha = file_number(value, "alpha")
     _check_alpha(alpha)
     return alpha
 
@@ -107,7 +105,7 @@ def _links_from_spec(doc: dict):
         raise ValueError(f"chain kind must be tmsvs|qubit|qudit, got {kind!r}")
     if isinstance(raw, dict):
         params = raw["identical"]
-        count = _file_integer(raw["count"], "links.count")
+        count = file_integer(raw["count"], "links.count")
         if count < 1:
             raise ValueError(f"links.count must be an integer >= 1, got {count}")
         entries = [params] * count
@@ -118,7 +116,7 @@ def _links_from_spec(doc: dict):
     links = []
     for p in entries:
         if kind == "tmsvs":
-            links.append(tmsvs_link(float(p["r"])))
+            links.append(tmsvs_link(file_number(p["r"], "r")))
         elif kind == "qubit":
             links.append(qubit_link(lam=p.get("lambda"),
                                     concurrence=p.get("concurrence")))
@@ -183,10 +181,10 @@ def cmd_sweep(args) -> tuple[int, dict | str]:
 def cmd_monogamy(args) -> tuple[int, dict]:
     if args.input:
         doc = _read_json(args.input)
-        dims = [_file_integer(d, "dims entry") for d in doc["dims"]]
-        samples = _file_integer(doc["samples"], "samples")
+        dims = [file_integer(d, "dims entry") for d in doc["dims"]]
+        samples = file_integer(doc["samples"], "samples")
         alpha = _file_alpha(doc["alpha"])
-        seed = _file_integer(doc["seed"], "seed")
+        seed = file_integer(doc["seed"], "seed")
     else:
         if args.dims is None:
             raise ValueError("monogamy needs --input or --dims")
@@ -325,12 +323,18 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     elapsed = time.perf_counter() - t0
+    if isinstance(payload, str):
+        text = payload
+    else:
+        report = make_report(args.command, payload["config"], payload["result"], elapsed)
+        try:
+            text = dump_report(report)
+        except ValueError as exc:
+            print(f"numerical error: the report holds a NaN or infinite value ({exc})",
+                  file=sys.stderr)
+            return EXIT_NUMERICAL
     try:
-        if isinstance(payload, str):
-            _write_text(args.output, payload)
-        else:
-            report = make_report(args.command, payload["config"], payload["result"], elapsed)
-            _write_text(args.output, dump_report(report))
+        _write_text(args.output, text)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

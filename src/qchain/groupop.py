@@ -97,7 +97,9 @@ class GroupOperationReport:
 
     def to_json(self) -> dict:
         def ax(a: AxiomResult) -> dict:
-            return {"passed": a.passed, "detail": a.detail, "max_deviation": a.max_deviation,
+            # A non-applicable solvability test reports an infinite deviation.
+            dev = "inf" if math.isinf(a.max_deviation) else a.max_deviation
+            return {"passed": a.passed, "detail": a.detail, "max_deviation": dev,
                     "witness": list(a.witness) if a.witness is not None else None}
         return {"law": self.law, "grid_n": self.grid_n, "closure": ax(self.closure),
                 "associativity": ax(self.associativity), "identity": ax(self.identity),

@@ -15,7 +15,9 @@ comparisons should drop "meta" (it carries timing and the timestamp).
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import time
 
 import numpy as np
@@ -125,11 +127,51 @@ def _pairs(z: np.ndarray) -> list[list[float]]:
     return [[float(v.real), float(v.imag)] for v in np.asarray(z, dtype=complex).reshape(-1)]
 
 
+def file_integer(value, what: str) -> int:
+    """An integer field of an input file: a JSON integer (a number with no
+    fractional part, as the JSON Schemas read "integer"), never a boolean
+    or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
+            (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def file_number(value, what: str) -> float:
+    """A number field of an input file: a finite JSON number, never a
+    boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
+def _file_integers(value, what: str) -> list[int]:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return [file_integer(v, f"{what} entry") for v in value]
+
+
 def _from_pairs(pairs, expected: int, what: str) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] != expected:
+    """A flat list of [re, im] pairs, each a list of two JSON numbers, as
+    complex entries. Types are checked before numpy sees the list, which
+    would otherwise read a string or a boolean as a number."""
+    if not (isinstance(pairs, list) and len(pairs) == expected
+            and set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
         raise ValueError(f"{what} must be a flat row-major list of {expected} [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
+    flat = list(itertools.chain.from_iterable(pairs))
+    if not set(map(type, flat)) <= {int, float}:
+        raise ValueError(f"{what} entries must be JSON numbers")
+    try:
+        arr = np.array(flat, dtype=float)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError(f"{what} entries must be finite numbers") from None
+    return arr[0::2] + 1j * arr[1::2]
 
 
 def state_to_json(state: PureState | DensityMatrix) -> dict:
@@ -147,12 +189,15 @@ def state_from_json(doc: dict, psd_tol: float = PSD_TOL) -> PureState | DensityM
         raise ValueError("state document must be an object with a 'kind' field")
     kind = doc["kind"]
     if kind == "tmsvs":
-        spec = TmsvsSpec.from_r(float(doc["r"]), doc.get("cutoff"))
+        cutoff = doc.get("cutoff")
+        spec = TmsvsSpec.from_r(file_number(doc["r"], "r"),
+                                None if cutoff is None else file_integer(cutoff, "cutoff"))
         return tmsvs_truncated(spec)
     if kind not in ("pure", "mixed"):
         raise ValueError(f"unknown state kind {kind!r}")
-    layout = SubsystemLayout(doc["dims"], doc["partyA"])
-    deficit = float(doc.get("truncation_deficit", 0.0))
+    layout = SubsystemLayout(_file_integers(doc["dims"], "dims"),
+                             _file_integers(doc["partyA"], "partyA"))
+    deficit = file_number(doc.get("truncation_deficit", 0.0), "truncation_deficit")
     if kind == "pure":
         amps = _from_pairs(doc["amplitudes"], layout.dim, "amplitudes")
         return PureState(amps, layout, deficit)
@@ -175,7 +220,9 @@ def make_report(command: str, config: dict, result, elapsed: float) -> dict:
 
 
 def dump_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The report as strict JSON; a NaN or infinite value raises ValueError
+    (a value that may be infinite is written as the string "inf")."""
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def strip_meta(report: dict) -> dict:

@@ -16,13 +16,12 @@ import numpy as np
 
 from .tensor import (
     SubsystemLayout,
-    hermitian_eigenvalues,
+    _trace_norm_blocks,
     partial_transpose,
     require_finite,
     require_hermitian,
     require_normalized,
     schmidt_decompose,
-    trace_norm_hermitian,
 )
 
 PSD_TOL = 1e-10
@@ -93,18 +92,24 @@ class DensityMatrix:
 
     Constructors inside this package produce PSD matrices by construction
     and skip the PSD check; data from untrusted sources (files) goes
-    through validate(). Hermiticity and trace are always enforced.
+    through validate(). Finiteness, Hermiticity and trace are always
+    enforced, once per matrix: tensor.require_hermitian compares row and
+    column strips of HERM_STRIP lines, so the check allocates no n x n
+    temporary (at n = 4096 its temporaries peak at 8 MB, where the
+    whole-matrix formula peaked at 512 MB).
 
     The partial-transpose trace norm is computed once and kept (the
     matrix is a private read-only copy, so it cannot go stale). Its
     spectrum is taken per block of the partial transpose
-    (tensor.trace_norm_hermitian): a generic state does not split and
-    runs one dense eigensolve, while a Fock-basis state such as a
-    truncated two-mode squeezed state, whose partial transpose couples
-    |mn> only with |nm>, splits into 1x1 and 2x2 blocks. The dense matrix
-    and its partial transpose are still built in full. validate()
-    computes eigenvalues only for a matrix it rejects or one whose
-    smallest eigenvalue lies within rounding of -psd_tol.
+    (tensor._trace_norm_blocks), with no second check: the partial
+    transpose holds the same entries as the checked matrix. A generic
+    state does not split and runs one dense eigensolve, while a
+    Fock-basis state such as a truncated two-mode squeezed state, whose
+    partial transpose couples |mn> only with |nm>, splits into 1x1 and
+    2x2 blocks. The dense matrix and its partial transpose are still
+    built in full. validate() computes eigenvalues only for a matrix it
+    rejects or one whose smallest eigenvalue lies within rounding of
+    -psd_tol.
     """
 
     matrix: np.ndarray
@@ -140,13 +145,16 @@ class DensityMatrix:
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
-            w = hermitian_eigenvalues(self.matrix)
+            w = np.linalg.eigvalsh(self.matrix)
             if w[0] < -psd_tol:
                 raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}") from None
 
     @cached_property
     def _pt_trace_norm(self) -> float:
-        return trace_norm_hermitian(partial_transpose(self.matrix, self.layout))
+        # The partial transpose only moves entries, so it is as finite and
+        # as Hermitian (same defect, same largest |entry|) as the matrix
+        # __post_init__ checked; checking it again could never fail.
+        return _trace_norm_blocks(partial_transpose(self.matrix, self.layout))
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))

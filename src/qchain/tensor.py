@@ -16,6 +16,7 @@ HERM_TOL_BASE = 1e-10
 EIG_TOL = 1e-10
 NORM_TOL = 1e-10
 SCHMIDT_CUTOFF = 1e-12
+HERM_STRIP = 64
 
 
 @dataclass(frozen=True)
@@ -88,14 +89,32 @@ def require_normalized(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
+def _hermitian_defect(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(max |m - m^H|, max |entry|) of each matrix in a non-empty stack.
+
+    Rows i:i+HERM_STRIP are compared with columns i:i+HERM_STRIP, keeping
+    running maxima, so no temporary grows past a strip of HERM_STRIP
+    rows. A maximum does not depend on the order it is taken in, so both
+    equal the whole-matrix formula's bit for bit; a matrix of dimension
+    <= HERM_STRIP is one strip.
+    """
+    top = defect = np.zeros(m.shape[:-2])
+    for i in range(0, m.shape[-1], HERM_STRIP):
+        rows = m[..., i:i + HERM_STRIP, :]
+        cols = np.swapaxes(m[..., :, i:i + HERM_STRIP], -2, -1)
+        top = np.maximum(top, np.max(np.abs(rows), axis=(-2, -1)))
+        defect = np.maximum(defect, np.max(np.abs(rows - cols.conj()), axis=(-2, -1)))
+    return defect, top
+
+
 def require_hermitian(m: np.ndarray) -> np.ndarray:
     """m (one matrix or a stack) when each matrix deviates from its conjugate
     transpose by at most HERM_TOL_BASE * max(1, its largest |entry|)."""
     m = _check_square(m)
     if not m.size:
         return m
-    scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
-    defect = np.max(np.abs(m - np.swapaxes(m, -2, -1).conj()), axis=(-2, -1))
+    defect, top = _hermitian_defect(m)
+    scale = np.maximum(1.0, top)
     off = defect > HERM_TOL_BASE * scale
     if np.any(off):
         raise ValueError(f"matrix is not Hermitian within tolerance: defect "
@@ -170,7 +189,18 @@ def _coupled_blocks(m: np.ndarray) -> list[np.ndarray]:
 
 
 def trace_norm_hermitian(m: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix.
+    """Sum of absolute eigenvalues of a Hermitian matrix, which must be
+    finite and pass require_hermitian; see _trace_norm_blocks."""
+    m = require_hermitian(m)
+    require_finite(m, "matrix")
+    if m.ndim != 2:
+        raise ValueError(f"expected one square matrix, got shape {m.shape}")
+    return _trace_norm_blocks(m)
+
+
+def _trace_norm_blocks(m: np.ndarray) -> float:
+    """Sum of absolute eigenvalues of one complex square matrix that the
+    caller has already found finite and Hermitian.
 
     The spectrum is taken block by block: m is split into the blocks its
     nonzero entries couple (_coupled_blocks), so a matrix that is block
@@ -181,10 +211,6 @@ def trace_norm_hermitian(m: np.ndarray) -> float:
     then by each block's first index. A matrix that does not split runs
     one eigvalsh on the whole matrix.
     """
-    m = require_hermitian(m)
-    require_finite(m, "matrix")
-    if m.ndim != 2:
-        raise ValueError(f"expected one square matrix, got shape {m.shape}")
     blocks = _coupled_blocks(m)
     if len(blocks) <= 1:
         return float(np.sum(np.abs(np.linalg.eigvalsh(m))))

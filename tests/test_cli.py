@@ -7,7 +7,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from qchain.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from qchain.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from qchain.groupop import LAW_REGISTRY
 from qchain.reports import (
     CHAIN_SCHEMA,
     REPORT_SCHEMA,
@@ -392,6 +393,14 @@ class TestInputFileFields:
         assert main([command, "--input", path]) == EXIT_VALIDATION
         assert f"{field} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["chain", "sweep"])
+    @pytest.mark.parametrize("r", ["0.5", True, math.nan])
+    def test_tmsvs_link_r_is_a_finite_number(self, tmp_path, command, r, capsys):
+        doc = {**self.CHAIN, "links": [{"r": 0.5}, {"r": r}]}
+        path = write_json(tmp_path / "input.json", doc)
+        assert main([command, "--input", path]) == EXIT_VALIDATION
+        assert "r must be a" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,doc,schema", [
         ("chain", {**CHAIN, "alpha": 2}, CHAIN_SCHEMA),
         ("sweep", {**CHAIN, "links": {"identical": {"r": 0.5}, "count": 3.0}}, CHAIN_SCHEMA),
@@ -403,3 +412,90 @@ class TestInputFileFields:
         path = write_json(tmp_path / "input.json", doc)
         out = tmp_path / "out.json"
         assert main([command, "--input", path, "--output", str(out)]) == EXIT_OK
+
+
+def strict_json(text):
+    """json.loads refusing NaN, Infinity and -Infinity, as strict JSON does."""
+    def refuse(constant):
+        raise AssertionError(f"report holds the non-JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--input", "{bell}"],
+    ["measure", "--input", "{mixed}"],
+    ["measure", "--input", "{tmsvs}", "--measures", "negativity,log_negativity,ratio"],
+    ["chain", "--input", "{chain}"],
+    ["chain", "--input", "{bell_chain}"],
+    ["sweep", "--input", "{bell_chain}"],
+    ["monogamy", "--dims", "2,2,2", "--samples", "20", "--alpha", "1.0", "--seed", "3"],
+    ["gaussian", "--r", "0.5"],
+    ["repro"],
+] + [["groupop", "--law", law] for law in sorted(LAW_REGISTRY)],
+    ids=lambda argv: "-".join(a.strip("{}") for a in argv[:3]))
+def test_every_report_is_strict_json(tmp_path, argv, capsys):
+    files = {
+        "bell": state_to_json(bell_state()),
+        "mixed": state_to_json(random_density_matrix(SubsystemLayout((2, 3), (0,)), 3, seed=4)),
+        "tmsvs": {"kind": "tmsvs", "r": 0.5},
+        "chain": {"kind": "tmsvs", "links": {"identical": {"r": 0.5}, "count": 4}},
+        "bell_chain": {"kind": "qubit", "links": {"identical": {"concurrence": 1.0}, "count": 3}},
+    }
+    paths = {name: write_json(tmp_path / f"{name}.json", doc) for name, doc in files.items()}
+    out = tmp_path / "report.json"
+    argv = [a.format(**paths) for a in argv] + ["--output", str(out)]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    doc = strict_json(out.read_text())
+    jsonschema.validate(doc, REPORT_SCHEMA)
+
+
+def test_min_law_writes_inapplicable_deviation_as_inf(tmp_path):
+    out = tmp_path / "min.json"
+    assert main(["groupop", "--law", "min", "--output", str(out)]) == EXIT_OK
+    solvability = strict_json(out.read_text())["result"]["group_operation"]["solvability"]
+    assert solvability["max_deviation"] == "inf" and solvability["passed"] is False
+
+
+def test_non_finite_report_value_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    import qchain.cli as cli
+
+    monkeypatch.setattr(cli, "cm_ratio_negativity", lambda cm, party: math.nan)
+    out = tmp_path / "cm.json"
+    assert main(["gaussian", "--r", "0.5", "--output", str(out)]) == EXIT_NUMERICAL
+    assert "NaN or infinite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+BELL_PAIRS = [[0.7071067811865476, 0], [0, 0], [0, 0], [0.7071067811865476, 0]]
+PURE = {"dims": [2, 2], "partyA": [0], "kind": "pure", "amplitudes": BELL_PAIRS}
+MIXED = {"dims": [2, 2], "partyA": [0], "kind": "mixed",
+         "matrix": [[1, 0]] + [[0, 0]] * 15}
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({**PURE, "amplitudes": [["1", "0"], ["0", "0"], ["0", "0"], ["0", "0"]]}, "amplitudes"),
+    ({**PURE, "amplitudes": [[True, False], [False, False], [False, False], [False, False]]},
+     "amplitudes"),
+    ({**PURE, "amplitudes": [[1, 0, 0], [0, 0], [0, 0], [0, 0]]}, "amplitudes"),
+    ({**PURE, "amplitudes": [[1, 0], [0, 0], [0, 0], 0]}, "amplitudes"),
+    ({**MIXED, "matrix": [["1", "0"]] + [[0, 0]] * 15}, "matrix"),
+    ({**MIXED, "matrix": [[True, 0]] + [[0, 0]] * 15}, "matrix"),
+    ({**PURE, "dims": ["2", 2]}, "dims entry"),
+    ({**PURE, "dims": [2, True]}, "dims entry"),
+    ({**PURE, "partyA": "0"}, "partyA"),
+    ({**PURE, "partyA": [True]}, "partyA entry"),
+    ({**MIXED, "partyA": [0.5]}, "partyA entry"),
+    ({"kind": "tmsvs", "r": 0.5, "cutoff": 10.7}, "cutoff"),
+    ({"kind": "tmsvs", "r": 0.5, "cutoff": "10"}, "cutoff"),
+    ({"kind": "tmsvs", "r": "1.0"}, "r must be a number"),
+    ({"kind": "tmsvs", "r": True}, "r must be a number"),
+    ({**PURE, "truncation_deficit": "0.1"}, "truncation_deficit"),
+    ({**PURE, "truncation_deficit": math.nan}, "truncation_deficit"),
+    ({**MIXED, "truncation_deficit": math.inf}, "truncation_deficit"),
+])
+def test_state_file_fields_are_typed(tmp_path, doc, field, capsys):
+    # json.dumps writes NaN and Infinity, which json.load reads back.
+    path = write_json(tmp_path / "state.json", doc)
+    assert main(["measure", "--input", path]) == EXIT_VALIDATION
+    assert field in capsys.readouterr().err

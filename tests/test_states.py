@@ -362,3 +362,27 @@ class TestRequireUnitDensity:
         stack[1, 0, 0] += 1e-10
         with pytest.raises(ValueError, match="trace"):
             require_unit_density(stack)
+
+
+def test_untrusted_density_matrix_is_checked_once(monkeypatch):
+    import qchain.states as states_mod
+    import qchain.tensor as tensor_mod
+    from qchain.measures import MeasureSpec, evaluate_measure
+
+    layout = SubsystemLayout((8, 8), (0,))
+    rho = random_density_matrix(layout, 64, seed=9).matrix
+    checked = []
+    original = tensor_mod.require_hermitian
+
+    def counting(m):
+        checked.append(np.shape(m))
+        return original(m)
+
+    # Patched in each module that looks the name up.
+    monkeypatch.setattr(states_mod, "require_hermitian", counting)
+    monkeypatch.setattr(tensor_mod, "require_hermitian", counting)
+    state = DensityMatrix(rho, layout)
+    values = [evaluate_measure(MeasureSpec(kind=kind), state).value
+              for kind in ("negativity", "log_negativity", "ratio")]
+    assert checked == [(64, 64)]
+    assert all(math.isfinite(v) for v in values)

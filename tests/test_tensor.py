@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,12 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchain.tensor import (
+    HERM_STRIP,
+    HERM_TOL_BASE,
     SubsystemLayout,
+    _hermitian_defect,
     hermitian_eigensystem,
     hermitian_eigenvalues,
     kron,
     partial_trace,
     partial_transpose,
+    require_finite,
     require_hermitian,
     schmidt_decompose,
     trace_norm_hermitian,
@@ -368,3 +373,75 @@ class TestStackChecks:
             partial_transpose(np.zeros((2, 4, 3)), QUBIT_PAIR)
         with pytest.raises(ValueError, match="layout dimension"):
             partial_transpose(np.zeros((2, 3, 3)), QUBIT_PAIR)
+
+
+def whole_matrix_hermitian_check(m):
+    """The whole-matrix formula: (defect, scale, error text or None)."""
+    scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
+    defect = np.max(np.abs(m - np.swapaxes(m, -2, -1).conj()), axis=(-2, -1))
+    off = defect > HERM_TOL_BASE * scale
+    if not np.any(off):
+        return defect, scale, None
+    return defect, scale, (f"matrix is not Hermitian within tolerance: defect "
+                           f"{defect[off].flat[0]:.3e} > {HERM_TOL_BASE * scale[off].flat[0]:.3e}")
+
+
+@st.composite
+def perturbed_hermitian_stacks(draw):
+    """A Hermitian stack of dimension 1-200 (strip edges favoured) on 0-2
+    leading axes, with one entry moved by an amount around the tolerance."""
+    n = draw(st.one_of(st.sampled_from([1, 63, 64, 65, 128, 129, 200]), st.integers(1, 200)))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = lead + (n, n)
+    a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * draw(
+        st.sampled_from([1e-3, 1.0, 1e6]))
+    m = (a + np.swapaxes(a, -2, -1).conj()) / 2
+    where = tuple(draw(st.integers(0, k - 1)) for k in shape)
+    m[where] += draw(st.sampled_from([0.0, 1e-13, 1e-10, 1e-7, 1j * 1e-4, 1e3]))
+    return m
+
+
+@settings(max_examples=120, deadline=None)
+@given(m=perturbed_hermitian_stacks())
+def test_stripwise_hermitian_check_matches_whole_matrix_formula(m):
+    defect, scale, message = whole_matrix_hermitian_check(m)
+    got_defect, got_top = _hermitian_defect(m)
+    assert got_defect.tobytes() == np.asarray(defect).tobytes()
+    assert np.maximum(1.0, got_top).tobytes() == np.asarray(scale).tobytes()
+    if message is None:
+        assert require_hermitian(m) is m
+    else:
+        with pytest.raises(ValueError) as err:
+            require_hermitian(m)
+        assert str(err.value) == message
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=stacked_operators(), poison=st.sampled_from([None, np.nan, np.inf]),
+       where=st.integers(0, 2**16))
+def test_partial_transpose_keeps_defect_scale_and_finiteness(case, poison, where):
+    stack, layout = case
+    if poison is not None:
+        stack.reshape(-1)[where % stack.size] = poison
+    pt = partial_transpose(stack, layout)
+    finite = np.isfinite(stack).all()
+    assert np.isfinite(pt).all() == finite
+    if finite:
+        for got, want in zip(_hermitian_defect(pt), _hermitian_defect(stack)):
+            assert got.tobytes() == want.tobytes()
+    else:
+        with pytest.raises(ValueError, match="non-finite"):
+            require_finite(pt)
+
+
+def test_hermitian_check_allocates_strips_not_matrices(rng):
+    n = 8 * HERM_STRIP
+    m = random_hermitian(rng, n)
+    tracemalloc.start()
+    try:
+        require_hermitian(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * m.nbytes
