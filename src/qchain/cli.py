@@ -32,11 +32,15 @@ from .groupop import (
 from .measures import MeasureSpec, _check_alpha, evaluate_measure
 from .monogamy import check_ineq_xya_grid, sample_monogamy_scan
 from .reports import (
+    CHAIN_SCHEMA,
+    IDENTICAL_LINKS_SCHEMA,
+    SCAN_SCHEMA,
     SWEEP_CSV_COLUMNS,
     cm_to_json,
     dump_report,
     file_integer,
     file_number,
+    file_object,
     make_report,
     state_from_json,
 )
@@ -98,12 +102,25 @@ def _file_alpha(value) -> float:
     return alpha
 
 
+def _optional(p: dict, key: str, parse):
+    value = p.get(key)
+    return None if value is None else parse(value, key)
+
+
+def _file_lambda(value, what: str) -> list[float]:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of numbers, got {value!r}")
+    return [file_number(v, f"{what} entry") for v in value]
+
+
 def _links_from_spec(doc: dict):
+    file_object(doc, CHAIN_SCHEMA, "chain file")
     kind = doc.get("kind")
     raw = doc.get("links")
     if kind not in ("tmsvs", "qubit", "qudit"):
         raise ValueError(f"chain kind must be tmsvs|qubit|qudit, got {kind!r}")
     if isinstance(raw, dict):
+        file_object(raw, IDENTICAL_LINKS_SCHEMA, "links")
         params = raw["identical"]
         count = file_integer(raw["count"], "links.count")
         if count < 1:
@@ -115,14 +132,17 @@ def _links_from_spec(doc: dict):
         raise ValueError("links must be a non-empty list or {identical, count}")
     links = []
     for p in entries:
+        if not isinstance(p, dict):
+            raise ValueError(f"each link must be a JSON object, got {p!r}")
         if kind == "tmsvs":
             links.append(tmsvs_link(file_number(p["r"], "r")))
         elif kind == "qubit":
-            links.append(qubit_link(lam=p.get("lambda"),
-                                    concurrence=p.get("concurrence")))
+            links.append(qubit_link(lam=_optional(p, "lambda", _file_lambda),
+                                    concurrence=_optional(p, "concurrence", file_number)))
         else:
-            links.append(qudit_link(lam=p.get("lambda"), d=p.get("d"),
-                                    g_concurrence=p.get("g_concurrence")))
+            links.append(qudit_link(lam=_optional(p, "lambda", _file_lambda),
+                                    d=_optional(p, "d", file_integer),
+                                    g_concurrence=_optional(p, "g_concurrence", file_number)))
     return links
 
 
@@ -180,7 +200,7 @@ def cmd_sweep(args) -> tuple[int, dict | str]:
 
 def cmd_monogamy(args) -> tuple[int, dict]:
     if args.input:
-        doc = _read_json(args.input)
+        doc = file_object(_read_json(args.input), SCAN_SCHEMA, "scan file")
         dims = [file_integer(d, "dims entry") for d in doc["dims"]]
         samples = file_integer(doc["samples"], "samples")
         alpha = _file_alpha(doc["alpha"])

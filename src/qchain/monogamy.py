@@ -188,17 +188,20 @@ def check_ineq_xya_grid(a: float, b: float, alpha: float, grid_n: int = 500,
                         tol: float = 1e-12) -> GridCheckReport:
     """Scan [x/(x+1)]^a + [y/(y+1)]^a <= [c/(c+1)]^a, c = sqrt(x^2+y^2),
     on a grid_n x grid_n lattice over [0,a] x [0,b]; report the worst
-    violation and a witness point."""
-    if not (0.0 < a <= b):
-        raise ValueError(f"need 0 < a <= b, got a={a}, b={b}")
+    violation and a witness point.
+
+    The one-variable terms are computed once per axis and broadcast
+    (x along rows, y along columns), with the same elementwise operations
+    on the same values as a full meshgrid."""
+    if not (math.isfinite(a) and math.isfinite(b) and 0.0 < a <= b):
+        raise ValueError(f"need finite 0 < a <= b, got a={a}, b={b}")
     if grid_n < 100:
         raise ValueError(f"grid_n must be >= 100, got {grid_n}")
     _check_alpha(alpha)
     x = np.linspace(0.0, a, grid_n)
     y = np.linspace(0.0, b, grid_n)
-    xx, yy = np.meshgrid(x, y, indexing="ij")
-    cc = np.sqrt(xx ** 2 + yy ** 2)
-    lhs = _from_negativity(xx, "ratio", alpha) + _from_negativity(yy, "ratio", alpha)
+    cc = np.sqrt(x[:, None] ** 2 + y[None, :] ** 2)
+    lhs = _from_negativity(x, "ratio", alpha)[:, None] + _from_negativity(y, "ratio", alpha)[None, :]
     rhs = _from_negativity(cc, "ratio", alpha)
     gap = lhs - rhs
     max_violation = float(np.max(gap))

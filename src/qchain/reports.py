@@ -68,6 +68,14 @@ STATE_SCHEMA = {
     ],
 }
 
+IDENTICAL_LINKS_SCHEMA = {
+    "type": "object",
+    "properties": {"identical": {"type": "object"},
+                   "count": {"type": "integer", "minimum": 1}},
+    "required": ["identical", "count"],
+    "additionalProperties": False,
+}
+
 CHAIN_SCHEMA = {
     "type": "object",
     "properties": {
@@ -75,13 +83,7 @@ CHAIN_SCHEMA = {
         "links": {
             "oneOf": [
                 {"type": "array", "items": {"type": "object"}, "minItems": 1},
-                {
-                    "type": "object",
-                    "properties": {"identical": {"type": "object"},
-                                   "count": {"type": "integer", "minimum": 1}},
-                    "required": ["identical", "count"],
-                    "additionalProperties": False,
-                },
+                IDENTICAL_LINKS_SCHEMA,
             ]
         },
         "alpha": {"type": "number", "exclusiveMinimum": 0},
@@ -151,6 +153,18 @@ def file_number(value, what: str) -> float:
     return number
 
 
+def file_object(doc, schema: dict, what: str) -> dict:
+    """doc when it is a JSON object holding only keys that the object
+    schema lists under "properties" (each input schema here says
+    additionalProperties: false)."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
+    for key in doc:
+        if key not in schema["properties"]:
+            raise ValueError(f"{what} has unknown key {key!r}")
+    return doc
+
+
 def _file_integers(value, what: str) -> list[int]:
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a list of integers, got {value!r}")
@@ -188,13 +202,15 @@ def state_from_json(doc: dict, psd_tol: float = PSD_TOL) -> PureState | DensityM
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("state document must be an object with a 'kind' field")
     kind = doc["kind"]
+    branch = next((b for b in STATE_SCHEMA["oneOf"] if b["properties"]["kind"]["const"] == kind), None)
+    if branch is None:
+        raise ValueError(f"unknown state kind {kind!r}")
+    file_object(doc, branch, "state document")
     if kind == "tmsvs":
         cutoff = doc.get("cutoff")
         spec = TmsvsSpec.from_r(file_number(doc["r"], "r"),
                                 None if cutoff is None else file_integer(cutoff, "cutoff"))
         return tmsvs_truncated(spec)
-    if kind not in ("pure", "mixed"):
-        raise ValueError(f"unknown state kind {kind!r}")
     layout = SubsystemLayout(_file_integers(doc["dims"], "dims"),
                              _file_integers(doc["partyA"], "partyA"))
     deficit = file_number(doc.get("truncation_deficit", 0.0), "truncation_deficit")

@@ -281,24 +281,6 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_substream_key(master_seed, index)))
 
 
-def rekey_substream(rng: np.random.Generator, master_seed: int, index: int) -> np.random.Generator:
-    """Reset a Philox-backed generator to the start of substream (master_seed, index).
-
-    Draws after the call equal those of substream(master_seed, index) bit
-    for bit: the key is set, the counter and the output buffer are reset.
-    Re-keying skips the OS-entropy seed sequence that every Philox
-    constructor builds and then discards.
-    """
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": _substream_key(master_seed, index)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0,
-    }
-    return rng
-
-
 def _as_generator(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
@@ -317,14 +299,20 @@ def haar_amplitude_rows(dim: int, master_seed: int, indices: range) -> np.ndarra
     """Stack of Haar-random amplitude vectors, shape (len(indices), dim).
 
     Row k is normalized from the same normal draws that random_haar_pure
-    takes from substream(master_seed, indices[k]); one generator is
-    re-keyed per row.
+    takes from substream(master_seed, indices[k]). One generator serves
+    the whole call: its fresh state dict (counter 0, key (master_seed, 0),
+    empty output buffer) is read once, and each row writes its index into
+    the dict's key and assigns the dict back. The state setter copies the
+    values, so every row starts a fresh (master_seed, index) stream, and a
+    call builds one dict and one key array, none per row.
     """
     raw = np.empty((len(indices), 2, dim))
-    rng = None
+    rng = substream(master_seed, 0)
+    state = rng.bit_generator.state
+    key = state["state"]["key"]
     for k, index in enumerate(indices):
-        rng = substream(master_seed, index) if rng is None else \
-            rekey_substream(rng, master_seed, index)
+        key[1] = index & 0xFFFFFFFFFFFFFFFF
+        rng.bit_generator.state = state
         rng.standard_normal(out=raw[k])
     v = raw[:, 0] + 1j * raw[:, 1]
     v /= np.linalg.norm(v, axis=1, keepdims=True)

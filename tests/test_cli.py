@@ -401,6 +401,54 @@ class TestInputFileFields:
         assert main([command, "--input", path]) == EXIT_VALIDATION
         assert "r must be a" in capsys.readouterr().err
 
+    QUBIT = {"kind": "qubit", "links": [{"concurrence": 0.5}]}
+    QUDIT = {"kind": "qudit", "links": [{"lambda": [0.5, 0.5]}]}
+
+    @pytest.mark.parametrize("command", ["chain", "sweep"])
+    @pytest.mark.parametrize("doc,message", [
+        ({**QUBIT, "links": [{"concurrence": True}]}, "concurrence must be a number"),
+        ({**QUBIT, "links": [{"concurrence": "0.5"}]}, "concurrence must be a number"),
+        ({**QUBIT, "links": [{"lambda": [True, False]}]}, "lambda entry must be a number"),
+        ({**QUBIT, "links": [{"lambda": 0.5}]}, "lambda must be a list"),
+        ({**QUDIT, "links": [{"lambda": ["0.5", "0.5"]}]}, "lambda entry must be a number"),
+        ({**QUDIT, "links": [{"lambda": [0.5, math.inf]}]}, "lambda entry must be a finite"),
+        ({**QUDIT, "links": [{"d": 3.5, "g_concurrence": 0.5}]}, "d must be an integer"),
+        ({**QUDIT, "links": [{"d": 3, "g_concurrence": "1"}]}, "g_concurrence must be a number"),
+        ({**QUDIT, "links": {"identical": {"d": True, "g_concurrence": 0.5}, "count": 2}},
+         "d must be an integer"),
+        ({**QUDIT, "links": [0.5]}, "each link must be a JSON object"),
+    ])
+    def test_qubit_and_qudit_link_fields(self, tmp_path, command, doc, message, capsys):
+        # json.dumps writes math.inf as Infinity, which the parser reads back.
+        path = write_json(tmp_path / "input.json", doc)
+        assert main([command, "--input", path]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["chain", "sweep", "monogamy"])
+    def test_document_must_be_an_object(self, tmp_path, command, capsys):
+        path = write_json(tmp_path / "input.json", [1])
+        assert main([command, "--input", path]) == EXIT_VALIDATION
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,doc,schema,key", [
+        ("measure", {"kind": "tmsvs", "r": 0.5, "bogus": 1}, STATE_SCHEMA, "bogus"),
+        ("measure", {"kind": "tmsvs", "r": 0.5, "dims": [2, 2]}, STATE_SCHEMA, "dims"),
+        ("measure", {**state_to_json(bell_state()), "bogus": 1}, STATE_SCHEMA, "bogus"),
+        ("measure", {**state_to_json(bell_state()), "r": 0.5}, STATE_SCHEMA, "r"),
+        ("monogamy", {**SCAN, "bogus": 1}, SCAN_SCHEMA, "bogus"),
+        ("chain", {**CHAIN, "bogus": 1}, CHAIN_SCHEMA, "bogus"),
+        ("sweep", {**CHAIN, "bogus": 1}, CHAIN_SCHEMA, "bogus"),
+        ("chain", {**CHAIN, "links": {"identical": {"r": 0.5}, "count": 3, "bogus": 1}},
+         CHAIN_SCHEMA, "bogus"),
+    ])
+    def test_unknown_keys_rejected(self, tmp_path, command, doc, schema, key, capsys):
+        # Every input schema says additionalProperties: false.
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, schema)
+        path = write_json(tmp_path / "input.json", doc)
+        assert main([command, "--input", path]) == EXIT_VALIDATION
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,doc,schema", [
         ("chain", {**CHAIN, "alpha": 2}, CHAIN_SCHEMA),
         ("sweep", {**CHAIN, "links": {"identical": {"r": 0.5}, "count": 3.0}}, CHAIN_SCHEMA),

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qchain.measures import (
     MeasureSpec,
@@ -25,6 +27,7 @@ from qchain.measures import (
 )
 from qchain.states import (
     DensityMatrix,
+    PureState,
     TmsvsSpec,
     apply_kraus_branches,
     bell_state,
@@ -571,3 +574,61 @@ class TestOneNegativityRule:
             qudit_link(lam=[0.5, 0.25, 0.25], d=4)
         with pytest.raises(ValueError, match="need exactly 3"):
             g_concurrence_pure([0.5, 0.5], 3)
+
+
+NEGATIVITY_KINDS = ("negativity", "log_negativity", "ratio", "alpha_ratio")
+
+
+@st.composite
+def low_rank_pure_states(draw):
+    """A pure state over 2-3 parties of dimension 2-4 with party A a proper
+    subset, whose A|B Schmidt rank is drawn (rank 1 gives a product state,
+    where the clamp decides the value)."""
+    dims = tuple(draw(st.lists(st.integers(2, 4), min_size=2, max_size=3)))
+    party_a = tuple(sorted(draw(st.sets(st.integers(0, len(dims) - 1),
+                                        min_size=1, max_size=len(dims) - 1))))
+    layout = SubsystemLayout(dims, party_a)
+    rank = draw(st.integers(1, min(layout.dim_a, layout.dim_b)))
+    rng = substream(draw(st.integers(0, 2 ** 32)), 0)
+    left = rng.standard_normal((layout.dim_a, rank)) + 1j * rng.standard_normal((layout.dim_a, rank))
+    right = rng.standard_normal((rank, layout.dim_b)) + 1j * rng.standard_normal((rank, layout.dim_b))
+    amps_ab = left @ right
+    # Scatter the A|B matrix back to the layout's subsystem order.
+    order = list(party_a) + [i for i in range(len(dims)) if i not in party_a]
+    amps = amps_ab.reshape([dims[i] for i in order]).transpose(np.argsort(order)).reshape(-1)
+    return PureState(amps / np.linalg.norm(amps), layout)
+
+
+@settings(max_examples=60, deadline=None)
+@given(psi=low_rank_pure_states(), alpha=st.floats(0.25, 4.0))
+def test_schmidt_and_dense_routes_agree(psi, alpha):
+    # The Schmidt route reads the singular values of the amplitude matrix;
+    # the dense route takes the spectrum of the partial-transposed projector.
+    rho = psi.density_matrix()
+    for kind in NEGATIVITY_KINDS:
+        spec = MeasureSpec(kind, alpha=alpha)
+        pure, dense = evaluate_measure(spec, psi), evaluate_measure(spec, rho)
+        assert abs(pure.value - dense.value) < 1e-10, kind
+        assert abs(pure.trace_norm - dense.trace_norm) < 1e-10, kind
+
+
+@st.composite
+def mixed_pairs(draw):
+    pair = []
+    for _ in range(2):
+        dims = (draw(st.integers(2, 3)), draw(st.integers(2, 3)))
+        rank = draw(st.integers(1, dims[0] * dims[1]))
+        seed = draw(st.integers(0, 2 ** 32))
+        pair.append(random_density_matrix(SubsystemLayout(dims, (0,)), rank, substream(seed, 0)))
+    return pair
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=mixed_pairs())
+def test_odds_product_rule_on_dense_tensor_products(pair):
+    # A on the first factor of each state: (a1, b1, a2, b2), party A = (0, 2).
+    r1, r2 = pair
+    layout = SubsystemLayout(r1.layout.dims + r2.layout.dims, (0, 2))
+    product = DensityMatrix(kron(r1.matrix, r2.matrix), layout, _trusted=True)
+    chis = [ratio_negativity(r1), ratio_negativity(r2)]
+    assert abs(ratio_negativity(product) - compose_ratio_tensor(chis)) < 1e-10

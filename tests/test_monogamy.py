@@ -194,6 +194,39 @@ class TestGridInequality:
         with pytest.raises(ValueError):
             check_ineq_xya_grid(0.5, 0.5, 0.0, 500)   # bad alpha
 
+    @pytest.mark.parametrize("a,b", [(0.5, math.inf), (math.inf, math.inf),
+                                     (math.nan, 0.5), (0.5, math.nan)])
+    def test_non_finite_bounds_rejected(self, a, b):
+        # An infinite bound would fill the grid with NaN and report a
+        # clean verdict (max_violation 0, no violations).
+        with pytest.raises(ValueError, match=r"finite 0 < a <= b, got a=.*, b="):
+            check_ineq_xya_grid(a, b, 2.0, 100)
+
+
+def meshgrid_reference(a, b, alpha, grid_n, tol=1e-12):
+    """The two-term grid over full grid_n x grid_n meshgrids: the formula
+    check_ineq_xya_grid evaluates per axis and broadcasts."""
+    x = np.linspace(0.0, a, grid_n)
+    y = np.linspace(0.0, b, grid_n)
+    xx, yy = np.meshgrid(x, y, indexing="ij")
+    cc = np.sqrt(xx ** 2 + yy ** 2)
+    gap = (xx / (xx + 1.0)) ** alpha + (yy / (yy + 1.0)) ** alpha - (cc / (cc + 1.0)) ** alpha
+    max_violation = float(np.max(gap))
+    witness = None
+    if max_violation > tol:
+        i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
+        witness = (float(x[i]), float(y[j]))
+    return max(0.0, max_violation), witness, int(np.count_nonzero(gap > tol))
+
+
+@pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.2, 0.7), (1e-3, 2.0)])
+@pytest.mark.parametrize("alpha", [1.0, alpha_threshold() - 0.05, alpha_threshold(), 3.191])
+@pytest.mark.parametrize("grid_n", [100, 257, 500])
+def test_grid_on_axes_equals_meshgrid(a, b, alpha, grid_n):
+    report = check_ineq_xya_grid(a, b, alpha, grid_n)
+    expected = meshgrid_reference(a, b, alpha, grid_n)
+    assert (report.max_violation, report.witness, report.violation_count) == expected
+
 
 def test_iterated_inequality_on_random_vectors():
     """N-term version: for x >= 0 with sum x^2 <= 1/2 the combined value

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qchain import states
 from qchain.states import (
     PSD_TOL,
     DensityMatrix,
@@ -14,10 +15,10 @@ from qchain.states import (
     bell_state,
     cutoff_for_amplitude_tail,
     default_cutoff,
+    haar_amplitude_rows,
     pure_from_schmidt,
     random_density_matrix,
     random_haar_pure,
-    rekey_substream,
     require_unit_density,
     substream,
     tmsvs_truncated,
@@ -220,19 +221,29 @@ class TestRandomStates:
                                   substream(123, 2).standard_normal(4))
 
     @pytest.mark.parametrize("seed", [0, -1, 2**64 - 1, 123])
-    @pytest.mark.parametrize("index", [0, 77, 2**32 + 5, 2**64 - 1])
-    def test_rekeyed_generator_matches_substream(self, seed, index):
-        rng = substream(5, 3)
-        # Leave a half-used 32-bit word and a part-drained output buffer.
-        rng.integers(0, 10, size=3, dtype=np.uint32)
-        rng.bit_generator.random_raw(1)
-        assert rekey_substream(rng, seed, index) is rng
-        fresh = substream(seed, index)
-        assert np.array_equal(rng.bit_generator.random_raw(5), fresh.bit_generator.random_raw(5))
-        assert np.array_equal(rng.integers(0, 2**32, size=3, dtype=np.uint32),
-                              fresh.integers(0, 2**32, size=3, dtype=np.uint32))
-        a, b = rng.standard_normal(11), fresh.standard_normal(11)
-        assert a.tobytes() == b.tobytes()
+    @pytest.mark.parametrize("start", [0, 77, 2**32 + 5, 2**64 - 3, 2**64 - 1])
+    def test_rekeyed_generator_matches_substream(self, seed, start):
+        # Row j is re-keyed in place from one shared state dict; it must
+        # equal a fresh substream(seed, start + j), byte for byte, including
+        # across the 64-bit wrap of the index word.
+        dim = 5
+        rows = haar_amplitude_rows(dim, seed, range(start, start + 4))
+        for j, row in enumerate(rows):
+            fresh = substream(seed, start + j)
+            v = fresh.standard_normal(dim) + 1j * fresh.standard_normal(dim)
+            v /= np.linalg.norm(v, axis=-1, keepdims=True)
+            assert row.tobytes() == v.tobytes()
+
+    def test_amplitude_rows_build_one_generator(self, monkeypatch):
+        calls = []
+
+        def counted(seed, index):
+            calls.append((seed, index))
+            return substream(seed, index)
+
+        monkeypatch.setattr(states, "substream", counted)
+        assert haar_amplitude_rows(4, 9, range(10, 60)).shape == (50, 4)
+        assert calls == [(9, 0)]
 
 
 class TestValidation:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qchain.measures import (
     concurrence_pure,
@@ -278,3 +280,35 @@ class TestLinkValidation:
         assert link.measure_value("alpha_ratio", 2.0) == math.tanh(0.5) ** 2
         with pytest.raises(ValueError):
             link.measure_value("g_concurrence")
+
+
+@st.composite
+def chains(draw):
+    """A homogeneous chain of 1-8 links, a measure it supports and a power."""
+    kind = draw(st.sampled_from(["qubit", "qudit", "tmsvs"]))
+    n = draw(st.integers(1, 8))
+    value = st.floats(1e-3, 1.0)
+    if kind == "qubit":
+        links = [qubit_link(concurrence=draw(value)) for _ in range(n)]
+        measure = draw(st.sampled_from(["concurrence", "scp"]))
+    elif kind == "qudit":
+        d = draw(st.integers(2, 5))
+        links = [qudit_link(d=d, g_concurrence=draw(value)) for _ in range(n)]
+        measure = "g_concurrence"
+    else:
+        links = [tmsvs_link(draw(st.floats(0.05, 3.0))) for _ in range(n)]
+        measure = draw(st.sampled_from(["ratio", "alpha_ratio"]))
+    return links, measure, draw(st.floats(0.25, 4.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=chains())
+def test_chain_values_multiply(case):
+    links, measure, alpha = case
+    res = chain_compose(links, measure=measure, alpha=alpha)
+    assert res.per_hop == tuple(lk.measure_value(measure, alpha) for lk in links)
+    assert math.isclose(res.end_to_end, math.prod(res.per_hop), rel_tol=1e-12)
+    assert res.length == len(links)
+    if res.composite_r is not None:
+        chis = [lk.native_value for lk in links]
+        assert math.isclose(math.tanh(res.composite_r), math.prod(chis), rel_tol=1e-12)
