@@ -9,7 +9,6 @@ from .tensor import (
     partial_trace,
     partial_transpose,
     hermitian_eigenvalues,
-    hermitian_eigensystem,
     trace_norm_hermitian,
     schmidt_decompose,
 )

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import gc
 import io
 import json
 import math
@@ -41,6 +40,7 @@ from .reports import (
     file_integer,
     file_number,
     file_object,
+    gc_paused,
     make_report,
     state_from_json,
 )
@@ -56,17 +56,8 @@ DEFAULT_MEASURES = "negativity,log_negativity,ratio"
 
 
 def _read_json(path: str) -> dict:
-    # A parsed document holds no reference cycles, so cyclic collection
-    # during the parse (several full passes over a large state's million
-    # lists) finds nothing; it is paused and restored afterwards.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    finally:
-        if enabled:
-            gc.enable()
+    with gc_paused(), open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _write_text(path: str | None, text: str) -> None:

@@ -15,10 +15,12 @@ comparisons should drop "meta" (it carries timing and the timestamp).
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -125,8 +127,28 @@ REPORT_SCHEMA = {
 SWEEP_CSV_COLUMNS = ("l", "value", "xi", "alpha", "kind")
 
 
+@contextmanager
+def gc_paused():
+    """Pause cyclic garbage collection for the block, restoring it after.
+
+    Building or parsing a large state's JSON makes about a million small
+    lists holding no reference cycles; the collector would make several
+    full passes over them and find nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _pairs(z: np.ndarray) -> list[list[float]]:
-    return [[float(v.real), float(v.imag)] for v in np.asarray(z, dtype=complex).reshape(-1)]
+    """Entries of z, row-major, as [re, im] lists of Python floats; a real
+    array gives [re, 0.0] pairs."""
+    with gc_paused():
+        return np.asarray(z, dtype=complex).reshape(-1).view(float).reshape(-1, 2).tolist()
 
 
 def file_integer(value, what: str) -> int:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .tensor import (
     SubsystemLayout,
+    _float_or_complex,
     _trace_norm_blocks,
     partial_transpose,
     require_finite,
@@ -43,7 +44,8 @@ def require_unit_density(m: np.ndarray, what: str = "density matrix") -> np.ndar
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=complex)
+    """A read-only copy of a, keeping its float64 or complex128 dtype."""
+    a = np.array(a)
     a.setflags(write=False)
     return a
 
@@ -70,7 +72,9 @@ class PureState:
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
     def density_matrix(self) -> "DensityMatrix":
-        rho = np.outer(self.amplitudes, self.amplitudes.conj())
+        """|psi><psi|; float64 when the amplitudes are all real."""
+        a = self.amplitudes
+        rho = np.outer(a, a.conj()) if a.imag.any() else np.outer(a.real, a.real)
         return DensityMatrix(rho, self.layout, self.truncation_deficit, _trusted=True)
 
     def schmidt(self):
@@ -89,6 +93,11 @@ class PureState:
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, PSD matrix over a subsystem layout.
+
+    A matrix whose imaginary parts are all zero is stored as its float64
+    real part, and everything computed from it (the checks below, the
+    partial transpose and its spectrum) runs in real arithmetic on half
+    the bytes; any other matrix is stored as complex128.
 
     Constructors inside this package produce PSD matrices by construction
     and skip the PSD check; data from untrusted sources (files) goes
@@ -118,14 +127,17 @@ class DensityMatrix:
     _trusted: bool = False
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _float_or_complex(self.matrix)
+        if np.iscomplexobj(m) and not m.imag.any():
+            m = m.real
+        m = _freeze(m)
         require_finite(m, "density matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != self.layout.dim:
             raise ValueError(f"density matrix shape {m.shape} incompatible with layout dim {self.layout.dim}")
         require_unit_density(m)
         if self.truncation_deficit < 0:
             raise ValueError("truncation_deficit must be >= 0")
-        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "matrix", m)
         if not self._trusted:
             self.validate()
 

@@ -95,9 +95,13 @@ def tmsvs_link(r: float) -> LinkResource:
 
 
 def canonical_qubit_schmidt(concurrence: float) -> tuple[float, float]:
-    """The Schmidt pair (1 +/- sqrt(1 - C^2))/2 realizing a concurrence."""
+    """The Schmidt pair (1 +/- sqrt(1 - C^2))/2 realizing a concurrence.
+
+    The small value is computed as C^2 / (2 (1 + sqrt(1 - C^2))), which is
+    equal and does not cancel, so a weak link keeps its concurrence.
+    """
     root = math.sqrt(max(0.0, 1.0 - concurrence ** 2))
-    return ((1.0 + root) / 2.0, (1.0 - root) / 2.0)
+    return ((1.0 + root) / 2.0, concurrence ** 2 / (2.0 * (1.0 + root)))
 
 
 def canonical_qudit_schmidt(g_concurrence: float, d: int) -> tuple[float, ...]:
@@ -160,10 +164,12 @@ def swap_qudit_gc(link1: LinkResource, link2: LinkResource) -> LinkResource:
     if link1.d != link2.d:
         raise ValueError(f"qudit dimensions differ: {link1.d} != {link2.d}")
     if link1.d == 2:
-        # Closed form: the geometric family is off by up to ~5e-13 in lambda
-        # (~5e-9 in G-concurrence near 0), and d = 2 must match qubit chains exactly.
-        c = link1.native_value * link2.native_value
-        return qudit_link(lam=canonical_qubit_schmidt(c), d=2)
+        # The qubit rule, so d = 2 matches qubit chains exactly: the geometric
+        # family is off by up to ~5e-13 in lambda (~5e-9 in G-concurrence near
+        # 0), and a link's G-concurrence can differ in its last bit from its
+        # concurrence 2 sqrt(lambda_0 lambda_1).
+        out = swap_qubit_pure(qubit_link(lam=link1.schmidt), qubit_link(lam=link2.schmidt))
+        return qudit_link(lam=out.schmidt, d=2)
     cg = link1.native_value * link2.native_value
     return qudit_link(lam=canonical_qudit_schmidt(cg, link1.d), d=link1.d)
 

@@ -1,4 +1,5 @@
-"""Dense complex linear algebra over multipartite Hilbert spaces.
+"""Dense linear algebra over multipartite Hilbert spaces, in float64 for
+real matrices and complex128 otherwise.
 
 Index convention (fixed): subsystem 0 is the slowest-varying tensor index,
 i.e. a state on dims (d0, d1, ...) is stored row-major as the C-order
@@ -62,9 +63,18 @@ class SubsystemLayout:
         return int(np.prod([self.dims[i] for i in self.party_b]))
 
 
+def _float_or_complex(m) -> np.ndarray:
+    """m as a complex128 array when it has a complex dtype, float64
+    otherwise; an array already of that dtype is returned as it is."""
+    m = np.asarray(m)
+    return m.astype(complex if np.iscomplexobj(m) else float, copy=False)
+
+
 def _check_square(m: np.ndarray, layout: SubsystemLayout | None = None) -> np.ndarray:
-    """m as a complex square matrix, or a stack of them along leading axes."""
-    m = np.asarray(m, dtype=complex)
+    """m as a square matrix, or a stack of them along leading axes, in
+    _float_or_complex's dtype. Real input stays real, so every kernel
+    taking it runs in real arithmetic on half the bytes."""
+    m = _float_or_complex(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     if layout is not None and m.shape[-1] != layout.dim:
@@ -146,17 +156,11 @@ def partial_transpose(rho: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix (or of each in a stack), ascending."""
+    """Real eigenvalues of a Hermitian matrix (or of each in a stack),
+    ascending; float64 input runs the real symmetric LAPACK routine."""
     m = require_hermitian(m)
     require_finite(m, "matrix")
     return np.linalg.eigvalsh(m)
-
-
-def hermitian_eigensystem(m: np.ndarray):
-    """(eigenvalues ascending, column eigenvectors) of a Hermitian matrix."""
-    m = require_hermitian(m)
-    require_finite(m, "matrix")
-    return np.linalg.eigh(m)
 
 
 def _coupled_blocks(m: np.ndarray) -> list[np.ndarray]:
@@ -199,8 +203,8 @@ def trace_norm_hermitian(m: np.ndarray) -> float:
 
 
 def _trace_norm_blocks(m: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of one complex square matrix that the
-    caller has already found finite and Hermitian.
+    """Sum of absolute eigenvalues of one square matrix (float64 or
+    complex128) that the caller has already found finite and Hermitian.
 
     The spectrum is taken block by block: m is split into the blocks its
     nonzero entries couple (_coupled_blocks), so a matrix that is block

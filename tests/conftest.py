@@ -88,3 +88,21 @@ def scp_oracle(lam) -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)
+
+
+def _coupled(diagonal, upper, lower):
+    """diag(diagonal) with entries (0, 1) = upper and (1, 0) = lower."""
+    m = np.diag(diagonal)
+    m[0, 1], m[1, 0] = upper, lower
+    return m
+
+
+# Real 4x4 matrices that DensityMatrix refuses, with a fragment of the
+# message each gets. The non-PSD one has eigenvalues 1.2, -0.2, 0, 0.
+REFUSED_REAL_MATRICES = {
+    "non-symmetric": (_coupled([0.25] * 4, 0.2, 0.0), "not Hermitian"),
+    "non-finite": (_coupled([0.25] * 4, np.nan, np.nan), "non-finite"),
+    "infinite": (_coupled([0.25] * 4, np.inf, np.inf), "non-finite"),
+    "non-unit trace": (_coupled([0.5] * 4, 0.1, 0.1), "trace"),
+    "non-PSD": (_coupled([0.5, 0.5, 0.0, 0.0], 0.7, 0.7), "negative eigenvalue"),
+}

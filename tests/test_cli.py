@@ -19,8 +19,10 @@ from qchain.reports import (
     state_to_json,
     strip_meta,
 )
-from qchain.states import bell_state, random_density_matrix
+from qchain.states import TmsvsSpec, bell_state, random_density_matrix, tmsvs_truncated
 from qchain.tensor import SubsystemLayout
+
+from conftest import REFUSED_REAL_MATRICES
 
 
 def write_json(path, doc):
@@ -93,6 +95,16 @@ class TestMeasureCommand:
         dm = random_density_matrix(SubsystemLayout((2, 3), (0,)), 4, seed=2)
         back = state_from_json(state_to_json(dm))
         assert np.allclose(back.matrix, dm.matrix, atol=0)
+
+    def test_real_state_roundtrip(self):
+        dm = tmsvs_truncated(TmsvsSpec.from_r(0.5, cutoff=6)).density_matrix()
+        doc = state_to_json(dm)
+        assert all(im == 0.0 for _, im in doc["matrix"])
+        back = state_from_json(json.loads(json.dumps(doc)))
+        assert back.matrix.dtype == np.float64
+        assert np.array_equal(back.matrix, dm.matrix)
+        assert back._pt_trace_norm == dm._pt_trace_norm
+        assert json.dumps(state_to_json(back)) == json.dumps(doc)
 
 
 class TestChainCommand:
@@ -276,6 +288,15 @@ class TestMeasureInputChecks:
         path = write_json(tmp_path / "list.json", [1, 2])
         assert main(["measure", "--input", path] + extra) == EXIT_VALIDATION
         assert "must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_REAL_MATRICES))
+    def test_refused_real_matrix_exits_2(self, tmp_path, case, capsys):
+        m, what = REFUSED_REAL_MATRICES[case]
+        doc = {"dims": [2, 2], "partyA": [0], "kind": "mixed",
+               "matrix": [[float(v), 0.0] for v in m.reshape(-1)]}
+        assert main(["measure", "--input", write_json(tmp_path / "bad.json", doc)]) \
+            == EXIT_VALIDATION
+        assert what in capsys.readouterr().err
 
     @pytest.mark.parametrize("tol", ["nan", "-1e-10", "inf"])
     def test_tol_psd_must_be_finite_nonnegative(self, tmp_path, tol, capsys):

@@ -23,9 +23,15 @@ from qchain.states import (
     substream,
     tmsvs_truncated,
 )
-from qchain.tensor import SubsystemLayout, kron, partial_trace
+from qchain.tensor import (
+    SubsystemLayout,
+    kron,
+    partial_trace,
+    partial_transpose,
+    trace_norm_hermitian,
+)
 
-from conftest import charpoly_eigenvalues, dense_partial_transpose
+from conftest import REFUSED_REAL_MATRICES, charpoly_eigenvalues, dense_partial_transpose
 
 QUBIT_PAIR = SubsystemLayout((2, 2), (0,))
 
@@ -397,3 +403,109 @@ def test_untrusted_density_matrix_is_checked_once(monkeypatch):
               for kind in ("negativity", "log_negativity", "ratio")]
     assert checked == [(64, 64)]
     assert all(math.isfinite(v) for v in values)
+
+
+def phase_twin(m):
+    """D m D^dag with D = diag(1, i, -1, -i, 1, ...): the same matrix in a
+    rephased basis, with nonzero imaginary parts wherever m has off-diagonal
+    entries between odd-distance indices. Multiplying by a power of i is
+    exact, so every |entry|, the diagonal and the spectrum are unchanged;
+    an infinite entry may gain a NaN part, and stays non-finite."""
+    units = np.array([1, 1j, -1, -1j])[np.arange(m.shape[0]) % 4]
+    with np.errstate(invalid="ignore"):
+        return m * np.outer(units, units.conj())
+
+
+class TestRealRoute:
+    def test_zero_imaginary_parts_stored_as_read_only_float64(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 3] = m[3, 0] = complex(0.1, -0.0)
+        dm = DensityMatrix(m, QUBIT_PAIR)
+        assert dm.matrix.dtype == np.float64
+        assert np.array_equal(dm.matrix, m.real)
+        with pytest.raises(ValueError):
+            dm.matrix[0, 0] = 1.0
+
+    def test_one_imaginary_entry_keeps_complex(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 3], m[3, 0] = 0.1j, -0.1j
+        dm = DensityMatrix(m, QUBIT_PAIR)
+        assert dm.matrix.dtype == np.complex128
+        assert np.array_equal(dm.matrix, m)
+
+    def test_pure_density_matrix_dtype_follows_amplitudes(self):
+        assert tmsvs_truncated(TmsvsSpec.from_r(0.5, cutoff=5)).density_matrix().matrix.dtype \
+            == np.float64
+        psi = random_haar_pure(SubsystemLayout((2, 3), (0,)), 3)
+        rho = psi.density_matrix().matrix
+        assert rho.dtype == np.complex128
+        assert np.array_equal(rho, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+
+    def test_whole_route_runs_in_float64(self, monkeypatch):
+        seen = []
+
+        def recording(fn):
+            def call(m, *args, **kwargs):
+                seen.append((fn.__name__, m.dtype))
+                return fn(m, *args, **kwargs)
+            return call
+
+        for name in ("cholesky", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+        layout = SubsystemLayout((3, 3), (0,))
+        for rho in (tmsvs_truncated(TmsvsSpec.from_r(0.5, cutoff=2)).density_matrix().matrix,
+                    random_density_matrix(layout, 9, seed=1).matrix.real):
+            rho = (rho + rho.T) / np.trace(rho) / 2
+            assert DensityMatrix(rho, layout)._pt_trace_norm >= 1.0
+        assert {name for name, _ in seen} == {"cholesky", "eigvalsh"}
+        assert {dtype for _, dtype in seen} == {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_REAL_MATRICES))
+    def test_refusals_match_the_complex_route(self, case):
+        m, what = REFUSED_REAL_MATRICES[case]
+        twin = phase_twin(m)
+        assert twin.imag.any()
+        messages = []
+        for matrix in (m, twin):
+            with pytest.raises(ValueError, match=what) as err:
+                DensityMatrix(matrix, QUBIT_PAIR)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
+@st.composite
+def real_density_matrices(draw):
+    """A real symmetric PSD unit-trace matrix on 2-3 parties of dims 2-6,
+    with a random party A. "dense" is G G^T for a random real G; "sparse"
+    zeroes most of G, so the matrix and its partial transpose may split
+    into blocks; "fock" mixes real states supported on |n n ...>, like
+    Fock-basis two-mode squeezed states, whose partial transposes split
+    into 1x1 and 2x2 blocks."""
+    dims = tuple(draw(st.lists(st.integers(2, 6), min_size=2, max_size=3)))
+    layout = SubsystemLayout(dims, draw(st.sets(st.integers(0, len(dims) - 1),
+                                                min_size=1, max_size=len(dims) - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rank = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["dense", "sparse", "fock"]))
+    g = rng.standard_normal((layout.dim, rank))
+    if kind == "sparse":
+        g *= rng.random(g.shape) < 0.2
+        g[rng.integers(layout.dim), :] += 1.0
+    elif kind == "fock":
+        ladder = np.ravel_multi_index([np.arange(min(dims))] * len(dims), dims)
+        g[np.setdiff1d(np.arange(layout.dim), ladder)] = 0.0
+        g[ladder[0], :] += 1.0
+    rho = g @ g.T
+    rho = (rho + rho.T) / 2
+    return rho / np.trace(rho), layout
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=real_density_matrices())
+def test_real_route_trace_norm_matches_complex_route(case):
+    rho, layout = case
+    state = DensityMatrix(rho, layout)
+    assert state.matrix.dtype == np.float64
+    t = state._pt_trace_norm
+    reference = trace_norm_hermitian(partial_transpose(rho.astype(complex), layout))
+    assert abs(t - reference) <= 1e-12 * max(1.0, reference)

@@ -156,6 +156,24 @@ class TestCanonicalSchmidt:
         lam = canonical_qudit_schmidt(0.36, 2)
         assert abs(lam[0] - (1 + math.sqrt(1 - 0.36 ** 2)) / 2) < 1e-9
 
+    @pytest.mark.parametrize("c", [10.0 ** -k for k in (1, 4, 8, 12, 50, 150)] + [0.6, 0.999])
+    def test_weak_qubit_link_keeps_its_concurrence(self, c):
+        # The small Schmidt value C^2 / (2 (1 + sqrt(1 - C^2))) does not
+        # cancel; (1 - sqrt(1 - C^2))/2 read 5.55e-17 at C = 1e-8.
+        lam = canonical_qubit_schmidt(c)
+        assert abs(lam[0] + lam[1] - 1.0) <= 2.3e-16
+        assert abs(qubit_link(concurrence=c).native_value - c) <= 4e-16 * c
+
+    def test_pinned_weak_link_values(self):
+        assert qubit_link(concurrence=1e-8).native_value == 1e-8
+        assert qubit_link(concurrence=1e-6).native_value == 1e-6
+        link = qubit_link(concurrence=0.00195)
+        out = swap_qubit_pure(swap_qubit_pure(link, link), link)
+        assert abs(out.native_value - 0.00195 ** 3) <= 1e-15 * 0.00195 ** 3
+        as_qudit = qudit_link(lam=canonical_qubit_schmidt(0.00195), d=2)
+        out = swap_qudit_gc(swap_qudit_gc(as_qudit, as_qudit), as_qudit)
+        assert abs(out.native_value - 0.00195 ** 3) <= 1e-15 * 0.00195 ** 3
+
 
 class TestChainCompose:
     def test_ten_squeezed_links(self):
