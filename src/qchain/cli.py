@@ -112,13 +112,13 @@ def _links_from_spec(doc: dict):
         raise ValueError(f"chain kind must be tmsvs|qubit|qudit, got {kind!r}")
     if isinstance(raw, dict):
         file_object(raw, IDENTICAL_LINKS_SCHEMA, "links")
-        params = raw["identical"]
         count = file_integer(raw["count"], "links.count")
         if count < 1:
             raise ValueError(f"links.count must be an integer >= 1, got {count}")
-        entries = [params] * count
+        # Links are frozen: an identical entry builds one link and repeats it.
+        entries, repeat = [raw["identical"]], count
     elif isinstance(raw, list) and raw:
-        entries = raw
+        entries, repeat = raw, 1
     else:
         raise ValueError("links must be a non-empty list or {identical, count}")
     links = []
@@ -134,12 +134,14 @@ def _links_from_spec(doc: dict):
             links.append(qudit_link(lam=_optional(p, "lambda", _file_lambda),
                                     d=_optional(p, "d", file_integer),
                                     g_concurrence=_optional(p, "g_concurrence", file_number)))
-    return links
+    return links * repeat
 
 
 def cmd_measure(args) -> tuple[int, dict]:
     doc = _read_json(args.input)
-    if isinstance(doc, dict) and doc.get("kind") == "tmsvs" and args.cutoff is not None:
+    if isinstance(doc, dict) and args.cutoff is not None:
+        if doc.get("kind") != "tmsvs":
+            raise ValueError("--cutoff applies only to tmsvs state files")
         doc = {**doc, "cutoff": args.cutoff}
     state = state_from_json(doc, args.tol_psd)
     results = []
@@ -151,34 +153,30 @@ def cmd_measure(args) -> tuple[int, dict]:
     return EXIT_OK, {"config": config, "result": {"measures": results}}
 
 
-def _chain_result(args):
+def _chain_input(args):
+    """The chain file read once: its document, links, measure and alpha."""
     doc = _read_json(args.input)
     links = _links_from_spec(doc)
-    alpha = _file_alpha(doc.get("alpha", args.alpha))
-    measure = doc.get("measure")
-    return chain_compose(links, measure=measure, alpha=alpha), doc, alpha
+    if "alpha" in doc and args.alpha is not None:
+        raise ValueError("--alpha conflicts with the chain file's alpha; give only one")
+    alpha = _file_alpha(doc.get("alpha", 1.0 if args.alpha is None else args.alpha))
+    return doc, links, doc.get("measure"), alpha
 
 
 def cmd_chain(args) -> tuple[int, dict]:
-    result, doc, alpha = _chain_result(args)
+    doc, links, measure, alpha = _chain_input(args)
+    result = chain_compose(links, measure=measure, alpha=alpha)
     config = {"input": args.input, "alpha": alpha, "spec": doc}
     return EXIT_OK, {"config": config, "result": result.to_json()}
 
 
 def cmd_sweep(args) -> tuple[int, dict | str]:
-    doc = _read_json(args.input)
-    links = _links_from_spec(doc)
-    if len({lk.kind for lk in links}) > 1:
-        raise ValueError("sweep requires a homogeneous chain")
-    alpha = _file_alpha(doc.get("alpha", args.alpha))
-    measure = doc.get("measure")
+    doc, links, measure, alpha = _chain_input(args)
     rows = []
     for l in range(1, len(links) + 1):
-        res = chain_compose(links[:l], measure=measure, alpha=alpha)
-        rows.append({"l": l, "value": res.end_to_end,
-                     "xi": "inf" if math.isinf(res.characteristic_length)
-                     else res.characteristic_length,
-                     "alpha": alpha, "kind": res.kind})
+        res = chain_compose(links[:l], measure=measure, alpha=alpha).to_json()
+        rows.append({"l": l, "value": res["end_to_end"], "xi": res["characteristic_length"],
+                     "alpha": alpha, "kind": res["kind"]})
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=SWEEP_CSV_COLUMNS)
@@ -191,6 +189,10 @@ def cmd_sweep(args) -> tuple[int, dict | str]:
 
 def cmd_monogamy(args) -> tuple[int, dict]:
     if args.input:
+        given = [f"--{k}" for k in ("dims", "samples", "alpha", "seed")
+                 if getattr(args, k) is not None]
+        if given:
+            raise ValueError(f"--input sets the scan; drop {', '.join(given)}")
         doc = file_object(_read_json(args.input), SCAN_SCHEMA, "scan file")
         dims = [file_integer(d, "dims entry") for d in doc["dims"]]
         samples = file_integer(doc["samples"], "samples")
@@ -200,7 +202,9 @@ def cmd_monogamy(args) -> tuple[int, dict]:
         if args.dims is None:
             raise ValueError("monogamy needs --input or --dims")
         dims = [int(d) for d in args.dims.split(",")]
-        samples, alpha, seed = args.samples, args.alpha, args.seed
+        samples = 1000 if args.samples is None else args.samples
+        alpha = 1.0 if args.alpha is None else args.alpha
+        seed = 0 if args.seed is None else args.seed
     grid = check_ineq_xya_grid(0.5, 0.5, alpha, args.grid).to_json()
     report = sample_monogamy_scan(dims, samples, alpha, seed,
                                   violation_tol=args.tol_violation)
@@ -275,13 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain", help="compose a chain spec")
     p.add_argument("--input", required=True, help="chain JSON file")
-    p.add_argument("--alpha", type=_positive, default=1.0)
+    p.add_argument("--alpha", type=_positive, default=None, help="default 1; not with a file alpha")
     common(p)
     p.set_defaults(fn=cmd_chain)
 
     p = sub.add_parser("sweep", help="per-length chain values (plot-ready)")
     p.add_argument("--input", required=True, help="chain JSON file")
-    p.add_argument("--alpha", type=_positive, default=1.0)
+    p.add_argument("--alpha", type=_positive, default=None, help="default 1; not with a file alpha")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p)
     p.set_defaults(fn=cmd_sweep)
@@ -289,9 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("monogamy", help="Monte-Carlo monogamy scan")
     p.add_argument("--input", default=None, help="scan config JSON file")
     p.add_argument("--dims", default=None, help="comma-separated party dimensions")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--alpha", type=_positive, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=None, help="with --dims; default 1000")
+    p.add_argument("--alpha", type=_positive, default=None, help="with --dims; default 1")
+    p.add_argument("--seed", type=int, default=None, help="with --dims; default 0")
     p.add_argument("--grid", type=int, default=500)
     p.add_argument("--tol-violation", type=_tolerance, default=1e-9)
     common(p)

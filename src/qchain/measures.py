@@ -108,14 +108,13 @@ def negativity(state: State, psd_tol: float = PSD_TOL) -> float:
     return float(_clamped_negativity(pt_trace_norm(state), psd_tol))
 
 
-def log_negativity(state: State, base: float = 2.0) -> float:
-    """log of the partial-transpose trace norm; base 2 by default.
+def log_negativity(state: State) -> float:
+    """log2 of the partial-transpose trace norm, as reports carry it.
 
     Some conventions use the natural log (under which a two-mode squeezed
-    vacuum has value exactly 2r); pass base=math.e for that reading. The
-    trace norm itself is convention-free and is the quantity reports carry.
+    vacuum has value exactly 2r); multiply by ln 2 for that reading.
     """
-    return math.log(pt_trace_norm(state), base)
+    return math.log2(pt_trace_norm(state))
 
 
 def is_ppt(state: State, psd_tol: float = PSD_TOL) -> bool:
@@ -167,11 +166,14 @@ def g_concurrence_pure(lam, d: int) -> float:
     """d (lambda_0 ... lambda_{d-1})^(1/d); 0 if any coefficient vanishes.
 
     Vanishing coefficients are the continuous extension of the geometric
-    mean; strictly the formula assumes all lambda_j > 0.
+    mean; strictly the formula assumes all lambda_j > 0. At d = 2 it is the
+    concurrence 2 sqrt(lambda_0 lambda_1), one correctly rounded root.
     """
     lam = _check_distribution(lam, d)
     if np.any(lam == 0):
         return 0.0
+    if d == 2:
+        return 2.0 * math.sqrt(lam[0] * lam[1])
     return float(d * np.exp(np.mean(np.log(lam))))
 
 
@@ -256,9 +258,8 @@ def evaluate_measure(spec: MeasureSpec, state: State, psd_tol: float = PSD_TOL) 
     elif spec.kind == "concurrence":
         value = concurrence_pure(state)
     elif spec.kind == "g_concurrence":
-        lam = state.schmidt().coefficients
-        d = min(state.layout.dim_a, state.layout.dim_b)
-        value = g_concurrence_pure(np.concatenate([lam, np.zeros(d - lam.size)]) if lam.size < d else lam, d)
+        value = g_concurrence_pure(state.schmidt().coefficients,
+                                   min(state.layout.dim_a, state.layout.dim_b))
     elif spec.kind == "scp":
         sd = state.schmidt()
         lam = sd.coefficients[:2] if sd.rank <= 2 else None

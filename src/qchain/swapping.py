@@ -10,6 +10,10 @@ under its optimal deterministic swapping protocol:
 
 Chains are homogeneous; the end-to-end value is the product of per-hop
 values and the characteristic length is -1/ln of the per-link value.
+
+Each value has one rule: a link's native value comes from `measures`, so a
+d = 2 qudit link equals the matching qubit link bit for bit, and every chain
+value, the Fock cross-check's composite included, comes from `chain_compose`.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import _check_alpha, _check_distribution, g_concurrence_pure, ratio_negativity
+from .measures import (_check_alpha, _check_distribution, g_concurrence_pure,
+                       ratio_negativity, scp_pure_qubit)
 from .states import TmsvsSpec, tmsvs_truncated
 
 LINK_KINDS = ("qubit_pure", "qudit_pure", "tmsvs")
@@ -56,8 +61,7 @@ class LinkResource:
                 f"measure {measure!r} is not multiplicative under {self.kind} swapping; "
                 f"supported: {SUPPORTED_MEASURES[self.kind]}")
         if measure == "scp":
-            lam_min = min(self.schmidt)
-            return 2.0 * lam_min
+            return scp_pure_qubit(self.schmidt)
         if measure == "alpha_ratio":
             _check_alpha(alpha)
             return self.native_value ** alpha
@@ -73,8 +77,7 @@ def qubit_link(lam=None, concurrence: float | None = None) -> LinkResource:
             raise ValueError(f"concurrence must lie in [0, 1], got {concurrence}")
         lam = canonical_qubit_schmidt(concurrence)
     lam = tuple(float(x) for x in _check_distribution(lam, 2))
-    c = 2.0 * math.sqrt(lam[0] * lam[1])
-    return LinkResource(kind="qubit_pure", schmidt=lam, d=2, native_value=c)
+    return LinkResource(kind="qubit_pure", schmidt=lam, d=2, native_value=g_concurrence_pure(lam, 2))
 
 
 def qudit_link(lam=None, d: int | None = None, g_concurrence: float | None = None) -> LinkResource:
@@ -109,13 +112,17 @@ def canonical_qudit_schmidt(g_concurrence: float, d: int) -> tuple[float, ...]:
     target G-concurrence.
 
     The swapping rule fixes only the measure value of the output; this
-    one-parameter family supplies a deterministic representative. q is
-    solved by bisection (the map q -> G-concurrence is strictly increasing
-    from 0 to 1); the target 1 yields the uniform vector. For d = 2 the
-    family agrees with the canonical qubit pair to about 1e-12 in lambda.
+    one-parameter family supplies a deterministic representative; at d = 2
+    it is the canonical qubit pair. Otherwise q is bisected (the map q ->
+    G-concurrence is strictly increasing from 0 to 1) until the midpoint
+    equals an end of the bracket; the target 1 yields the uniform vector. A
+    target whose vector underflows float64 (below about 1e-300 at d = 3)
+    raises ValueError.
     """
     if not (0.0 <= g_concurrence <= 1.0):
         raise ValueError(f"G-concurrence must lie in [0, 1], got {g_concurrence}")
+    if d == 2:
+        return canonical_qubit_schmidt(g_concurrence)
     if g_concurrence == 1.0:
         return tuple([1.0 / d] * d)
     if g_concurrence == 0.0:
@@ -126,15 +133,17 @@ def canonical_qudit_schmidt(g_concurrence: float, d: int) -> tuple[float, ...]:
         return lam / lam.sum()
 
     lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
+    mid = (lo + hi) / 2.0
+    while lo < mid < hi:
         if g_concurrence_pure(geometric(mid), d) < g_concurrence:
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-12 * max(1.0, hi):
-            break
-    return tuple(float(x) for x in geometric((lo + hi) / 2.0))
+        mid = (lo + hi) / 2.0
+    lam = geometric(hi)
+    if lam[-1] < np.finfo(float).tiny:
+        raise ValueError(f"G-concurrence {g_concurrence!r} at d = {d} underflows float64")
+    return tuple(float(x) for x in lam)
 
 
 def swap_tmsvs(r1: float, r2: float) -> TmsvsSpec:
@@ -163,13 +172,6 @@ def swap_qudit_gc(link1: LinkResource, link2: LinkResource) -> LinkResource:
         raise ValueError(f"expected two qudit_pure links, got {link1.kind}, {link2.kind}")
     if link1.d != link2.d:
         raise ValueError(f"qudit dimensions differ: {link1.d} != {link2.d}")
-    if link1.d == 2:
-        # The qubit rule, so d = 2 matches qubit chains exactly: the geometric
-        # family is off by up to ~5e-13 in lambda (~5e-9 in G-concurrence near
-        # 0), and a link's G-concurrence can differ in its last bit from its
-        # concurrence 2 sqrt(lambda_0 lambda_1).
-        out = swap_qubit_pure(qubit_link(lam=link1.schmidt), qubit_link(lam=link2.schmidt))
-        return qudit_link(lam=out.schmidt, d=2)
     cg = link1.native_value * link2.native_value
     return qudit_link(lam=canonical_qudit_schmidt(cg, link1.d), d=link1.d)
 
@@ -227,15 +229,10 @@ def chain_compose(links, measure: str | None = None, alpha: float = 1.0) -> Chai
         if kind == "tmsvs" and alpha != 1.0:
             measure = "alpha_ratio"
     per_hop = tuple(lk.measure_value(measure, alpha) for lk in links)
-    end = 1.0
-    for v in per_hop:
-        end *= v
+    end = math.prod(per_hop)
     composite_r = None
     if kind == "tmsvs":
-        chi = 1.0
-        for lk in links:
-            chi *= lk.native_value
-        composite_r = math.atanh(chi)
+        composite_r = math.atanh(math.prod(lk.native_value for lk in links))
     # -l/ln(end); continuous extension 0 for a dead link, +inf for all-Bell.
     xi = characteristic_length(end ** (1.0 / len(links))) if end > 0 else 0.0
     return ChainResult(kind=kind, measure=measure, alpha=alpha, per_hop=per_hop,
@@ -261,25 +258,22 @@ def chain_fock_crosscheck(r: float, length: int, cutoff: int,
                           alphas=(1.0, 0.5, 2.0, 3.191)) -> FockCrosscheckReport:
     """Cross-check the measure-level swap rule against a dense computation.
 
-    Iterates the squeezing-parameter rule length-1 times, builds the
-    resulting truncated two-mode squeezed state densely, and compares its
-    alpha-ratio negativities (via the dense partial-transpose route)
-    against tanh(r)^(length*alpha).
+    Takes the composite squeezing parameter of `length` identical links
+    from `chain_compose`, builds that truncated two-mode squeezed state
+    densely, and compares its alpha-ratio negativities (via the dense
+    partial-transpose route) against tanh(r)^(length*alpha).
     """
     if length < 2:
         raise ValueError(f"need at least 2 links, got {length}")
     if r <= 0:
         raise ValueError(f"squeezing parameter must be > 0, got {r}")
-    spec = TmsvsSpec.from_r(r, cutoff=cutoff)
-    for _ in range(length - 1):
-        out = swap_tmsvs(spec.r, r)
-        spec = TmsvsSpec(r=out.r, chi=out.chi, cutoff=cutoff)
-    dense = tmsvs_truncated(spec).density_matrix()
+    composite_r = chain_compose([tmsvs_link(r)] * length).composite_r
+    dense = tmsvs_truncated(TmsvsSpec.from_r(composite_r, cutoff=cutoff)).density_matrix()
     chi_dense = ratio_negativity(dense)
     expected, computed, deviation = {}, {}, {}
     for a in alphas:
         expected[a] = math.tanh(r) ** (length * a)
-        computed[a] = chi_dense ** a if a != 1.0 else chi_dense
+        computed[a] = chi_dense ** a
         deviation[a] = abs(computed[a] - expected[a])
-    return FockCrosscheckReport(r=r, length=length, cutoff=cutoff, composite_r=spec.r,
+    return FockCrosscheckReport(r=r, length=length, cutoff=cutoff, composite_r=composite_r,
                                 expected=expected, computed=computed, deviation=deviation)

@@ -160,6 +160,54 @@ class TestSweepCommand:
         assert len(doc["result"]["rows"]) == 10
 
 
+class TestSweepMatchesChain:
+    @pytest.mark.parametrize("doc", [
+        {"kind": "tmsvs", "links": [{"r": 0.2}, {"r": 0.5}, {"r": 1.3}, {"r": 0.05}], "alpha": 2.5},
+        {"kind": "qudit", "links": [{"d": 4, "g_concurrence": 0.6}, {"lambda": [0.4, 0.3, 0.2, 0.1]},
+                                    {"d": 4, "g_concurrence": 1e-3}]},
+    ], ids=["tmsvs", "qudit"])
+    def test_rows_are_prefix_chain_reports(self, tmp_path, doc):
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--input", write_json(tmp_path / "chain.json", doc),
+                     "--output", str(out)]) == EXIT_OK
+        rows = load_report(out)["result"]["rows"]
+        assert [row["l"] for row in rows] == list(range(1, len(doc["links"]) + 1))
+        for row in rows:
+            prefix = write_json(tmp_path / "prefix.json", {**doc, "links": doc["links"][:row["l"]]})
+            assert main(["chain", "--input", prefix, "--output", str(out)]) == EXIT_OK
+            res = load_report(out)["result"]
+            assert row == {"l": row["l"], "value": res["end_to_end"],
+                           "xi": res["characteristic_length"], "alpha": res["alpha"],
+                           "kind": res["kind"]}
+
+
+class TestIgnoredFlagsRefused:
+    def test_measure_cutoff_on_a_non_tmsvs_state(self, bell_file, capsys):
+        assert main(["measure", "--input", bell_file, "--cutoff", "5"]) == EXIT_VALIDATION
+        assert "--cutoff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--dims", "2,2,2"), ("--samples", "10"),
+                                            ("--alpha", "2.0"), ("--seed", "3")])
+    def test_monogamy_input_with_scan_flags(self, tmp_path, flag, value, capsys):
+        path = write_json(tmp_path / "scan.json",
+                          {"dims": [2, 2, 2], "samples": 10, "alpha": 1.0, "seed": 1})
+        assert main(["monogamy", "--input", path, flag, value]) == EXIT_VALIDATION
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["chain", "sweep"])
+    def test_alpha_with_a_chain_file_alpha(self, tmp_path, command, capsys):
+        path = write_json(tmp_path / "chain.json",
+                          {"kind": "tmsvs", "links": [{"r": 0.5}], "alpha": 2.0})
+        assert main([command, "--input", path, "--alpha", "2.0"]) == EXIT_VALIDATION
+        assert "--alpha" in capsys.readouterr().err
+
+    def test_monogamy_defaults_apply_with_dims(self, tmp_path):
+        out = tmp_path / "scan.json"
+        assert main(["monogamy", "--dims", "2,2,2", "--output", str(out)]) == EXIT_OK
+        config = load_report(out)["config"]
+        assert (config["samples"], config["alpha"], config["seed"]) == (1000, 1.0, 0)
+
+
 class TestMonogamyCommand:
     def test_scan_from_config_file(self, tmp_path):
         cfg = {"dims": [2, 2, 2], "samples": 50, "alpha": 3.191, "seed": 7}

@@ -89,7 +89,7 @@ class TestLogNegativity:
         st = tmsvs_truncated(TmsvsSpec.from_r(r, cutoff=cutoff_for_amplitude_tail(math.tanh(r), 1e-12)))
         assert abs(pt_trace_norm(st) - math.exp(2 * r)) < 1e-9 * math.exp(2 * r)
         assert abs(log_negativity(st) - 2 * r / math.log(2)) < 1e-9
-        assert abs(log_negativity(st, base=math.e) - 2 * r) < 1e-9
+        assert abs(log_negativity(st) * math.log(2) - 2 * r) < 1e-9
 
 
 class TestValidateF:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -25,6 +26,8 @@ from qchain.swapping import (
     swap_tmsvs,
     tmsvs_link,
 )
+
+EPS = np.finfo(float).eps
 
 
 class TestSwapTmsvs:
@@ -283,6 +286,50 @@ class TestFockCrosscheck:
     def test_needs_two_links(self):
         with pytest.raises(ValueError):
             chain_fock_crosscheck(0.5, 1, cutoff=30)
+
+    @pytest.mark.parametrize("r,length", [(0.1, 20), (0.5, 5), (0.3, 10), (1.0, 3)])
+    def test_composite_r_is_chain_compose(self, r, length):
+        report = chain_fock_crosscheck(r, length, cutoff=30, alphas=(1.0,))
+        assert report.composite_r == chain_compose([tmsvs_link(r)] * length).composite_r
+
+
+class TestQuditTargets:
+    # d exp(mean(log lambda)) carries a rounding error that grows with
+    # |ln g|; the bisection itself stops one ulp of q from the target.
+    @pytest.mark.parametrize("d", range(3, 17))
+    def test_link_hits_target(self, d):
+        for g in (1e-150, 1e-100, 1e-30, 1e-10, 1e-6, 0.01, 0.5, 0.999999):
+            value = qudit_link(d=d, g_concurrence=g).native_value
+            assert abs(value - g) <= 8 * EPS * (1.0 + abs(math.log(g))) * g, (d, g, value)
+
+    @pytest.mark.parametrize("d", [3, 4, 8, 16])
+    def test_unreachable_target_raises(self, d):
+        # lambda_{d-1} would lie below the smallest normal float64.
+        with pytest.raises(ValueError, match="underflows"):
+            canonical_qudit_schmidt(1e-300, d)
+        with pytest.raises(ValueError, match="underflows"):
+            qudit_link(d=d, g_concurrence=1e-300)
+
+
+QUBIT_LINK_SPECS = st.one_of(
+    st.tuples(st.just("target"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("lambda"), st.floats(0.0, 0.5).map(lambda x: (1.0 - x, x))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs=st.lists(QUBIT_LINK_SPECS, min_size=1, max_size=6))
+def test_d2_qudit_links_are_qubit_links(specs):
+    qubits = [qubit_link(concurrence=v) if how == "target" else qubit_link(lam=v)
+              for how, v in specs]
+    qudits = [qudit_link(d=2, g_concurrence=v) if how == "target" else qudit_link(lam=v, d=2)
+              for how, v in specs]
+    for a, b in zip(qubits, qudits):
+        assert (a.schmidt, a.native_value) == (b.schmidt, b.native_value)
+    a, b = functools.reduce(swap_qubit_pure, qubits), functools.reduce(swap_qudit_gc, qudits)
+    assert (a.schmidt, a.native_value) == (b.schmidt, b.native_value)
+    a, b = chain_compose(qubits), chain_compose(qudits)
+    assert (a.per_hop, a.end_to_end, a.characteristic_length) \
+        == (b.per_hop, b.end_to_end, b.characteristic_length)
 
 
 class TestLinkValidation:
