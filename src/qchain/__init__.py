@@ -63,9 +63,7 @@ from .swapping import (
     characteristic_length,
     qubit_link,
     qudit_link,
-    swap_qubit_pure,
-    swap_qudit_gc,
-    swap_tmsvs,
+    swap,
     tmsvs_link,
 )
 from .monogamy import (

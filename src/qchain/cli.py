@@ -33,6 +33,7 @@ from .monogamy import check_ineq_xya_grid, sample_monogamy_scan
 from .reports import (
     CHAIN_SCHEMA,
     IDENTICAL_LINKS_SCHEMA,
+    LINK_SCHEMAS,
     SCAN_SCHEMA,
     SWEEP_CSV_COLUMNS,
     cm_to_json,
@@ -108,8 +109,8 @@ def _links_from_spec(doc: dict):
     file_object(doc, CHAIN_SCHEMA, "chain file")
     kind = doc.get("kind")
     raw = doc.get("links")
-    if kind not in ("tmsvs", "qubit", "qudit"):
-        raise ValueError(f"chain kind must be tmsvs|qubit|qudit, got {kind!r}")
+    if kind not in LINK_SCHEMAS:
+        raise ValueError(f"chain kind must be {'|'.join(LINK_SCHEMAS)}, got {kind!r}")
     if isinstance(raw, dict):
         file_object(raw, IDENTICAL_LINKS_SCHEMA, "links")
         count = file_integer(raw["count"], "links.count")
@@ -123,8 +124,7 @@ def _links_from_spec(doc: dict):
         raise ValueError("links must be a non-empty list or {identical, count}")
     links = []
     for p in entries:
-        if not isinstance(p, dict):
-            raise ValueError(f"each link must be a JSON object, got {p!r}")
+        file_object(p, LINK_SCHEMAS[kind], "each link")
         if kind == "tmsvs":
             links.append(tmsvs_link(file_number(p["r"], "r")))
         elif kind == "qubit":
@@ -142,6 +142,9 @@ def cmd_measure(args) -> tuple[int, dict]:
     if isinstance(doc, dict) and args.cutoff is not None:
         if doc.get("kind") != "tmsvs":
             raise ValueError("--cutoff applies only to tmsvs state files")
+        if doc.get("cutoff") is not None:
+            raise ValueError(f"--cutoff {args.cutoff} conflicts with the state file's cutoff "
+                             f"{doc['cutoff']!r}; give only one")
         doc = {**doc, "cutoff": args.cutoff}
     state = state_from_json(doc, args.tol_psd)
     results = []

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import _clamped_negativity, _from_negativity
+from .states import require_squeezing
 
 CM_SYMMETRY_TOL = 1e-10
 CM_BONA_FIDE_TOL = 1e-8
@@ -95,8 +96,7 @@ def tmsvs_cm(r: float) -> CovarianceMatrix:
     Diagonal blocks cosh(2r) * I, off-diagonal blocks sinh(2r) * diag(1, -1):
     the q quadratures are correlated, the p quadratures anticorrelated.
     """
-    if r <= 0:
-        raise ValueError(f"squeezing parameter must be > 0, got {r}")
+    require_squeezing(r)
     c, s = math.cosh(2 * r), math.sinh(2 * r)
     g = np.array([
         [c, 0.0, s, 0.0],

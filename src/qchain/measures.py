@@ -167,14 +167,17 @@ def g_concurrence_pure(lam, d: int) -> float:
 
     Vanishing coefficients are the continuous extension of the geometric
     mean; strictly the formula assumes all lambda_j > 0. At d = 2 it is the
-    concurrence 2 sqrt(lambda_0 lambda_1), one correctly rounded root.
+    concurrence 2 sqrt(lambda_0 lambda_1), one correctly rounded root. The
+    value is at most 1 (the mean of the lambda_j bounds their geometric
+    mean), so a rounded value above 1, as the uniform vector gives at
+    d = 6, 8 and 14, reads 1.
     """
     lam = _check_distribution(lam, d)
     if np.any(lam == 0):
         return 0.0
     if d == 2:
         return 2.0 * math.sqrt(lam[0] * lam[1])
-    return float(d * np.exp(np.mean(np.log(lam))))
+    return min(1.0, float(d * np.exp(np.mean(np.log(lam)))))
 
 
 def scp_pure_qubit(lam) -> float:

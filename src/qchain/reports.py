@@ -70,6 +70,32 @@ STATE_SCHEMA = {
     ],
 }
 
+_SCHMIDT_VECTOR = {"type": "array", "items": {"type": "number", "minimum": 0}, "minItems": 1}
+_UNIT_NUMBER = {"type": "number", "minimum": 0, "maximum": 1}
+
+# One link-list entry per chain kind, keyed by the chain file's "kind".
+LINK_SCHEMAS = {
+    "tmsvs": {
+        "type": "object",
+        "properties": {"r": {"type": "number", "exclusiveMinimum": 0}},
+        "required": ["r"],
+        "additionalProperties": False,
+    },
+    "qubit": {
+        "type": "object",
+        "properties": {"lambda": {**_SCHMIDT_VECTOR, "minItems": 2, "maxItems": 2},
+                       "concurrence": _UNIT_NUMBER},
+        "additionalProperties": False,
+    },
+    "qudit": {
+        "type": "object",
+        "properties": {"lambda": _SCHMIDT_VECTOR,
+                       "d": {"type": "integer", "minimum": 2},
+                       "g_concurrence": _UNIT_NUMBER},
+        "additionalProperties": False,
+    },
+}
+
 IDENTICAL_LINKS_SCHEMA = {
     "type": "object",
     "properties": {"identical": {"type": "object"},
@@ -81,7 +107,7 @@ IDENTICAL_LINKS_SCHEMA = {
 CHAIN_SCHEMA = {
     "type": "object",
     "properties": {
-        "kind": {"enum": ["tmsvs", "qubit", "qudit"]},
+        "kind": {"enum": list(LINK_SCHEMAS)},
         "links": {
             "oneOf": [
                 {"type": "array", "items": {"type": "object"}, "minItems": 1},
@@ -93,6 +119,11 @@ CHAIN_SCHEMA = {
     },
     "required": ["kind", "links"],
     "additionalProperties": False,
+    # Every link entry, listed or identical, follows its kind's schema.
+    "allOf": [{"if": {"properties": {"kind": {"const": kind}}},
+               "then": {"properties": {"links": {"items": link,
+                                                 "properties": {"identical": link}}}}}
+              for kind, link in LINK_SCHEMAS.items()],
 }
 
 SCAN_SCHEMA = {

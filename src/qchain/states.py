@@ -172,6 +172,14 @@ class DensityMatrix:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
 
+def require_squeezing(r) -> float:
+    """r as a float when it is a squeezing parameter: finite and > 0."""
+    r = float(r)
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"squeezing parameter r must be finite and > 0, got {r}")
+    return r
+
+
 @dataclass(frozen=True)
 class TmsvsSpec:
     """Two-mode squeezed vacuum parameters: squeezing r, chi = tanh r,
@@ -184,39 +192,28 @@ class TmsvsSpec:
     def __post_init__(self):
         if not (0 < self.chi < 1):
             raise ValueError(f"chi must lie in (0, 1), got {self.chi}")
-        if self.r <= 0:
-            raise ValueError(f"squeezing parameter must be > 0, got {self.r}")
+        require_squeezing(self.r)
         if self.cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
 
     @staticmethod
     def from_r(r: float, cutoff: int | None = None) -> "TmsvsSpec":
-        if r <= 0:
-            raise ValueError(f"squeezing parameter must be > 0, got {r}")
+        r = require_squeezing(r)
         chi = math.tanh(r)
         if cutoff is None:
             cutoff = default_cutoff(chi)
-        return TmsvsSpec(r=float(r), chi=chi, cutoff=int(cutoff))
-
-    @staticmethod
-    def from_chi(chi: float, cutoff: int | None = None) -> "TmsvsSpec":
-        if not (0 < chi < 1):
-            raise ValueError(f"chi must lie in (0, 1), got {chi}")
-        r = math.atanh(chi)
-        if cutoff is None:
-            cutoff = default_cutoff(chi)
-        return TmsvsSpec(r=r, chi=float(chi), cutoff=int(cutoff))
+        return TmsvsSpec(r=r, chi=chi, cutoff=int(cutoff))
 
     @property
     def truncation_deficit(self) -> float:
         return self.chi ** (2 * (self.cutoff + 1))
 
 
-def default_cutoff(chi: float, deficit_target: float = DEFAULT_DEFICIT_TARGET,
-                   cap: int = MAX_DEFAULT_CUTOFF) -> int:
-    """Smallest n_max with chi^(2(n_max+1)) < deficit_target, capped."""
-    n = int(math.ceil(math.log(deficit_target) / (2 * math.log(chi)) - 1))
-    return max(1, min(cap, n))
+def default_cutoff(chi: float) -> int:
+    """Smallest n_max with chi^(2(n_max+1)) < DEFAULT_DEFICIT_TARGET, capped
+    at MAX_DEFAULT_CUTOFF."""
+    n = int(math.ceil(math.log(DEFAULT_DEFICIT_TARGET) / (2 * math.log(chi)) - 1))
+    return max(1, min(MAX_DEFAULT_CUTOFF, n))
 
 
 def cutoff_for_amplitude_tail(chi: float, tail: float) -> int:

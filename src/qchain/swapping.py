@@ -8,12 +8,15 @@ under its optimal deterministic swapping protocol:
   qudit_pure  -- G-concurrence,
   tmsvs       -- ratio negativity (tanh of the squeezing parameter).
 
-Chains are homogeneous; the end-to-end value is the product of per-hop
-values and the characteristic length is -1/ln of the per-link value.
+Chains hold links of one kind and one local dimension; the end-to-end value
+is the product of per-hop values and the characteristic length is -1/ln of
+the per-link value.
 
 Each value has one rule: a link's native value comes from `measures`, so a
-d = 2 qudit link equals the matching qubit link bit for bit, and every chain
-value, the Fock cross-check's composite included, comes from `chain_compose`.
+d = 2 qudit link equals the matching qubit link bit for bit, and every
+product of link values comes from `chain_compose`. A swap is the two-link
+chain turned back into a link, and the Fock cross-check takes its composite
+from the same chain.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .measures import (_check_alpha, _check_distribution, g_concurrence_pure,
                        ratio_negativity, scp_pure_qubit)
-from .states import TmsvsSpec, tmsvs_truncated
+from .states import TmsvsSpec, require_squeezing, tmsvs_truncated
 
 LINK_KINDS = ("qubit_pure", "qudit_pure", "tmsvs")
 
@@ -94,7 +97,8 @@ def qudit_link(lam=None, d: int | None = None, g_concurrence: float | None = Non
 
 
 def tmsvs_link(r: float) -> LinkResource:
-    return LinkResource(kind="tmsvs", r=float(r), native_value=math.tanh(r))
+    r = require_squeezing(r)
+    return LinkResource(kind="tmsvs", r=r, native_value=math.tanh(r))
 
 
 def canonical_qubit_schmidt(concurrence: float) -> tuple[float, float]:
@@ -146,36 +150,6 @@ def canonical_qudit_schmidt(g_concurrence: float, d: int) -> tuple[float, ...]:
     return tuple(float(x) for x in lam)
 
 
-def swap_tmsvs(r1: float, r2: float) -> TmsvsSpec:
-    """Squeezing parameter of the swap output: tanh r_out = tanh r1 tanh r2.
-
-    The output chi is the exact float product of the input chis.
-    """
-    if r1 <= 0 or r2 <= 0:
-        raise ValueError("squeezing parameters must be > 0")
-    chi = math.tanh(r1) * math.tanh(r2)
-    return TmsvsSpec.from_chi(chi)
-
-
-def swap_qubit_pure(link1: LinkResource, link2: LinkResource) -> LinkResource:
-    """Deterministic qubit swap: concurrences multiply; the output carries
-    the canonical Schmidt pair for the product concurrence."""
-    if link1.kind != "qubit_pure" or link2.kind != "qubit_pure":
-        raise ValueError(f"expected two qubit_pure links, got {link1.kind}, {link2.kind}")
-    c = link1.native_value * link2.native_value
-    return qubit_link(lam=canonical_qubit_schmidt(c))
-
-
-def swap_qudit_gc(link1: LinkResource, link2: LinkResource) -> LinkResource:
-    """Deterministic qudit swap: G-concurrences multiply."""
-    if link1.kind != "qudit_pure" or link2.kind != "qudit_pure":
-        raise ValueError(f"expected two qudit_pure links, got {link1.kind}, {link2.kind}")
-    if link1.d != link2.d:
-        raise ValueError(f"qudit dimensions differ: {link1.d} != {link2.d}")
-    cg = link1.native_value * link2.native_value
-    return qudit_link(lam=canonical_qudit_schmidt(cg, link1.d), d=link1.d)
-
-
 def characteristic_length(link_measure_value: float) -> float:
     """-1/ln(e) with the link spacing as the length unit; +inf at e = 1."""
     e = float(link_measure_value)
@@ -214,8 +188,9 @@ def chain_compose(links, measure: str | None = None, alpha: float = 1.0) -> Chai
     """Compose a homogeneous chain of links under a multiplicative measure.
 
     end_to_end is the product of per-hop values; for tmsvs chains the
-    composite squeezing parameter is also reported. Heterogeneous chains
-    and non-multiplicative measure/kind pairings are rejected.
+    composite squeezing parameter is also reported. Links of different
+    kinds or local dimensions, and non-multiplicative measure/kind
+    pairings, are rejected.
     """
     links = list(links)
     if not links:
@@ -223,6 +198,9 @@ def chain_compose(links, measure: str | None = None, alpha: float = 1.0) -> Chai
     kinds = {lk.kind for lk in links}
     if len(kinds) > 1:
         raise ValueError(f"heterogeneous chains are not supported: {sorted(kinds)}")
+    dims = {lk.d for lk in links}
+    if len(dims) > 1:
+        raise ValueError(f"link dimensions differ: {sorted(dims)}")
     kind = links[0].kind
     if measure is None:
         measure = SUPPORTED_MEASURES[kind][0]
@@ -232,12 +210,31 @@ def chain_compose(links, measure: str | None = None, alpha: float = 1.0) -> Chai
     end = math.prod(per_hop)
     composite_r = None
     if kind == "tmsvs":
-        composite_r = math.atanh(math.prod(lk.native_value for lk in links))
+        chi = math.prod(lk.native_value for lk in links)
+        if chi == 1.0:
+            raise ValueError("the product of tanh r over the links rounds to 1 in float64, "
+                             "so the composite squeezing parameter cannot be represented")
+        composite_r = math.atanh(chi)
     # -l/ln(end); continuous extension 0 for a dead link, +inf for all-Bell.
     xi = characteristic_length(end ** (1.0 / len(links))) if end > 0 else 0.0
     return ChainResult(kind=kind, measure=measure, alpha=alpha, per_hop=per_hop,
                        end_to_end=end, characteristic_length=xi, length=len(links),
                        composite_r=composite_r)
+
+
+def swap(link1: LinkResource, link2: LinkResource) -> LinkResource:
+    """Optimal swap of two links: the two-link chain as one link of the same kind.
+
+    Its native value is the chain's end_to_end product. A qubit or qudit
+    output carries the canonical Schmidt vector of that value; a tmsvs
+    output carries the chain's composite squeezing parameter.
+    """
+    res = chain_compose([link1, link2])
+    if res.kind == "qubit_pure":
+        return qubit_link(concurrence=res.end_to_end)
+    if res.kind == "qudit_pure":
+        return qudit_link(d=link1.d, g_concurrence=res.end_to_end)
+    return LinkResource(kind="tmsvs", r=res.composite_r, native_value=res.end_to_end)
 
 
 @dataclass(frozen=True)
@@ -249,9 +246,6 @@ class FockCrosscheckReport:
     expected: dict[float, float]   # alpha -> tanh(r)^(l*alpha)
     computed: dict[float, float]   # alpha -> dense alpha-ratio negativity
     deviation: dict[float, float]
-
-    def max_deviation(self) -> float:
-        return max(self.deviation.values())
 
 
 def chain_fock_crosscheck(r: float, length: int, cutoff: int,
@@ -265,8 +259,6 @@ def chain_fock_crosscheck(r: float, length: int, cutoff: int,
     """
     if length < 2:
         raise ValueError(f"need at least 2 links, got {length}")
-    if r <= 0:
-        raise ValueError(f"squeezing parameter must be > 0, got {r}")
     composite_r = chain_compose([tmsvs_link(r)] * length).composite_r
     dense = tmsvs_truncated(TmsvsSpec.from_r(composite_r, cutoff=cutoff)).density_matrix()
     chi_dense = ratio_negativity(dense)

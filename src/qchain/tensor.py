@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 HERM_TOL_BASE = 1e-10
-EIG_TOL = 1e-10
 NORM_TOL = 1e-10
 SCHMIDT_CUTOFF = 1e-12
 HERM_STRIP = 64

@@ -186,6 +186,13 @@ class TestIgnoredFlagsRefused:
         assert main(["measure", "--input", bell_file, "--cutoff", "5"]) == EXIT_VALIDATION
         assert "--cutoff" in capsys.readouterr().err
 
+    def test_measure_cutoff_with_a_file_cutoff(self, tmp_path, capsys):
+        path = write_json(tmp_path / "tmsvs.json", {"kind": "tmsvs", "r": 0.5, "cutoff": 10})
+        assert main(["measure", "--input", path, "--cutoff", "50"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "--cutoff 50" in err and "cutoff 10" in err
+        assert main(["measure", "--input", path, "--output", str(tmp_path / "r.json")]) == EXIT_OK
+
     @pytest.mark.parametrize("flag,value", [("--dims", "2,2,2"), ("--samples", "10"),
                                             ("--alpha", "2.0"), ("--seed", "3")])
     def test_monogamy_input_with_scan_flags(self, tmp_path, flag, value, capsys):
@@ -509,6 +516,13 @@ class TestInputFileFields:
         ("sweep", {**CHAIN, "bogus": 1}, CHAIN_SCHEMA, "bogus"),
         ("chain", {**CHAIN, "links": {"identical": {"r": 0.5}, "count": 3, "bogus": 1}},
          CHAIN_SCHEMA, "bogus"),
+        ("chain", {**CHAIN, "links": [{"r": 0.5, "bogus": 1}]}, CHAIN_SCHEMA, "bogus"),
+        ("sweep", {**CHAIN, "links": {"identical": {"r": 0.5, "d": 2}, "count": 3}},
+         CHAIN_SCHEMA, "d"),
+        ("chain", {"kind": "qubit", "links": [{"concurrence": 0.5, "d": 3}]}, CHAIN_SCHEMA, "d"),
+        ("sweep", {"kind": "qubit", "links": [{"concurrence": 0.5, "r": 3}]}, CHAIN_SCHEMA, "r"),
+        ("chain", {"kind": "qudit", "links": [{"d": 3, "g_concurrence": 0.5, "concurrence": 0.5}]},
+         CHAIN_SCHEMA, "concurrence"),
     ])
     def test_unknown_keys_rejected(self, tmp_path, command, doc, schema, key, capsys):
         # Every input schema says additionalProperties: false.
@@ -522,6 +536,10 @@ class TestInputFileFields:
         ("chain", {**CHAIN, "alpha": 2}, CHAIN_SCHEMA),
         ("sweep", {**CHAIN, "links": {"identical": {"r": 0.5}, "count": 3.0}}, CHAIN_SCHEMA),
         ("monogamy", {**SCAN, "samples": 10.0, "alpha": 2}, SCAN_SCHEMA),
+        ("chain", {"kind": "qubit", "links": [{"lambda": [0.9, 0.1]}, {"concurrence": 0.5}]},
+         CHAIN_SCHEMA),
+        ("sweep", {"kind": "qudit", "links": [{"lambda": [0.5, 0.3, 0.2], "d": 3},
+                                              {"d": 3, "g_concurrence": 0.5}]}, CHAIN_SCHEMA),
     ])
     def test_schema_valid_numbers_accepted(self, tmp_path, command, doc, schema):
         # JSON Schema's "integer" admits 3.0; "number" admits 2.
@@ -529,6 +547,29 @@ class TestInputFileFields:
         path = write_json(tmp_path / "input.json", doc)
         out = tmp_path / "out.json"
         assert main([command, "--input", path, "--output", str(out)]) == EXIT_OK
+
+
+class TestChainRefusals:
+    """Chain files that the library refuses exit 2 with the library's cause."""
+
+    @pytest.mark.parametrize("command", ["chain", "sweep"])
+    @pytest.mark.parametrize("doc,message", [
+        ({"kind": "qudit", "links": [{"lambda": [0.5, 0.5]}, {"lambda": [0.4, 0.3, 0.3]}]},
+         "link dimensions differ: [2, 3]"),
+        ({"kind": "qudit", "links": [{"d": 3, "g_concurrence": 0.5}] * 2
+          + [{"d": 4, "g_concurrence": 0.5}]}, "link dimensions differ: [3, 4]"),
+        ({"kind": "tmsvs", "links": [{"r": 0.5}, {"r": 0}]},
+         "squeezing parameter r must be finite and > 0, got 0.0"),
+        ({"kind": "tmsvs", "links": {"identical": {"r": -0.5}, "count": 2}},
+         "squeezing parameter r must be finite and > 0, got -0.5"),
+        ({"kind": "tmsvs", "links": [{"r": 20}]}, "rounds to 1 in float64"),
+        ({"kind": "tmsvs", "links": {"identical": {"r": 25}, "count": 3}},
+         "rounds to 1 in float64"),
+    ])
+    def test_refused(self, tmp_path, command, doc, message, capsys):
+        path = write_json(tmp_path / "chain.json", doc)
+        assert main([command, "--input", path]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
 
 
 def strict_json(text):

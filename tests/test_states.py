@@ -152,7 +152,7 @@ class TestTmsvs:
         with pytest.raises(ValueError):
             TmsvsSpec.from_r(-1.0)
         with pytest.raises(ValueError):
-            TmsvsSpec.from_chi(1.0)
+            TmsvsSpec(r=1.0, chi=1.0, cutoff=5)
         with pytest.raises(ValueError):
             TmsvsSpec(r=1.0, chi=math.tanh(1.0), cutoff=0)
 

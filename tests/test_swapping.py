@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qchain.gaussian import tmsvs_cm
 from qchain.measures import (
     concurrence_pure,
     g_concurrence_pure,
@@ -21,9 +22,7 @@ from qchain.swapping import (
     canonical_qudit_schmidt,
     qubit_link,
     qudit_link,
-    swap_qubit_pure,
-    swap_qudit_gc,
-    swap_tmsvs,
+    swap,
     tmsvs_link,
 )
 
@@ -32,17 +31,18 @@ EPS = np.finfo(float).eps
 
 class TestSwapTmsvs:
     def test_equal_links(self):
-        out = swap_tmsvs(0.5, 0.5)
-        assert out.chi == math.tanh(0.5) * math.tanh(0.5)
+        out = swap(tmsvs_link(0.5), tmsvs_link(0.5))
+        assert out.kind == "tmsvs"
+        assert out.native_value == math.tanh(0.5) * math.tanh(0.5)
         assert abs(out.r - math.atanh(math.tanh(0.5) ** 2)) < 1e-15
 
     def test_near_maximal_partner_is_lossless(self):
-        out = swap_tmsvs(0.5, 20.0)
-        assert abs(out.chi - math.tanh(0.5)) < 1e-12
+        out = swap(tmsvs_link(0.5), tmsvs_link(20.0))
+        assert abs(out.native_value - math.tanh(0.5)) < 1e-12
 
     def test_fock_crosscheck_of_one_swap(self):
-        out = swap_tmsvs(0.5, 0.5)
-        st = tmsvs_truncated(TmsvsSpec(r=out.r, chi=out.chi, cutoff=40))
+        out = swap(tmsvs_link(0.5), tmsvs_link(0.5))
+        st = tmsvs_truncated(TmsvsSpec(r=out.r, chi=out.native_value, cutoff=40))
         links = math.tanh(0.5) ** 2
         assert abs(ratio_negativity(st) - links) < 1e-6
 
@@ -50,25 +50,35 @@ class TestSwapTmsvs:
         rng = substream(34, 0)
         for _ in range(500):
             r1, r2 = rng.uniform(0.05, 2.0, 2)
-            out = swap_tmsvs(r1, r2)
-            assert abs(out.chi - math.tanh(r1) * math.tanh(r2)) <= 1e-10 * out.chi
-            assert abs(math.tanh(out.r) - out.chi) <= 1e-12
+            out = swap(tmsvs_link(r1), tmsvs_link(r2))
+            assert abs(out.native_value - math.tanh(r1) * math.tanh(r2)) <= 1e-10 * out.native_value
+            assert abs(math.tanh(out.r) - out.native_value) <= 1e-12
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            swap_tmsvs(0.0, 1.0)
+        for r in (0.0, -0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="squeezing parameter r must be finite and > 0"):
+                swap(tmsvs_link(r), tmsvs_link(1.0))
+
+    def test_saturated_product_is_named(self):
+        # tanh r is exactly 1.0 in float64 from r ~ 19.06 on, so the
+        # product of two such links has no atanh.
+        for chain in ([tmsvs_link(20.0)], [tmsvs_link(20.0), tmsvs_link(25.0)]):
+            with pytest.raises(ValueError, match="rounds to 1 in float64"):
+                chain_compose(chain)
+        with pytest.raises(ValueError, match="rounds to 1 in float64"):
+            swap(tmsvs_link(20.0), tmsvs_link(25.0))
 
 
 class TestSwapQubit:
     def test_two_bell_links_stay_bell(self):
         bell = qubit_link(concurrence=1.0)
-        out = swap_qubit_pure(bell, bell)
+        out = swap(bell, bell)
         assert out.native_value == 1.0
         assert np.allclose(out.schmidt, (0.5, 0.5))
 
     def test_product_concurrence_and_canonical_pair(self):
         link = qubit_link(concurrence=0.6)
-        out = swap_qubit_pure(link, link)
+        out = swap(link, link)
         assert abs(out.native_value - 0.36) < 1e-12
         # Solving 2 sqrt(l (1-l)) = 0.36 gives l = (1 + sqrt(1 - 0.36^2))/2.
         expected_hi = (1 + math.sqrt(1 - 0.36 ** 2)) / 2
@@ -76,26 +86,26 @@ class TestSwapQubit:
         assert abs(out.schmidt[1] - (1 - expected_hi)) < 1e-12
 
     def test_dead_partner_kills_the_chain(self):
-        out = swap_qubit_pure(qubit_link(concurrence=0.6), qubit_link(concurrence=0.0))
+        out = swap(qubit_link(concurrence=0.6), qubit_link(concurrence=0.0))
         assert out.native_value == 0.0
         assert out.schmidt == (1.0, 0.0)
 
     def test_kind_mismatch(self):
         with pytest.raises(ValueError):
-            swap_qubit_pure(qubit_link(concurrence=0.5), tmsvs_link(0.5))
+            swap(qubit_link(concurrence=0.5), tmsvs_link(0.5))
 
     def test_rule_vs_state_multiplicativity(self):
         rng = substream(31, 0)
         for _ in range(500):
             c1, c2 = rng.uniform(0.01, 1.0, 2)
-            out = swap_qubit_pure(qubit_link(concurrence=c1), qubit_link(concurrence=c2))
+            out = swap(qubit_link(concurrence=c1), qubit_link(concurrence=c2))
             assert abs(out.native_value - c1 * c2) <= 1e-10 * c1 * c2
 
     def test_dense_state_crosscheck(self):
         rng = substream(32, 0)
         for _ in range(100):
             c1, c2 = rng.uniform(0.05, 1.0, 2)
-            out = swap_qubit_pure(qubit_link(concurrence=c1), qubit_link(concurrence=c2))
+            out = swap(qubit_link(concurrence=c1), qubit_link(concurrence=c2))
             state = pure_from_schmidt(out.schmidt, (2, 2))
             assert abs(concurrence_pure(state) - c1 * c2) < 1e-6
 
@@ -103,30 +113,35 @@ class TestSwapQubit:
 class TestSwapQudit:
     def test_maximally_entangled_qutrits(self):
         link = qudit_link(lam=[1 / 3] * 3)
-        out = swap_qudit_gc(link, link)
+        out = swap(link, link)
         assert abs(out.native_value - 1.0) < 1e-12
 
     def test_value_is_product(self):
         lam = [0.5, 0.3, 0.2]
         link = qudit_link(lam=lam)
         cg = g_concurrence_pure(lam, 3)
-        out = swap_qudit_gc(link, link)
+        out = swap(link, link)
         assert abs(out.native_value - cg ** 2) < 1e-10
 
     def test_output_state_matches_target_value(self):
-        out = swap_qudit_gc(qudit_link(lam=[0.5, 0.3, 0.2]), qudit_link(lam=[0.6, 0.25, 0.15]))
+        out = swap(qudit_link(lam=[0.5, 0.3, 0.2]), qudit_link(lam=[0.6, 0.25, 0.15]))
         assert abs(g_concurrence_pure(out.schmidt, 3) - out.native_value) < 1e-10
 
     def test_qubit_consistency(self):
         for c1, c2 in [(0.6, 0.6), (0.9, 0.4), (1.0, 0.7)]:
-            as_qudit = swap_qudit_gc(qudit_link(lam=canonical_qubit_schmidt(c1), d=2),
-                                     qudit_link(lam=canonical_qubit_schmidt(c2), d=2))
-            as_qubit = swap_qubit_pure(qubit_link(concurrence=c1), qubit_link(concurrence=c2))
+            as_qudit = swap(qudit_link(lam=canonical_qubit_schmidt(c1), d=2),
+                            qudit_link(lam=canonical_qubit_schmidt(c2), d=2))
+            as_qubit = swap(qubit_link(concurrence=c1), qubit_link(concurrence=c2))
             assert as_qudit.schmidt == as_qubit.schmidt
 
     def test_dimension_mismatch(self):
+        # A swap refuses the same links as the two-link chain, with one message.
+        links = [qudit_link(lam=[0.5, 0.5]), qudit_link(lam=[0.4, 0.3, 0.3])]
         with pytest.raises(ValueError, match="dimensions"):
-            swap_qudit_gc(qudit_link(lam=[0.5, 0.5]), qudit_link(lam=[0.4, 0.3, 0.3]))
+            swap(*links)
+        for chain in (links, links[::-1], [links[0]] * 3 + [links[1]]):
+            with pytest.raises(ValueError, match=r"link dimensions differ: \[2, 3\]"):
+                chain_compose(chain)
 
     def test_rule_multiplicativity(self):
         rng = substream(33, 0)
@@ -136,7 +151,7 @@ class TestSwapQudit:
             lam2 = rng.uniform(0.05, 1.0, 3)
             lam2 /= lam2.sum()
             l1, l2 = qudit_link(lam=lam1), qudit_link(lam=lam2)
-            out = swap_qudit_gc(l1, l2)
+            out = swap(l1, l2)
             target = l1.native_value * l2.native_value
             assert abs(out.native_value - target) <= 1e-10 * max(target, 1e-300)
             # State-level: the emitted Schmidt vector carries the value.
@@ -171,10 +186,10 @@ class TestCanonicalSchmidt:
         assert qubit_link(concurrence=1e-8).native_value == 1e-8
         assert qubit_link(concurrence=1e-6).native_value == 1e-6
         link = qubit_link(concurrence=0.00195)
-        out = swap_qubit_pure(swap_qubit_pure(link, link), link)
+        out = swap(swap(link, link), link)
         assert abs(out.native_value - 0.00195 ** 3) <= 1e-15 * 0.00195 ** 3
         as_qudit = qudit_link(lam=canonical_qubit_schmidt(0.00195), d=2)
-        out = swap_qudit_gc(swap_qudit_gc(as_qudit, as_qudit), as_qudit)
+        out = swap(swap(as_qudit, as_qudit), as_qudit)
         assert abs(out.native_value - 0.00195 ** 3) <= 1e-15 * 0.00195 ** 3
 
 
@@ -248,14 +263,14 @@ class TestCharacteristicLength:
 class TestAssociativityAndGauge:
     def test_swap_associativity(self):
         a, b, c = (qubit_link(concurrence=x) for x in (0.9, 0.6, 0.3))
-        left = swap_qubit_pure(swap_qubit_pure(a, b), c)
-        right = swap_qubit_pure(a, swap_qubit_pure(b, c))
+        left = swap(swap(a, b), c)
+        right = swap(a, swap(b, c))
         assert abs(left.native_value - right.native_value) < 1e-12
 
-        r1, r2, r3 = 0.4, 0.8, 1.1
-        left_t = swap_tmsvs(swap_tmsvs(r1, r2).r, r3)
-        right_t = swap_tmsvs(r1, swap_tmsvs(r2, r3).r)
-        assert abs(left_t.chi - right_t.chi) < 1e-12
+        t1, t2, t3 = (tmsvs_link(r) for r in (0.4, 0.8, 1.1))
+        left_t = swap(swap(t1, t2), t3)
+        right_t = swap(t1, swap(t2, t3))
+        assert abs(left_t.native_value - right_t.native_value) < 1e-12
 
     def test_gauge_redundancy(self):
         chis = [math.tanh(r) for r in (0.2, 0.5, 0.8, 1.1, 1.7)]
@@ -302,6 +317,13 @@ class TestQuditTargets:
             value = qudit_link(d=d, g_concurrence=g).native_value
             assert abs(value - g) <= 8 * EPS * (1.0 + abs(math.log(g))) * g, (d, g, value)
 
+    @pytest.mark.parametrize("d", range(3, 17))
+    def test_maximally_entangled_link(self, d):
+        # d exp(mean(log(1/d))) rounds to 1 + 2.2e-16 at d = 6, 8 and 14;
+        # the G-concurrence reads at most 1 there, so the link is accepted.
+        for link in (qudit_link(d=d, g_concurrence=1.0), qudit_link(lam=[1 / d] * d)):
+            assert 1.0 - 8 * EPS <= link.native_value <= 1.0
+
     @pytest.mark.parametrize("d", [3, 4, 8, 16])
     def test_unreachable_target_raises(self, d):
         # lambda_{d-1} would lie below the smallest normal float64.
@@ -325,7 +347,7 @@ def test_d2_qudit_links_are_qubit_links(specs):
               for how, v in specs]
     for a, b in zip(qubits, qudits):
         assert (a.schmidt, a.native_value) == (b.schmidt, b.native_value)
-    a, b = functools.reduce(swap_qubit_pure, qubits), functools.reduce(swap_qudit_gc, qudits)
+    a, b = functools.reduce(swap, qubits), functools.reduce(swap, qudits)
     assert (a.schmidt, a.native_value) == (b.schmidt, b.native_value)
     a, b = chain_compose(qubits), chain_compose(qudits)
     assert (a.per_hop, a.end_to_end, a.characteristic_length) \
@@ -377,3 +399,47 @@ def test_chain_values_multiply(case):
     if res.composite_r is not None:
         chis = [lk.native_value for lk in links]
         assert math.isclose(math.tanh(res.composite_r), math.prod(chis), rel_tol=1e-12)
+
+
+@st.composite
+def link_pairs(draw):
+    """Two links of one kind (and one d), with the kind's native values."""
+    kind = draw(st.sampled_from(["qubit", "qudit", "tmsvs"]))
+    if kind == "qubit":
+        return [qubit_link(concurrence=v) if how == "target" else qubit_link(lam=v)
+                for how, v in (draw(QUBIT_LINK_SPECS), draw(QUBIT_LINK_SPECS))]
+    if kind == "qudit":
+        d = draw(st.integers(2, 6))
+        return [qudit_link(d=d, g_concurrence=draw(st.floats(1e-3, 1.0))) for _ in range(2)]
+    return [tmsvs_link(draw(st.floats(1e-3, 18.0))) for _ in range(2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=link_pairs())
+def test_swap_is_the_two_link_chain(pair):
+    # A qubit or qudit output's native value is that of the canonical
+    # Schmidt vector for the product, so it may differ from v in its last
+    # bits; a tmsvs output carries v itself.
+    l1, l2 = pair
+    v = chain_compose([l1, l2]).end_to_end
+    assert v == l1.native_value * l2.native_value
+    out = swap(l1, l2)
+    if l1.kind == "qubit_pure":
+        assert out == qubit_link(concurrence=v)
+    elif l1.kind == "qudit_pure":
+        assert out == qudit_link(d=l1.d, g_concurrence=v)
+    else:
+        assert out.native_value == v
+        assert out.r == math.atanh(v)
+
+
+class TestSqueezingParameter:
+    @pytest.mark.parametrize("r", [0.0, -0.5, math.inf, -math.inf, math.nan])
+    def test_one_rule_everywhere(self, r):
+        # The link, the Fock cross-check, the spec and the covariance
+        # matrix share states.require_squeezing and its message.
+        for build in (tmsvs_link, lambda x: chain_fock_crosscheck(x, 2, 10),
+                      TmsvsSpec.from_r, lambda x: TmsvsSpec(r=x, chi=0.5, cutoff=5), tmsvs_cm):
+            with pytest.raises(ValueError, match=r"squeezing parameter r must be finite and > 0, "
+                                                 rf"got {r}"):
+                build(r)
