@@ -89,7 +89,7 @@ LINK_SCHEMAS = {
     },
     "qudit": {
         "type": "object",
-        "properties": {"lambda": _SCHMIDT_VECTOR,
+        "properties": {"lambda": {**_SCHMIDT_VECTOR, "minItems": 2},
                        "d": {"type": "integer", "minimum": 2},
                        "g_concurrence": _UNIT_NUMBER},
         "additionalProperties": False,

@@ -182,27 +182,29 @@ def require_squeezing(r) -> float:
 
 @dataclass(frozen=True)
 class TmsvsSpec:
-    """Two-mode squeezed vacuum parameters: squeezing r, chi = tanh r,
-    and the Fock cutoff used for truncation."""
+    """Two-mode squeezed vacuum parameters: squeezing r and the Fock cutoff
+    used for truncation; chi = tanh r."""
 
     r: float
-    chi: float
     cutoff: int
 
     def __post_init__(self):
-        if not (0 < self.chi < 1):
-            raise ValueError(f"chi must lie in (0, 1), got {self.chi}")
         require_squeezing(self.r)
+        if not self.chi < 1:
+            raise ValueError(f"chi = tanh r must lie below 1 in float64, got r = {self.r}")
         if self.cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
+
+    @property
+    def chi(self) -> float:
+        return math.tanh(self.r)
 
     @staticmethod
     def from_r(r: float, cutoff: int | None = None) -> "TmsvsSpec":
         r = require_squeezing(r)
-        chi = math.tanh(r)
         if cutoff is None:
-            cutoff = default_cutoff(chi)
-        return TmsvsSpec(r=r, chi=chi, cutoff=int(cutoff))
+            cutoff = default_cutoff(math.tanh(r))
+        return TmsvsSpec(r=r, cutoff=int(cutoff))
 
     @property
     def truncation_deficit(self) -> float:

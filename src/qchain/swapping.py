@@ -12,19 +12,20 @@ Chains hold links of one kind and one local dimension; the end-to-end value
 is the product of per-hop values and the characteristic length is -1/ln of
 the per-link value.
 
-Each value has one rule: a link's native value comes from `measures`, so a
-d = 2 qudit link equals the matching qubit link bit for bit, and every
-product of link values comes from `chain_compose`. A swap is the two-link
-chain turned back into a link, and the Fock cross-check takes its composite
-from the same chain.
+Each value has one rule: a link built from a target value carries exactly
+that value, a link built from Schmidt coefficients takes its value from
+`measures` (so a d = 2 qudit link equals the matching qubit link bit for
+bit), and every product of link values comes from `chain_compose`. A swap
+is the two-link chain turned back into a link, and the Fock cross-check
+takes its composite from the same chain.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .measures import (_check_alpha, _check_distribution, g_concurrence_pure,
                        ratio_negativity, scp_pure_qubit)
@@ -42,8 +43,9 @@ SUPPORTED_MEASURES = {
 
 @dataclass(frozen=True)
 class LinkResource:
-    """One link of a chain: its kind, Schmidt data or squeezing parameter,
-    and the cached value of its kind's native measure."""
+    """One link of a chain: its kind, Schmidt data (none for a qudit link
+    built from a target) or squeezing parameter, and the value of its
+    kind's native measure."""
 
     kind: str
     schmidt: tuple[float, ...] | None = None
@@ -63,37 +65,58 @@ class LinkResource:
             raise ValueError(
                 f"measure {measure!r} is not multiplicative under {self.kind} swapping; "
                 f"supported: {SUPPORTED_MEASURES[self.kind]}")
-        if measure == "scp":
-            return scp_pure_qubit(self.schmidt)
         if measure == "alpha_ratio":
             _check_alpha(alpha)
             return self.native_value ** alpha
+        if alpha != 1.0:
+            raise ValueError(f"alpha {alpha!r} applies only to the alpha_ratio measure; "
+                             f"{measure!r} takes alpha 1")
+        if measure == "scp":
+            return scp_pure_qubit(self.schmidt)
         return self.native_value
 
 
+def _target(value: float, name: str) -> float:
+    if not (0.0 <= value <= 1.0):
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    return float(value)
+
+
 def qubit_link(lam=None, concurrence: float | None = None) -> LinkResource:
-    """Pure 2-qubit link from a Schmidt pair or a target concurrence."""
+    """Pure 2-qubit link from a Schmidt pair or a target concurrence.
+
+    A target link carries exactly the target as its value, with the
+    canonical Schmidt pair of that concurrence for `scp`.
+    """
     if (lam is None) == (concurrence is None):
         raise ValueError("give exactly one of lam or concurrence")
     if lam is None:
-        if not (0.0 <= concurrence <= 1.0):
-            raise ValueError(f"concurrence must lie in [0, 1], got {concurrence}")
-        lam = canonical_qubit_schmidt(concurrence)
+        c = _target(concurrence, "concurrence")
+        return LinkResource(kind="qubit_pure", schmidt=canonical_qubit_schmidt(c), d=2,
+                            native_value=c)
     lam = tuple(float(x) for x in _check_distribution(lam, 2))
     return LinkResource(kind="qubit_pure", schmidt=lam, d=2, native_value=g_concurrence_pure(lam, 2))
 
 
 def qudit_link(lam=None, d: int | None = None, g_concurrence: float | None = None) -> LinkResource:
-    """Pure 2-qudit link from a Schmidt vector or a target G-concurrence."""
+    """Pure 2-qudit link from a Schmidt vector of at least two coefficients,
+    or from a local dimension d >= 2 and a target G-concurrence.
+
+    A target link carries exactly the target as its value and no Schmidt
+    vector: the swapping rule fixes only the measure value.
+    """
     if (lam is None) == (g_concurrence is None):
         raise ValueError("give exactly one of lam or g_concurrence")
     if lam is None:
-        if d is None or d < 2:
-            raise ValueError("qudit links need the local dimension d >= 2")
-        lam = canonical_qudit_schmidt(g_concurrence, d)
+        if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 2:
+            raise ValueError(f"qudit links need an integer local dimension d >= 2, got {d!r}")
+        return LinkResource(kind="qudit_pure", d=int(d),
+                            native_value=_target(g_concurrence, "G-concurrence"))
     lam = tuple(float(x) for x in _check_distribution(lam, None if d is None else int(d)))
-    d = len(lam)
-    return LinkResource(kind="qudit_pure", schmidt=lam, d=d, native_value=g_concurrence_pure(lam, d))
+    if len(lam) < 2:
+        raise ValueError(f"qudit links need at least 2 Schmidt coefficients, got {len(lam)}")
+    return LinkResource(kind="qudit_pure", schmidt=lam, d=len(lam),
+                        native_value=g_concurrence_pure(lam, len(lam)))
 
 
 def tmsvs_link(r: float) -> LinkResource:
@@ -109,45 +132,6 @@ def canonical_qubit_schmidt(concurrence: float) -> tuple[float, float]:
     """
     root = math.sqrt(max(0.0, 1.0 - concurrence ** 2))
     return ((1.0 + root) / 2.0, concurrence ** 2 / (2.0 * (1.0 + root)))
-
-
-def canonical_qudit_schmidt(g_concurrence: float, d: int) -> tuple[float, ...]:
-    """Geometric Schmidt vector lambda_i proportional to q^i matching a
-    target G-concurrence.
-
-    The swapping rule fixes only the measure value of the output; this
-    one-parameter family supplies a deterministic representative; at d = 2
-    it is the canonical qubit pair. Otherwise q is bisected (the map q ->
-    G-concurrence is strictly increasing from 0 to 1) until the midpoint
-    equals an end of the bracket; the target 1 yields the uniform vector. A
-    target whose vector underflows float64 (below about 1e-300 at d = 3)
-    raises ValueError.
-    """
-    if not (0.0 <= g_concurrence <= 1.0):
-        raise ValueError(f"G-concurrence must lie in [0, 1], got {g_concurrence}")
-    if d == 2:
-        return canonical_qubit_schmidt(g_concurrence)
-    if g_concurrence == 1.0:
-        return tuple([1.0 / d] * d)
-    if g_concurrence == 0.0:
-        return tuple([1.0] + [0.0] * (d - 1))
-
-    def geometric(q: float) -> np.ndarray:
-        lam = q ** np.arange(d)
-        return lam / lam.sum()
-
-    lo, hi = 0.0, 1.0
-    mid = (lo + hi) / 2.0
-    while lo < mid < hi:
-        if g_concurrence_pure(geometric(mid), d) < g_concurrence:
-            lo = mid
-        else:
-            hi = mid
-        mid = (lo + hi) / 2.0
-    lam = geometric(hi)
-    if lam[-1] < np.finfo(float).tiny:
-        raise ValueError(f"G-concurrence {g_concurrence!r} at d = {d} underflows float64")
-    return tuple(float(x) for x in lam)
 
 
 def characteristic_length(link_measure_value: float) -> float:
@@ -190,7 +174,8 @@ def chain_compose(links, measure: str | None = None, alpha: float = 1.0) -> Chai
     end_to_end is the product of per-hop values; for tmsvs chains the
     composite squeezing parameter is also reported. Links of different
     kinds or local dimensions, and non-multiplicative measure/kind
-    pairings, are rejected.
+    pairings, are rejected. A product below the normal float64 range is
+    rejected unless a link is dead (value 0), which gives xi = 0.
     """
     links = list(links)
     if not links:
@@ -208,9 +193,16 @@ def chain_compose(links, measure: str | None = None, alpha: float = 1.0) -> Chai
             measure = "alpha_ratio"
     per_hop = tuple(lk.measure_value(measure, alpha) for lk in links)
     end = math.prod(per_hop)
+    if end < sys.float_info.min and all(lk.native_value > 0.0 for lk in links):
+        raise ValueError(f"the end-to-end value of {len(links)} links, {end!r}, lies below the "
+                         f"normal float64 range, so its characteristic length is not reliable")
     composite_r = None
     if kind == "tmsvs":
         chi = math.prod(lk.native_value for lk in links)
+        if chi < sys.float_info.min:
+            raise ValueError(f"the product of tanh r over {len(links)} links, {chi!r}, lies below "
+                             f"the normal float64 range, so the composite squeezing parameter "
+                             f"is not reliable")
         if chi == 1.0:
             raise ValueError("the product of tanh r over the links rounds to 1 in float64, "
                              "so the composite squeezing parameter cannot be represented")
@@ -225,9 +217,10 @@ def chain_compose(links, measure: str | None = None, alpha: float = 1.0) -> Chai
 def swap(link1: LinkResource, link2: LinkResource) -> LinkResource:
     """Optimal swap of two links: the two-link chain as one link of the same kind.
 
-    Its native value is the chain's end_to_end product. A qubit or qudit
-    output carries the canonical Schmidt vector of that value; a tmsvs
-    output carries the chain's composite squeezing parameter.
+    Its native value is the chain's end_to_end product, exactly, for every
+    kind. A qubit output also carries the canonical Schmidt pair of that
+    value, a qudit output carries no Schmidt vector, and a tmsvs output
+    carries the chain's composite squeezing parameter.
     """
     res = chain_compose([link1, link2])
     if res.kind == "qubit_pure":

@@ -565,11 +565,77 @@ class TestChainRefusals:
         ({"kind": "tmsvs", "links": [{"r": 20}]}, "rounds to 1 in float64"),
         ({"kind": "tmsvs", "links": {"identical": {"r": 25}, "count": 3}},
          "rounds to 1 in float64"),
+        ({"kind": "qubit", "links": [{"concurrence": 0.5}], "alpha": 2},
+         "alpha 2.0 applies only to the alpha_ratio measure; 'concurrence' takes alpha 1"),
+        ({"kind": "tmsvs", "links": [{"r": 0.5}], "measure": "ratio", "alpha": 2},
+         "alpha 2.0 applies only to the alpha_ratio measure; 'ratio' takes alpha 1"),
+        ({"kind": "qudit", "links": [{"d": 3, "g_concurrence": 0.5}], "alpha": 0.5},
+         "alpha 0.5 applies only to the alpha_ratio measure; 'g_concurrence' takes alpha 1"),
+        ({"kind": "qubit", "links": {"identical": {"concurrence": 1e-160}, "count": 2}},
+         "end-to-end value of 2 links, 1e-320, lies below the normal float64 range"),
+        ({"kind": "tmsvs", "links": [{"r": 1e-200}, {"r": 1e-200}]},
+         "end-to-end value of 2 links, 0.0, lies below the normal float64 range"),
+        ({"kind": "tmsvs", "links": [{"r": 1e-200}, {"r": 1e-200}], "alpha": 0.5},
+         "product of tanh r over 2 links, 0.0, lies below the normal float64 range"),
     ])
     def test_refused(self, tmp_path, command, doc, message, capsys):
         path = write_json(tmp_path / "chain.json", doc)
         assert main([command, "--input", path]) == EXIT_VALIDATION
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["chain", "sweep"])
+    @pytest.mark.parametrize("links", [[{"lambda": [1.0]}],
+                                       {"identical": {"lambda": [1.0], "d": 1}, "count": 2}])
+    def test_single_schmidt_coefficient(self, tmp_path, command, links, capsys):
+        doc = {"kind": "qudit", "links": links}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, CHAIN_SCHEMA)
+        assert main([command, "--input", write_json(tmp_path / "chain.json", doc)]) \
+            == EXIT_VALIDATION
+        assert "at least 2 Schmidt coefficients, got 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["chain", "sweep"])
+    def test_dead_link_keeps_xi_zero(self, tmp_path, command):
+        doc = {"kind": "qubit", "links": [{"concurrence": 0.0}] + [{"concurrence": 1e-160}] * 2}
+        out = tmp_path / "out.json"
+        assert main([command, "--input", write_json(tmp_path / "chain.json", doc),
+                     "--output", str(out)]) == EXIT_OK
+        result = load_report(out)["result"]
+        last = result["rows"][-1] if command == "sweep" else result
+        assert last["xi" if command == "sweep" else "characteristic_length"] == 0.0
+
+
+class TestTargetChainsReportClosedForms:
+    """A chain of links built from a target value e reports e per hop and
+    xi = -1/ln e, bit for bit."""
+
+    def test_benchmark_sweep(self, tmp_path):
+        # The sweep the benchmark runs: 50 d = 8 links of G-concurrence 0.9.
+        doc = {"kind": "qudit", "links": {"identical": {"d": 8, "g_concurrence": 0.9}, "count": 50}}
+        out = tmp_path / "out.json"
+        path = write_json(tmp_path / "sweep.json", doc)
+        assert main(["sweep", "--input", path, "--output", str(out)]) == EXIT_OK
+        rows = load_report(out)["result"]["rows"]
+        assert [row["value"] for row in rows] == [math.prod([0.9] * l) for l in range(1, 51)]
+        assert rows[-1]["value"] == 0.9 ** 50
+        assert {row["xi"] for row in rows} == {-1.0 / math.log(0.9)}
+        assert main(["chain", "--input", path, "--output", str(out)]) == EXIT_OK
+        res = load_report(out)["result"]
+        assert res["per_hop"] == [0.9] * 50
+        assert (res["end_to_end"], res["characteristic_length"]) \
+            == (0.9 ** 50, -1.0 / math.log(0.9))
+
+    @pytest.mark.parametrize("kind,link", [("qubit", {"concurrence": 0.5}),
+                                           ("qudit", {"d": 2, "g_concurrence": 0.5}),
+                                           ("qudit", {"d": 5, "g_concurrence": 0.5})])
+    def test_half_links(self, tmp_path, kind, link):
+        out = tmp_path / "out.json"
+        doc = {"kind": kind, "links": {"identical": link, "count": 3}}
+        assert main(["chain", "--input", write_json(tmp_path / "chain.json", doc),
+                     "--output", str(out)]) == EXIT_OK
+        res = load_report(out)["result"]
+        assert (res["per_hop"], res["end_to_end"]) == ([0.5] * 3, 0.125)
+        assert res["characteristic_length"] == 1.0 / math.log(2.0)
 
 
 def strict_json(text):

@@ -151,10 +151,16 @@ class TestTmsvs:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             TmsvsSpec.from_r(-1.0)
-        with pytest.raises(ValueError):
-            TmsvsSpec(r=1.0, chi=1.0, cutoff=5)
-        with pytest.raises(ValueError):
-            TmsvsSpec(r=1.0, chi=math.tanh(1.0), cutoff=0)
+        with pytest.raises(ValueError, match="chi = tanh r must lie below 1"):
+            TmsvsSpec(r=20.0, cutoff=5)
+        with pytest.raises(ValueError, match="cutoff must be >= 1"):
+            TmsvsSpec(r=1.0, cutoff=0)
+
+    def test_chi_is_tanh_r(self):
+        # chi is derived, so a spec cannot label one state with another's r.
+        assert TmsvsSpec(r=0.3, cutoff=5).chi == math.tanh(0.3)
+        with pytest.raises(TypeError):
+            TmsvsSpec(r=1.0, chi=0.3, cutoff=5)
 
 
 class TestRandomStates:

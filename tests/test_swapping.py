@@ -1,9 +1,10 @@
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qchain.gaussian import tmsvs_cm
@@ -19,7 +20,6 @@ from qchain.swapping import (
     chain_fock_crosscheck,
     characteristic_length,
     canonical_qubit_schmidt,
-    canonical_qudit_schmidt,
     qubit_link,
     qudit_link,
     swap,
@@ -42,7 +42,7 @@ class TestSwapTmsvs:
 
     def test_fock_crosscheck_of_one_swap(self):
         out = swap(tmsvs_link(0.5), tmsvs_link(0.5))
-        st = tmsvs_truncated(TmsvsSpec(r=out.r, chi=out.native_value, cutoff=40))
+        st = tmsvs_truncated(TmsvsSpec(r=out.r, cutoff=40))
         links = math.tanh(0.5) ** 2
         assert abs(ratio_negativity(st) - links) < 1e-6
 
@@ -123,16 +123,14 @@ class TestSwapQudit:
         out = swap(link, link)
         assert abs(out.native_value - cg ** 2) < 1e-10
 
-    def test_output_state_matches_target_value(self):
-        out = swap(qudit_link(lam=[0.5, 0.3, 0.2]), qudit_link(lam=[0.6, 0.25, 0.15]))
-        assert abs(g_concurrence_pure(out.schmidt, 3) - out.native_value) < 1e-10
-
     def test_qubit_consistency(self):
         for c1, c2 in [(0.6, 0.6), (0.9, 0.4), (1.0, 0.7)]:
             as_qudit = swap(qudit_link(lam=canonical_qubit_schmidt(c1), d=2),
                             qudit_link(lam=canonical_qubit_schmidt(c2), d=2))
-            as_qubit = swap(qubit_link(concurrence=c1), qubit_link(concurrence=c2))
-            assert as_qudit.schmidt == as_qubit.schmidt
+            as_qubit = swap(qubit_link(lam=canonical_qubit_schmidt(c1)),
+                            qubit_link(lam=canonical_qubit_schmidt(c2)))
+            assert as_qudit.native_value == as_qubit.native_value
+            assert as_qudit.schmidt is None
 
     def test_dimension_mismatch(self):
         # A swap refuses the same links as the two-link chain, with one message.
@@ -152,28 +150,11 @@ class TestSwapQudit:
             lam2 /= lam2.sum()
             l1, l2 = qudit_link(lam=lam1), qudit_link(lam=lam2)
             out = swap(l1, l2)
-            target = l1.native_value * l2.native_value
-            assert abs(out.native_value - target) <= 1e-10 * max(target, 1e-300)
-            # State-level: the emitted Schmidt vector carries the value.
-            assert abs(g_concurrence_pure(out.schmidt, 3) - target) < 1e-6
+            assert out.native_value == l1.native_value * l2.native_value
+            assert (out.d, out.schmidt) == (3, None)
 
 
 class TestCanonicalSchmidt:
-    def test_qudit_solver_hits_target(self):
-        for d in (3, 4, 6):
-            for target in (0.1, 0.5, 0.868941, 0.99):
-                lam = canonical_qudit_schmidt(target, d)
-                assert abs(sum(lam) - 1.0) < 1e-12
-                assert abs(g_concurrence_pure(lam, d) - target) < 1e-9
-
-    def test_extremes(self):
-        assert canonical_qudit_schmidt(1.0, 3) == (1 / 3, 1 / 3, 1 / 3)
-        assert canonical_qudit_schmidt(0.0, 3)[0] == 1.0
-
-    def test_qubit_case_matches_closed_form(self):
-        lam = canonical_qudit_schmidt(0.36, 2)
-        assert abs(lam[0] - (1 + math.sqrt(1 - 0.36 ** 2)) / 2) < 1e-9
-
     @pytest.mark.parametrize("c", [10.0 ** -k for k in (1, 4, 8, 12, 50, 150)] + [0.6, 0.999])
     def test_weak_qubit_link_keeps_its_concurrence(self, c):
         # The small Schmidt value C^2 / (2 (1 + sqrt(1 - C^2))) does not
@@ -309,13 +290,10 @@ class TestFockCrosscheck:
 
 
 class TestQuditTargets:
-    # d exp(mean(log lambda)) carries a rounding error that grows with
-    # |ln g|; the bisection itself stops one ulp of q from the target.
     @pytest.mark.parametrize("d", range(3, 17))
     def test_link_hits_target(self, d):
         for g in (1e-150, 1e-100, 1e-30, 1e-10, 1e-6, 0.01, 0.5, 0.999999):
-            value = qudit_link(d=d, g_concurrence=g).native_value
-            assert abs(value - g) <= 8 * EPS * (1.0 + abs(math.log(g))) * g, (d, g, value)
+            assert qudit_link(d=d, g_concurrence=g).native_value == g
 
     @pytest.mark.parametrize("d", range(3, 17))
     def test_maximally_entangled_link(self, d):
@@ -326,11 +304,41 @@ class TestQuditTargets:
 
     @pytest.mark.parametrize("d", [3, 4, 8, 16])
     def test_unreachable_target_raises(self, d):
-        # lambda_{d-1} would lie below the smallest normal float64.
-        with pytest.raises(ValueError, match="underflows"):
-            canonical_qudit_schmidt(1e-300, d)
-        with pytest.raises(ValueError, match="underflows"):
-            qudit_link(d=d, g_concurrence=1e-300)
+        # Only targets outside [0, 1] are unreachable. G-concurrence 1e-300,
+        # whose Schmidt vector at d >= 3 underflows float64, is held exactly:
+        # the link holds the value, not a vector.
+        for g in (-1e-300, 1.0 + EPS, math.nan, math.inf):
+            with pytest.raises(ValueError, match="G-concurrence must lie in"):
+                qudit_link(d=d, g_concurrence=g)
+        link = qudit_link(d=d, g_concurrence=1e-300)
+        assert (link.native_value, link.d, link.schmidt) == (1e-300, d, None)
+        assert chain_compose([link]).end_to_end == 1e-300
+
+    @pytest.mark.parametrize("d", [None, 1, 0, 2.0, 3.5, True, "3"])
+    def test_target_needs_an_integer_dimension(self, d):
+        with pytest.raises(ValueError, match="integer local dimension d >= 2"):
+            qudit_link(d=d, g_concurrence=0.5)
+
+    @pytest.mark.parametrize("c", [-0.1, 1.0 + EPS, math.nan, math.inf])
+    def test_qubit_target_outside_unit_interval(self, c):
+        with pytest.raises(ValueError, match="concurrence must lie in"):
+            qubit_link(concurrence=c)
+
+    @pytest.mark.parametrize("lam,d", [([1.0], None), ([1.0], 1)])
+    def test_one_schmidt_coefficient_refused(self, lam, d):
+        # One coefficient is a product state, not a qudit link.
+        with pytest.raises(ValueError, match="at least 2 Schmidt coefficients, got 1"):
+            qudit_link(lam=lam, d=d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.floats(0.0, 1.0), d=st.integers(2, 16), g=st.floats(0.0, 1.0))
+@example(c=5e-324, d=16, g=1e-300)
+@example(c=sys.float_info.min, d=3, g=5e-324)
+def test_target_links_hold_their_target(c, d, g):
+    assert qubit_link(concurrence=c).native_value == c
+    link = qudit_link(d=d, g_concurrence=g)
+    assert (link.native_value, link.d) == (g, d)
 
 
 QUBIT_LINK_SPECS = st.one_of(
@@ -338,20 +346,37 @@ QUBIT_LINK_SPECS = st.one_of(
     st.tuples(st.just("lambda"), st.floats(0.0, 0.5).map(lambda x: (1.0 - x, x))))
 
 
+def outcome(build):
+    """build()'s result, or the message of the ValueError it raises."""
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
 @settings(max_examples=150, deadline=None)
 @given(specs=st.lists(QUBIT_LINK_SPECS, min_size=1, max_size=6))
 def test_d2_qudit_links_are_qubit_links(specs):
+    # Equal values and chain results. A qubit target link carries its
+    # canonical pair and a qudit target link no vector, so Schmidt vectors
+    # are compared only for links built from lambda.
     qubits = [qubit_link(concurrence=v) if how == "target" else qubit_link(lam=v)
               for how, v in specs]
     qudits = [qudit_link(d=2, g_concurrence=v) if how == "target" else qudit_link(lam=v, d=2)
               for how, v in specs]
-    for a, b in zip(qubits, qudits):
-        assert (a.schmidt, a.native_value) == (b.schmidt, b.native_value)
-    a, b = functools.reduce(swap, qubits), functools.reduce(swap, qudits)
-    assert (a.schmidt, a.native_value) == (b.schmidt, b.native_value)
-    a, b = chain_compose(qubits), chain_compose(qudits)
-    assert (a.per_hop, a.end_to_end, a.characteristic_length) \
-        == (b.per_hop, b.end_to_end, b.characteristic_length)
+    for (how, _), a, b in zip(specs, qubits, qudits):
+        assert a.native_value == b.native_value
+        if how == "lambda":
+            assert a.schmidt == b.schmidt
+    a = outcome(lambda: functools.reduce(swap, qubits).native_value)
+    assert a == outcome(lambda: functools.reduce(swap, qudits).native_value)
+    a = outcome(lambda: chain_compose(qubits))
+    b = outcome(lambda: chain_compose(qudits))
+    if isinstance(a, str):
+        assert a == b
+    else:
+        assert (a.per_hop, a.end_to_end, a.characteristic_length) \
+            == (b.per_hop, b.end_to_end, b.characteristic_length)
 
 
 class TestLinkValidation:
@@ -367,6 +392,72 @@ class TestLinkValidation:
         assert link.measure_value("alpha_ratio", 2.0) == math.tanh(0.5) ** 2
         with pytest.raises(ValueError):
             link.measure_value("g_concurrence")
+
+
+class TestAlphaOnlyForAlphaRatio:
+    LINKS = {"concurrence": qubit_link(concurrence=0.5), "scp": qubit_link(concurrence=0.5),
+             "g_concurrence": qudit_link(d=3, g_concurrence=0.5), "ratio": tmsvs_link(0.5)}
+
+    @pytest.mark.parametrize("measure", sorted(LINKS))
+    @pytest.mark.parametrize("alpha", [2.0, 0.5, math.nan])
+    def test_refused(self, measure, alpha):
+        link = self.LINKS[measure]
+        message = rf"alpha {alpha!r} applies only to the alpha_ratio measure; '{measure}'"
+        with pytest.raises(ValueError, match=message):
+            link.measure_value(measure, alpha)
+        with pytest.raises(ValueError, match=message):
+            chain_compose([link] * 2, measure=measure, alpha=alpha)
+
+    def test_default_measure_takes_the_power_only_on_tmsvs(self):
+        with pytest.raises(ValueError, match="'concurrence' takes alpha 1"):
+            chain_compose([qubit_link(concurrence=0.5)], alpha=2.0)
+        with pytest.raises(ValueError, match="'g_concurrence' takes alpha 1"):
+            chain_compose([qudit_link(d=3, g_concurrence=0.5)], alpha=2.0)
+        res = chain_compose([tmsvs_link(0.5)], alpha=2.0)
+        assert (res.measure, res.per_hop) == ("alpha_ratio", (math.tanh(0.5) ** 2.0,))
+
+
+class TestUnderflowRefused:
+    """A chain product below the normal float64 range has no reliable xi."""
+
+    def test_last_normal_product_is_accepted(self):
+        # 0.5^1022 is the smallest normal float64, 2.2250738585072014e-308.
+        res = chain_compose([qubit_link(concurrence=0.5)] * 1022)
+        assert res.end_to_end == sys.float_info.min
+        assert res.characteristic_length == -1.0 / math.log(0.5)
+
+    @pytest.mark.parametrize("count", [1023, 1060, 1074, 1100])
+    def test_subnormal_or_zero_product_is_refused(self, count):
+        # A subnormal product keeps few bits: at 1060 links xi would be
+        # 1.4426949210, not 1/ln 2 = 1.4426950409, and from 1075 links the
+        # product is 0, which would read as a dead link.
+        with pytest.raises(ValueError, match=rf"end-to-end value of {count} links, .* below the "
+                                             r"normal float64 range"):
+            chain_compose([qubit_link(concurrence=0.5)] * count)
+
+    def test_weak_single_link_is_refused(self):
+        with pytest.raises(ValueError, match="of 1 links"):
+            chain_compose([qudit_link(d=3, g_concurrence=1e-310)])
+
+    def test_dead_link_keeps_xi_zero(self):
+        res = chain_compose([qubit_link(concurrence=0.0)] + [qubit_link(concurrence=0.5)] * 1100)
+        assert (res.end_to_end, res.characteristic_length) == (0.0, 0.0)
+        out = swap(qudit_link(d=4, g_concurrence=0.0), qudit_link(d=4, g_concurrence=1e-300))
+        assert out.native_value == 0.0
+
+    def test_swap_of_weak_links_is_refused(self):
+        with pytest.raises(ValueError, match="of 2 links, 0.0, lies below"):
+            swap(tmsvs_link(1e-200), tmsvs_link(1e-200))
+        with pytest.raises(ValueError, match="of 2 links"):
+            swap(qubit_link(concurrence=1e-160), qubit_link(concurrence=1e-160))
+
+    def test_tmsvs_tanh_product_is_checked_apart_from_the_power(self):
+        # alpha = 0.5 keeps the per-hop product normal while the product
+        # of tanh r, which gives the composite r, underflows.
+        links = [tmsvs_link(1e-200)] * 2
+        assert math.prod(lk.measure_value("alpha_ratio", 0.5) for lk in links) == 1e-200
+        with pytest.raises(ValueError, match="product of tanh r over 2 links, 0.0, lies below"):
+            chain_compose(links, alpha=0.5)
 
 
 @st.composite
@@ -385,7 +476,8 @@ def chains(draw):
     else:
         links = [tmsvs_link(draw(st.floats(0.05, 3.0))) for _ in range(n)]
         measure = draw(st.sampled_from(["ratio", "alpha_ratio"]))
-    return links, measure, draw(st.floats(0.25, 4.0))
+    alpha = draw(st.floats(0.25, 4.0)) if measure == "alpha_ratio" else 1.0
+    return links, measure, alpha
 
 
 @settings(max_examples=80, deadline=None)
@@ -417,19 +509,20 @@ def link_pairs(draw):
 @settings(max_examples=200, deadline=None)
 @given(pair=link_pairs())
 def test_swap_is_the_two_link_chain(pair):
-    # A qubit or qudit output's native value is that of the canonical
-    # Schmidt vector for the product, so it may differ from v in its last
-    # bits; a tmsvs output carries v itself.
     l1, l2 = pair
-    v = chain_compose([l1, l2]).end_to_end
-    assert v == l1.native_value * l2.native_value
+    v = l1.native_value * l2.native_value
+    if 0.0 < v < sys.float_info.min or (v == 0.0 and min(l1.native_value, l2.native_value) > 0):
+        with pytest.raises(ValueError, match="of 2 links"):
+            swap(l1, l2)
+        return
+    assert chain_compose([l1, l2]).end_to_end == v
     out = swap(l1, l2)
+    assert (out.kind, out.native_value) == (l1.kind, v)
     if l1.kind == "qubit_pure":
         assert out == qubit_link(concurrence=v)
     elif l1.kind == "qudit_pure":
         assert out == qudit_link(d=l1.d, g_concurrence=v)
     else:
-        assert out.native_value == v
         assert out.r == math.atanh(v)
 
 
@@ -439,7 +532,7 @@ class TestSqueezingParameter:
         # The link, the Fock cross-check, the spec and the covariance
         # matrix share states.require_squeezing and its message.
         for build in (tmsvs_link, lambda x: chain_fock_crosscheck(x, 2, 10),
-                      TmsvsSpec.from_r, lambda x: TmsvsSpec(r=x, chi=0.5, cutoff=5), tmsvs_cm):
+                      TmsvsSpec.from_r, lambda x: TmsvsSpec(r=x, cutoff=5), tmsvs_cm):
             with pytest.raises(ValueError, match=r"squeezing parameter r must be finite and > 0, "
                                                  rf"got {r}"):
                 build(r)
