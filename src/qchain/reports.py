@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .gaussian import CovarianceMatrix
-from .states import PSD_TOL, DensityMatrix, PureState, TmsvsSpec, tmsvs_truncated
+from .states import PSD_TOL, DensityMatrix, PureState, TmsvsSpec, _hand_over, tmsvs_truncated
 from .tensor import SubsystemLayout
 
 STATE_SCHEMA = {
@@ -224,10 +224,12 @@ def _file_integers(value, what: str) -> list[int]:
     return [file_integer(v, f"{what} entry") for v in value]
 
 
-def _from_pairs(pairs, expected: int, what: str) -> np.ndarray:
-    """A flat list of [re, im] pairs, each a list of two JSON numbers, as
-    complex entries. Types are checked before numpy sees the list, which
-    would otherwise read a string or a boolean as a number."""
+def _from_pairs(pairs, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A flat row-major list of [re, im] pairs, each a list of two JSON
+    numbers, as a new complex array of the given shape. Types are checked
+    before numpy sees the list, which would otherwise read a string or a
+    boolean as a number."""
+    expected = math.prod(shape)
     if not (isinstance(pairs, list) and len(pairs) == expected
             and set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
         raise ValueError(f"{what} must be a flat row-major list of {expected} [re, im] pairs")
@@ -238,7 +240,8 @@ def _from_pairs(pairs, expected: int, what: str) -> np.ndarray:
         arr = np.array(flat, dtype=float)
     except OverflowError:  # an integer literal beyond the float range
         raise ValueError(f"{what} entries must be finite numbers") from None
-    return arr[0::2] + 1j * arr[1::2]
+    arr = arr.reshape(*shape, 2)
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def state_to_json(state: PureState | DensityMatrix) -> dict:
@@ -268,10 +271,10 @@ def state_from_json(doc: dict, psd_tol: float = PSD_TOL) -> PureState | DensityM
                              _file_integers(doc["partyA"], "partyA"))
     deficit = file_number(doc.get("truncation_deficit", 0.0), "truncation_deficit")
     if kind == "pure":
-        amps = _from_pairs(doc["amplitudes"], layout.dim, "amplitudes")
+        amps = _from_pairs(doc["amplitudes"], (layout.dim,), "amplitudes")
         return PureState(amps, layout, deficit)
-    mat = _from_pairs(doc["matrix"], layout.dim ** 2, "matrix").reshape(layout.dim, layout.dim)
-    state = DensityMatrix(mat, layout, deficit, _trusted=True)
+    mat = _from_pairs(doc["matrix"], (layout.dim, layout.dim), "matrix")
+    state = DensityMatrix(_hand_over(mat), layout, deficit, _trusted=True)
     state.validate(psd_tol)
     return state
 

@@ -50,6 +50,23 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _hand_over(a: np.ndarray) -> np.ndarray:
+    """a, which a constructor in this package has just built and keeps no
+    other reference to, set read-only so that a trusted DensityMatrix
+    stores it without a copy."""
+    a.setflags(write=False)
+    return a
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^H) / 2 as a new C-ordered array, holding one temporary
+    fewer than the formula; addition commutes, so the bits are the same."""
+    h = np.conjugate(m.T, order="C")
+    h += m
+    h /= 2
+    return h
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized amplitude vector over a subsystem layout.
@@ -75,7 +92,7 @@ class PureState:
         """|psi><psi|; float64 when the amplitudes are all real."""
         a = self.amplitudes
         rho = np.outer(a, a.conj()) if a.imag.any() else np.outer(a.real, a.real)
-        return DensityMatrix(rho, self.layout, self.truncation_deficit, _trusted=True)
+        return DensityMatrix(_hand_over(rho), self.layout, self.truncation_deficit, _trusted=True)
 
     def schmidt(self):
         """Schmidt decomposition across the A|B split, computed once per state;
@@ -107,8 +124,17 @@ class DensityMatrix:
     temporary (at n = 4096 its temporaries peak at 8 MB, where the
     whole-matrix formula peaked at 512 MB).
 
+    The stored matrix is read-only and no caller can write to it: a
+    caller's matrix is copied once every check has passed, while an array
+    that a constructor in this package has just built is handed over
+    uncopied (_hand_over). In n x n arrays, an untrusted build holds the input,
+    validate()'s shifted copy and Cholesky's two buffers (numpy's work
+    copy and its output), then the input and the private copy; a measure
+    holds the stored matrix, its partial transpose and eigvalsh's work
+    copy. At n = 4096 complex, each of these arrays is 256 MB.
+
     The partial-transpose trace norm is computed once and kept (the
-    matrix is a private read-only copy, so it cannot go stale). Its
+    matrix is read-only, so it cannot go stale). Its
     spectrum is taken per block of the partial transpose
     (tensor._trace_norm_blocks), with no second check: the partial
     transpose holds the same entries as the checked matrix. A generic
@@ -130,16 +156,22 @@ class DensityMatrix:
         m = _float_or_complex(self.matrix)
         if np.iscomplexobj(m) and not m.imag.any():
             m = m.real
-        m = _freeze(m)
         require_finite(m, "density matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != self.layout.dim:
             raise ValueError(f"density matrix shape {m.shape} incompatible with layout dim {self.layout.dim}")
         require_unit_density(m)
         if self.truncation_deficit < 0:
             raise ValueError("truncation_deficit must be >= 0")
-        object.__setattr__(self, "matrix", m)
         if not self._trusted:
+            # validate() checks m before the private copy exists, so its
+            # shifted copy and Cholesky buffers are freed when the copy is made.
+            object.__setattr__(self, "matrix", m)
             self.validate()
+        # A trusted read-only array that owns its memory was handed over
+        # (_hand_over) and is kept; any other matrix is copied.
+        if not self._trusted or m.flags.writeable or not m.flags.owndata:
+            m = _freeze(m)
+        object.__setattr__(self, "matrix", m)
 
     def validate(self, psd_tol: float = PSD_TOL) -> None:
         """Reject a matrix whose smallest eigenvalue is below -psd_tol.
@@ -180,6 +212,15 @@ def require_squeezing(r) -> float:
     return r
 
 
+def _require_chi_below_one(r) -> float:
+    """chi = tanh r when r is a squeezing parameter whose chi lies below 1
+    in float64 (tanh r rounds to 1 from r ~ 19.06 on)."""
+    chi = math.tanh(require_squeezing(r))
+    if not chi < 1:
+        raise ValueError(f"chi = tanh r must lie below 1 in float64, got r = {r}")
+    return chi
+
+
 @dataclass(frozen=True)
 class TmsvsSpec:
     """Two-mode squeezed vacuum parameters: squeezing r and the Fock cutoff
@@ -189,9 +230,7 @@ class TmsvsSpec:
     cutoff: int
 
     def __post_init__(self):
-        require_squeezing(self.r)
-        if not self.chi < 1:
-            raise ValueError(f"chi = tanh r must lie below 1 in float64, got r = {self.r}")
+        _require_chi_below_one(self.r)
         if self.cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
 
@@ -203,7 +242,7 @@ class TmsvsSpec:
     def from_r(r: float, cutoff: int | None = None) -> "TmsvsSpec":
         r = require_squeezing(r)
         if cutoff is None:
-            cutoff = default_cutoff(math.tanh(r))
+            cutoff = default_cutoff(_require_chi_below_one(r))
         return TmsvsSpec(r=r, cutoff=int(cutoff))
 
     @property
@@ -338,8 +377,8 @@ def random_density_matrix(layout: SubsystemLayout, rank: int, seed) -> DensityMa
     g = rng.standard_normal((layout.dim, rank)) + 1j * rng.standard_normal((layout.dim, rank))
     rho = g @ g.conj().T
     rho /= np.real(np.trace(rho))
-    rho = (rho + rho.conj().T) / 2
-    return DensityMatrix(rho, layout, _trusted=True)
+    rho = _hermitian_part(rho)
+    return DensityMatrix(_hand_over(rho), layout, _trusted=True)
 
 
 def apply_kraus_branches(state: DensityMatrix | PureState, kraus_ops) -> list[tuple[float, DensityMatrix]]:
@@ -360,7 +399,8 @@ def apply_kraus_branches(state: DensityMatrix | PureState, kraus_ops) -> list[tu
         p = float(np.real(np.trace(out)))
         if p < 1e-14:
             continue
-        out = (out + out.conj().T) / 2
-        branches.append((p, DensityMatrix(out / p, rho.layout,
+        out = _hermitian_part(out)
+        out /= p
+        branches.append((p, DensityMatrix(_hand_over(out), rho.layout,
                                           rho.truncation_deficit, _trusted=True)))
     return branches

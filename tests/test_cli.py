@@ -353,6 +353,11 @@ class TestMeasureInputChecks:
             == EXIT_VALIDATION
         assert what in capsys.readouterr().err
 
+    def test_tmsvs_r_with_chi_rounding_to_one_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "tmsvs.json", {"kind": "tmsvs", "r": 20})
+        assert main(["measure", "--input", path]) == EXIT_VALIDATION
+        assert "chi = tanh r must lie below 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tol", ["nan", "-1e-10", "inf"])
     def test_tol_psd_must_be_finite_nonnegative(self, tmp_path, tol, capsys):
         path = write_json(tmp_path / "tmsvs.json", {"kind": "tmsvs", "r": 0.5})

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qchain import states
+from qchain.reports import state_from_json, state_to_json
 from qchain.states import (
     PSD_TOL,
     DensityMatrix,
@@ -153,6 +155,9 @@ class TestTmsvs:
             TmsvsSpec.from_r(-1.0)
         with pytest.raises(ValueError, match="chi = tanh r must lie below 1"):
             TmsvsSpec(r=20.0, cutoff=5)
+        # tanh 20 rounds to 1, where the default cutoff would divide by log 1.
+        with pytest.raises(ValueError, match="chi = tanh r must lie below 1"):
+            TmsvsSpec.from_r(20)
         with pytest.raises(ValueError, match="cutoff must be >= 1"):
             TmsvsSpec(r=1.0, cutoff=0)
 
@@ -216,6 +221,19 @@ class TestRandomStates:
         rho /= np.real(np.trace(rho))
         pt = dense_partial_transpose(rho, 2, 2)
         assert np.linalg.eigvalsh(pt)[0] >= -1e-10
+
+    @pytest.mark.parametrize("dims", [(4, 4), (16, 16), (2, 16, 32)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_wishart_bits_match_the_symmetrization_formula(self, dims, seed):
+        layout = SubsystemLayout(dims, (0,))
+        rng = substream(seed, 0)
+        g = rng.standard_normal((layout.dim, 8)) + 1j * rng.standard_normal((layout.dim, 8))
+        rho = g @ g.conj().T
+        rho /= np.real(np.trace(rho))
+        want = (rho + rho.conj().T) / 2
+        got = random_density_matrix(layout, 8, seed).matrix
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
     def test_rank_bounds(self):
         with pytest.raises(ValueError):
@@ -409,6 +427,83 @@ def test_untrusted_density_matrix_is_checked_once(monkeypatch):
               for kind in ("negativity", "log_negativity", "ratio")]
     assert checked == [(64, 64)]
     assert all(math.isfinite(v) for v in values)
+
+
+def traced_peak(build):
+    """(result of build(), tracemalloc peak of the call in bytes)."""
+    tracemalloc.start()
+    try:
+        out = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestStoredMatrix:
+    """The stored matrix is read-only and shared with no caller; building
+    it holds as few n x n arrays as the checks need. numpy's LAPACK work
+    copies are not traced, so the peaks count numpy arrays only."""
+
+    LAYOUT = SubsystemLayout((16, 32), (0,))
+
+    def caller_matrix(self, layout=LAYOUT):
+        return random_density_matrix(layout, 8, seed=4).matrix.copy()
+
+    def test_untrusted_build_copies_after_the_psd_check(self):
+        m = self.caller_matrix()
+        # The shifted copy and Cholesky's output, then the private copy.
+        _, peak = traced_peak(lambda: DensityMatrix(m, self.LAYOUT))
+        assert peak <= 2.1 * m.nbytes
+
+    def test_pure_density_matrix_is_not_copied(self):
+        psi = tmsvs_truncated(TmsvsSpec.from_r(0.5, cutoff=40))
+        dm, peak = traced_peak(psi.density_matrix)
+        # The outer product and require_finite's boolean mask.
+        assert peak <= 1.2 * dm.matrix.nbytes
+
+    @pytest.mark.parametrize("trusted", [False, True])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_writing_to_the_callers_array_changes_nothing(self, trusted, real):
+        layout = SubsystemLayout((4, 4), (0,))
+        if real:
+            m = tmsvs_truncated(TmsvsSpec.from_r(0.5, cutoff=3)).density_matrix().matrix
+            m = m.astype(complex)  # stored through its real view
+        else:
+            m = self.caller_matrix(layout)
+        kept = m.copy()
+        dm = DensityMatrix(m, layout, _trusted=trusted)
+        m[...] = np.eye(16) / 16
+        assert np.array_equal(dm.matrix, kept)
+        assert dm._pt_trace_norm == DensityMatrix(kept, layout)._pt_trace_norm > 1
+
+    @pytest.mark.parametrize("trusted", [False, True])
+    def test_read_only_view_of_a_writable_array_is_copied(self, trusted):
+        m = self.caller_matrix()
+        view = m.view()
+        view.setflags(write=False)
+        dm = DensityMatrix(view, self.LAYOUT, _trusted=trusted)
+        assert not np.shares_memory(dm.matrix, m)
+
+    def test_untrusted_read_only_array_is_copied(self):
+        m = self.caller_matrix()
+        m.setflags(write=False)
+        assert not np.shares_memory(DensityMatrix(m, self.LAYOUT).matrix, m)
+
+    @pytest.mark.parametrize("build", [
+        lambda: random_density_matrix(QUBIT_PAIR, 3, seed=1),
+        lambda: bell_state().density_matrix(),
+        lambda: random_haar_pure(QUBIT_PAIR, 2).density_matrix(),
+        lambda: apply_kraus_branches(bell_state(), [np.eye(4)])[0][1],
+        lambda: state_from_json(state_to_json(random_density_matrix(QUBIT_PAIR, 3, seed=1))),
+        lambda: DensityMatrix(np.eye(4) / 4, QUBIT_PAIR),
+        lambda: DensityMatrix(np.eye(4, dtype=complex) / 4, QUBIT_PAIR, _trusted=True),
+    ], ids=["wishart", "real_pure", "complex_pure", "kraus", "file", "untrusted", "trusted"])
+    def test_stored_matrix_is_read_only(self, build):
+        dm = build()
+        assert not dm.matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            dm.matrix[0, 0] = 1.0
 
 
 def phase_twin(m):
