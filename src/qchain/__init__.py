@@ -8,7 +8,6 @@ from .tensor import (
     kron,
     partial_trace,
     partial_transpose,
-    hermitian_eigenvalues,
     trace_norm_hermitian,
     schmidt_decompose,
 )
@@ -35,13 +34,10 @@ from .measures import (
     evaluate_measure,
     f_negativity,
     g_concurrence_pure,
-    is_ppt,
     log_negativity,
     negativity,
-    negativity_pure,
     pt_trace_norm,
     ratio_negativity,
-    ratio_negativity_pure,
     scp_pure_qubit,
     validate_f,
 )
@@ -52,7 +48,6 @@ from .gaussian import (
     symplectic_eigenvalues,
     symplectic_form,
     tmsvs_cm,
-    vacuum_cm,
     validate_cm,
 )
 from .swapping import (

@@ -138,6 +138,13 @@ def _links_from_spec(doc: dict):
 
 
 def cmd_measure(args) -> tuple[int, dict]:
+    kinds = [m.strip() for m in args.measures.split(",") if m.strip()]
+    if not kinds:
+        raise ValueError(f"--measures names no measure, got {args.measures!r}")
+    if args.alpha is not None and "alpha_ratio" not in kinds:
+        raise ValueError("--alpha applies only to the alpha_ratio measure; "
+                         f"--measures {args.measures!r} does not name it")
+    alpha = 1.0 if args.alpha is None else args.alpha
     doc = _read_json(args.input)
     if isinstance(doc, dict) and args.cutoff is not None:
         if doc.get("kind") != "tmsvs":
@@ -148,10 +155,10 @@ def cmd_measure(args) -> tuple[int, dict]:
         doc = {**doc, "cutoff": args.cutoff}
     state = state_from_json(doc, args.tol_psd)
     results = []
-    for kind in [m.strip() for m in args.measures.split(",") if m.strip()]:
-        spec = MeasureSpec(kind=kind, alpha=args.alpha)
+    for kind in kinds:
+        spec = MeasureSpec(kind=kind, alpha=alpha)
         results.append(evaluate_measure(spec, state, psd_tol=args.tol_psd).to_json())
-    config = {"input": args.input, "measures": args.measures, "alpha": args.alpha,
+    config = {"input": args.input, "measures": args.measures, "alpha": alpha,
               "cutoff": args.cutoff, "tol_psd": args.tol_psd}
     return EXIT_OK, {"config": config, "result": {"measures": results}}
 
@@ -229,7 +236,7 @@ def cmd_groupop(args) -> tuple[int, dict]:
 def cmd_gaussian(args) -> tuple[int, dict]:
     cm = tmsvs_cm(args.r)
     validation = validate_cm(cm)
-    chi = cm_ratio_negativity(cm, (0,))
+    chi = cm_ratio_negativity(cm)
     nu = symplectic_eigenvalues(cm.gamma)
     config = {"r": args.r}
     return EXIT_OK, {"config": config, "result": {
@@ -272,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="state JSON file")
     p.add_argument("--measures", default=DEFAULT_MEASURES,
                    help=f"comma-separated measure kinds (default {DEFAULT_MEASURES})")
-    p.add_argument("--alpha", type=_positive, default=1.0)
+    p.add_argument("--alpha", type=_positive, default=None,
+                   help="power of alpha_ratio (default 1); only with alpha_ratio")
     p.add_argument("--cutoff", type=int, default=None, help="Fock cutoff override for tmsvs inputs")
     p.add_argument("--tol-psd", type=_tolerance, default=PSD_TOL,
                    help="eigenvalues of a mixed input down to -tol-psd are accepted, and "

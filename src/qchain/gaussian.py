@@ -68,26 +68,21 @@ class CmValidation:
     message: str
 
 
-def validate_cm(cm: CovarianceMatrix,
-                symmetry_tol: float = CM_SYMMETRY_TOL,
-                bona_fide_tol: float = CM_BONA_FIDE_TOL) -> CmValidation:
-    """Report whether Gamma is symmetric and Gamma + i*Lambda is PSD."""
+def validate_cm(cm: CovarianceMatrix) -> CmValidation:
+    """Report whether Gamma is symmetric within CM_SYMMETRY_TOL and
+    Gamma + i*Lambda is PSD down to -CM_BONA_FIDE_TOL."""
     g = cm.gamma
     sym_defect = float(np.max(np.abs(g - g.T)))
     lam = symplectic_form(cm.modes)
     w = np.linalg.eigvalsh((g + g.T) / 2 + 1j * lam)
     min_eig = float(w[0])
-    if sym_defect > symmetry_tol:
+    if sym_defect > CM_SYMMETRY_TOL:
         return CmValidation(False, sym_defect, min_eig,
                             f"matrix is not symmetric (defect {sym_defect:.3e})")
-    if min_eig < -bona_fide_tol:
+    if min_eig < -CM_BONA_FIDE_TOL:
         return CmValidation(False, sym_defect, min_eig,
                             f"uncertainty relation violated (min eig {min_eig:.3e})")
     return CmValidation(True, sym_defect, min_eig, "ok")
-
-
-def vacuum_cm(modes: int) -> CovarianceMatrix:
-    return CovarianceMatrix(np.eye(2 * modes))
 
 
 def tmsvs_cm(r: float) -> CovarianceMatrix:
@@ -143,10 +138,9 @@ def symplectic_eigenvalues(gamma: np.ndarray) -> np.ndarray:
     return nu[::2]
 
 
-def cm_ratio_negativity(cm: CovarianceMatrix, modes_a=(0,),
-                        purity_tol: float = CM_PURITY_TOL) -> float:
+def cm_ratio_negativity(cm: CovarianceMatrix) -> float:
     """Ratio negativity of a pure two-mode Gaussian state from its
-    covariance matrix.
+    covariance matrix, across mode 0 | mode 1.
 
     The partial-transpose trace norm of a pure two-mode Gaussian state is
     1/nu_min, with nu_min the smallest symplectic eigenvalue after the
@@ -157,11 +151,11 @@ def cm_ratio_negativity(cm: CovarianceMatrix, modes_a=(0,),
     if cm.modes != 2:
         raise ValueError(f"pure-state cross-check supports exactly 2 modes, got {cm.modes}")
     det = float(np.linalg.det(cm.gamma))
-    if abs(det - 1.0) > purity_tol:
+    if abs(det - 1.0) > CM_PURITY_TOL:
         raise ValueError(f"covariance matrix is not pure (det Gamma = {det!r}); mixed states unsupported")
     report = validate_cm(cm)
     if not report.ok:
         raise ValueError(f"invalid covariance matrix: {report.message}")
     # The trace norm is 1/nu_min; it goes through the Fock-basis route's clamp.
-    nu = symplectic_eigenvalues(cm_partial_transpose(cm, modes_a).gamma)
+    nu = symplectic_eigenvalues(cm_partial_transpose(cm, (0,)).gamma)
     return _from_negativity(float(_clamped_negativity(1.0 / nu[-1])), "ratio")

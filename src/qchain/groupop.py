@@ -264,9 +264,9 @@ class MultiplicativeFReport:
 
 
 def verify_multiplicative_f(law: CompositionLaw | str, f: Callable,
-                            grid_n: int = DEFAULT_GRID,
-                            tol: float = F_CHECK_TOL) -> MultiplicativeFReport:
-    """Max over the grid of |f(g(x, y)) - f(x) f(y)|.
+                            grid_n: int = DEFAULT_GRID) -> MultiplicativeFReport:
+    """Max over the grid of |f(g(x, y)) - f(x) f(y)|; f passes when it is
+    at most F_CHECK_TOL.
 
     f must be strictly monotone on the grid; decreasing candidates are
     accepted and labeled (only measures built directly on the negativity
@@ -288,12 +288,12 @@ def verify_multiplicative_f(law: CompositionLaw | str, f: Callable,
     dev = np.abs(fg - fx[:, None] * fx[None, :])
     worst = float(np.max(dev))
     witness = None
-    if worst > tol:
+    if worst > F_CHECK_TOL:
         i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
         witness = (float(xs[i]), float(xs[j]))
     return MultiplicativeFReport(law=law.name, grid_n=grid_n, monotone=True,
                                  direction=direction, max_deviation=worst,
-                                 witness=witness, passed=worst <= tol)
+                                 witness=witness, passed=worst <= F_CHECK_TOL)
 
 
 @dataclass(frozen=True)

@@ -103,9 +103,9 @@ def pt_trace_norm(state: State) -> float:
     return state._pt_trace_norm
 
 
-def negativity(state: State, psd_tol: float = PSD_TOL) -> float:
-    """(|rho^T_A|_1 - 1)/2, clamped to 0 when below psd_tol."""
-    return float(_clamped_negativity(pt_trace_norm(state), psd_tol))
+def negativity(state: State) -> float:
+    """(|rho^T_A|_1 - 1)/2, clamped to 0 when below PSD_TOL."""
+    return float(_clamped_negativity(pt_trace_norm(state)))
 
 
 def log_negativity(state: State) -> float:
@@ -117,19 +117,14 @@ def log_negativity(state: State) -> float:
     return math.log2(pt_trace_norm(state))
 
 
-def is_ppt(state: State, psd_tol: float = PSD_TOL) -> bool:
-    """True when the clamped negativity is 0; for pure states, product states."""
-    return negativity(state, psd_tol) == 0.0
-
-
-def ratio_negativity(state: State, psd_tol: float = PSD_TOL) -> float:
+def ratio_negativity(state: State) -> float:
     """N/(N+1) = (|rho^T_A|_1 - 1)/(|rho^T_A|_1 + 1), bounded in [0, 1)."""
-    return _from_negativity(negativity(state, psd_tol), "ratio")
+    return _from_negativity(negativity(state), "ratio")
 
 
-def alpha_ratio_negativity(state: State, alpha: float, psd_tol: float = PSD_TOL) -> float:
+def alpha_ratio_negativity(state: State, alpha: float) -> float:
     _check_alpha(alpha)
-    return _from_negativity(negativity(state, psd_tol), "alpha_ratio", alpha)
+    return _from_negativity(negativity(state), "alpha_ratio", alpha)
 
 
 def _check_distribution(lam, size: int | None = None) -> np.ndarray:
@@ -145,21 +140,11 @@ def _check_distribution(lam, size: int | None = None) -> np.ndarray:
     return lam
 
 
-def negativity_pure(lam) -> float:
-    """((sum sqrt(lambda))^2 - 1)/2 from Schmidt coefficients, clamped as negativity."""
-    return float(_clamped_negativity(_schmidt_trace_norm(_check_distribution(lam))))
-
-
-def ratio_negativity_pure(lam) -> float:
-    """N/(N+1) = ((sum sqrt(lambda))^2 - 1) / ((sum sqrt(lambda))^2 + 1)."""
-    return _from_negativity(negativity_pure(lam), "ratio")
-
-
 def concurrence_pure(psi: PureState) -> float:
     """sqrt(2 (1 - tr rho_A^2)) for a bipartite pure state."""
     lam = psi.schmidt().coefficients
-    purity = float(np.sum(lam ** 2))
-    return math.sqrt(max(0.0, 2.0 * (1.0 - purity)))
+    tr_rho_a2 = float(np.sum(lam ** 2))
+    return math.sqrt(max(0.0, 2.0 * (1.0 - tr_rho_a2)))
 
 
 def g_concurrence_pure(lam, d: int) -> float:
@@ -197,18 +182,14 @@ class FValidation:
     message: str
 
 
-def default_f_grid() -> np.ndarray:
-    """0 followed by a log-spaced grid up to F_GRID_MAX."""
-    return np.concatenate([[0.0], np.geomspace(1e-9, F_GRID_MAX, F_GRID_POINTS - 1)])
-
-
-def validate_f(f: Callable[[float], float], samples=None) -> FValidation:
-    """Check f(0) = 0 (within 1e-12) and strict increase on a sample grid.
+def validate_f(f: Callable[[float], float]) -> FValidation:
+    """Check f(0) = 0 (within 1e-12) and strict increase on 0 followed by a
+    log-spaced grid of F_GRID_POINTS - 1 points up to F_GRID_MAX.
 
     The monotonicity check is grid-based and therefore advisory; f(0) = 0
     is checked exactly at the point.
     """
-    grid = default_f_grid() if samples is None else np.asarray(samples, dtype=float)
+    grid = np.concatenate([[0.0], np.geomspace(1e-9, F_GRID_MAX, F_GRID_POINTS - 1)])
     vals = np.array([float(f(x)) for x in grid])
     if not np.all(np.isfinite(vals)):
         bad = float(grid[np.argmax(~np.isfinite(vals))])
@@ -230,10 +211,10 @@ def _require_valid_f(f: Callable[[float], float]) -> None:
         raise ValueError(f"invalid f for f-negativity: {report.message}")
 
 
-def f_negativity(f: Callable[[float], float], state: State, psd_tol: float = PSD_TOL) -> float:
+def f_negativity(f: Callable[[float], float], state: State) -> float:
     """f(N(rho)) for a validated strictly-increasing f with f(0) = 0."""
     _require_valid_f(f)
-    return float(f(negativity(state, psd_tol)))
+    return float(f(negativity(state)))
 
 
 def compose_ratio_tensor(chis) -> float:

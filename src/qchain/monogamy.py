@@ -20,6 +20,7 @@ from .states import DensityMatrix, PureState, haar_amplitude_rows, require_unit_
 from .tensor import SubsystemLayout, partial_transpose, require_normalized
 
 VIOLATION_TOL = 1e-9
+GRID_TOL = 1e-12
 HISTOGRAM_BINS = 64
 HISTOGRAM_RANGE = (-0.1, 1.0)
 # Scans draw and evaluate samples in chunks whose amplitudes and largest
@@ -138,13 +139,14 @@ def ckw_residuals(amplitudes, dims, party_a=(0,), measure: str = "ratio",
 
 
 def ckw_residual(psi: PureState, measure: str = "ratio", alpha: float = 1.0,
-                 party_a=(0,), violation_tol: float = VIOLATION_TOL) -> MonogamyReport:
+                 party_a=(0,)) -> MonogamyReport:
     """lhs - sum(rhs) for E^alpha across A|rest versus the pairwise terms.
 
     psi must be pure with at least 3 parties. The left side uses the
     Schmidt closed form on the A|rest split; each right-side term is the
     plain negativity-based value on the reduced two-party mixed state.
-    This is ckw_residuals on a stack of one state.
+    This is ckw_residuals on a stack of one state; the report counts it
+    satisfied when the residual is at least -VIOLATION_TOL.
     """
     if isinstance(psi, DensityMatrix):
         raise ValueError("mixed multipartite states are unsupported (convex roof out of scope)")
@@ -154,7 +156,7 @@ def ckw_residual(psi: PureState, measure: str = "ratio", alpha: float = 1.0,
     residual = float(residual[0])
     return MonogamyReport(dims=dims, party_a=party_a, measure=measure, alpha=alpha,
                           lhs=float(lhs[0]), rhs_terms=tuple(float(v) for v in rhs[0]),
-                          residual=residual, satisfied=residual >= -violation_tol)
+                          residual=residual, satisfied=residual >= -VIOLATION_TOL)
 
 
 def ckw_violation_state() -> PureState:
@@ -184,11 +186,10 @@ class GridCheckReport:
                 "witness": list(self.witness) if self.witness else None}
 
 
-def check_ineq_xya_grid(a: float, b: float, alpha: float, grid_n: int = 500,
-                        tol: float = 1e-12) -> GridCheckReport:
+def check_ineq_xya_grid(a: float, b: float, alpha: float, grid_n: int = 500) -> GridCheckReport:
     """Scan [x/(x+1)]^a + [y/(y+1)]^a <= [c/(c+1)]^a, c = sqrt(x^2+y^2),
     on a grid_n x grid_n lattice over [0,a] x [0,b]; report the worst
-    violation and a witness point.
+    violation and a witness point. Gaps above GRID_TOL count as violations.
 
     The one-variable terms are computed once per axis and broadcast
     (x along rows, y along columns), with the same elementwise operations
@@ -206,8 +207,8 @@ def check_ineq_xya_grid(a: float, b: float, alpha: float, grid_n: int = 500,
     gap = lhs - rhs
     max_violation = float(np.max(gap))
     witness = None
-    count = int(np.count_nonzero(gap > tol))
-    if max_violation > tol:
+    count = int(np.count_nonzero(gap > GRID_TOL))
+    if max_violation > GRID_TOL:
         i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
         witness = (float(x[i]), float(y[j]))
     return GridCheckReport(a=a, b=b, alpha=alpha, grid_n=grid_n,

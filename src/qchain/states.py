@@ -121,8 +121,7 @@ class DensityMatrix:
     through validate(). Finiteness, Hermiticity and trace are always
     enforced, once per matrix: tensor.require_hermitian compares row and
     column strips of HERM_STRIP lines, so the check allocates no n x n
-    temporary (at n = 4096 its temporaries peak at 8 MB, where the
-    whole-matrix formula peaked at 512 MB).
+    temporary (at n = 4096 its temporaries peak at 8 MB).
 
     The stored matrix is read-only and no caller can write to it: a
     caller's matrix is copied once every check has passed, while an array
@@ -200,9 +199,6 @@ class DensityMatrix:
         # __post_init__ checked; checking it again could never fail.
         return _trace_norm_blocks(partial_transpose(self.matrix, self.layout))
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
 
 def require_squeezing(r) -> float:
     """r as a float when it is a squeezing parameter: finite and > 0."""
@@ -268,6 +264,8 @@ def cutoff_for_amplitude_tail(chi: float, tail: float) -> int:
     is log2((1 + t)/(1 - t)), so size the tail to the target accuracy
     divided by e^(2r) for negativity.
     """
+    if not (0 < chi < 1):
+        raise ValueError(f"chi must lie in (0, 1), got {chi!r}")
     if not (0 < tail < 1):
         raise ValueError("tail must lie in (0, 1)")
     return max(1, int(math.ceil(math.log(tail) / math.log(chi) - 1)))

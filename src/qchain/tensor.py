@@ -82,7 +82,7 @@ def _check_square(m: np.ndarray, layout: SubsystemLayout | None = None) -> np.nd
 
 
 def require_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
-    if not np.all(np.isfinite(a.view(float) if np.iscomplexobj(a) else a)):
+    if not np.all(np.isfinite(a)):
         raise ValueError(f"{what} contains non-finite entries")
     return a
 
@@ -152,14 +152,6 @@ def partial_transpose(rho: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
         a, b = lead + i, lead + n + i
         perm[a], perm[b] = perm[b], perm[a]
     return np.ascontiguousarray(t.transpose(perm)).reshape(rho.shape)
-
-
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix (or of each in a stack),
-    ascending; float64 input runs the real symmetric LAPACK routine."""
-    m = require_hermitian(m)
-    require_finite(m, "matrix")
-    return np.linalg.eigvalsh(m)
 
 
 def _coupled_blocks(m: np.ndarray) -> list[np.ndarray]:

@@ -193,6 +193,32 @@ class TestIgnoredFlagsRefused:
         assert "--cutoff 50" in err and "cutoff 10" in err
         assert main(["measure", "--input", path, "--output", str(tmp_path / "r.json")]) == EXIT_OK
 
+    @pytest.mark.parametrize("measures", ["ratio", "negativity,log_negativity,ratio"])
+    def test_measure_alpha_without_alpha_ratio(self, bell_file, measures, capsys):
+        argv = ["measure", "--input", bell_file, "--measures", measures, "--alpha", "3"]
+        assert main(argv) == EXIT_VALIDATION
+        assert "--alpha" in capsys.readouterr().err
+        assert main(["measure", "--input", bell_file, "--alpha", "3"]) == EXIT_VALIDATION
+        assert "--alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("measures", [" , ", "", ","])
+    def test_measure_with_no_measures(self, bell_file, measures, capsys):
+        assert main(["measure", "--input", bell_file, f"--measures={measures}"]) \
+            == EXIT_VALIDATION
+        assert "--measures" in capsys.readouterr().err
+
+    def test_measure_alpha_recorded(self, bell_file, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["measure", "--input", bell_file, "--output", str(out)]) == EXIT_OK
+        assert load_report(out)["config"]["alpha"] == 1.0
+        assert main(["measure", "--input", bell_file, "--measures", "ratio,alpha_ratio",
+                     "--alpha", "3", "--output", str(out)]) == EXIT_OK
+        doc = load_report(out)
+        assert doc["config"]["alpha"] == 3.0
+        ratio, powered = doc["result"]["measures"]
+        assert "alpha" not in ratio and powered["alpha"] == 3.0
+        assert abs(powered["value"] - ratio["value"] ** 3) < 1e-15
+
     @pytest.mark.parametrize("flag,value", [("--dims", "2,2,2"), ("--samples", "10"),
                                             ("--alpha", "2.0"), ("--seed", "3")])
     def test_monogamy_input_with_scan_flags(self, tmp_path, flag, value, capsys):
@@ -689,7 +715,7 @@ def test_min_law_writes_inapplicable_deviation_as_inf(tmp_path):
 def test_non_finite_report_value_is_numerical_failure(tmp_path, monkeypatch, capsys):
     import qchain.cli as cli
 
-    monkeypatch.setattr(cli, "cm_ratio_negativity", lambda cm, party: math.nan)
+    monkeypatch.setattr(cli, "cm_ratio_negativity", lambda cm: math.nan)
     out = tmp_path / "cm.json"
     assert main(["gaussian", "--r", "0.5", "--output", str(out)]) == EXIT_NUMERICAL
     assert "NaN or infinite" in capsys.readouterr().err

@@ -10,7 +10,6 @@ from qchain.gaussian import (
     symplectic_eigenvalues,
     symplectic_form,
     tmsvs_cm,
-    vacuum_cm,
     validate_cm,
 )
 from qchain.measures import ratio_negativity
@@ -55,7 +54,7 @@ def random_symplectic(rng):
 
 class TestValidation:
     def test_vacuum_ok(self):
-        report = validate_cm(vacuum_cm(3))
+        report = validate_cm(CovarianceMatrix(np.eye(6)))
         assert report.ok
         assert report.min_bona_fide_eigenvalue > -1e-12
 
@@ -107,7 +106,7 @@ class TestTmsvsCm:
 
 class TestCmPartialTranspose:
     def test_product_cm_stays_bona_fide(self):
-        assert validate_cm(cm_partial_transpose(vacuum_cm(2), (0,))).ok
+        assert validate_cm(cm_partial_transpose(CovarianceMatrix(np.eye(4)), (0,))).ok
 
     def test_tmsvs_pt_violates_uncertainty(self):
         for r in (0.2, 1.0):
@@ -121,7 +120,7 @@ class TestCmPartialTranspose:
 
     def test_mode_index_checked(self):
         with pytest.raises(ValueError):
-            cm_partial_transpose(vacuum_cm(2), (5,))
+            cm_partial_transpose(CovarianceMatrix(np.eye(4)), (5,))
 
 
 class TestSymplecticEigenvalues:
@@ -158,7 +157,7 @@ class TestSymplecticEigenvalues:
 
     def test_pure_iff_unit_determinant(self):
         # All symplectic values 1 exactly when det Gamma = 1.
-        cases = [vacuum_cm(2).gamma, tmsvs_cm(0.4).gamma, 2.0 * np.eye(4),
+        cases = [CovarianceMatrix(np.eye(4)).gamma, tmsvs_cm(0.4).gamma, 2.0 * np.eye(4),
                  np.diag([2.0, 0.5, 1.0, 1.0])]
         for g in cases:
             nu = symplectic_eigenvalues(g)
@@ -173,7 +172,7 @@ class TestCmRatioNegativity:
             assert abs(cm_ratio_negativity(tmsvs_cm(r)) - math.tanh(r)) < tol
 
     def test_two_vacuum_modes_are_separable(self):
-        assert cm_ratio_negativity(vacuum_cm(2)) == 0.0
+        assert cm_ratio_negativity(CovarianceMatrix(np.eye(4))) == 0.0
 
     def test_fock_route_agreement(self):
         # Covariance route versus the truncated Fock route at default

@@ -15,13 +15,10 @@ from qchain.measures import (
     evaluate_measure,
     f_negativity,
     g_concurrence_pure,
-    is_ppt,
     log_negativity,
     negativity,
-    negativity_pure,
     pt_trace_norm,
     ratio_negativity,
-    ratio_negativity_pure,
     scp_pure_qubit,
     validate_f,
 )
@@ -208,7 +205,7 @@ class TestRatioNegativity:
     def test_zero_iff_ppt(self):
         for i in range(40):
             dm = random_density_matrix(QUBIT_PAIR, 4, substream(5, i))
-            assert (ratio_negativity(dm) == 0.0) == is_ppt(dm)
+            assert (ratio_negativity(dm) == 0.0) == evaluate_measure(MeasureSpec("negativity"), dm).ppt
 
     def test_same_ordering_as_negativity(self):
         states = [random_density_matrix(QUBIT_PAIR, 4, substream(6, i)) for i in range(25)]
@@ -241,11 +238,11 @@ class TestAlphaRatio:
 
 class TestPureClosedForms:
     def test_ratio_uniform_pair(self):
-        assert abs(ratio_negativity_pure([0.5, 0.5]) - 1 / 3) < 1e-14
+        assert abs(ratio_negativity(pure_from_schmidt([0.5, 0.5], (2, 2))) - 1 / 3) < 1e-14
 
     def test_ratio_lopsided_pair(self):
         # (sqrt(0.1) + sqrt(0.9))^2 = 1.6, so the value is 0.6/2.6 = 3/13.
-        assert abs(ratio_negativity_pure([0.9, 0.1]) - 3 / 13) < 1e-14
+        assert abs(ratio_negativity(pure_from_schmidt([0.9, 0.1], (2, 2))) - 3 / 13) < 1e-14
 
     def test_agreement_with_dense_route(self):
         rng = substream(10, 0)
@@ -254,10 +251,10 @@ class TestPureClosedForms:
             lam /= lam.sum()
             st = pure_from_schmidt(lam, (3, 3))
             dense = ratio_negativity(st.density_matrix())
-            assert abs(ratio_negativity_pure(lam) - dense) < 1e-10
+            assert abs(ratio_negativity(st) - dense) < 1e-10
 
     def test_negativity_pure(self):
-        assert abs(negativity_pure([0.5, 0.5]) - 0.5) < 1e-14
+        assert abs(negativity(pure_from_schmidt([0.5, 0.5], (2, 2))) - 0.5) < 1e-14
 
 
 class TestConcurrence:
@@ -326,11 +323,12 @@ class TestScp:
 
 class TestPpt:
     def test_bell_is_npt(self):
-        assert not is_ppt(bell_state())
+        assert not evaluate_measure(MeasureSpec("ratio"), bell_state()).ppt
 
     def test_classical_mixture_is_ppt(self):
         rho1, _, _ = classical_bell_mixture()
-        assert is_ppt(rho1)
+        assert negativity(rho1) == 0.0
+        assert evaluate_measure(MeasureSpec("ratio"), rho1).ppt
 
     def test_separable_mixture_is_ppt(self):
         rng = substream(16, 0)
@@ -341,7 +339,7 @@ class TestPpt:
             rho += kron(np.outer(a, a.conj()) / np.vdot(a, a).real,
                         np.outer(b, b.conj()) / np.vdot(b, b).real)
         rho /= np.real(np.trace(rho))
-        assert is_ppt(DensityMatrix(rho, QUBIT_PAIR, _trusted=True))
+        assert negativity(DensityMatrix(rho, QUBIT_PAIR, _trusted=True)) == 0.0
 
 
 class TestTensorComposition:
@@ -421,7 +419,7 @@ class TestPptIsZeroNegativity:
     def test_edge_state_is_npt(self):
         st = isotropic_edge_state()
         assert abs(negativity(st) - 3e-10) < 1e-14
-        assert not is_ppt(st)
+        assert negativity(st) != 0.0
         for spec in MIXED_SPECS:
             res = evaluate_measure(spec, st)
             assert res.ppt is False, spec.kind
@@ -561,7 +559,7 @@ class TestOneNegativityRule:
     @pytest.mark.parametrize("lam", [[0.5, math.nan], [math.nan, math.nan], [1.5, -0.5]])
     def test_schmidt_vector_rule_rejects_non_distributions(self, lam):
         from qchain.swapping import qubit_link, qudit_link
-        for call in (lambda: negativity_pure(lam), lambda: g_concurrence_pure(lam, 2),
+        for call in (lambda: scp_pure_qubit(lam), lambda: g_concurrence_pure(lam, 2),
                      lambda: qubit_link(lam=lam), lambda: qudit_link(lam=lam)):
             with pytest.raises(ValueError, match="Schmidt coefficients"):
                 call()

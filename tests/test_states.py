@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qchain import states
+from qchain.measures import ratio_negativity
 from qchain.reports import state_from_json, state_to_json
 from qchain.states import (
     PSD_TOL,
@@ -150,6 +151,11 @@ class TestTmsvs:
         c = cutoff_for_amplitude_tail(chi, 1e-10)
         assert chi ** (c + 1) <= 1e-10 < chi ** c
 
+    @pytest.mark.parametrize("chi", [1.0, 0.0, -0.5, 1.5])
+    def test_cutoff_for_amplitude_tail_refuses_chi_outside_unit_interval(self, chi):
+        with pytest.raises(ValueError, match="chi must lie in"):
+            cutoff_for_amplitude_tail(chi, 1e-10)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             TmsvsSpec.from_r(-1.0)
@@ -201,7 +207,7 @@ class TestRandomStates:
 
     def test_rank_one_is_pure(self):
         dm = random_density_matrix(QUBIT_PAIR, rank=1, seed=3)
-        assert abs(dm.purity() - 1.0) < 1e-10
+        assert abs(np.trace(dm.matrix @ dm.matrix).real - 1.0) < 1e-10
 
     def test_full_rank_valid(self):
         dm = random_density_matrix(QUBIT_PAIR, rank=4, seed=5)
@@ -370,7 +376,7 @@ class TestKrausBranches:
         assert len(branches) == 2
         for p, out in branches:
             assert abs(p - 0.5) < 1e-12
-            assert abs(out.purity() - 1.0) < 1e-12
+            assert abs(np.trace(out.matrix @ out.matrix).real - 1.0) < 1e-12
 
 
 class TestRequireUnitDensity:
@@ -484,6 +490,26 @@ class TestStoredMatrix:
         view.setflags(write=False)
         dm = DensityMatrix(view, self.LAYOUT, _trusted=trusted)
         assert not np.shares_memory(dm.matrix, m)
+
+    @pytest.mark.parametrize("trusted", [False, True])
+    def test_transposed_complex_matrix_builds(self, trusted):
+        # rho.T is a Fortran-ordered view: its last axis is not contiguous.
+        layout = SubsystemLayout((2, 3), (0,))
+        m = random_density_matrix(layout, 3, seed=6).matrix.T
+        assert np.iscomplexobj(m) and not m.flags.c_contiguous
+        dm = DensityMatrix(m, layout, _trusted=trusted)
+        ref = DensityMatrix(np.ascontiguousarray(m), layout)
+        assert np.array_equal(dm.matrix, ref.matrix)
+        assert ratio_negativity(dm) == ratio_negativity(ref) > 0
+
+    def test_strided_amplitudes_build(self):
+        w = np.zeros(8, dtype=complex)
+        w[::2] = bell_state().amplitudes * np.exp(0.3j)
+        psi = PureState(w[::2], QUBIT_PAIR)
+        ref = PureState(np.ascontiguousarray(w[::2]), QUBIT_PAIR)
+        assert np.array_equal(psi.amplitudes, ref.amplitudes)
+        assert ratio_negativity(psi) == ratio_negativity(ref)
+        assert abs(ratio_negativity(psi) - 1 / 3) < 1e-14
 
     def test_untrusted_read_only_array_is_copied(self):
         m = self.caller_matrix()

@@ -11,7 +11,6 @@ from qchain.tensor import (
     HERM_TOL_BASE,
     SubsystemLayout,
     _hermitian_defect,
-    hermitian_eigenvalues,
     kron,
     partial_trace,
     partial_transpose,
@@ -119,33 +118,39 @@ class TestPartialTranspose:
 
 
 class TestHermitianEigenvalues:
+    """The spectrum of a Hermitian matrix, as trace_norm_hermitian sums it."""
+
     def test_diagonal(self):
-        assert np.allclose(hermitian_eigenvalues(np.diag([3.0, 1.0, 2.0])), [1, 2, 3])
+        assert trace_norm_hermitian(np.diag([3.0, -1.0, 2.0])) == 6.0
 
     def test_pauli_x(self):
         x = np.array([[0, 1], [1, 0]], dtype=complex)
-        assert np.allclose(hermitian_eigenvalues(x), [-1, 1])
+        assert abs(trace_norm_hermitian(x) - 2.0) < 1e-14
 
     def test_bell_pt(self):
+        # Spectrum (-0.5, 0.5, 0.5, 0.5): the negative part is 0.5.
         pt = partial_transpose(BELL_DM, QUBIT_PAIR)
-        assert np.allclose(hermitian_eigenvalues(pt), [-0.5, 0.5, 0.5, 0.5])
+        assert abs((trace_norm_hermitian(pt) - np.trace(pt).real) / 2 - 0.5) < 1e-12
 
     def test_rejects_non_hermitian(self):
         m = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eigenvalues(m)
+            require_hermitian(m)
+        with pytest.raises(ValueError, match="Hermitian"):
+            trace_norm_hermitian(m)
 
     def test_tolerates_kron_roundoff(self, rng):
         m = random_hermitian(rng, 4)
         m[0, 1] += 1e-13  # below herm_tol for this norm
-        hermitian_eigenvalues(m)
+        require_hermitian(m)
+        assert math.isfinite(trace_norm_hermitian(m))
 
     def test_charpoly_oracle_agreement(self, rng):
         for dim in (2, 3, 4):
             for _ in range(25):
                 m = random_hermitian(rng, dim)
-                assert np.allclose(hermitian_eigenvalues(m),
-                                   charpoly_eigenvalues(m), atol=1e-10)
+                roots = np.sum(np.abs(charpoly_eigenvalues(m)))
+                assert abs(trace_norm_hermitian(m) - roots) < 1e-10 * dim
 
 
 class TestTraceNorm:
@@ -461,8 +466,7 @@ def test_float64_input_stays_float64(monkeypatch):
     assert partial_transpose(np.stack([rho, pt]), layout).dtype == np.float64
     assert partial_trace(rho, layout, [1]).dtype == np.float64
     assert require_hermitian(rho).dtype == np.float64
-    assert hermitian_eigenvalues(rho).dtype == np.float64
     # One matrix that splits into blocks and one that does not.
     assert trace_norm_hermitian(np.diag([0.5, 0.25, 0.25])) == 1.0
     assert trace_norm_hermitian(pt) >= 1.0
-    assert len(spectra) == 3 and set(spectra) == {np.dtype(np.float64)}
+    assert len(spectra) == 2 and set(spectra) == {np.dtype(np.float64)}
