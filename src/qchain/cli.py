@@ -156,7 +156,7 @@ def cmd_measure(args) -> tuple[int, dict]:
     state = state_from_json(doc, args.tol_psd)
     results = []
     for kind in kinds:
-        spec = MeasureSpec(kind=kind, alpha=alpha)
+        spec = MeasureSpec(kind, alpha) if kind == "alpha_ratio" else MeasureSpec(kind)
         results.append(evaluate_measure(spec, state, psd_tol=args.tol_psd).to_json())
     config = {"input": args.input, "measures": args.measures, "alpha": alpha,
               "cutoff": args.cutoff, "tol_psd": args.tol_psd}

@@ -19,6 +19,8 @@ from typing import Callable
 
 import numpy as np
 
+from .tensor import GRID_SLAB_BYTES
+
 ASSOC_TOL = 1e-9
 IDENTITY_TOL = 1e-9
 CLOSURE_TOL = 1e-9
@@ -122,15 +124,34 @@ def _check_closure(law: CompositionLaw, xs: np.ndarray, tol: float) -> AxiomResu
 
 
 def _check_associativity(law: CompositionLaw, xs: np.ndarray, tol: float) -> AxiomResult:
-    x = xs[:, None, None]
+    """Max of |g(g(x,y),z) - g(x,g(y,z))| over the grid's (x, y, z) triples.
+
+    g(y, z) is computed once; the triples are taken in slabs of x rows
+    whose n x n arrays take about GRID_SLAB_BYTES (one row when a row alone
+    is larger), so memory grows with n^2, not n^3. Each slab applies the
+    same elementwise operations as the whole n x n x n grid, and a later
+    slab replaces the worst defect only when strictly larger, so the
+    witness is the first maximum in row-major order. A non-finite defect
+    raises ValueError naming its triple.
+    """
+    n = len(xs)
     y = xs[None, :, None]
     z = xs[None, None, :]
-    left = law(law(x, y), z)
-    right = law(x, law(y, z))
-    dev = np.abs(left - right)
-    worst = float(np.max(dev))
+    yz = law(y, z)
+    rows = max(1, GRID_SLAB_BYTES // (8 * n * n))
+    worst, at = -math.inf, (0, 0, 0)
+    for start in range(0, n, rows):
+        x = xs[start:start + rows, None, None]
+        dev = np.abs(law(law(x, y), z) - law(x, yz))
+        m = int(np.argmax(dev))  # the first NaN, if the slab holds one
+        i, j, k = np.unravel_index(m, dev.shape)
+        if not math.isfinite(dev.flat[m]):
+            raise ValueError(f"law produced a non-finite associativity defect at "
+                             f"({xs[start + i]}, {xs[j]}, {xs[k]})")
+        if dev.flat[m] > worst:
+            worst, at = float(dev.flat[m]), (start + i, j, k)
     if worst > tol:
-        i, j, k = np.unravel_index(int(np.argmax(dev)), dev.shape)
+        i, j, k = at
         return AxiomResult(False,
                            f"|g(g(x,y),z) - g(x,g(y,z))| = {worst:.3e} at "
                            f"({xs[i]:.6g}, {xs[j]:.6g}, {xs[k]:.6g})",

@@ -43,10 +43,15 @@ class MeasureSpec:
             raise ValueError(f"unknown measure kind {self.kind!r}; choose from {MEASURE_KINDS}")
         if self.kind == "alpha_ratio":
             _check_alpha(self.alpha)
+        elif self.alpha != 1:
+            raise ValueError(f"alpha {self.alpha!r} applies only to the alpha_ratio measure; "
+                             f"{self.kind!r} takes alpha 1")
         if self.kind == "custom_f":
             if self.f is None:
                 raise ValueError("custom_f requires a function handle")
             _require_valid_f(self.f)
+        elif self.f is not None:
+            raise ValueError(f"f applies only to the custom_f measure; {self.kind!r} takes no f")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,10 @@ HERM_TOL_BASE = 1e-10
 NORM_TOL = 1e-10
 SCHMIDT_CUTOFF = 1e-12
 HERM_STRIP = 64
+# The grid checks (monogamy's two-term inequality, groupop's associativity)
+# evaluate their grids in slabs of x rows whose arrays take about this many
+# bytes, so their memory does not grow with the number of x rows.
+GRID_SLAB_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,20 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qchain import groupop
 from qchain.groupop import (
+    ASSOC_TOL,
+    LAW_REGISTRY,
     SOLVE_TOL,
+    CLOSURE_TOL,
     AxiomResult,
     CompositionLaw,
+    _check_associativity,
+    _check_closure,
     _check_solvability,
     check_group_operation,
     get_law,
@@ -106,6 +113,19 @@ class TestCustomLaws:
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="non-finite"):
                 check_group_operation(law, grid_n=16)
+
+    def test_nan_associativity_defect_rejected(self):
+        # Every grid composition is finite, so closure passes, but
+        # g(g(x, y), z) is NaN once x * y < 1e-3.
+        law = CompositionLaw("nanprod", lambda x, y: np.where(x < 1e-3, np.nan, x * y),
+                             0.0, 1.0, open_lo=True)
+        xs = law.grid(16)
+        assert _check_closure(law, xs, CLOSURE_TOL).passed
+        with pytest.raises(ValueError, match="non-finite associativity defect at") as info:
+            check_group_operation(law, grid_n=16)
+        x, y, z = (float(v) for v in str(info.value).split("at (")[1].rstrip(")").split(", "))
+        assert {x, y, z} <= set(xs.tolist())
+        assert math.isnan(law(law(x, y), z)) or math.isnan(law(x, law(y, z)))
 
 
 class TestVerifyMultiplicativeF:
@@ -238,3 +258,53 @@ class TestSolvabilityMatchesScalarReference:
             law = get_law(law)
         xs = law.grid(grid_n)
         assert _check_solvability(law, xs, SOLVE_TOL) == _scalar_solvability(law, xs, SOLVE_TOL)
+
+
+def _whole_grid_associativity(law, xs, tol):
+    """The associativity check over the whole n x n x n grid at once: the
+    reference that the slab loop must equal."""
+    x, y, z = xs[:, None, None], xs[None, :, None], xs[None, None, :]
+    dev = np.abs(law(law(x, y), z) - law(x, law(y, z)))
+    worst = float(np.max(dev))
+    if worst > tol:
+        i, j, k = np.unravel_index(int(np.argmax(dev)), dev.shape)
+        return AxiomResult(False, f"|g(g(x,y),z) - g(x,g(y,z))| = {worst:.3e} at "
+                                  f"({xs[i]:.6g}, {xs[j]:.6g}, {xs[k]:.6g})",
+                           worst, (float(xs[i]), float(xs[j]), float(xs[k])))
+    return AxiomResult(True, f"max associativity defect {worst:.3e}", worst)
+
+
+# Fails associativity with defect |x - z| / 4, so its maximum is tied
+# between x = lo and x = hi: the witness must be the first in row-major order.
+MEAN_LAW = CompositionLaw("mean", lambda x, y: (x + y) / 2.0, 0.0, 1.0)
+
+
+class TestAssociativitySlabs:
+    @pytest.mark.parametrize("grid_n", [2, 3, 17, 64, 127, 128])
+    @pytest.mark.parametrize("law", [*LAW_REGISTRY.values(), MEAN_LAW], ids=lambda law: law.name)
+    @pytest.mark.parametrize("slab_bytes", [1, 1 << 14], ids=["rows", "16KB"])
+    def test_equals_whole_grid(self, monkeypatch, law, grid_n, slab_bytes):
+        # A budget of 1 byte makes every slab a single x row; 16 KB gives
+        # slabs of several rows and a shorter last slab at grid 17.
+        monkeypatch.setattr(groupop, "GRID_SLAB_BYTES", slab_bytes)
+        xs = law.grid(grid_n)
+        assert _check_associativity(law, xs, ASSOC_TOL) == \
+            _whole_grid_associativity(law, xs, ASSOC_TOL)
+
+    def test_tied_maximum_reports_first_witness(self, monkeypatch):
+        monkeypatch.setattr(groupop, "GRID_SLAB_BYTES", 1)
+        result = _check_associativity(MEAN_LAW, MEAN_LAW.grid(17), ASSOC_TOL)
+        assert not result.passed
+        assert result.witness == (0.0, 0.0, 1.0)
+
+    def test_memory_does_not_grow_with_the_cube(self):
+        # One whole 128^3 float64 array alone takes 16.8 MB.
+        law = get_law("tanh_sum")
+        xs = law.grid(128)
+        tracemalloc.start()
+        try:
+            _check_associativity(law, xs, ASSOC_TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000

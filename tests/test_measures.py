@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -399,6 +400,17 @@ class TestEvaluateMeasure:
         with pytest.raises(ValueError):
             MeasureSpec("entropy")
 
+    @pytest.mark.parametrize("kind,kwargs,message", [
+        ("ratio", {"alpha": 3.0}, "alpha 3.0 applies only to the alpha_ratio measure; 'ratio'"),
+        ("concurrence", {"alpha": math.nan}, "alpha nan applies only to the alpha_ratio measure"),
+        ("negativity", {"f": lambda x: x * x}, "f applies only to the custom_f measure; 'negativity'"),
+        ("alpha_ratio", {"alpha": 2.0, "f": lambda x: x}, "f applies only to the custom_f measure"),
+    ], ids=["ratio-alpha", "concurrence-alpha-nan", "negativity-f", "alpha_ratio-f"])
+    def test_ignored_arguments_refused(self, kind, kwargs, message):
+        # Each would be silently dropped by evaluate_measure.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MeasureSpec(kind, **kwargs)
+
 
 def isotropic_edge_state():
     """p|Phi+><Phi+| + (1-p) I/16 on (4, 4), with p just above the
@@ -604,7 +616,7 @@ def test_schmidt_and_dense_routes_agree(psi, alpha):
     # the dense route takes the spectrum of the partial-transposed projector.
     rho = psi.density_matrix()
     for kind in NEGATIVITY_KINDS:
-        spec = MeasureSpec(kind, alpha=alpha)
+        spec = MeasureSpec(kind, alpha=alpha) if kind == "alpha_ratio" else MeasureSpec(kind)
         pure, dense = evaluate_measure(spec, psi), evaluate_measure(spec, rho)
         assert abs(pure.value - dense.value) < 1e-10, kind
         assert abs(pure.trace_norm - dense.trace_norm) < 1e-10, kind

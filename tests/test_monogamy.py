@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -202,6 +203,23 @@ class TestGridInequality:
         with pytest.raises(ValueError, match=r"finite 0 < a <= b, got a=.*, b="):
             check_ineq_xya_grid(a, b, 2.0, 100)
 
+    @pytest.mark.parametrize("a,b", [(0.5, 1e160), (1e200, 1e200)])
+    def test_overflowing_bounds_rejected(self, a, b):
+        # c = sqrt(x^2 + y^2) would be infinite and its term NaN, which the
+        # running maximum over slabs, like a whole-grid maximum, cannot report.
+        with pytest.raises(ValueError, match=r"a\^2 \+ b\^2 overflows float64 at a=.*, b="):
+            check_ineq_xya_grid(a, b, 2.0, 100)
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # One whole 2000 x 2000 float64 grid alone takes 32 MB.
+        tracemalloc.start()
+        try:
+            check_ineq_xya_grid(0.5, 0.5, 1.0, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
 
 def meshgrid_reference(a, b, alpha, grid_n, tol=1e-12):
     """The two-term grid over full grid_n x grid_n meshgrids: the formula
@@ -223,6 +241,17 @@ def meshgrid_reference(a, b, alpha, grid_n, tol=1e-12):
 @pytest.mark.parametrize("alpha", [1.0, alpha_threshold() - 0.05, alpha_threshold(), 3.191])
 @pytest.mark.parametrize("grid_n", [100, 257, 500])
 def test_grid_on_axes_equals_meshgrid(a, b, alpha, grid_n):
+    report = check_ineq_xya_grid(a, b, alpha, grid_n)
+    expected = meshgrid_reference(a, b, alpha, grid_n)
+    assert (report.max_violation, report.witness, report.violation_count) == expected
+
+
+@pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.2, 0.7), (1e-3, 2.0)])
+@pytest.mark.parametrize("alpha", [1.0, alpha_threshold() - 0.05, alpha_threshold(), 3.191])
+@pytest.mark.parametrize("grid_n", [100, 257, 500])
+def test_grid_in_single_row_slabs_equals_meshgrid(monkeypatch, a, b, alpha, grid_n):
+    # A budget of 1 byte makes every slab a single x row.
+    monkeypatch.setattr(monogamy, "GRID_SLAB_BYTES", 1)
     report = check_ineq_xya_grid(a, b, alpha, grid_n)
     expected = meshgrid_reference(a, b, alpha, grid_n)
     assert (report.max_violation, report.witness, report.violation_count) == expected
