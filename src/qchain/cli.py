@@ -36,6 +36,7 @@ from .reports import (
     LINK_SCHEMAS,
     SCAN_SCHEMA,
     SWEEP_CSV_COLUMNS,
+    _file_integers,
     cm_to_json,
     dump_report,
     file_integer,
@@ -107,9 +108,9 @@ def _file_lambda(value, what: str) -> list[float]:
 
 def _links_from_spec(doc: dict):
     file_object(doc, CHAIN_SCHEMA, "chain file")
-    kind = doc.get("kind")
-    raw = doc.get("links")
-    if kind not in LINK_SCHEMAS:
+    kind = doc["kind"]
+    raw = doc["links"]
+    if not isinstance(kind, str) or kind not in LINK_SCHEMAS:
         raise ValueError(f"chain kind must be {'|'.join(LINK_SCHEMAS)}, got {kind!r}")
     if isinstance(raw, dict):
         file_object(raw, IDENTICAL_LINKS_SCHEMA, "links")
@@ -149,7 +150,7 @@ def cmd_measure(args) -> tuple[int, dict]:
     if isinstance(doc, dict) and args.cutoff is not None:
         if doc.get("kind") != "tmsvs":
             raise ValueError("--cutoff applies only to tmsvs state files")
-        if doc.get("cutoff") is not None:
+        if "cutoff" in doc:
             raise ValueError(f"--cutoff {args.cutoff} conflicts with the state file's cutoff "
                              f"{doc['cutoff']!r}; give only one")
         doc = {**doc, "cutoff": args.cutoff}
@@ -204,7 +205,7 @@ def cmd_monogamy(args) -> tuple[int, dict]:
         if given:
             raise ValueError(f"--input sets the scan; drop {', '.join(given)}")
         doc = file_object(_read_json(args.input), SCAN_SCHEMA, "scan file")
-        dims = [file_integer(d, "dims entry") for d in doc["dims"]]
+        dims = _file_integers(doc["dims"], "dims")
         samples = file_integer(doc["samples"], "samples")
         alpha = _file_alpha(doc["alpha"])
         seed = file_integer(doc["seed"], "seed")
@@ -342,7 +343,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         code, payload = args.fn(args)
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # json.JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import GRID_SLAB_BYTES
+from .tensor import GRID_SLAB_BYTES, require_tolerance
 
 ASSOC_TOL = 1e-9
 IDENTITY_TOL = 1e-9
@@ -255,6 +255,7 @@ def check_group_operation(law: CompositionLaw | str, grid_n: int = DEFAULT_GRID,
     at the endpoints; the per-axiom results let the caller judge such
     boundary cases.
     """
+    require_tolerance(assoc_tol, "assoc_tol")
     if isinstance(law, str):
         law = get_law(law)
     xs = law.grid(grid_n)

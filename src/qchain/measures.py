@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .states import PSD_TOL, DensityMatrix, PureState
+from .tensor import require_tolerance
 
 State = DensityMatrix | PureState
 
@@ -32,7 +33,9 @@ F_GRID_MAX = 100.0
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """Selects a measure; alpha applies to alpha_ratio, f to custom_f."""
+    """Selects a measure and holds its rules: alpha (finite, > 0) applies
+    only to alpha_ratio and f (validate_f) only to custom_f. The
+    one-measure functions and chain links take their checks from here."""
 
     kind: str
     alpha: float = 1.0
@@ -49,7 +52,9 @@ class MeasureSpec:
         if self.kind == "custom_f":
             if self.f is None:
                 raise ValueError("custom_f requires a function handle")
-            _require_valid_f(self.f)
+            report = validate_f(self.f)
+            if not report.ok:
+                raise ValueError(f"invalid f for f-negativity: {report.message}")
         elif self.f is not None:
             raise ValueError(f"f applies only to the custom_f measure; {self.kind!r} takes no f")
 
@@ -110,7 +115,7 @@ def pt_trace_norm(state: State) -> float:
 
 def negativity(state: State) -> float:
     """(|rho^T_A|_1 - 1)/2, clamped to 0 when below PSD_TOL."""
-    return float(_clamped_negativity(pt_trace_norm(state)))
+    return evaluate_measure(MeasureSpec("negativity"), state).value
 
 
 def log_negativity(state: State) -> float:
@@ -119,17 +124,16 @@ def log_negativity(state: State) -> float:
     Some conventions use the natural log (under which a two-mode squeezed
     vacuum has value exactly 2r); multiply by ln 2 for that reading.
     """
-    return math.log2(pt_trace_norm(state))
+    return evaluate_measure(MeasureSpec("log_negativity"), state).value
 
 
 def ratio_negativity(state: State) -> float:
     """N/(N+1) = (|rho^T_A|_1 - 1)/(|rho^T_A|_1 + 1), bounded in [0, 1)."""
-    return _from_negativity(negativity(state), "ratio")
+    return evaluate_measure(MeasureSpec("ratio"), state).value
 
 
 def alpha_ratio_negativity(state: State, alpha: float) -> float:
-    _check_alpha(alpha)
-    return _from_negativity(negativity(state), "alpha_ratio", alpha)
+    return evaluate_measure(MeasureSpec("alpha_ratio", alpha), state).value
 
 
 def _check_distribution(lam, size: int | None = None) -> np.ndarray:
@@ -210,16 +214,9 @@ def validate_f(f: Callable[[float], float]) -> FValidation:
     return FValidation(True, zero_defect, None, "ok")
 
 
-def _require_valid_f(f: Callable[[float], float]) -> None:
-    report = validate_f(f)
-    if not report.ok:
-        raise ValueError(f"invalid f for f-negativity: {report.message}")
-
-
 def f_negativity(f: Callable[[float], float], state: State) -> float:
     """f(N(rho)) for a validated strictly-increasing f with f(0) = 0."""
-    _require_valid_f(f)
-    return float(f(negativity(state)))
+    return evaluate_measure(MeasureSpec("custom_f", f=f), state).value
 
 
 def compose_ratio_tensor(chis) -> float:
@@ -235,6 +232,7 @@ def compose_ratio_tensor(chis) -> float:
 
 def evaluate_measure(spec: MeasureSpec, state: State, psd_tol: float = PSD_TOL) -> MeasureResult:
     """Dispatch a measure evaluation and package the standard report fields."""
+    require_tolerance(psd_tol, "psd_tol")
     if spec.kind in PURE_ONLY_KINDS and not isinstance(state, PureState):
         raise ValueError(f"{spec.kind} is only evaluated on pure states (convex roof out of scope)")
     t = pt_trace_norm(state)

@@ -17,7 +17,8 @@ import numpy as np
 
 from .measures import _check_alpha, _clamped_negativity, _from_negativity, _schmidt_trace_norm
 from .states import DensityMatrix, PureState, haar_amplitude_rows, require_unit_density
-from .tensor import GRID_SLAB_BYTES, SubsystemLayout, partial_transpose, require_normalized
+from .tensor import (GRID_SLAB_BYTES, SubsystemLayout, partial_transpose, require_normalized,
+                     require_tolerance)
 
 VIOLATION_TOL = 1e-9
 GRID_TOL = 1e-12
@@ -91,10 +92,7 @@ def _check_residual_args(dims: tuple[int, ...], measure: str, alpha: float,
     _check_alpha(alpha)
     if measure not in ("ratio", "negativity"):
         raise ValueError(f"unsupported measure {measure!r}: monogamy residuals are negativity-based")
-    party_a = tuple(sorted(set(int(i) for i in party_a)))
-    if not party_a or len(party_a) >= len(dims):
-        raise ValueError(f"party A {party_a} must be a strict non-empty subset of {len(dims)} parties")
-    return party_a
+    return SubsystemLayout(dims, party_a).party_a
 
 
 def ckw_residuals(amplitudes, dims, party_a=(0,), measure: str = "ratio",
@@ -261,6 +259,7 @@ def sample_monogamy_scan(dims, samples: int, alpha: float, seed: int,
     dims = tuple(int(d) for d in dims)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    require_tolerance(violation_tol, "violation_tol")
     layout = SubsystemLayout(dims, (0,))
     _check_residual_args(dims, "ratio", alpha, (0,))
     covered = family_supported(dims)

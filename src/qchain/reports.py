@@ -29,35 +29,31 @@ from .gaussian import CovarianceMatrix
 from .states import PSD_TOL, DensityMatrix, PureState, TmsvsSpec, _hand_over, tmsvs_truncated
 from .tensor import SubsystemLayout
 
+_PAIRS = {"type": "array",
+          "items": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}}
+
+
+def _finite_state(kind: str, data: str) -> dict:
+    """The schema of a pure or mixed state document, whose entries sit
+    under `data` as [re, im] pairs."""
+    return {
+        "properties": {
+            "dims": {"type": "array", "items": {"type": "integer", "minimum": 2}, "minItems": 1},
+            "partyA": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1},
+            "kind": {"const": kind},
+            data: _PAIRS,
+            "truncation_deficit": {"type": "number", "minimum": 0},
+        },
+        "required": ["dims", "partyA", "kind", data],
+        "additionalProperties": False,
+    }
+
+
 STATE_SCHEMA = {
     "type": "object",
     "oneOf": [
-        {
-            "properties": {
-                "dims": {"type": "array", "items": {"type": "integer", "minimum": 2}, "minItems": 1},
-                "partyA": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1},
-                "kind": {"const": "pure"},
-                "amplitudes": {"type": "array",
-                               "items": {"type": "array", "items": {"type": "number"},
-                                         "minItems": 2, "maxItems": 2}},
-                "truncation_deficit": {"type": "number", "minimum": 0},
-            },
-            "required": ["dims", "partyA", "kind", "amplitudes"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {
-                "dims": {"type": "array", "items": {"type": "integer", "minimum": 2}, "minItems": 1},
-                "partyA": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1},
-                "kind": {"const": "mixed"},
-                "matrix": {"type": "array",
-                           "items": {"type": "array", "items": {"type": "number"},
-                                     "minItems": 2, "maxItems": 2}},
-                "truncation_deficit": {"type": "number", "minimum": 0},
-            },
-            "required": ["dims", "partyA", "kind", "matrix"],
-            "additionalProperties": False,
-        },
+        _finite_state("pure", "amplitudes"),
+        _finite_state("mixed", "matrix"),
         {
             "properties": {
                 "kind": {"const": "tmsvs"},
@@ -209,12 +205,19 @@ def file_number(value, what: str) -> float:
 def file_object(doc, schema: dict, what: str) -> dict:
     """doc when it is a JSON object holding only keys that the object
     schema lists under "properties" (each input schema here says
-    additionalProperties: false)."""
+    additionalProperties: false), none of them null, and every key the
+    schema lists under "required". A null is refused rather than read as
+    an absent key: no schema here admits one."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, got {doc!r}")
-    for key in doc:
+    for key, value in doc.items():
         if key not in schema["properties"]:
             raise ValueError(f"{what} has unknown key {key!r}")
+        if value is None:
+            raise ValueError(f"{what} has null value for key {key!r}; give a value or omit the key")
+    for key in schema.get("required", ()):
+        if key not in doc:
+            raise ValueError(f"{what} is missing required key {key!r}")
     return doc
 
 

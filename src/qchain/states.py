@@ -22,6 +22,7 @@ from .tensor import (
     require_finite,
     require_hermitian,
     require_normalized,
+    require_tolerance,
     schmidt_decompose,
 )
 
@@ -181,8 +182,7 @@ class DensityMatrix:
         smallest one. A smallest eigenvalue within rounding of -psd_tol
         may be judged either way.
         """
-        if not (math.isfinite(psd_tol) and psd_tol >= 0):
-            raise ValueError(f"psd_tol must be finite and >= 0, got {psd_tol!r}")
+        require_tolerance(psd_tol, "psd_tol")
         shifted = self.matrix.copy()
         shifted.flat[::shifted.shape[0] + 1] += psd_tol
         try:
@@ -247,10 +247,11 @@ class TmsvsSpec:
 
 
 def default_cutoff(chi: float) -> int:
-    """Smallest n_max with chi^(2(n_max+1)) < DEFAULT_DEFICIT_TARGET, capped
-    at MAX_DEFAULT_CUTOFF."""
-    n = int(math.ceil(math.log(DEFAULT_DEFICIT_TARGET) / (2 * math.log(chi)) - 1))
-    return max(1, min(MAX_DEFAULT_CUTOFF, n))
+    """Smallest n_max with chi^(2(n_max+1)) <= DEFAULT_DEFICIT_TARGET: the
+    amplitude tail at the deficit's square root, capped at
+    MAX_DEFAULT_CUTOFF."""
+    tail = math.sqrt(DEFAULT_DEFICIT_TARGET)
+    return min(MAX_DEFAULT_CUTOFF, cutoff_for_amplitude_tail(chi, tail))
 
 
 def cutoff_for_amplitude_tail(chi: float, tail: float) -> int:

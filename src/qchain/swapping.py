@@ -27,8 +27,8 @@ import numbers
 import sys
 from dataclasses import dataclass, field
 
-from .measures import (_check_alpha, _check_distribution, g_concurrence_pure,
-                       ratio_negativity, scp_pure_qubit)
+from .measures import (MeasureSpec, _check_distribution, g_concurrence_pure, ratio_negativity,
+                       scp_pure_qubit)
 from .states import TmsvsSpec, require_squeezing, tmsvs_truncated
 
 LINK_KINDS = ("qubit_pure", "qudit_pure", "tmsvs")
@@ -65,12 +65,9 @@ class LinkResource:
             raise ValueError(
                 f"measure {measure!r} is not multiplicative under {self.kind} swapping; "
                 f"supported: {SUPPORTED_MEASURES[self.kind]}")
+        MeasureSpec(measure, alpha)  # the measures' alpha rule
         if measure == "alpha_ratio":
-            _check_alpha(alpha)
             return self.native_value ** alpha
-        if alpha != 1.0:
-            raise ValueError(f"alpha {alpha!r} applies only to the alpha_ratio measure; "
-                             f"{measure!r} takes alpha 1")
         if measure == "scp":
             return scp_pure_qubit(self.schmidt)
         return self.native_value

@@ -9,6 +9,7 @@ package follow this convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,6 +90,14 @@ def require_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{what} contains non-finite entries")
     return a
+
+
+def require_tolerance(tol: float, name: str) -> float:
+    """tol when it is a usable tolerance: finite and >= 0. A NaN would
+    make every comparison against it false and pass anything."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
+    return tol
 
 
 def require_normalized(psi: np.ndarray) -> np.ndarray:

@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -11,6 +15,8 @@ from qchain.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from qchain.groupop import LAW_REGISTRY
 from qchain.reports import (
     CHAIN_SCHEMA,
+    IDENTICAL_LINKS_SCHEMA,
+    LINK_SCHEMAS,
     REPORT_SCHEMA,
     SCAN_SCHEMA,
     STATE_SCHEMA,
@@ -754,3 +760,108 @@ def test_state_file_fields_are_typed(tmp_path, doc, field, capsys):
     path = write_json(tmp_path / "state.json", doc)
     assert main(["measure", "--input", path]) == EXIT_VALIDATION
     assert field in capsys.readouterr().err
+
+
+class TestNullValuesRefused:
+    """No input schema admits null, so a null value exits 2 naming its key
+    instead of reading as an absent key."""
+
+    TMSVS_NULL_CUTOFF = {"kind": "tmsvs", "r": 0.5, "cutoff": None}
+
+    @pytest.mark.parametrize("command,doc,schema,key", [
+        ("measure", TMSVS_NULL_CUTOFF, STATE_SCHEMA, "cutoff"),
+        ("measure", {**state_to_json(bell_state()), "truncation_deficit": None}, STATE_SCHEMA,
+         "truncation_deficit"),
+        ("chain", {"kind": "qubit", "links": [{"concurrence": 0.5, "lambda": None}]},
+         CHAIN_SCHEMA, "lambda"),
+        ("sweep", {"kind": "qubit", "links": [{"concurrence": 0.5, "lambda": None}]},
+         CHAIN_SCHEMA, "lambda"),
+        ("chain", {"kind": "tmsvs", "links": [{"r": 0.5}], "measure": None}, CHAIN_SCHEMA,
+         "measure"),
+        ("sweep", {"kind": "tmsvs", "links": [{"r": 0.5}], "measure": None}, CHAIN_SCHEMA,
+         "measure"),
+        ("chain", {"kind": "tmsvs", "links": {"identical": None, "count": 2}}, CHAIN_SCHEMA,
+         "identical"),
+        ("monogamy", {**TestInputFileFields.SCAN, "seed": None}, SCAN_SCHEMA, "seed"),
+    ], ids=["tmsvs-cutoff", "pure-truncation_deficit", "chain-lambda", "sweep-lambda",
+            "chain-measure", "sweep-measure", "chain-identical", "scan-seed"])
+    def test_null_value(self, tmp_path, command, doc, schema, key, capsys):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, schema)
+        path = write_json(tmp_path / "input.json", doc)
+        assert main([command, "--input", path]) == EXIT_VALIDATION
+        assert f"null value for key {key!r}" in capsys.readouterr().err
+
+    def test_null_cutoff_conflicts_with_cutoff_flag(self, tmp_path, capsys):
+        path = write_json(tmp_path / "input.json", self.TMSVS_NULL_CUTOFF)
+        assert main(["measure", "--input", path, "--cutoff", "10"]) == EXIT_VALIDATION
+        assert "conflicts with the state file's cutoff" in capsys.readouterr().err
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+_PURE_DOC = state_to_json(bell_state())
+_MIXED_DOC = state_to_json(bell_state().density_matrix())
+_TMSVS_DOC = {"kind": "tmsvs", "r": 0.5}
+_CHAIN_DOC = {"kind": "tmsvs", "links": {"identical": {"r": 0.5}, "count": 3}}
+_SCAN_DOC = {"dims": [2, 2, 2], "samples": 10, "alpha": 1.0, "seed": 1}
+# Every required key of every input format, each omitted from a valid document.
+_MISSING_KEYS = (
+    [pytest.param("measure", _without(d, k), STATE_SCHEMA, k, id=f"{fmt}-no-{k}")
+     for fmt, d, branch in zip(("pure", "mixed", "tmsvs"), (_PURE_DOC, _MIXED_DOC, _TMSVS_DOC),
+                               STATE_SCHEMA["oneOf"])
+     for k in branch["required"]]
+    + [pytest.param("chain", _without(_CHAIN_DOC, k), CHAIN_SCHEMA, k, id=f"chain-no-{k}")
+       for k in CHAIN_SCHEMA["required"]]
+    + [pytest.param("sweep", {**_CHAIN_DOC, "links": _without(_CHAIN_DOC["links"], k)},
+                    CHAIN_SCHEMA, k, id=f"identical-no-{k}")
+       for k in IDENTICAL_LINKS_SCHEMA["required"]]
+    + [pytest.param("chain", {"kind": "tmsvs", "links": [{"r": 0.5}, _without({"r": 0.5}, k)]},
+                    CHAIN_SCHEMA, k, id=f"link-no-{k}")
+       for k in LINK_SCHEMAS["tmsvs"]["required"]]
+    + [pytest.param("monogamy", _without(_SCAN_DOC, k), SCAN_SCHEMA, k, id=f"scan-no-{k}")
+       for k in SCAN_SCHEMA["required"]]
+)
+
+
+@pytest.mark.parametrize("command,doc,schema,key", _MISSING_KEYS)
+def test_missing_required_key_is_named(tmp_path, command, doc, schema, key, capsys):
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, schema)
+    path = write_json(tmp_path / "input.json", doc)
+    assert main([command, "--input", path]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert repr(key) in err and err != f"error: {key!r}\n"
+
+
+@pytest.mark.parametrize("command", ["chain", "sweep"])
+@pytest.mark.parametrize("kind", [["tmsvs"], {"tmsvs": 1}, 3])
+def test_chain_kind_must_be_a_string(tmp_path, command, kind, capsys):
+    path = write_json(tmp_path / "input.json", {"kind": kind, "links": [{"r": 0.5}]})
+    assert main([command, "--input", path]) == EXIT_VALIDATION
+    assert "chain kind must be tmsvs|qubit|qudit" in capsys.readouterr().err
+
+
+def test_scan_dims_must_be_a_list(tmp_path, capsys):
+    path = write_json(tmp_path / "scan.json", {**_SCAN_DOC, "dims": 3})
+    assert main(["monogamy", "--input", path]) == EXIT_VALIDATION
+    assert "dims must be a list of integers" in capsys.readouterr().err
+
+
+def test_runtime_needs_no_test_extra():
+    # The runtime imports none of the test-only packages.
+    code = (
+        "import os, sys\n"
+        "from qchain.cli import main\n"
+        "assert main(['repro', '--output', os.devnull]) == 0\n"
+        "assert main(['gaussian', '--r', '0.5', '--output', os.devnull]) == 0\n"
+        "loaded = {'jsonschema', 'mpmath', 'hypothesis', 'scipy', 'pytest'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -24,6 +24,7 @@ from qchain.measures import (
     validate_f,
 )
 from qchain.states import (
+    PSD_TOL,
     DensityMatrix,
     PureState,
     TmsvsSpec,
@@ -642,3 +643,35 @@ def test_odds_product_rule_on_dense_tensor_products(pair):
     product = DensityMatrix(kron(r1.matrix, r2.matrix), layout, _trusted=True)
     chis = [ratio_negativity(r1), ratio_negativity(r2)]
     assert abs(ratio_negativity(product) - compose_ratio_tensor(chis)) < 1e-10
+
+
+def _one_measure_states():
+    """150 seeded pure, mixed and truncated squeezed states, and two edge cases."""
+    layouts = [SubsystemLayout(d, a) for d, a in [((2, 2), (0,)), ((2, 3), (0,)), ((3, 3), (1,)),
+                                                  ((2, 2, 2), (0, 2)), ((4, 4), (0,))]]
+    for i in range(150):
+        layout = layouts[i % len(layouts)]
+        if i % 3 == 0:
+            yield random_haar_pure(layout, i)
+        elif i % 3 == 1:
+            yield random_density_matrix(layout, 1 + i % layout.dim, i)
+        else:
+            yield tmsvs_truncated(TmsvsSpec.from_r(0.05 + 0.01 * i, None if i % 2 else 60))
+    yield bell_state()
+    yield pure_from_schmidt([1.0], (2, 2))
+
+
+def test_one_measure_functions_follow_the_clamp_rule():
+    # Each one-measure function is evaluate_measure's value, which follows
+    # from the trace norm t through the one clamp, bit for bit.
+    f = lambda x: x * x + 2.0 * x
+    for i, state in enumerate(_one_measure_states()):
+        t = pt_trace_norm(state)
+        n = (t - 1.0) / 2.0
+        n = n if n >= PSD_TOL else 0.0
+        alpha = 0.5 + t % 1.0
+        assert negativity(state) == n, i
+        assert log_negativity(state) == math.log2(t), i
+        assert ratio_negativity(state) == n / (n + 1.0), i
+        assert alpha_ratio_negativity(state, alpha) == (n / (n + 1.0)) ** alpha, i
+        assert f_negativity(f, state) == f(n), i

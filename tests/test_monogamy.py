@@ -417,3 +417,21 @@ class TestFamilySupport:
     ])
     def test_families(self, dims, expected):
         assert family_supported(dims) is expected
+
+
+@pytest.mark.parametrize("party_a,message", [
+    ((), "party A must be non-empty"),
+    ((0, 1, 2), "party A must be a strict subset"),
+    ((3,), "out of range"),
+])
+def test_party_a_follows_the_layout_rule(party_a, message):
+    # The residuals take SubsystemLayout's party-A rule, not a copy of it.
+    with pytest.raises(ValueError, match=message):
+        ckw_residual(ckw_violation_state(), "ratio", 1.0, party_a)
+    with pytest.raises(ValueError, match=message):
+        monogamy.ckw_residuals(ckw_violation_state().amplitudes[None, :], (2, 2, 2), party_a)
+
+
+def test_party_a_is_sorted_without_repeats():
+    report = ckw_residual(ckw_violation_state(), "ratio", 1.0, (2, 0, 2))
+    assert report.party_a == (0, 2)

@@ -1,10 +1,17 @@
-"""The README's library tour runs as written against the source tree."""
+"""The README's library tour and file-format examples run as written
+against the source tree."""
 
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import jsonschema
+
+from qchain.cli import EXIT_OK, main
+from qchain.reports import CHAIN_SCHEMA, SCAN_SCHEMA, STATE_SCHEMA
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -17,3 +24,37 @@ def test_library_tour_runs():
     proc = subprocess.run([sys.executable, "-c", tour.group(1)], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _file_format_examples():
+    """Every JSON object that the README's file-format section shows, in a
+    json block or inline, as (format, document); placeholders such as
+    `{"r": r}` are not JSON and are skipped."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"^### File formats\n(.*?)^## ", readme, re.S | re.M)
+    assert section, "README has no '### File formats' section"
+    texts = re.findall(r"^```json\n(.*?)^```", section.group(1), re.S | re.M)
+    texts += re.findall(r"`(\{[^`]*\})`", section.group(1))
+    examples = []
+    for text in texts:
+        try:
+            doc = json.loads(text)
+        except ValueError:
+            continue
+        fmt = "chain" if "links" in doc else "scan" if "samples" in doc else doc["kind"]
+        examples.append((fmt, doc))
+    return examples
+
+
+def test_file_format_examples_run(tmp_path):
+    # Each example follows its schema and runs through the CLI.
+    examples = _file_format_examples()
+    assert {fmt for fmt, _ in examples} >= {"pure", "tmsvs", "chain", "scan"}
+    for i, (fmt, doc) in enumerate(examples):
+        schema, command = {"chain": (CHAIN_SCHEMA, "chain"),
+                           "scan": (SCAN_SCHEMA, "monogamy")}.get(fmt, (STATE_SCHEMA, "measure"))
+        jsonschema.validate(doc, schema)
+        path = tmp_path / f"example{i}.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--input", str(path), "--output", str(tmp_path / "out.json")]) \
+            == EXIT_OK, (fmt, doc)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qchain import states
-from qchain.measures import ratio_negativity
+from qchain.groupop import CompositionLaw, check_group_operation
+from qchain.measures import MeasureSpec, evaluate_measure, ratio_negativity
+from qchain.monogamy import sample_monogamy_scan
 from qchain.reports import state_from_json, state_to_json
 from qchain.states import (
     PSD_TOL,
@@ -636,3 +639,41 @@ def test_real_route_trace_norm_matches_complex_route(case):
     t = state._pt_trace_norm
     reference = trace_norm_hermitian(partial_transpose(rho.astype(complex), layout))
     assert abs(t - reference) <= 1e-12 * max(1.0, reference)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.floats(1e-6, 19.0))
+@example(r=1e-300)
+@example(r=0.5)
+@example(r=1.5)
+def test_default_cutoff_is_the_deficit_rule(r):
+    # The amplitude tail sqrt(target) is the probability deficit target:
+    # chi^(n+1) <= sqrt(t) exactly when chi^(2(n+1)) <= t.
+    chi = math.tanh(r)
+    by_deficit = math.ceil(math.log(states.DEFAULT_DEFICIT_TARGET) / (2 * math.log(chi)) - 1)
+    assert default_cutoff(chi) == max(1, min(states.MAX_DEFAULT_CUTOFF, by_deficit))
+
+
+MEAN_LAW = CompositionLaw("mean", lambda x, y: (x + y) / 2, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("name,call", [
+    ("psd_tol", lambda tol: bell_state().density_matrix().validate(tol)),
+    ("psd_tol", lambda tol: evaluate_measure(MeasureSpec("negativity"), bell_state(), psd_tol=tol)),
+    ("assoc_tol", lambda tol: check_group_operation(MEAN_LAW, grid_n=16, assoc_tol=tol)),
+    ("violation_tol", lambda tol: sample_monogamy_scan((2, 2, 2), 50, 1.0, 3, violation_tol=tol)),
+], ids=["validate", "evaluate_measure", "check_group_operation", "sample_monogamy_scan"])
+def test_library_tolerances_refused(name, call, tol):
+    # A NaN tolerance fails every comparison, so it would pass anything:
+    # nan made the Bell state PPT, the mean law associative and a scan
+    # free of violations.
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be finite and >= 0, got {tol!r}")):
+        call(tol)
+
+
+def test_library_tolerances_accept_zero():
+    bell_state().density_matrix().validate(0.0)
+    assert not evaluate_measure(MeasureSpec("negativity"), bell_state(), psd_tol=0.0).ppt
+    assert not check_group_operation(MEAN_LAW, grid_n=16, assoc_tol=0.0).associativity.passed
+    assert sample_monogamy_scan((2, 2, 2), 50, 1.0, 3, violation_tol=0.0).violation_count > 0
