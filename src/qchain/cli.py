@@ -28,26 +28,20 @@ from .groupop import (
     check_group_operation,
     necessary_conditions_check,
 )
-from .measures import MeasureSpec, _check_alpha, evaluate_measure
-from .monogamy import check_ineq_xya_grid, sample_monogamy_scan
+from .measures import MeasureSpec, evaluate_measure
+from .monogamy import DEFAULT_GRID_N, VIOLATION_TOL, check_ineq_xya_grid, sample_monogamy_scan
 from .reports import (
-    CHAIN_SCHEMA,
-    IDENTICAL_LINKS_SCHEMA,
-    LINK_SCHEMAS,
-    SCAN_SCHEMA,
     SWEEP_CSV_COLUMNS,
-    _file_integers,
+    chain_from_json,
     cm_to_json,
     dump_report,
-    file_integer,
-    file_number,
-    file_object,
     gc_paused,
     make_report,
+    scan_from_json,
     state_from_json,
 )
 from .states import PSD_TOL
-from .swapping import chain_compose, qubit_link, qudit_link, tmsvs_link
+from .swapping import chain_compose
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -88,56 +82,6 @@ def _positive(text: str) -> float:
     return _finite(text, lambda v: v > 0, "> 0")
 
 
-def _file_alpha(value) -> float:
-    """A power alpha from an input file: a JSON number, finite and > 0."""
-    alpha = file_number(value, "alpha")
-    _check_alpha(alpha)
-    return alpha
-
-
-def _optional(p: dict, key: str, parse):
-    value = p.get(key)
-    return None if value is None else parse(value, key)
-
-
-def _file_lambda(value, what: str) -> list[float]:
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a list of numbers, got {value!r}")
-    return [file_number(v, f"{what} entry") for v in value]
-
-
-def _links_from_spec(doc: dict):
-    file_object(doc, CHAIN_SCHEMA, "chain file")
-    kind = doc["kind"]
-    raw = doc["links"]
-    if not isinstance(kind, str) or kind not in LINK_SCHEMAS:
-        raise ValueError(f"chain kind must be {'|'.join(LINK_SCHEMAS)}, got {kind!r}")
-    if isinstance(raw, dict):
-        file_object(raw, IDENTICAL_LINKS_SCHEMA, "links")
-        count = file_integer(raw["count"], "links.count")
-        if count < 1:
-            raise ValueError(f"links.count must be an integer >= 1, got {count}")
-        # Links are frozen: an identical entry builds one link and repeats it.
-        entries, repeat = [raw["identical"]], count
-    elif isinstance(raw, list) and raw:
-        entries, repeat = raw, 1
-    else:
-        raise ValueError("links must be a non-empty list or {identical, count}")
-    links = []
-    for p in entries:
-        file_object(p, LINK_SCHEMAS[kind], "each link")
-        if kind == "tmsvs":
-            links.append(tmsvs_link(file_number(p["r"], "r")))
-        elif kind == "qubit":
-            links.append(qubit_link(lam=_optional(p, "lambda", _file_lambda),
-                                    concurrence=_optional(p, "concurrence", file_number)))
-        else:
-            links.append(qudit_link(lam=_optional(p, "lambda", _file_lambda),
-                                    d=_optional(p, "d", file_integer),
-                                    g_concurrence=_optional(p, "g_concurrence", file_number)))
-    return links * repeat
-
-
 def cmd_measure(args) -> tuple[int, dict]:
     kinds = [m.strip() for m in args.measures.split(",") if m.strip()]
     if not kinds:
@@ -165,24 +109,24 @@ def cmd_measure(args) -> tuple[int, dict]:
 
 
 def _chain_input(args):
-    """The chain file read once: its document, links, measure and alpha."""
+    """The chain file read once: its links, measure and alpha, and the
+    report config, which keeps the file as written."""
     doc = _read_json(args.input)
-    links = _links_from_spec(doc)
-    if "alpha" in doc and args.alpha is not None:
+    links, measure, alpha = chain_from_json(doc)
+    if alpha is not None and args.alpha is not None:
         raise ValueError("--alpha conflicts with the chain file's alpha; give only one")
-    alpha = _file_alpha(doc.get("alpha", 1.0 if args.alpha is None else args.alpha))
-    return doc, links, doc.get("measure"), alpha
+    alpha = alpha or args.alpha or 1.0
+    return links, measure, alpha, {"input": args.input, "alpha": alpha, "spec": doc}
 
 
 def cmd_chain(args) -> tuple[int, dict]:
-    doc, links, measure, alpha = _chain_input(args)
+    links, measure, alpha, config = _chain_input(args)
     result = chain_compose(links, measure=measure, alpha=alpha)
-    config = {"input": args.input, "alpha": alpha, "spec": doc}
     return EXIT_OK, {"config": config, "result": result.to_json()}
 
 
 def cmd_sweep(args) -> tuple[int, dict | str]:
-    doc, links, measure, alpha = _chain_input(args)
+    links, measure, alpha, config = _chain_input(args)
     rows = []
     for l in range(1, len(links) + 1):
         res = chain_compose(links[:l], measure=measure, alpha=alpha).to_json()
@@ -194,7 +138,6 @@ def cmd_sweep(args) -> tuple[int, dict | str]:
         writer.writeheader()
         writer.writerows(rows)
         return EXIT_OK, buf.getvalue()
-    config = {"input": args.input, "alpha": alpha, "spec": doc}
     return EXIT_OK, {"config": config, "result": {"rows": rows}}
 
 
@@ -204,11 +147,7 @@ def cmd_monogamy(args) -> tuple[int, dict]:
                  if getattr(args, k) is not None]
         if given:
             raise ValueError(f"--input sets the scan; drop {', '.join(given)}")
-        doc = file_object(_read_json(args.input), SCAN_SCHEMA, "scan file")
-        dims = _file_integers(doc["dims"], "dims")
-        samples = file_integer(doc["samples"], "samples")
-        alpha = _file_alpha(doc["alpha"])
-        seed = file_integer(doc["seed"], "seed")
+        dims, samples, alpha, seed = scan_from_json(_read_json(args.input))
     else:
         if args.dims is None:
             raise ValueError("monogamy needs --input or --dims")
@@ -308,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None, help="with --dims; default 1000")
     p.add_argument("--alpha", type=_positive, default=None, help="with --dims; default 1")
     p.add_argument("--seed", type=int, default=None, help="with --dims; default 0")
-    p.add_argument("--grid", type=int, default=500)
-    p.add_argument("--tol-violation", type=_tolerance, default=1e-9)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID_N)
+    p.add_argument("--tol-violation", type=_tolerance, default=VIOLATION_TOL)
     common(p)
     p.set_defaults(fn=cmd_monogamy)
 

@@ -28,6 +28,10 @@ from .states import require_squeezing
 CM_SYMMETRY_TOL = 1e-10
 CM_BONA_FIDE_TOL = 1e-8
 CM_PURITY_TOL = 1e-6
+# The largest r of the covariance route: from r ~ 5.7 the rounding error of
+# det Gamma (entries near cosh 2r) exceeds CM_PURITY_TOL, and cosh 2r
+# overflows from r ~ 355.
+CM_MAX_R = 5.0
 
 
 def symplectic_form(modes: int) -> np.ndarray:
@@ -91,7 +95,9 @@ def tmsvs_cm(r: float) -> CovarianceMatrix:
     Diagonal blocks cosh(2r) * I, off-diagonal blocks sinh(2r) * diag(1, -1):
     the q quadratures are correlated, the p quadratures anticorrelated.
     """
-    require_squeezing(r)
+    r = require_squeezing(r)
+    if r > CM_MAX_R:
+        raise ValueError(f"the covariance route takes 0 < r <= {CM_MAX_R}, got r = {r}")
     c, s = math.cosh(2 * r), math.sinh(2 * r)
     g = np.array([
         [c, 0.0, s, 0.0],

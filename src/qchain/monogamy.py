@@ -21,6 +21,7 @@ from .tensor import (GRID_SLAB_BYTES, SubsystemLayout, partial_transpose, requir
                      require_tolerance)
 
 VIOLATION_TOL = 1e-9
+DEFAULT_GRID_N = 500
 GRID_TOL = 1e-12
 HISTOGRAM_BINS = 64
 HISTOGRAM_RANGE = (-0.1, 1.0)
@@ -184,7 +185,8 @@ class GridCheckReport:
                 "witness": list(self.witness) if self.witness else None}
 
 
-def check_ineq_xya_grid(a: float, b: float, alpha: float, grid_n: int = 500) -> GridCheckReport:
+def check_ineq_xya_grid(a: float, b: float, alpha: float,
+                        grid_n: int = DEFAULT_GRID_N) -> GridCheckReport:
     """Scan [x/(x+1)]^a + [y/(y+1)]^a <= [c/(c+1)]^a, c = sqrt(x^2+y^2),
     on a grid_n x grid_n lattice over [0,a] x [0,b]; report the worst
     violation and a witness point. Gaps above GRID_TOL count as violations.

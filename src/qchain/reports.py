@@ -1,12 +1,5 @@
-"""File formats: state / covariance-matrix / chain-spec JSON, report
-envelopes, and the sweep CSV layout.
-
-States serialize as
-    { "dims": [..], "partyA": [..], "kind": "pure"|"mixed",
-      "amplitudes"|"matrix": [[re, im], ..] (row-major, flat),
-      "truncation_deficit": x }
-with a third kind "tmsvs" accepted on input:
-    { "kind": "tmsvs", "r": x, "cutoff": n? }.
+"""The one reader of input files (state, chain and scan JSON, typed by the
+JSON Schemas below), and the covariance-matrix, report and sweep CSV formats.
 
 Reports are wrapped in a deterministic envelope {config, result, meta};
 everything outside "meta" is byte-stable for a fixed config and seed, so
@@ -26,7 +19,9 @@ import numpy as np
 
 from . import __version__
 from .gaussian import CovarianceMatrix
+from .measures import _check_alpha
 from .states import PSD_TOL, DensityMatrix, PureState, TmsvsSpec, _hand_over, tmsvs_truncated
+from .swapping import qubit_link, qudit_link, tmsvs_link
 from .tensor import SubsystemLayout
 
 _PAIRS = {"type": "array",
@@ -182,6 +177,8 @@ def file_integer(value, what: str) -> int:
     """An integer field of an input file: a JSON integer (a number with no
     fractional part, as the JSON Schemas read "integer"), never a boolean
     or a string."""
+    if type(value) is int:  # the common case, first
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)) or \
             (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{what} must be an integer, got {value!r}")
@@ -191,6 +188,8 @@ def file_integer(value, what: str) -> int:
 def file_number(value, what: str) -> float:
     """A number field of an input file: a finite JSON number, never a
     boolean or a string."""
+    if type(value) is float and math.isfinite(value):  # the common case, first
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {value!r}")
     try:
@@ -202,29 +201,47 @@ def file_number(value, what: str) -> float:
     return number
 
 
-def file_object(doc, schema: dict, what: str) -> dict:
-    """doc when it is a JSON object holding only keys that the object
-    schema lists under "properties" (each input schema here says
-    additionalProperties: false), none of them null, and every key the
-    schema lists under "required". A null is refused rather than read as
-    an absent key: no schema here admits one."""
+_FIELD_TYPES = {"integer": file_integer, "number": file_number}
+
+
+def _typed(value, prop: dict, what: str):
+    """value as the property's "type" reads it: an integer, a number, a
+    string, or a list of integers or numbers, each named "<what> entry".
+    Other values ([re, im] pairs, nested objects) are left to their readers."""
+    kind = prop.get("type")
+    read = _FIELD_TYPES.get(kind)
+    if read is not None:
+        return read(value, what)
+    if kind == "string" and not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    if kind == "array" and prop["items"].get("type") in _FIELD_TYPES:
+        entry = prop["items"]["type"]
+        if not isinstance(value, list):
+            raise ValueError(f"{what} must be a list of {entry}s, got {value!r}")
+        return [_FIELD_TYPES[entry](v, f"{what} entry") for v in value]
+    return value
+
+
+def file_object(doc, schema: dict, what: str, prefix: str = "") -> dict:
+    """doc's values, typed by _typed and named prefix + key, in a new dict
+    when doc is a JSON object holding only keys that the object schema
+    lists under "properties", none null, and every key it lists under
+    "required", checked in the file's order. No input schema admits null,
+    so a null is refused rather than read as an absent key."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, got {doc!r}")
+    properties = schema["properties"]
+    fields = {}
     for key, value in doc.items():
-        if key not in schema["properties"]:
+        if key not in properties:
             raise ValueError(f"{what} has unknown key {key!r}")
         if value is None:
             raise ValueError(f"{what} has null value for key {key!r}; give a value or omit the key")
+        fields[key] = _typed(value, properties[key], prefix + key)
     for key in schema.get("required", ()):
         if key not in doc:
             raise ValueError(f"{what} is missing required key {key!r}")
-    return doc
-
-
-def _file_integers(value, what: str) -> list[int]:
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a list of integers, got {value!r}")
-    return [file_integer(v, f"{what} entry") for v in value]
+    return fields
 
 
 def _from_pairs(pairs, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -264,22 +281,56 @@ def state_from_json(doc: dict, psd_tol: float = PSD_TOL) -> PureState | DensityM
     branch = next((b for b in STATE_SCHEMA["oneOf"] if b["properties"]["kind"]["const"] == kind), None)
     if branch is None:
         raise ValueError(f"unknown state kind {kind!r}")
-    file_object(doc, branch, "state document")
+    fields = file_object(doc, branch, "state document")
     if kind == "tmsvs":
-        cutoff = doc.get("cutoff")
-        spec = TmsvsSpec.from_r(file_number(doc["r"], "r"),
-                                None if cutoff is None else file_integer(cutoff, "cutoff"))
-        return tmsvs_truncated(spec)
-    layout = SubsystemLayout(_file_integers(doc["dims"], "dims"),
-                             _file_integers(doc["partyA"], "partyA"))
-    deficit = file_number(doc.get("truncation_deficit", 0.0), "truncation_deficit")
+        return tmsvs_truncated(TmsvsSpec.from_r(fields["r"], fields.get("cutoff")))
+    layout = SubsystemLayout(fields["dims"], fields["partyA"])
+    deficit = fields.get("truncation_deficit", 0.0)
     if kind == "pure":
-        amps = _from_pairs(doc["amplitudes"], (layout.dim,), "amplitudes")
+        amps = _from_pairs(fields["amplitudes"], (layout.dim,), "amplitudes")
         return PureState(amps, layout, deficit)
-    mat = _from_pairs(doc["matrix"], (layout.dim, layout.dim), "matrix")
+    mat = _from_pairs(fields["matrix"], (layout.dim, layout.dim), "matrix")
     state = DensityMatrix(_hand_over(mat), layout, deficit, _trusted=True)
     state.validate(psd_tol)
     return state
+
+
+def chain_from_json(doc) -> tuple[list, str | None, float | None]:
+    """The links of a chain document, and its measure and alpha (None when
+    absent). An identical entry builds its link once: links are frozen."""
+    chain = file_object(doc, CHAIN_SCHEMA, "chain file")
+    kind, raw = chain["kind"], chain["links"]
+    if not isinstance(kind, str) or kind not in LINK_SCHEMAS:
+        raise ValueError(f"chain kind must be {'|'.join(LINK_SCHEMAS)}, got {kind!r}")
+    if isinstance(raw, dict):
+        identical = file_object(raw, IDENTICAL_LINKS_SCHEMA, "links", "links.")
+        entries, repeat = [identical["identical"]], identical["count"]
+        if repeat < 1:
+            raise ValueError(f"links.count must be an integer >= 1, got {repeat}")
+    elif isinstance(raw, list) and raw:
+        entries, repeat = raw, 1
+    else:
+        raise ValueError("links must be a non-empty list or {identical, count}")
+    schema = LINK_SCHEMAS[kind]
+    links = []
+    for entry in entries:
+        link = file_object(entry, schema, "each link")
+        if kind == "tmsvs":
+            links.append(tmsvs_link(link["r"]))
+        elif kind == "qubit":
+            links.append(qubit_link(link.get("lambda"), link.get("concurrence")))
+        else:
+            links.append(qudit_link(link.get("lambda"), link.get("d"), link.get("g_concurrence")))
+    alpha = chain.get("alpha")
+    if alpha is not None:
+        _check_alpha(alpha)
+    return links * repeat, chain.get("measure"), alpha
+
+
+def scan_from_json(doc) -> tuple[list[int], int, float, int]:
+    """The dims, samples, alpha and seed of a monogamy scan document."""
+    scan = file_object(doc, SCAN_SCHEMA, "scan file")
+    return scan["dims"], scan["samples"], scan["alpha"], scan["seed"]
 
 
 def cm_to_json(cm: CovarianceMatrix) -> dict:

@@ -52,7 +52,7 @@ class SubsystemLayout:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def party_b(self) -> tuple[int, ...]:
@@ -60,11 +60,11 @@ class SubsystemLayout:
 
     @property
     def dim_a(self) -> int:
-        return int(np.prod([self.dims[i] for i in self.party_a]))
+        return math.prod(self.dims[i] for i in self.party_a)
 
     @property
     def dim_b(self) -> int:
-        return int(np.prod([self.dims[i] for i in self.party_b]))
+        return math.prod(self.dims[i] for i in self.party_b)
 
 
 def _float_or_complex(m) -> np.ndarray:

@@ -11,6 +11,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qchain.reports import (
+    CHAIN_SCHEMA,
+    IDENTICAL_LINKS_SCHEMA,
+    LINK_SCHEMAS,
+    SCAN_SCHEMA,
+    STATE_SCHEMA,
+)
+
 
 def charpoly_coefficients(a: np.ndarray) -> np.ndarray:
     """Monic characteristic polynomial coefficients by the trace recursion
@@ -106,3 +114,26 @@ REFUSED_REAL_MATRICES = {
     "non-unit trace": (_coupled([0.5] * 4, 0.1, 0.1), "trace"),
     "non-PSD": (_coupled([0.5, 0.5, 0.0, 0.0], 0.7, 0.7), "negative eigenvalue"),
 }
+
+
+# Every object schema of the input files, with the prefix that names its
+# fields in messages.
+_INPUT_OBJECT_SCHEMAS = ([(branch, "") for branch in STATE_SCHEMA["oneOf"]]
+                         + [(CHAIN_SCHEMA, ""), (IDENTICAL_LINKS_SCHEMA, "links.")]
+                         + [(link, "") for link in LINK_SCHEMAS.values()]
+                         + [(SCAN_SCHEMA, "")])
+
+
+def typed_fields() -> list[tuple[dict, str, str, str]]:
+    """(schema, key, field name, type) for every typed property of the
+    input object schemas: type is "integer", "number" or "string", or
+    "integer list" or "number list" for a list of integers or numbers."""
+    fields = []
+    for schema, prefix in _INPUT_OBJECT_SCHEMAS:
+        for key, prop in schema["properties"].items():
+            kind = prop.get("type")
+            if kind == "array" and prop["items"].get("type") in ("integer", "number"):
+                kind = f"{prop['items']['type']} list"
+            if kind in ("integer", "number", "string", "integer list", "number list"):
+                fields.append((schema, key, prefix + key, kind))
+    return fields

@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 import json
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 
 from qchain.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from qchain.gaussian import CM_MAX_R
 from qchain.groupop import LAW_REGISTRY
+from qchain.monogamy import DEFAULT_GRID_N, VIOLATION_TOL
 from qchain.reports import (
     CHAIN_SCHEMA,
     IDENTICAL_LINKS_SCHEMA,
@@ -28,7 +31,7 @@ from qchain.reports import (
 from qchain.states import TmsvsSpec, bell_state, random_density_matrix, tmsvs_truncated
 from qchain.tensor import SubsystemLayout
 
-from conftest import REFUSED_REAL_MATRICES
+from conftest import REFUSED_REAL_MATRICES, typed_fields
 
 
 def write_json(path, doc):
@@ -245,6 +248,8 @@ class TestIgnoredFlagsRefused:
         assert main(["monogamy", "--dims", "2,2,2", "--output", str(out)]) == EXIT_OK
         config = load_report(out)["config"]
         assert (config["samples"], config["alpha"], config["seed"]) == (1000, 1.0, 0)
+        assert (config["grid"], config["tol_violation"]) == (DEFAULT_GRID_N, VIOLATION_TOL) \
+            == (500, 1e-9)
 
 
 class TestMonogamyCommand:
@@ -307,6 +312,12 @@ class TestGaussianCommand:
 
     def test_invalid_r(self):
         assert main(["gaussian", "--r", "-1.0"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("r", ["6", "20", "356", "1000"])
+    def test_r_beyond_the_route_range(self, r, capsys):
+        assert main(["gaussian", "--r", r]) == EXIT_VALIDATION
+        assert f"the covariance route takes 0 < r <= {CM_MAX_R}, " \
+               f"got r = {float(r)}" in capsys.readouterr().err
 
 
 class TestReproCommand:
@@ -586,6 +597,17 @@ class TestInputFileFields:
         assert main([command, "--input", path, "--output", str(out)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("command", ["chain", "sweep"])
+def test_config_spec_is_the_file_as_written(tmp_path, command):
+    # The typed values drive the run; the report keeps the file's own.
+    doc = {"kind": "tmsvs", "links": {"identical": {"r": 0.5}, "count": 3.0}, "alpha": 2}
+    out = tmp_path / "out.json"
+    assert main([command, "--input", write_json(tmp_path / "chain.json", doc),
+                 "--output", str(out)]) == EXIT_OK
+    spec = load_report(out)["config"]["spec"]
+    assert json.dumps(spec, sort_keys=True) == json.dumps(doc, sort_keys=True)
+
+
 class TestChainRefusals:
     """Chain files that the library refuses exit 2 with the library's cause."""
 
@@ -834,6 +856,91 @@ def test_missing_required_key_is_named(tmp_path, command, doc, schema, key, caps
     assert main([command, "--input", path]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert repr(key) in err and err != f"error: {key!r}\n"
+
+
+# Valid files, each with the path to an object of the schema that holds
+# some of that schema's typed properties; together they hold all of them.
+_TYPED_INPUTS = [
+    ("measure", {**PURE, "truncation_deficit": 0.0}, (), STATE_SCHEMA["oneOf"][0]),
+    ("measure", {**MIXED, "truncation_deficit": 0.0}, (), STATE_SCHEMA["oneOf"][1]),
+    ("measure", {"kind": "tmsvs", "r": 0.5, "cutoff": 10}, (), STATE_SCHEMA["oneOf"][2]),
+    ("chain", {"kind": "tmsvs", "links": [{"r": 0.5}], "alpha": 2.0, "measure": "alpha_ratio"},
+     (), CHAIN_SCHEMA),
+    ("sweep", _CHAIN_DOC, ("links",), IDENTICAL_LINKS_SCHEMA),
+    ("chain", {"kind": "tmsvs", "links": [{"r": 0.5}]}, ("links", 0), LINK_SCHEMAS["tmsvs"]),
+    ("sweep", {"kind": "qubit", "links": [{"lambda": [0.9, 0.1]}]}, ("links", 0),
+     LINK_SCHEMAS["qubit"]),
+    ("chain", {"kind": "qubit", "links": [{"concurrence": 0.5}]}, ("links", 0),
+     LINK_SCHEMAS["qubit"]),
+    ("sweep", {"kind": "qudit", "links": [{"lambda": [0.5, 0.3, 0.2], "d": 3}]}, ("links", 0),
+     LINK_SCHEMAS["qudit"]),
+    ("chain", {"kind": "qudit", "links": [{"d": 3, "g_concurrence": 0.5}]}, ("links", 0),
+     LINK_SCHEMAS["qudit"]),
+    ("monogamy", _SCAN_DOC, (), SCAN_SCHEMA),
+]
+_FILE_SCHEMAS = {"measure": STATE_SCHEMA, "chain": CHAIN_SCHEMA, "sweep": CHAIN_SCHEMA,
+                 "monogamy": SCAN_SCHEMA}
+# Values of the wrong type for each kind of field, and how the refusal reads.
+_WRONG_TYPES = {
+    "integer": ([True, "3", 2.5], "an integer"),
+    "number": ([True, "0.5"], "a number"),
+    "string": ([True, 3], "a string"),
+    "integer list": ([True, "2", 2], "a list of integers"),
+    "number list": ([True, "0.5", 0.5], "a list of numbers"),
+}
+
+
+def _object_at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def _wrong_type_cases():
+    cases, covered = [], set()
+    for i, (command, doc, path, schema) in enumerate(_TYPED_INPUTS):
+        for field_schema, key, field, kind in typed_fields():
+            if field_schema is not schema or key not in _object_at(doc, path):
+                continue
+            covered.add((id(schema), key))
+            values, expected = _WRONG_TYPES[kind]
+            cases += [pytest.param(command, doc, path, key, value,
+                                   f"error: {field} must be {expected}, got {value!r}\n",
+                                   id=f"{command}{i}-{field}-{value!r}") for value in values]
+    assert covered == {(id(schema), key) for schema, key, _, _ in typed_fields()}
+    return cases
+
+
+@pytest.mark.parametrize("command,doc", [
+    pytest.param(command, doc, id=f"{command}{i}")
+    for i, (command, doc, _, _) in enumerate(_TYPED_INPUTS)])
+def test_typed_inputs_are_valid(tmp_path, command, doc):
+    jsonschema.validate(doc, _FILE_SCHEMAS[command])
+    out = tmp_path / "out.json"
+    assert main([command, "--input", write_json(tmp_path / "input.json", doc),
+                 "--output", str(out)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command,doc,path,key,value,message", _wrong_type_cases())
+def test_wrong_field_type_is_named(tmp_path, command, doc, path, key, value, message, capsys):
+    # Every typed property of every input schema refuses a value of another type.
+    doc = copy.deepcopy(doc)
+    _object_at(doc, path)[key] = value
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, _FILE_SCHEMAS[command])
+    assert main([command, "--input", write_json(tmp_path / "input.json", doc)]) \
+        == EXIT_VALIDATION
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("kind,data,count", [("pure", "amplitudes", 1), ("mixed", "matrix", 2)])
+@pytest.mark.parametrize("n", [63, 64, 65])
+def test_many_qubit_state_names_its_entry_count(tmp_path, kind, data, count, n, capsys):
+    doc = {"dims": [2] * n, "partyA": [0], "kind": kind, data: []}
+    assert main(["measure", "--input", write_json(tmp_path / "state.json", doc)]) \
+        == EXIT_VALIDATION
+    assert f"{data} must be a flat row-major list of {2 ** (count * n)} [re, im] pairs" \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["chain", "sweep"])

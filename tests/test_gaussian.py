@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qchain.gaussian import (
+    CM_MAX_R,
     CovarianceMatrix,
     cm_partial_transpose,
     cm_ratio_negativity,
@@ -102,6 +103,15 @@ class TestTmsvsCm:
     def test_rejects_nonpositive_r(self):
         with pytest.raises(ValueError):
             tmsvs_cm(0.0)
+
+    def test_largest_accepted_r(self):
+        assert abs(cm_ratio_negativity(tmsvs_cm(CM_MAX_R)) - math.tanh(CM_MAX_R)) < 2e-12
+
+    @pytest.mark.parametrize("r", [math.nextafter(CM_MAX_R, math.inf), 6.0, 20.0, 356.0, 1000.0])
+    def test_rejects_r_beyond_the_route_range(self, r):
+        # Refused before cosh 2r is formed: from r ~ 355 it overflows.
+        with pytest.raises(ValueError, match=rf"takes 0 < r <= {CM_MAX_R}, got r = {r}"):
+            tmsvs_cm(r)
 
 
 class TestCmPartialTranspose:

@@ -47,6 +47,12 @@ class TestLayout:
         assert layout.dim_a == 8
         assert layout.dim_b == 3
 
+    @pytest.mark.parametrize("n", [63, 64, 65])
+    def test_many_qubit_dimensions_are_exact(self, n):
+        # Products beyond the int64 range stay exact.
+        layout = SubsystemLayout((2,) * n, (0,))
+        assert (layout.dim, layout.dim_a, layout.dim_b) == (2 ** n, 2, 2 ** (n - 1))
+
     @pytest.mark.parametrize("dims,party", [
         ((2, 2), ()),          # empty party A
         ((2, 2), (0, 1)),      # not a strict subset
