@@ -55,6 +55,7 @@ from .swapping import (
     LinkResource,
     chain_compose,
     chain_fock_crosscheck,
+    chain_prefixes,
     characteristic_length,
     qubit_link,
     qudit_link,

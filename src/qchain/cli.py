@@ -41,7 +41,7 @@ from .reports import (
     state_from_json,
 )
 from .states import PSD_TOL
-from .swapping import chain_compose
+from .swapping import chain_compose, chain_prefixes
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -128,10 +128,10 @@ def cmd_chain(args) -> tuple[int, dict]:
 def cmd_sweep(args) -> tuple[int, dict | str]:
     links, measure, alpha, config = _chain_input(args)
     rows = []
-    for l in range(1, len(links) + 1):
-        res = chain_compose(links[:l], measure=measure, alpha=alpha).to_json()
-        rows.append({"l": l, "value": res["end_to_end"], "xi": res["characteristic_length"],
-                     "alpha": alpha, "kind": res["kind"]})
+    for prefix in chain_prefixes(links, measure=measure, alpha=alpha):
+        res = prefix.to_json()
+        rows.append({"l": res["length"], "value": res["end_to_end"],
+                     "xi": res["characteristic_length"], "alpha": alpha, "kind": res["kind"]})
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=SWEEP_CSV_COLUMNS)

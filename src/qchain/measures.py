@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .states import PSD_TOL, DensityMatrix, PureState
-from .tensor import require_tolerance
+from .tensor import TRACE_TOL, require_tolerance
 
 State = DensityMatrix | PureState
 
@@ -138,13 +138,13 @@ def alpha_ratio_negativity(state: State, alpha: float) -> float:
 
 def _check_distribution(lam, size: int | None = None) -> np.ndarray:
     """lam as a float vector of Schmidt coefficients: non-empty, of length
-    `size` when given, non-negative and summing to 1 within 1e-10."""
+    `size` when given, non-negative and summing to 1 within TRACE_TOL."""
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 1 or lam.size == 0 or np.any(lam < 0):
         raise ValueError(f"Schmidt coefficients must be a non-negative vector, got {lam}")
     if size is not None and lam.size != size:
         raise ValueError(f"need exactly {size} Schmidt coefficients, got {lam.size}")
-    if not abs(float(lam.sum()) - 1.0) <= 1e-10:
+    if not abs(float(lam.sum()) - 1.0) <= TRACE_TOL:
         raise ValueError(f"Schmidt coefficients must sum to 1, got {float(lam.sum())!r}")
     return lam
 

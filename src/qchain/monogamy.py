@@ -29,6 +29,9 @@ HISTOGRAM_RANGE = (-0.1, 1.0)
 # two-party marginals take about this many bytes; the temporaries of one
 # chunk are a small multiple of it.
 SCAN_CHUNK_BYTES = 1 << 22
+# The largest state dimension a scan draws: one sample's amplitudes then
+# take 64 GiB, and larger dims are refused before any sample is drawn.
+_MAX_SCAN_DIM = 1 << 32
 
 # Families the power threshold is proven for: any number of qubits, or
 # three parties with dimensions (2, 2, 3) or (2, 2, 2^m).
@@ -263,6 +266,9 @@ def sample_monogamy_scan(dims, samples: int, alpha: float, seed: int,
         raise ValueError(f"samples must be >= 1, got {samples}")
     require_tolerance(violation_tol, "violation_tol")
     layout = SubsystemLayout(dims, (0,))
+    if layout.dim > _MAX_SCAN_DIM:
+        raise ValueError(f"dims {dims} give a state of dimension {layout.dim}; a scan draws "
+                         f"states of dimension at most {_MAX_SCAN_DIM}")
     _check_residual_args(dims, "ratio", alpha, (0,))
     covered = family_supported(dims)
 

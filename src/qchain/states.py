@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .tensor import (
+    TRACE_TOL,
     SubsystemLayout,
     _float_or_complex,
     _trace_norm_blocks,
@@ -27,7 +28,6 @@ from .tensor import (
 )
 
 PSD_TOL = 1e-10
-TRACE_TOL = 1e-10
 DEFAULT_DEFICIT_TARGET = 1e-12
 MAX_DEFAULT_CUTOFF = 128
 MAX_TRUNCATION_DEFICIT = 0.01

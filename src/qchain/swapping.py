@@ -15,9 +15,10 @@ the per-link value.
 Each value has one rule: a link built from a target value carries exactly
 that value, a link built from Schmidt coefficients takes its value from
 `measures` (so a d = 2 qudit link equals the matching qubit link bit for
-bit), and every product of link values comes from `chain_compose`. A swap
-is the two-link chain turned back into a link, and the Fock cross-check
-takes its composite from the same chain.
+bit), and every product of link values comes from one walk of the chain,
+which `chain_compose` reads at its last link and `chain_prefixes` at every
+link. A swap is the two-link chain turned back into a link, and the Fock
+cross-check takes its composite from the same chain.
 """
 
 from __future__ import annotations
@@ -58,19 +59,6 @@ class LinkResource:
             raise ValueError(f"unknown link kind {self.kind!r}")
         if self.native_value is None or not (0.0 <= self.native_value <= 1.0):
             raise ValueError(f"native measure value must lie in [0, 1], got {self.native_value}")
-
-    def measure_value(self, measure: str, alpha: float = 1.0) -> float:
-        """Value of a supported multiplicative measure on this link."""
-        if measure not in SUPPORTED_MEASURES[self.kind]:
-            raise ValueError(
-                f"measure {measure!r} is not multiplicative under {self.kind} swapping; "
-                f"supported: {SUPPORTED_MEASURES[self.kind]}")
-        MeasureSpec(measure, alpha)  # the measures' alpha rule
-        if measure == "alpha_ratio":
-            return self.native_value ** alpha
-        if measure == "scp":
-            return scp_pure_qubit(self.schmidt)
-        return self.native_value
 
 
 def _target(value: float, name: str) -> float:
@@ -165,14 +153,14 @@ class ChainResult:
         return out
 
 
-def chain_compose(links, measure: str | None = None, alpha: float = 1.0) -> ChainResult:
-    """Compose a homogeneous chain of links under a multiplicative measure.
+def _walk(links, measure: str | None, alpha: float):
+    """Check a chain once and walk it: its kind, measure, per-hop values,
+    and one running state (end-to-end product, product of native values,
+    every link alive) per prefix.
 
-    end_to_end is the product of per-hop values; for tmsvs chains the
-    composite squeezing parameter is also reported. Links of different
-    kinds or local dimensions, and non-multiplicative measure/kind
-    pairings, are rejected. A product below the normal float64 range is
-    rejected unless a link is dead (value 0), which gives xi = 0.
+    This is the one place that multiplies link values. The products run
+    left to right, which gives math.prod's bits, so each prefix's state
+    equals that of the prefix composed alone.
     """
     links = list(links)
     if not links:
@@ -188,16 +176,38 @@ def chain_compose(links, measure: str | None = None, alpha: float = 1.0) -> Chai
         measure = SUPPORTED_MEASURES[kind][0]
         if kind == "tmsvs" and alpha != 1.0:
             measure = "alpha_ratio"
-    per_hop = tuple(lk.measure_value(measure, alpha) for lk in links)
-    end = math.prod(per_hop)
-    if end < sys.float_info.min and all(lk.native_value > 0.0 for lk in links):
-        raise ValueError(f"the end-to-end value of {len(links)} links, {end!r}, lies below the "
+    if measure not in SUPPORTED_MEASURES[kind]:
+        raise ValueError(
+            f"measure {measure!r} is not multiplicative under {kind} swapping; "
+            f"supported: {SUPPORTED_MEASURES[kind]}")
+    MeasureSpec(measure, alpha)  # the measures' alpha rule
+    if measure == "alpha_ratio":
+        per_hop = tuple(lk.native_value ** alpha for lk in links)
+    elif measure == "scp":
+        per_hop = tuple(scp_pure_qubit(lk.schmidt) for lk in links)
+    else:
+        per_hop = tuple(lk.native_value for lk in links)
+    end, chi, alive, states = 1.0, 1.0, True, []
+    for value, lk in zip(per_hop, links):
+        end *= value
+        chi *= lk.native_value
+        alive = alive and lk.native_value > 0.0
+        states.append((end, chi, alive))
+    return kind, measure, per_hop, states
+
+
+def _prefix_result(kind: str, measure: str, alpha: float, per_hop: tuple, length: int,
+                   state: tuple) -> ChainResult:
+    """The ChainResult of the prefix of `length` links whose running state
+    is `state`, or a ValueError naming why that chain has no reliable value."""
+    end, chi, alive = state
+    if end < sys.float_info.min and alive:
+        raise ValueError(f"the end-to-end value of {length} links, {end!r}, lies below the "
                          f"normal float64 range, so its characteristic length is not reliable")
     composite_r = None
     if kind == "tmsvs":
-        chi = math.prod(lk.native_value for lk in links)
         if chi < sys.float_info.min:
-            raise ValueError(f"the product of tanh r over {len(links)} links, {chi!r}, lies below "
+            raise ValueError(f"the product of tanh r over {length} links, {chi!r}, lies below "
                              f"the normal float64 range, so the composite squeezing parameter "
                              f"is not reliable")
         if chi == 1.0:
@@ -205,10 +215,36 @@ def chain_compose(links, measure: str | None = None, alpha: float = 1.0) -> Chai
                              "so the composite squeezing parameter cannot be represented")
         composite_r = math.atanh(chi)
     # -l/ln(end); continuous extension 0 for a dead link, +inf for all-Bell.
-    xi = characteristic_length(end ** (1.0 / len(links))) if end > 0 else 0.0
+    xi = characteristic_length(end ** (1.0 / length)) if end > 0 else 0.0
     return ChainResult(kind=kind, measure=measure, alpha=alpha, per_hop=per_hop,
-                       end_to_end=end, characteristic_length=xi, length=len(links),
+                       end_to_end=end, characteristic_length=xi, length=length,
                        composite_r=composite_r)
+
+
+def chain_compose(links, measure: str | None = None, alpha: float = 1.0) -> ChainResult:
+    """Compose a homogeneous chain of links under a multiplicative measure.
+
+    end_to_end is the product of per-hop values; for tmsvs chains the
+    composite squeezing parameter is also reported. Links of different
+    kinds or local dimensions, and non-multiplicative measure/kind
+    pairings, are rejected. A product below the normal float64 range is
+    rejected unless a link is dead (value 0), which gives xi = 0.
+    """
+    kind, measure, per_hop, states = _walk(links, measure, alpha)
+    return _prefix_result(kind, measure, alpha, per_hop, len(states), states[-1])
+
+
+def chain_prefixes(links, measure: str | None = None, alpha: float = 1.0) -> list[ChainResult]:
+    """The ChainResult of every prefix of a chain, from one walk.
+
+    Row l equals chain_compose(links[:l], measure, alpha) except that its
+    per_hop is empty, so the rows take time and memory linear in the
+    chain's length. A chain whose prefix chain_compose would refuse is
+    refused with the first such prefix's message.
+    """
+    kind, measure, _, states = _walk(links, measure, alpha)
+    return [_prefix_result(kind, measure, alpha, (), length, state)
+            for length, state in enumerate(states, 1)]
 
 
 def swap(link1: LinkResource, link2: LinkResource) -> LinkResource:

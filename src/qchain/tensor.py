@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 HERM_TOL_BASE = 1e-10
-NORM_TOL = 1e-10
+# The one unit-weight rule: |psi|^2, tr rho and a sum of Schmidt coefficients
+# must each lie within TRACE_TOL of 1.
+TRACE_TOL = 1e-10
 SCHMIDT_CUTOFF = 1e-12
 HERM_STRIP = 64
 # The grid checks (monogamy's two-term inequality, groupop's associativity)
@@ -101,13 +103,13 @@ def require_tolerance(tol: float, name: str) -> float:
 
 
 def require_normalized(psi: np.ndarray) -> np.ndarray:
-    """Finite amplitudes of unit norm within NORM_TOL; psi is one vector or
-    a stack of them along leading axes."""
+    """Finite amplitudes with |psi|^2 within TRACE_TOL of 1; psi is one
+    vector or a stack of them along leading axes."""
     require_finite(psi, "amplitudes")
-    norms = np.linalg.norm(psi, axis=-1)
-    off = np.abs(norms - 1.0) > NORM_TOL
+    weights = np.linalg.norm(psi, axis=-1) ** 2
+    off = np.abs(weights - 1.0) > TRACE_TOL
     if np.any(off):
-        raise ValueError(f"pure state is not normalized: |psi| = {float(norms[off].flat[0])!r}")
+        raise ValueError(f"pure state is not normalized: |psi|^2 = {float(weights[off].flat[0])!r}")
     return psi
 
 
@@ -277,7 +279,7 @@ def bipartite_matrix(psi: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
 def schmidt_decompose(psi: np.ndarray, layout: SubsystemLayout) -> SchmidtDecomposition:
     """Schmidt decomposition across the layout's A|B split.
 
-    psi must be normalized within NORM_TOL. Coefficients sum to 1 and come
+    psi must pass require_normalized. Coefficients sum to 1 and come
     out descending; the reported rank drops coefficients below SCHMIDT_CUTOFF.
     """
     psi = require_normalized(np.asarray(psi, dtype=complex).reshape(-1))

@@ -419,6 +419,27 @@ def test_monogamy_grid_rejected_before_scan(monkeypatch, capsys):
     assert "grid_n must be >= 100" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("qubits", [40, 64])
+def test_monogamy_oversized_dims_refused_before_drawing(monkeypatch, capsys, qubits):
+    import qchain.monogamy as monogamy
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(monogamy, "haar_amplitude_rows", refuse)
+    assert main(["monogamy", "--dims", ",".join(["2"] * qubits), "--samples", "1"]) \
+        == EXIT_VALIDATION
+    dims = ", ".join(["2"] * qubits)
+    assert f"dims ({dims}) give a state of dimension {2 ** qubits}" in capsys.readouterr().err
+
+
+def test_monogamy_twelve_qubits_run(tmp_path):
+    out = tmp_path / "out.json"
+    assert main(["monogamy", "--dims", ",".join(["2"] * 12), "--samples", "2",
+                 "--output", str(out)]) == EXIT_OK
+    assert load_report(out)["result"]["scan"]["samples"] == 2
+
+
 BAD_NUMBERS = ["nan", "inf", "-1"]
 
 
@@ -641,6 +662,19 @@ class TestChainRefusals:
         path = write_json(tmp_path / "chain.json", doc)
         assert main([command, "--input", path]) == EXIT_VALIDATION
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"kind": "qubit", "links": [{"concurrence": 1e-160}] * 2 + [{"concurrence": 0.0}]},
+         "end-to-end value of 2 links, 1e-320, lies below the normal float64 range"),
+        ({"kind": "tmsvs", "links": [{"r": 20}, {"r": 0.5}]}, "rounds to 1 in float64"),
+    ])
+    def test_sweep_refuses_a_refused_prefix(self, tmp_path, doc, message, capsys):
+        # The whole chain has a value, but a shorter prefix's chain has none.
+        path = write_json(tmp_path / "chain.json", doc)
+        assert main(["chain", "--input", path, "--output", os.devnull]) == EXIT_OK
+        for fmt in ("json", "csv"):
+            assert main(["sweep", "--input", path, "--format", fmt]) == EXIT_VALIDATION
+            assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["chain", "sweep"])
     @pytest.mark.parametrize("links", [[{"lambda": [1.0]}],

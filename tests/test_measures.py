@@ -551,11 +551,11 @@ class TestOneNegativityRule:
     @pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.0, -1.0])
     def test_one_alpha_rule_everywhere(self, alpha):
         from qchain.monogamy import check_ineq_xya_grid, ckw_residual, ckw_violation_state
-        from qchain.swapping import tmsvs_link
+        from qchain.swapping import chain_compose, tmsvs_link
         calls = [
             lambda: MeasureSpec("alpha_ratio", alpha=alpha),
             lambda: alpha_ratio_negativity(bell_state(), alpha),
-            lambda: tmsvs_link(0.5).measure_value("alpha_ratio", alpha),
+            lambda: chain_compose([tmsvs_link(0.5)], "alpha_ratio", alpha).per_hop[0],
             lambda: check_ineq_xya_grid(0.5, 0.5, alpha, 100),
             lambda: ckw_residual(ckw_violation_state(), alpha=alpha),
         ]

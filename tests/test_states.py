@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qchain import states
 from qchain.groupop import CompositionLaw, check_group_operation
 from qchain.measures import MeasureSpec, evaluate_measure, ratio_negativity
-from qchain.monogamy import sample_monogamy_scan
+from qchain.monogamy import ckw_residual, sample_monogamy_scan
 from qchain.reports import state_from_json, state_to_json
 from qchain.states import (
     PSD_TOL,
@@ -30,6 +30,7 @@ from qchain.states import (
     tmsvs_truncated,
 )
 from qchain.tensor import (
+    TRACE_TOL,
     SubsystemLayout,
     kron,
     partial_trace,
@@ -289,6 +290,26 @@ class TestValidation:
     def test_pure_state_norm_enforced(self):
         with pytest.raises(ValueError, match="normalized"):
             PureState(np.array([1.0, 1.0, 0, 0]), QUBIT_PAIR)
+
+    @pytest.mark.parametrize("k", [0.9, -0.9])
+    def test_accepted_weight_passes_every_path(self, k):
+        # One unit-weight rule: a state the constructor accepts also passes
+        # the trace and Schmidt-sum checks of every later path.
+        scale = math.sqrt(1.0 + k * TRACE_TOL)
+        pair = PureState(np.array([0.6, 0, 0, 0.8]) * scale, QUBIT_PAIR)
+        for kind in ("negativity", "concurrence", "g_concurrence", "scp"):
+            evaluate_measure(MeasureSpec(kind), pair)
+        pair.density_matrix()
+        amps = np.array([0.5, 0.1, 0.1, 0.3, 0.2, 0.4, 0.1, 0.2])
+        triple = PureState(amps / np.linalg.norm(amps) * scale, SubsystemLayout((2, 2, 2), (0,)))
+        triple.density_matrix()
+        ckw_residual(triple)
+
+    @pytest.mark.parametrize("k", [1.1, -1.1])
+    def test_weight_beyond_trace_tol_is_refused(self, k):
+        amps = np.array([0.6, 0, 0, 0.8]) * math.sqrt(1.0 + k * TRACE_TOL)
+        with pytest.raises(ValueError, match=r"not normalized: \|psi\|\^2 = "):
+            PureState(amps, QUBIT_PAIR)
 
     def test_density_matrix_trace_enforced(self):
         with pytest.raises(ValueError, match="trace"):

@@ -18,6 +18,7 @@ from qchain.states import TmsvsSpec, pure_from_schmidt, substream, tmsvs_truncat
 from qchain.swapping import (
     chain_compose,
     chain_fock_crosscheck,
+    chain_prefixes,
     characteristic_length,
     canonical_qubit_schmidt,
     qubit_link,
@@ -388,10 +389,10 @@ class TestLinkValidation:
 
     def test_measure_value_dispatch(self):
         link = tmsvs_link(0.5)
-        assert link.measure_value("ratio") == math.tanh(0.5)
-        assert link.measure_value("alpha_ratio", 2.0) == math.tanh(0.5) ** 2
+        assert chain_compose([link], "ratio").per_hop[0] == math.tanh(0.5)
+        assert chain_compose([link], "alpha_ratio", 2.0).per_hop[0] == math.tanh(0.5) ** 2
         with pytest.raises(ValueError):
-            link.measure_value("g_concurrence")
+            chain_compose([link], "g_concurrence").per_hop[0]
 
 
 class TestAlphaOnlyForAlphaRatio:
@@ -404,7 +405,7 @@ class TestAlphaOnlyForAlphaRatio:
         link = self.LINKS[measure]
         message = rf"alpha {alpha!r} applies only to the alpha_ratio measure; '{measure}'"
         with pytest.raises(ValueError, match=message):
-            link.measure_value(measure, alpha)
+            chain_compose([link], measure, alpha).per_hop[0]
         with pytest.raises(ValueError, match=message):
             chain_compose([link] * 2, measure=measure, alpha=alpha)
 
@@ -455,7 +456,7 @@ class TestUnderflowRefused:
         # alpha = 0.5 keeps the per-hop product normal while the product
         # of tanh r, which gives the composite r, underflows.
         links = [tmsvs_link(1e-200)] * 2
-        assert math.prod(lk.measure_value("alpha_ratio", 0.5) for lk in links) == 1e-200
+        assert math.prod(chain_compose([lk], "alpha_ratio", 0.5).per_hop[0] for lk in links) == 1e-200
         with pytest.raises(ValueError, match="product of tanh r over 2 links, 0.0, lies below"):
             chain_compose(links, alpha=0.5)
 
@@ -485,7 +486,7 @@ def chains(draw):
 def test_chain_values_multiply(case):
     links, measure, alpha = case
     res = chain_compose(links, measure=measure, alpha=alpha)
-    assert res.per_hop == tuple(lk.measure_value(measure, alpha) for lk in links)
+    assert res.per_hop == tuple(chain_compose([lk], measure, alpha).per_hop[0] for lk in links)
     assert math.isclose(res.end_to_end, math.prod(res.per_hop), rel_tol=1e-12)
     assert res.length == len(links)
     if res.composite_r is not None:
@@ -524,6 +525,51 @@ def test_swap_is_the_two_link_chain(pair):
         assert out == qudit_link(d=l1.d, g_concurrence=v)
     else:
         assert out.r == math.atanh(v)
+
+
+@st.composite
+def walk_chains(draw):
+    """A chain of 1-40 links of one kind that may hold dead links, links
+    near 1e-160 and saturated squeezing, with a measure it supports (or
+    the default) and a power."""
+    kind = draw(st.sampled_from(["qubit", "qudit", "tmsvs"]))
+    n = draw(st.integers(1, 40))
+    if kind == "tmsvs":
+        r = st.one_of(st.floats(1e-161, 1e-159), st.floats(1e-3, 25.0))
+        links = [tmsvs_link(draw(r)) for _ in range(n)]
+        measure = draw(st.sampled_from([None, "ratio", "alpha_ratio"]))
+        alpha = 1.0 if measure == "ratio" else draw(st.sampled_from([1.0, 0.5, 2.5]))
+        return links, measure, alpha
+    value = st.one_of(st.just(0.0), st.floats(1e-161, 1e-159), st.floats(0.0, 1.0))
+    if kind == "qubit":
+        links = [qubit_link(concurrence=draw(value)) for _ in range(n)]
+        return links, draw(st.sampled_from([None, "concurrence", "scp"])), 1.0
+    d = draw(st.integers(2, 5))
+    return [qudit_link(d=d, g_concurrence=draw(value)) for _ in range(n)], None, 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=walk_chains())
+def test_prefixes_are_the_composed_prefixes(case):
+    # Each row is its prefix's chain_compose bit for bit, and a chain with
+    # a refused prefix is refused with the first such prefix's message.
+    links, measure, alpha = case
+    composed = [outcome(lambda: chain_compose(links[:l], measure, alpha))
+                for l in range(1, len(links) + 1)]
+    refused = [res for res in composed if isinstance(res, str)]
+    if refused:
+        with pytest.raises(ValueError) as info:
+            chain_prefixes(links, measure, alpha)
+        assert str(info.value) == refused[0]
+        return
+
+    def fields(res):
+        return repr((res.end_to_end, res.characteristic_length, res.composite_r, res.kind,
+                     res.measure, res.alpha, res.length))
+
+    rows = chain_prefixes(links, measure, alpha)
+    assert [fields(row) for row in rows] == [fields(res) for res in composed]
+    assert {row.per_hop for row in rows} == {()}
 
 
 class TestSqueezingParameter:
