@@ -6,7 +6,8 @@ interactive mode: the intended users are scripts and CI.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure
 (tolerance breach, or a NaN or infinite report value, which strict JSON
-cannot hold), 4 I/O error.
+cannot hold), 4 I/O error, 5 out of memory (an allocation failed, such
+as a grid too large for the memory available; the message names it).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import sys
 import time
@@ -35,10 +35,10 @@ from .reports import (
     chain_from_json,
     cm_to_json,
     dump_report,
-    gc_paused,
     make_report,
+    read_json,
+    read_state,
     scan_from_json,
-    state_from_json,
 )
 from .states import PSD_TOL
 from .swapping import chain_compose, chain_prefixes
@@ -47,13 +47,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+EXIT_MEMORY = 5
 
 DEFAULT_MEASURES = "negativity,log_negativity,ratio"
-
-
-def _read_json(path: str) -> dict:
-    with gc_paused(), open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -90,15 +86,7 @@ def cmd_measure(args) -> tuple[int, dict]:
         raise ValueError("--alpha applies only to the alpha_ratio measure; "
                          f"--measures {args.measures!r} does not name it")
     alpha = 1.0 if args.alpha is None else args.alpha
-    doc = _read_json(args.input)
-    if isinstance(doc, dict) and args.cutoff is not None:
-        if doc.get("kind") != "tmsvs":
-            raise ValueError("--cutoff applies only to tmsvs state files")
-        if "cutoff" in doc:
-            raise ValueError(f"--cutoff {args.cutoff} conflicts with the state file's cutoff "
-                             f"{doc['cutoff']!r}; give only one")
-        doc = {**doc, "cutoff": args.cutoff}
-    state = state_from_json(doc, args.tol_psd)
+    state = read_state(args.input, args.tol_psd, args.cutoff)
     results = []
     for kind in kinds:
         spec = MeasureSpec(kind, alpha) if kind == "alpha_ratio" else MeasureSpec(kind)
@@ -111,7 +99,7 @@ def cmd_measure(args) -> tuple[int, dict]:
 def _chain_input(args):
     """The chain file read once: its links, measure and alpha, and the
     report config, which keeps the file as written."""
-    doc = _read_json(args.input)
+    doc = read_json(args.input)
     links, measure, alpha = chain_from_json(doc)
     if alpha is not None and args.alpha is not None:
         raise ValueError("--alpha conflicts with the chain file's alpha; give only one")
@@ -147,7 +135,7 @@ def cmd_monogamy(args) -> tuple[int, dict]:
                  if getattr(args, k) is not None]
         if given:
             raise ValueError(f"--input sets the scan; drop {', '.join(given)}")
-        dims, samples, alpha, seed = scan_from_json(_read_json(args.input))
+        dims, samples, alpha, seed = scan_from_json(read_json(args.input))
     else:
         if args.dims is None:
             raise ValueError("monogamy needs --input or --dims")
@@ -279,6 +267,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage, matching the validation code.
         return int(exc.code) if exc.code else EXIT_OK
+    try:
+        return _run(args)
+    except MemoryError as exc:
+        # numpy's message names the allocation: its size, shape and dtype.
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
+        return EXIT_MEMORY
+
+
+def _run(args) -> int:
     t0 = time.perf_counter()
     try:
         code, payload = args.fn(args)

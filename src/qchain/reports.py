@@ -295,6 +295,37 @@ def state_from_json(doc: dict, psd_tol: float = PSD_TOL) -> PureState | DensityM
     return state
 
 
+def read_json(path: str):
+    """The JSON document in the file at path, parsed with the cyclic
+    collector paused (gc_paused)."""
+    with gc_paused(), open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def read_state(path: str, psd_tol: float = PSD_TOL, cutoff: int | None = None):
+    """The state that the JSON file at path describes (state_from_json);
+    cutoff is a Fock cutoff given apart from the file (measure --cutoff),
+    for a tmsvs file that sets none.
+
+    The collector stays paused until the parsed document is dropped. A
+    mixed state's pair list is about a million small lists, freed by
+    reference counting when the document goes; a collection while they
+    live would walk them all and find nothing.
+    """
+    with gc_paused():
+        doc = read_json(path)
+        if isinstance(doc, dict) and cutoff is not None:
+            if doc.get("kind") != "tmsvs":
+                raise ValueError("--cutoff applies only to tmsvs state files")
+            if "cutoff" in doc:
+                raise ValueError(f"--cutoff {cutoff} conflicts with the state file's cutoff "
+                                 f"{doc['cutoff']!r}; give only one")
+            doc = {**doc, "cutoff": cutoff}
+        state = state_from_json(doc, psd_tol)
+        del doc
+    return state
+
+
 def chain_from_json(doc) -> tuple[list, str | None, float | None]:
     """The links of a chain document, and its measure and alpha (None when
     absent). An identical entry builds its link once: links are frozen."""

@@ -120,14 +120,22 @@ def _hermitian_defect(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     running maxima, so no temporary grows past a strip of HERM_STRIP
     rows. A maximum does not depend on the order it is taken in, so both
     equal the whole-matrix formula's bit for bit; a matrix of dimension
-    <= HERM_STRIP is one strip.
+    <= HERM_STRIP is one strip. On a real stack, where conjugation is the
+    identity, the absolute value overwrites the difference, so a strip
+    takes one temporary rather than two.
     """
+    real = not np.iscomplexobj(m)
     top = defect = np.zeros(m.shape[:-2])
     for i in range(0, m.shape[-1], HERM_STRIP):
         rows = m[..., i:i + HERM_STRIP, :]
         cols = np.swapaxes(m[..., :, i:i + HERM_STRIP], -2, -1)
         top = np.maximum(top, np.max(np.abs(rows), axis=(-2, -1)))
-        defect = np.maximum(defect, np.max(np.abs(rows - cols.conj()), axis=(-2, -1)))
+        if real:
+            diff = rows - cols
+            np.abs(diff, out=diff)
+        else:
+            diff = np.abs(rows - cols.conj())
+        defect = np.maximum(defect, np.max(diff, axis=(-2, -1)))
     return defect, top
 
 
@@ -176,14 +184,29 @@ def _coupled_blocks(m: np.ndarray) -> list[np.ndarray]:
     Hermitian only within tolerance may be zero on one side, and eigvalsh
     reads the lower triangle.
 
-    Breadth-first search over the boolean nonzero mask; each row and
-    column is read at most once, and the search stops as soon as every
-    index is placed, so a matrix with no zero entries costs one row.
+    Both routes start from the n x n boolean nonzero mask, and the pattern
+    chooses between them. A sparse one, with at most 1/32 of its entries
+    nonzero, such as a Fock-basis partial transpose (one per row), is
+    split by _label_blocks in whole-array operations on O(nnz) index
+    arrays, about 40 bytes per nonzero, so at most about the mask's size.
+    A denser one is searched breadth first by _search_blocks, which stops
+    after one row when the matrix has no zero entries, and builds no
+    index arrays. On permuted block-diagonal and banded patterns at n =
+    64 to 4096 the labels were faster wherever they are used.
     """
     linked = m != 0
-    unseen = np.ones(m.shape[0], dtype=bool)
+    if 32 * np.count_nonzero(linked) > linked.size:
+        return _search_blocks(linked)
+    return _label_blocks(linked)
+
+
+def _search_blocks(linked: np.ndarray) -> list[np.ndarray]:
+    """_coupled_blocks of a boolean mask by breadth-first search: each row
+    and column is read at most once, and the search stops as soon as every
+    index is placed, so a mask with no false entries costs one row."""
+    unseen = np.ones(linked.shape[0], dtype=bool)
     blocks = []
-    for start in range(m.shape[0]):
+    for start in range(linked.shape[0]):
         if not unseen[start]:
             continue
         unseen[start] = False
@@ -196,6 +219,37 @@ def _coupled_blocks(m: np.ndarray) -> list[np.ndarray]:
             members.append(layer)
         blocks.append(np.sort(np.concatenate(members)))
     return blocks
+
+
+def _label_blocks(linked: np.ndarray) -> list[np.ndarray]:
+    """_coupled_blocks of a boolean mask by min-label propagation.
+
+    Every index points at a root, at first itself. Each round, for every
+    edge, the roots of its two ends point at the smaller of the two (the
+    smallest over all their edges), and then every index jumps
+    root[root[i]] until it reaches a root. A root is never larger than
+    the indices that point at it, so when a round changes nothing, each
+    component's indices point at its smallest index. Without the jumps a
+    path would take about one round per index along it; with them, long
+    paths in any index order take a few rounds.
+    """
+    n = linked.shape[0]
+    rows, cols = np.divmod(np.flatnonzero(linked), n)
+    root = np.arange(n)
+    while True:
+        ends_r, ends_c = root[rows], root[cols]
+        low = np.minimum(ends_r, ends_c)
+        hooked = root.copy()
+        np.minimum.at(hooked, ends_r, low)
+        np.minimum.at(hooked, ends_c, low)
+        while not np.array_equal(jumped := hooked[hooked], hooked):
+            hooked = jumped
+        if np.array_equal(hooked, root):
+            break
+        root = hooked
+    order = np.argsort(root, kind="stable")
+    starts = np.flatnonzero(np.diff(root[order], prepend=-1)).tolist()
+    return [order[a:b] for a, b in zip(starts, starts[1:] + [n])]
 
 
 def trace_norm_hermitian(m: np.ndarray) -> float:
@@ -219,7 +273,10 @@ def _trace_norm_blocks(m: np.ndarray) -> float:
     blocks), never goes to one dense eigensolve. Blocks of equal size go
     to one stacked eigvalsh, and |eigenvalues| are summed by block size,
     then by each block's first index. A matrix that does not split runs
-    one eigvalsh on the whole matrix.
+    one eigvalsh on the whole matrix. The split costs one n x n boolean
+    mask, plus O(nnz) index arrays (about 40 bytes per nonzero) when the
+    pattern is sparse; a matrix with no zero entries is found whole after
+    reading one row of the mask.
     """
     blocks = _coupled_blocks(m)
     if len(blocks) <= 1:

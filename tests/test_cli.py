@@ -12,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from qchain.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from qchain.cli import EXIT_IO, EXIT_MEMORY, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from qchain.gaussian import CM_MAX_R
 from qchain.groupop import LAW_REGISTRY
 from qchain.monogamy import DEFAULT_GRID_N, VIOLATION_TOL
@@ -104,6 +104,39 @@ class TestMeasureCommand:
         dm = random_density_matrix(SubsystemLayout((2, 3), (0,)), 4, seed=2)
         back = state_from_json(state_to_json(dm))
         assert np.allclose(back.matrix, dm.matrix, atol=0)
+
+    def test_state_file_read_with_collector_paused(self, tmp_path, monkeypatch):
+        # The parsed pair lists are dropped before the collector resumes,
+        # so no collection walks them.
+        import gc
+        import weakref
+
+        import qchain.reports as reports
+
+        class Doc(dict):  # a dict that a weak reference can follow
+            pass
+
+        seen = []
+        load, convert = json.load, reports.state_from_json
+
+        def tracked_load(fh):
+            doc = Doc(load(fh))
+            weakref.finalize(doc, lambda: seen.append(("dropped", gc.isenabled())))
+            return doc
+
+        def tracked_convert(doc, psd_tol):
+            seen.append(("converting", gc.isenabled()))
+            return convert(doc, psd_tol)
+
+        monkeypatch.setattr(reports.json, "load", tracked_load)
+        monkeypatch.setattr(reports, "state_from_json", tracked_convert)
+        dm = random_density_matrix(SubsystemLayout((2, 3), (0,)), 4, seed=2)
+        path = write_json(tmp_path / "mixed.json", state_to_json(dm))
+        assert gc.isenabled()
+        assert np.array_equal(reports.read_state(path).matrix,
+                              state_from_json(state_to_json(dm)).matrix)
+        assert seen == [("converting", False), ("dropped", False)]
+        assert gc.isenabled()
 
     def test_real_state_roundtrip(self):
         dm = tmsvs_truncated(TmsvsSpec.from_r(0.5, cutoff=6)).density_matrix()
@@ -781,6 +814,23 @@ def test_non_finite_report_value_is_numerical_failure(tmp_path, monkeypatch, cap
     out = tmp_path / "cm.json"
     assert main(["gaussian", "--r", "0.5", "--output", str(out)]) == EXIT_NUMERICAL
     assert "NaN or infinite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 512. MiB for an array with shape (8192, 8192) and data type float64", ""])
+def test_out_of_memory_is_a_one_line_error(tmp_path, monkeypatch, capsys, message):
+    import qchain.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "check_group_operation", exhausted)
+    out = tmp_path / "groupop.json"
+    assert main(["groupop", "--law", "tanh_sum", "--grid", "8192",
+                 "--output", str(out)]) == EXIT_MEMORY
+    assert capsys.readouterr().err == \
+        (f"error: out of memory: {message}\n" if message else "error: out of memory\n")
     assert not out.exists()
 
 

@@ -10,7 +10,10 @@ from qchain.tensor import (
     HERM_STRIP,
     HERM_TOL_BASE,
     SubsystemLayout,
+    _coupled_blocks,
     _hermitian_defect,
+    _label_blocks,
+    _search_blocks,
     kron,
     partial_trace,
     partial_transpose,
@@ -227,6 +230,101 @@ class TestBlockTraceNorm:
         assert trace_norm_hermitian(m) == float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
 
+def reference_coupled_blocks(m):
+    """The breadth-first search that _coupled_blocks ran on every pattern
+    before it chose a route: one search start per component."""
+    linked = m != 0
+    unseen = np.ones(m.shape[0], dtype=bool)
+    blocks = []
+    for start in range(m.shape[0]):
+        if not unseen[start]:
+            continue
+        unseen[start] = False
+        layer = np.array([start])
+        members = [layer]
+        while layer.size and unseen.any():
+            near = linked[layer].any(axis=0) | linked[:, layer].any(axis=1)
+            layer = np.flatnonzero(near & unseen)
+            unseen[layer] = False
+            members.append(layer)
+        blocks.append(np.sort(np.concatenate(members)))
+    return blocks
+
+
+@st.composite
+def nonzero_patterns(draw):
+    """A real or complex square matrix whose nonzero pattern is random
+    sparse, random dense, one-sided (one side of the diagonal only), a
+    permuted block diagonal, a long band (path-like, up to 1500 indices,
+    in order or permuted), or of dimension 0 or 1."""
+    kind = draw(st.sampled_from(["sparse", "dense", "one_sided", "blocks", "band", "tiny"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "tiny":
+        n = draw(st.integers(0, 1))
+        mask = rng.random((n, n)) < 0.5
+    elif kind == "band":
+        n = draw(st.integers(2, 1500))
+        offsets = draw(st.sampled_from([(1,), (-1,), (0, 1), (-1, 2), (-3, -1, 0, 1)]))
+        mask = np.zeros((n, n), dtype=bool)
+        for k in offsets:
+            mask |= np.eye(n, k=k, dtype=bool)
+        if draw(st.booleans()):
+            perm = rng.permutation(n)
+            mask = mask[np.ix_(perm, perm)]
+    elif kind == "blocks":
+        sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=20))
+        n = sum(sizes)
+        mask = np.zeros((n, n), dtype=bool)
+        at = 0
+        for size in sizes:
+            mask[at:at + size, at:at + size] = rng.random((size, size)) < draw(
+                st.sampled_from([0.2, 1.0]))
+            at += size
+        perm = rng.permutation(n)
+        mask = mask[np.ix_(perm, perm)]
+    else:
+        n = draw(st.integers(2, 200))
+        density = (draw(st.sampled_from([0.3, 0.9, 1.0])) if kind == "dense"
+                   else draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 8.0])) / n)
+        mask = rng.random((n, n)) < density
+        if kind == "one_sided":
+            mask = np.triu(mask, 1) if draw(st.booleans()) else np.tril(mask)
+    values = rng.standard_normal((n, n))
+    if draw(st.booleans()):
+        values = values + 1j * rng.standard_normal((n, n))
+    return np.where(mask, values, 0)
+
+
+class TestCoupledBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(m=nonzero_patterns())
+    def test_both_routes_match_breadth_first_reference(self, m):
+        want = reference_coupled_blocks(m)
+        linked = m != 0
+        for got in (_coupled_blocks(m), _search_blocks(linked), _label_blocks(linked)):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    def test_pattern_chooses_the_route(self, monkeypatch):
+        import qchain.tensor as tensor
+        from qchain.states import TmsvsSpec, tmsvs_truncated
+
+        def refused(linked):
+            raise AssertionError("wrong route")
+
+        # A matrix with no zero entries is searched, and builds no index
+        # arrays of n^2 entries; a Fock-basis partial transpose is labelled.
+        monkeypatch.setattr(tensor, "_label_blocks", refused)
+        assert len(_coupled_blocks(np.ones((300, 300)))) == 1
+        monkeypatch.undo()
+        monkeypatch.setattr(tensor, "_search_blocks", refused)
+        rho = tmsvs_truncated(TmsvsSpec.from_r(0.5, cutoff=10)).density_matrix()
+        pt = partial_transpose(rho.matrix, rho.layout)
+        d = rho.layout.dims[0]
+        assert sorted(b.size for b in _coupled_blocks(pt)) == [1] * d + [2] * (d * (d - 1) // 2)
+
+
 class TestPartialTrace:
     def test_bell_marginal(self):
         out = partial_trace(BELL_DM, QUBIT_PAIR, keep=[0])
@@ -392,17 +490,21 @@ def whole_matrix_hermitian_check(m):
 
 @st.composite
 def perturbed_hermitian_stacks(draw):
-    """A Hermitian stack of dimension 1-200 (strip edges favoured) on 0-2
-    leading axes, with one entry moved by an amount around the tolerance."""
+    """A real symmetric or complex Hermitian stack of dimension 1-200
+    (strip edges favoured) on 0-2 leading axes, with one entry moved by an
+    amount around the tolerance."""
     n = draw(st.one_of(st.sampled_from([1, 63, 64, 65, 128, 129, 200]), st.integers(1, 200)))
     lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = lead + (n, n)
-    a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * draw(
-        st.sampled_from([1e-3, 1.0, 1e6]))
+    real = draw(st.booleans())
+    a = rng.standard_normal(shape)
+    if not real:
+        a = a + 1j * rng.standard_normal(shape)
+    a = a * draw(st.sampled_from([1e-3, 1.0, 1e6]))
     m = (a + np.swapaxes(a, -2, -1).conj()) / 2
     where = tuple(draw(st.integers(0, k - 1)) for k in shape)
-    m[where] += draw(st.sampled_from([0.0, 1e-13, 1e-10, 1e-7, 1j * 1e-4, 1e3]))
+    m[where] += draw(st.sampled_from([0.0, 1e-13, 1e-10, 1e-7, -1e3 if real else 1j * 1e-4, 1e3]))
     return m
 
 
@@ -411,7 +513,9 @@ def perturbed_hermitian_stacks(draw):
 def test_stripwise_hermitian_check_matches_whole_matrix_formula(m):
     defect, scale, message = whole_matrix_hermitian_check(m)
     got_defect, got_top = _hermitian_defect(m)
+    assert got_defect.dtype == got_top.dtype == np.float64
     assert got_defect.tobytes() == np.asarray(defect).tobytes()
+    assert got_top.tobytes() == np.asarray(np.max(np.abs(m), axis=(-2, -1))).tobytes()
     assert np.maximum(1.0, got_top).tobytes() == np.asarray(scale).tobytes()
     if message is None:
         assert require_hermitian(m) is m
