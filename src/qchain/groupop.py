@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import GRID_SLAB_BYTES, require_tolerance
+from .tensor import _slab_max, require_tolerance
 
 ASSOC_TOL = 1e-9
 IDENTITY_TOL = 1e-9
@@ -110,52 +110,35 @@ class GroupOperationReport:
 
 
 def _check_closure(law: CompositionLaw, xs: np.ndarray, tol: float) -> AxiomResult:
-    vals = law(xs[:, None], xs[None, :])
-    if not np.all(np.isfinite(vals)):
-        i, j = np.unravel_index(int(np.argmax(~np.isfinite(vals))), vals.shape)
-        raise ValueError(f"law produced a non-finite value at ({xs[i]}, {xs[j]})")
-    excess = np.maximum(vals - law.hi, law.lo - vals)
-    worst = float(np.max(excess))
+    def excess(start, stop):
+        vals = law(xs[start:stop, None], xs[None, :])
+        return np.maximum(vals - law.hi, law.lo - vals)
+
+    worst, (x, y) = _slab_max((xs, xs), excess, "law produced a non-finite value")
     if worst > tol:
-        i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
-        return AxiomResult(False, f"g({xs[i]:.6g}, {xs[j]:.6g}) = {vals[i, j]:.6g} leaves "
-                                  f"[{law.lo}, {law.hi}]", worst, (float(xs[i]), float(xs[j])))
+        return AxiomResult(False, f"g({x:.6g}, {y:.6g}) = {float(law(x, y)):.6g} leaves "
+                                  f"[{law.lo}, {law.hi}]", worst, (x, y))
     return AxiomResult(True, "all grid compositions stay in the domain", max(0.0, worst))
 
 
 def _check_associativity(law: CompositionLaw, xs: np.ndarray, tol: float) -> AxiomResult:
     """Max of |g(g(x,y),z) - g(x,g(y,z))| over the grid's (x, y, z) triples.
 
-    g(y, z) is computed once; the triples are taken in slabs of x rows
-    whose n x n arrays take about GRID_SLAB_BYTES (one row when a row alone
-    is larger), so memory grows with n^2, not n^3. Each slab applies the
-    same elementwise operations as the whole n x n x n grid, and a later
-    slab replaces the worst defect only when strictly larger, so the
-    witness is the first maximum in row-major order. A non-finite defect
-    raises ValueError naming its triple.
+    g(y, z) is computed once; the triples run through _slab_max as rows of
+    (x, y) pairs with z along the row, so memory grows with n^2, not n^3.
     """
-    n = len(xs)
-    y = xs[None, :, None]
-    z = xs[None, None, :]
-    yz = law(y, z)
-    rows = max(1, GRID_SLAB_BYTES // (8 * n * n))
-    worst, at = -math.inf, (0, 0, 0)
-    for start in range(0, n, rows):
-        x = xs[start:start + rows, None, None]
-        dev = np.abs(law(law(x, y), z) - law(x, yz))
-        m = int(np.argmax(dev))  # the first NaN, if the slab holds one
-        i, j, k = np.unravel_index(m, dev.shape)
-        if not math.isfinite(dev.flat[m]):
-            raise ValueError(f"law produced a non-finite associativity defect at "
-                             f"({xs[start + i]}, {xs[j]}, {xs[k]})")
-        if dev.flat[m] > worst:
-            worst, at = float(dev.flat[m]), (start + i, j, k)
+    yz = law(xs[:, None], xs[None, :])
+
+    def defect(start, stop):
+        i, j = np.divmod(np.arange(start, stop), len(xs))
+        x = xs[i][:, None]
+        return np.abs(law(law(x, xs[j][:, None]), xs[None, :]) - law(x, yz[j]))
+
+    worst, (x, y, z) = _slab_max((xs, xs, xs), defect,
+                                 "law produced a non-finite associativity defect")
     if worst > tol:
-        i, j, k = at
-        return AxiomResult(False,
-                           f"|g(g(x,y),z) - g(x,g(y,z))| = {worst:.3e} at "
-                           f"({xs[i]:.6g}, {xs[j]:.6g}, {xs[k]:.6g})",
-                           worst, (float(xs[i]), float(xs[j]), float(xs[k])))
+        return AxiomResult(False, f"|g(g(x,y),z) - g(x,g(y,z))| = {worst:.3e} at "
+                                  f"({x:.6g}, {y:.6g}, {z:.6g})", worst, (x, y, z))
     return AxiomResult(True, f"max associativity defect {worst:.3e}", worst)
 
 
@@ -217,34 +200,46 @@ def _check_solvability(law: CompositionLaw, xs: np.ndarray, tol: float) -> Axiom
     w_lo, w_hi = float(xs[0]), float(xs[-1])
     g_lo, g_hi = law(xs, w_lo), law(xs, w_hi)
     lo_val, hi_val = (g_lo, g_hi) if increasing else (g_hi, g_lo)
-    x, z = xs[:, None], xs[None, :]
-    outside = (z < lo_val[:, None] - tol) | (z > hi_val[:, None] + tol)
-    # Each pair stops once its own bracket is below 1e-14, as a scalar
-    # bisection would; a shared step count would move a, b and the residuals.
-    a = np.full(outside.shape, w_lo)
-    b = np.full(outside.shape, w_hi)
-    live = ~outside
-    for _ in range(100):
-        if not live.any():
-            break
-        mid = (a + b) / 2.0
-        below = (law(x, mid) < z) == increasing
-        a = np.where(live & below, mid, a)
-        b = np.where(live & ~below, mid, b)
-        live &= ~(b - a < 1e-14)
-    residual = np.abs(law(x, (a + b) / 2.0) - z)
-    worst = float(np.max(residual, where=~outside, initial=0.0))
-    interior = ~outside & (residual > math.sqrt(tol))
-    failing = outside | interior
+    z = xs[None, :]
+    outside_count = interior_count = 0
+    first_failing = None
+
+    def residuals(start, stop):
+        # The residuals of the x rows start:stop, 0 where z is out of range.
+        nonlocal outside_count, interior_count, first_failing
+        x = xs[start:stop, None]
+        outside = (z < lo_val[start:stop, None] - tol) | (z > hi_val[start:stop, None] + tol)
+        # Each pair stops once its own bracket is below 1e-14, as a scalar
+        # bisection would; a shared step count would move a, b and the residuals.
+        a, b, live = np.full(outside.shape, w_lo), np.full(outside.shape, w_hi), ~outside
+        for _ in range(100):
+            if not live.any():
+                break
+            mid = (a + b) / 2.0
+            below = (law(x, mid) < z) == increasing
+            a = np.where(live & below, mid, a)
+            b = np.where(live & ~below, mid, b)
+            live &= ~(b - a < 1e-14)
+        residual = np.where(outside, 0.0, np.abs(law(x, (a + b) / 2.0) - z))
+        interior = residual > math.sqrt(tol)
+        failing = outside | interior
+        outside_count += int(np.count_nonzero(outside))
+        interior_count += int(np.count_nonzero(interior))
+        if first_failing is None and failing.any():
+            # The witness is the first failing pair in (x, z) row-major order.
+            i, k = np.unravel_index(np.argmax(failing), failing.shape)
+            first_failing = (float(xs[start + i]), float(xs[k]))
+        return residual
+
+    worst, _ = _slab_max((xs, xs), residuals,
+                         "law produced a non-finite residual solving g(x, w) = z for (x, z)")
     total = len(xs) ** 2
-    if not failing.any():
+    if first_failing is None:
         return AxiomResult(True, f"g(x, .) = z solvable for all {total} grid pairs "
                                  f"(max residual {worst:.3e})", worst)
-    # The witness is the first failing pair in (x, z) row-major order.
-    i, k = np.unravel_index(int(np.argmax(failing)), failing.shape)
-    detail = (f"{np.count_nonzero(interior)} interior failures, {np.count_nonzero(outside)} "
-              f"targets outside the range of g(x, .) on the domain ({total} pairs)")
-    return AxiomResult(False, detail, worst, (float(xs[i]), float(xs[k])))
+    detail = (f"{interior_count} interior failures, {outside_count} targets outside "
+              f"the range of g(x, .) on the domain ({total} pairs)")
+    return AxiomResult(False, detail, worst, first_failing)
 
 
 def check_group_operation(law: CompositionLaw | str, grid_n: int = DEFAULT_GRID,
@@ -305,17 +300,17 @@ def verify_multiplicative_f(law: CompositionLaw | str, f: Callable,
         direction = "decreasing"
     else:
         raise ValueError("candidate f is not strictly monotone on the grid")
-    gxy = law(xs[:, None], xs[None, :])
-    fg = np.vectorize(lambda v: float(f(v)))(gxy)
-    dev = np.abs(fg - fx[:, None] * fx[None, :])
-    worst = float(np.max(dev))
-    witness = None
-    if worst > F_CHECK_TOL:
-        i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        witness = (float(xs[i]), float(xs[j]))
+    f_of = np.vectorize(lambda v: float(f(v)), otypes=[float])
+
+    def deviation(start, stop):
+        fg = f_of(law(xs[start:stop, None], xs[None, :]))
+        return np.abs(fg - fx[start:stop, None] * fx[None, :])
+
+    worst, at = _slab_max((xs, xs), deviation, "f(g(x, y)) - f(x) f(y) is not finite")
+    passed = worst <= F_CHECK_TOL
     return MultiplicativeFReport(law=law.name, grid_n=grid_n, monotone=True,
                                  direction=direction, max_deviation=worst,
-                                 witness=witness, passed=worst <= F_CHECK_TOL)
+                                 witness=None if passed else at, passed=passed)
 
 
 @dataclass(frozen=True)
@@ -347,27 +342,27 @@ def necessary_conditions_check(law: CompositionLaw | str,
     if isinstance(law, str):
         law = get_law(law)
     xs = law.grid(grid_n)
-    vals = law(xs[:, None], xs[None, :])
-
-    d1 = np.diff(vals, axis=0)
-    d2 = np.diff(vals, axis=1)
-    if np.all(d1 > 0) and np.all(d2 > 0):
-        mono = AxiomResult(True, "strictly increasing in both arguments on the grid")
-    else:
-        mono = AxiomResult(False, "not strictly increasing in at least one argument")
-
     # Zero annihilation: g(0, y) = g(x, 0) = 0 on the zero edges (when the
     # domain contains 0) and g > 0 away from them.
     zero_in_domain = law.lo == 0.0 and not law.open_lo
-    if zero_in_domain:
-        edge1 = law(np.zeros_like(xs), xs)
-        edge2 = law(xs, np.zeros_like(xs))
-        zero_edges_ok = bool(np.max(np.abs(edge1)) <= 1e-9 and np.max(np.abs(edge2)) <= 1e-9)
-        mask = xs > 1e-12
-        interior_positive = bool(np.all(vals[np.ix_(mask, mask)] > 0))
-    else:
-        zero_edges_ok = True
-        interior_positive = bool(np.all(vals > 0))
+    away = xs > 1e-12 if zero_in_domain else np.ones_like(xs, dtype=bool)
+    increasing = interior_positive = True
+    last = -math.inf  # the row above the slab: -inf above the first row, so it passes
+
+    def bound_gap(start, stop):
+        nonlocal increasing, interior_positive, last
+        vals = law(xs[start:stop, None], xs[None, :])
+        increasing &= bool(np.all(np.diff(vals, axis=0, prepend=last) > 0)
+                           and np.all(np.diff(vals, axis=1) > 0))
+        interior_positive &= bool(np.all(vals[np.ix_(away[start:stop], away)] > 0))
+        last = vals[-1:]
+        return vals - np.minimum(xs[start:stop, None], xs[None, :])
+
+    worst, (x, y) = _slab_max((xs, xs), bound_gap, "law produced a non-finite value")
+    mono = AxiomResult(increasing, "strictly increasing in both arguments on the grid" if increasing
+                       else "not strictly increasing in at least one argument")
+    zero_edges_ok = not zero_in_domain or bool(np.max(np.abs(law(0.0, xs))) <= 1e-9
+                                               and np.max(np.abs(law(xs, 0.0))) <= 1e-9)
     if zero_edges_ok and interior_positive:
         detail = ("g vanishes exactly on the zero edges" if zero_in_domain
                   else "g is positive on the whole (zero-free) domain")
@@ -375,15 +370,9 @@ def necessary_conditions_check(law: CompositionLaw | str,
     else:
         anni = AxiomResult(False, "zero annihilation fails "
                                   f"(edges zero: {zero_edges_ok}, interior positive: {interior_positive})")
-
-    bound_gap = vals - np.minimum(xs[:, None], xs[None, :])
-    worst = float(np.max(bound_gap))
     if worst > 1e-12:
-        i, j = np.unravel_index(int(np.argmax(bound_gap)), bound_gap.shape)
-        min_bound = AxiomResult(False,
-                                f"g({xs[i]:.6g}, {xs[j]:.6g}) = {vals[i, j]:.6g} exceeds "
-                                f"min(x, y) = {min(xs[i], xs[j]):.6g}",
-                                worst, (float(xs[i]), float(xs[j])))
+        min_bound = AxiomResult(False, f"g({x:.6g}, {y:.6g}) = {float(law(x, y)):.6g} exceeds "
+                                       f"min(x, y) = {min(x, y):.6g}", worst, (x, y))
     else:
         min_bound = AxiomResult(True, "g never exceeds min(x, y) on the grid", max(0.0, worst))
     return NecessaryConditionsReport(law=law.name, grid_n=grid_n, strictly_increasing=mono,

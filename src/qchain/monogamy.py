@@ -17,7 +17,7 @@ import numpy as np
 
 from .measures import _check_alpha, _clamped_negativity, _from_negativity, _schmidt_trace_norm
 from .states import DensityMatrix, PureState, haar_amplitude_rows, require_unit_density
-from .tensor import (GRID_SLAB_BYTES, SubsystemLayout, partial_transpose, require_normalized,
+from .tensor import (SubsystemLayout, _slab_max, partial_transpose, require_normalized,
                      require_tolerance)
 
 VIOLATION_TOL = 1e-9
@@ -195,14 +195,10 @@ def check_ineq_xya_grid(a: float, b: float, alpha: float,
     violation and a witness point. Gaps above GRID_TOL count as violations.
 
     The one-variable terms are computed once per axis (x along rows, y
-    along columns) and broadcast over slabs of x rows whose arrays take
-    about GRID_SLAB_BYTES, so memory does not grow with grid_n. Each slab
-    applies the same elementwise operations to the same values as a full
-    meshgrid; the maximum is kept across slabs, and a later slab replaces
-    it only when strictly larger, so the witness is the first maximum in
-    row-major order, as np.argmax over the whole grid gives it. Bounds
-    whose a^2 + b^2 overflows are refused: c would be infinite and its
-    term NaN."""
+    along columns) and broadcast over _slab_max's slabs of x rows, so
+    memory does not grow with grid_n and the witness is np.argmax's over a
+    full meshgrid. Bounds whose a^2 + b^2 overflows are refused: c would
+    be infinite and its term NaN."""
     if not (math.isfinite(a) and math.isfinite(b) and 0.0 < a <= b):
         raise ValueError(f"need finite 0 < a <= b, got a={a}, b={b}")
     if not math.isfinite(a * a + b * b):
@@ -214,19 +210,19 @@ def check_ineq_xya_grid(a: float, b: float, alpha: float,
     y = np.linspace(0.0, b, grid_n)
     x2, y2 = x ** 2, y ** 2
     fx, fy = _from_negativity(x, "ratio", alpha), _from_negativity(y, "ratio", alpha)
-    rows = max(1, GRID_SLAB_BYTES // (8 * grid_n))
-    max_violation, worst, count = -math.inf, (0, 0), 0
-    for start in range(0, grid_n, rows):
-        cc = np.sqrt(x2[start:start + rows, None] + y2[None, :])
-        gap = fx[start:start + rows, None] + fy[None, :] - _from_negativity(cc, "ratio", alpha)
-        k = int(np.argmax(gap))
-        if gap.flat[k] > max_violation:
-            max_violation, worst = float(gap.flat[k]), divmod(start * grid_n + k, grid_n)
+    count = 0
+
+    def gaps(start, stop):
+        nonlocal count
+        cc = np.sqrt(x2[start:stop, None] + y2[None, :])
+        gap = fx[start:stop, None] + fy[None, :] - _from_negativity(cc, "ratio", alpha)
         count += int(np.count_nonzero(gap > GRID_TOL))
-    witness = (float(x[worst[0]]), float(y[worst[1]])) if max_violation > GRID_TOL else None
+        return gap
+
+    max_violation, at = _slab_max((x, y), gaps, "non-finite two-term gap")
     return GridCheckReport(a=a, b=b, alpha=alpha, grid_n=grid_n,
                            max_violation=max(0.0, max_violation),
-                           witness=witness, violation_count=count)
+                           witness=at if max_violation > GRID_TOL else None, violation_count=count)
 
 
 @dataclass(frozen=True)

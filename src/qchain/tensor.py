@@ -20,9 +20,9 @@ HERM_TOL_BASE = 1e-10
 TRACE_TOL = 1e-10
 SCHMIDT_CUTOFF = 1e-12
 HERM_STRIP = 64
-# The grid checks (monogamy's two-term inequality, groupop's associativity)
-# evaluate their grids in slabs of x rows whose arrays take about this many
-# bytes, so their memory does not grow with the number of x rows.
+# The six grid checks (groupop's closure, associativity, solvability,
+# necessary conditions and multiplicative f; monogamy's two-term grid) walk
+# their grids through _slab_max in slabs of rows of about this many bytes.
 GRID_SLAB_BYTES = 1 << 19
 
 
@@ -100,6 +100,31 @@ def require_tolerance(tol: float, name: str) -> float:
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
     return tol
+
+
+def _slab_max(axes, slab, what: str) -> tuple[float, tuple]:
+    """(maximum, its point) of a float64 grid over the product of the 1-D
+    arrays axes, from slab(start, stop): rows start:stop along the last
+    axis, about GRID_SLAB_BYTES a slab. The point is np.argmax's over the
+    whole grid. The first non-finite value, which a maximum would hide or
+    report as a value, raises ValueError naming what and its point."""
+    shape = tuple(len(a) for a in axes)
+    rows, width = math.prod(shape[:-1]), shape[-1]
+
+    def point(k):
+        return tuple(float(a[i]) for a, i in zip(axes, np.unravel_index(k, shape)))
+
+    step = max(1, GRID_SLAB_BYTES // (8 * width))
+    worst, at = -math.inf, 0
+    for start in range(0, rows, step):
+        vals = slab(start, min(start + step, rows))
+        finite = np.isfinite(vals)
+        if not finite.all():
+            raise ValueError(f"{what} at {point(start * width + int(np.argmin(finite)))}")
+        k = int(np.argmax(vals))
+        if vals.flat[k] > worst:
+            worst, at = float(vals.flat[k]), start * width + k
+    return worst, point(at)
 
 
 def require_normalized(psi: np.ndarray) -> np.ndarray:

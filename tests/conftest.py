@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qchain import groupop, monogamy, tensor
 from qchain.reports import (
     CHAIN_SCHEMA,
     IDENTICAL_LINKS_SCHEMA,
@@ -96,6 +97,29 @@ def scp_oracle(lam) -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)
+
+
+@pytest.fixture
+def slab_budget(monkeypatch):
+    """budget(n) sets tensor.GRID_SLAB_BYTES, the name _slab_max reads, to
+    n bytes and returns a list that then collects the row count of every
+    slab the grid checks of groupop and monogamy take."""
+    rows = []
+    real = tensor._slab_max
+
+    def recording(axes, slab, what):
+        def counted(start, stop):
+            rows.append(stop - start)
+            return slab(start, stop)
+        return real(axes, counted, what)
+
+    for module in (groupop, monogamy):
+        monkeypatch.setattr(module, "_slab_max", recording)
+
+    def budget(n_bytes):
+        monkeypatch.setattr(tensor, "GRID_SLAB_BYTES", n_bytes)
+        return rows
+    return budget
 
 
 def _coupled(diagonal, upper, lower):

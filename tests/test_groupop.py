@@ -1,18 +1,22 @@
+import functools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qchain import groupop
 from qchain.groupop import (
     ASSOC_TOL,
     LAW_REGISTRY,
     SOLVE_TOL,
     CLOSURE_TOL,
+    F_CHECK_TOL,
     AxiomResult,
     CompositionLaw,
+    MultiplicativeFReport,
+    NecessaryConditionsReport,
     _check_associativity,
     _check_closure,
     _check_solvability,
@@ -283,19 +287,22 @@ class TestAssociativitySlabs:
     @pytest.mark.parametrize("grid_n", [2, 3, 17, 64, 127, 128])
     @pytest.mark.parametrize("law", [*LAW_REGISTRY.values(), MEAN_LAW], ids=lambda law: law.name)
     @pytest.mark.parametrize("slab_bytes", [1, 1 << 14], ids=["rows", "16KB"])
-    def test_equals_whole_grid(self, monkeypatch, law, grid_n, slab_bytes):
-        # A budget of 1 byte makes every slab a single x row; 16 KB gives
-        # slabs of several rows and a shorter last slab at grid 17.
-        monkeypatch.setattr(groupop, "GRID_SLAB_BYTES", slab_bytes)
+    def test_equals_whole_grid(self, slab_budget, law, grid_n, slab_bytes):
+        # A budget of 1 byte makes every slab a single (x, y) row; 16 KB
+        # gives slabs of several rows and a shorter last slab at grid 17.
+        rows = slab_budget(slab_bytes)
         xs = law.grid(grid_n)
         assert _check_associativity(law, xs, ASSOC_TOL) == \
             _whole_grid_associativity(law, xs, ASSOC_TOL)
+        if slab_bytes == 1:
+            assert rows == [1] * grid_n ** 2
 
-    def test_tied_maximum_reports_first_witness(self, monkeypatch):
-        monkeypatch.setattr(groupop, "GRID_SLAB_BYTES", 1)
+    def test_tied_maximum_reports_first_witness(self, slab_budget):
+        rows = slab_budget(1)
         result = _check_associativity(MEAN_LAW, MEAN_LAW.grid(17), ASSOC_TOL)
         assert not result.passed
         assert result.witness == (0.0, 0.0, 1.0)
+        assert set(rows) == {1}
 
     def test_memory_does_not_grow_with_the_cube(self):
         # One whole 128^3 float64 array alone takes 16.8 MB.
@@ -308,3 +315,169 @@ class TestAssociativitySlabs:
         finally:
             tracemalloc.stop()
         assert peak < 8_000_000
+
+
+def _whole_grid_closure(law, grid_n):
+    """The closure check over the whole n x n grid at once."""
+    xs = law.grid(grid_n)
+    vals = law(xs[:, None], xs[None, :])
+    excess = np.maximum(vals - law.hi, law.lo - vals)
+    worst = float(np.max(excess))
+    if worst > CLOSURE_TOL:
+        i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
+        return AxiomResult(False, f"g({xs[i]:.6g}, {xs[j]:.6g}) = {vals[i, j]:.6g} leaves "
+                                  f"[{law.lo}, {law.hi}]", worst, (float(xs[i]), float(xs[j])))
+    return AxiomResult(True, "all grid compositions stay in the domain", max(0.0, worst))
+
+
+def _whole_grid_necessary(law, grid_n):
+    """necessary_conditions_check over the whole n x n grid at once."""
+    xs = law.grid(grid_n)
+    vals = law(xs[:, None], xs[None, :])
+    if np.all(np.diff(vals, axis=0) > 0) and np.all(np.diff(vals, axis=1) > 0):
+        mono = AxiomResult(True, "strictly increasing in both arguments on the grid")
+    else:
+        mono = AxiomResult(False, "not strictly increasing in at least one argument")
+    zero_in_domain = law.lo == 0.0 and not law.open_lo
+    if zero_in_domain:
+        edges = np.concatenate([law(np.zeros_like(xs), xs), law(xs, np.zeros_like(xs))])
+        zero_edges_ok = bool(np.max(np.abs(edges)) <= 1e-9)
+        mask = xs > 1e-12
+        interior_positive = bool(np.all(vals[np.ix_(mask, mask)] > 0))
+    else:
+        zero_edges_ok = True
+        interior_positive = bool(np.all(vals > 0))
+    if zero_edges_ok and interior_positive:
+        anni = AxiomResult(True, "g vanishes exactly on the zero edges" if zero_in_domain
+                           else "g is positive on the whole (zero-free) domain")
+    else:
+        anni = AxiomResult(False, "zero annihilation fails (edges zero: "
+                                  f"{zero_edges_ok}, interior positive: {interior_positive})")
+    gap = vals - np.minimum(xs[:, None], xs[None, :])
+    worst = float(np.max(gap))
+    if worst > 1e-12:
+        i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
+        bound = AxiomResult(False, f"g({xs[i]:.6g}, {xs[j]:.6g}) = {vals[i, j]:.6g} exceeds "
+                                   f"min(x, y) = {min(xs[i], xs[j]):.6g}",
+                            worst, (float(xs[i]), float(xs[j])))
+    else:
+        bound = AxiomResult(True, "g never exceeds min(x, y) on the grid", max(0.0, worst))
+    return NecessaryConditionsReport(law.name, grid_n, mono, anni, bound)
+
+
+def _identity_f(x):
+    return x
+
+
+def _whole_grid_f(law, grid_n):
+    """verify_multiplicative_f(law, _identity_f) over the whole n x n grid at once."""
+    xs = law.grid(grid_n)
+    dev = np.abs(law(xs[:, None], xs[None, :]) - xs[:, None] * xs[None, :])
+    worst = float(np.max(dev))
+    witness = None
+    if worst > F_CHECK_TOL:
+        i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
+        witness = (float(xs[i]), float(xs[j]))
+    return MultiplicativeFReport(law.name, grid_n, True, "increasing", worst, witness,
+                                 worst <= F_CHECK_TOL)
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_solvability_on_grid(law, grid_n):
+    return _scalar_solvability(law, law.grid(grid_n), SOLVE_TOL)
+
+
+# Check under test and its reference, each called as (law, grid_n).
+SLAB_CHECKS = {
+    "closure": (lambda law, n: _check_closure(law, law.grid(n), CLOSURE_TOL), _whole_grid_closure),
+    "solvability": (lambda law, n: _check_solvability(law, law.grid(n), SOLVE_TOL),
+                    _scalar_solvability_on_grid),
+    "necessary_conditions": (necessary_conditions_check, _whole_grid_necessary),
+    "multiplicative_f": (lambda law, n: verify_multiplicative_f(law, _identity_f, n), _whole_grid_f),
+}
+
+# 2|x - y| leaves [0, 1], exceeds min(x, y) and differs from x y most at
+# (0, 1) and (1, 0), a tie that the first witness in row-major order breaks.
+SPREAD_LAW = CompositionLaw("spread", lambda x, y: 2.0 * np.abs(x - y), 0.0, 1.0)
+
+
+class TestGridChecksInSlabs:
+    @pytest.mark.parametrize("grid_n", [2, 3, 17, 64, 127])
+    @pytest.mark.parametrize("law", [*LAW_REGISTRY.values(), MEAN_LAW, SPREAD_LAW],
+                             ids=lambda law: law.name)
+    @pytest.mark.parametrize("slab_bytes", [1, 1 << 14], ids=["rows", "16KB"])
+    @pytest.mark.parametrize("check", SLAB_CHECKS)
+    def test_equals_reference(self, slab_budget, check, law, grid_n, slab_bytes):
+        rows = slab_budget(slab_bytes)
+        checked, reference = SLAB_CHECKS[check]
+        assert checked(law, grid_n) == reference(law, grid_n)
+        if slab_bytes == 1:
+            # A solvability check that is not applicable walks no grid.
+            assert rows == [1] * grid_n or (check == "solvability" and not rows)
+
+    @pytest.mark.parametrize("check", ["closure", "necessary_conditions", "multiplicative_f"])
+    def test_tied_maximum_reports_first_witness(self, slab_budget, check):
+        slab_budget(1)
+        result = SLAB_CHECKS[check][0](SPREAD_LAW, 17)
+        assert (result.min_bound if check == "necessary_conditions" else result).witness == (0.0, 1.0)
+
+    def test_grid_1024_memory(self):
+        # Whole n x n grids took 51 MB in solvability alone; g(y, z), which
+        # associativity holds whole, is the largest array left (8.4 MB).
+        tracemalloc.start()
+        try:
+            check_group_operation("tanh_sum", grid_n=1024)
+            necessary_conditions_check("tanh_sum", 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000_000
+
+
+def _nan_where(bad, open_lo=False):
+    return CompositionLaw("nan_where", lambda x, y: np.where(bad(x, y), np.nan, x * y), 0.0, 1.0,
+                          open_lo=open_lo)
+
+
+class TestNonFiniteValuesRefused:
+    @pytest.mark.parametrize("value", [math.nan, -math.inf, math.inf])
+    def test_law_value_names_the_point(self, value):
+        # NaN and -inf at (1, 1) passed min_bound and +inf failed it as a
+        # value; check_group_operation's closure refused all three.
+        law = CompositionLaw("bad_corner",
+                             lambda x, y: np.where((x == 1.0) & (y == 1.0), value, x * y), 0.0, 1.0)
+        for check in (necessary_conditions_check, check_group_operation):
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(ValueError, match=re.escape("non-finite value at (1.0, 1.0)")):
+                    check(law, grid_n=64)
+
+    def test_first_point_in_row_major_order(self):
+        # x + y > 1.5 first holds on the grid i/63 at (32/63, 1).
+        law = _nan_where(lambda x, y: x + y > 1.5)
+        with pytest.raises(ValueError, match=re.escape(f"non-finite value at ({32 / 63}, 1.0)")):
+            necessary_conditions_check(law, 64)
+
+    def test_f_between_grid_points_names_the_pair(self):
+        # f is x on the grid points, so it passes the monotone check, and
+        # NaN between them: it gave max_deviation nan, no witness.
+        law = get_law("product")
+        xs = law.grid(64)
+        on_grid = set(xs.tolist())
+
+        def f(v):
+            return v if v in on_grid or not 0.3 < v < 0.31 else math.nan
+        first = next((x, y) for x in xs.tolist() for y in xs.tolist() if math.isnan(f(x * y)))
+        with pytest.raises(ValueError, match=re.escape(f"is not finite at {first}")):
+            verify_multiplicative_f(law, f, 64)
+
+    def test_solvability_residual_names_the_pair(self):
+        # Row x0 is NaN off the domain endpoints, which the bisection's
+        # midpoints never reach: it reported max_deviation nan.
+        law = get_law("product")
+        xs = law.grid(17)
+        x0 = float(xs[5])
+        ends = (xs[0], xs[-1])
+        bad = _nan_where(lambda x, y: (x == x0) & (y != ends[0]) & (y != ends[1]), open_lo=True)
+        z0 = next(z for z in xs.tolist() if x0 * ends[0] - SOLVE_TOL <= z <= x0 * ends[1] + SOLVE_TOL)
+        with pytest.raises(ValueError, match=re.escape(f"for (x, z) at {(x0, z0)}")):
+            _check_solvability(bad, xs, SOLVE_TOL)

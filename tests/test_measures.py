@@ -179,6 +179,50 @@ class TestLocalMeasurementCounterexample:
         assert after > before
 
 
+# The concave nondecreasing measures of the negativity N, each as a
+# function of N: Jensen and the LOCC monotonicity of N (Vidal and Werner
+# 2002) keep their average from rising under a local instrument.
+CONCAVE_MEASURES = {
+    "negativity": lambda n, alpha: n,
+    "ratio": lambda n, alpha: n / (n + 1),
+    "log_negativity": lambda n, alpha: math.log2(1 + 2 * n),
+    "alpha_ratio": lambda n, alpha: (n / (n + 1)) ** alpha,
+    "custom_f": lambda n, alpha: math.sqrt(n),
+}
+
+
+def _local_instrument(d_a, d_b, party, outcomes, seed):
+    """Kraus operators M_i S^(-1/2) on one party, S = sum M_i^dag M_i, for
+    random complex M_i: they resolve the identity by construction."""
+    rng = np.random.default_rng(seed)
+    d = (d_a, d_b)[party]
+    ms = rng.standard_normal((outcomes, d, d)) + 1j * rng.standard_normal((outcomes, d, d))
+    w, v = np.linalg.eigh(np.einsum("kji,kjl->il", ms.conj(), ms))
+    ks = ms @ (v / np.sqrt(w)) @ v.conj().T
+    return [np.kron(k, np.eye(d_b)) if party == 0 else np.kron(np.eye(d_a), k) for k in ks]
+
+
+class TestConcaveMeasuresAreMonotones:
+    @settings(max_examples=300, deadline=None)
+    @given(d_a=st.integers(2, 3), d_b=st.integers(2, 3), rank=st.integers(1, 9),
+           outcomes=st.integers(2, 4), party=st.integers(0, 1),
+           seed=st.integers(0, 2 ** 32 - 1), measure=st.sampled_from(sorted(CONCAVE_MEASURES)),
+           alpha=st.floats(0.25, 1.0))
+    def test_average_does_not_rise_under_a_local_instrument(self, d_a, d_b, rank, outcomes,
+                                                           party, seed, measure, alpha):
+        layout = SubsystemLayout((d_a, d_b), (0,))
+        rho = random_density_matrix(layout, min(rank, d_a * d_b), seed)
+        spec = MeasureSpec(measure, alpha if measure == "alpha_ratio" else 1.0,
+                           math.sqrt if measure == "custom_f" else None)
+        branches = apply_kraus_branches(rho, _local_instrument(d_a, d_b, party, outcomes, seed + 1))
+        average = sum(p * evaluate_measure(spec, out).value for p, out in branches)
+        # The clamp reads N below PSD_TOL as 0, which lowers a value by at
+        # most its value at PSD_TOL; the eigensolves' rounding of N, far
+        # below PSD_TOL, is covered by taking the value at 2 PSD_TOL.
+        tol = CONCAVE_MEASURES[measure](2 * PSD_TOL, alpha)
+        assert average <= evaluate_measure(spec, rho).value + tol
+
+
 class TestRatioNegativity:
     def test_bell(self):
         assert abs(ratio_negativity(bell_state()) - 1 / 3) < 1e-10

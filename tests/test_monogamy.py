@@ -249,12 +249,13 @@ def test_grid_on_axes_equals_meshgrid(a, b, alpha, grid_n):
 @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.2, 0.7), (1e-3, 2.0)])
 @pytest.mark.parametrize("alpha", [1.0, alpha_threshold() - 0.05, alpha_threshold(), 3.191])
 @pytest.mark.parametrize("grid_n", [100, 257, 500])
-def test_grid_in_single_row_slabs_equals_meshgrid(monkeypatch, a, b, alpha, grid_n):
+def test_grid_in_single_row_slabs_equals_meshgrid(slab_budget, a, b, alpha, grid_n):
     # A budget of 1 byte makes every slab a single x row.
-    monkeypatch.setattr(monogamy, "GRID_SLAB_BYTES", 1)
+    rows = slab_budget(1)
     report = check_ineq_xya_grid(a, b, alpha, grid_n)
     expected = meshgrid_reference(a, b, alpha, grid_n)
     assert (report.max_violation, report.witness, report.violation_count) == expected
+    assert rows == [1] * grid_n
 
 
 def test_iterated_inequality_on_random_vectors():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qchain import tensor
 from qchain.tensor import (
     HERM_STRIP,
     HERM_TOL_BASE,
@@ -14,6 +15,7 @@ from qchain.tensor import (
     _hermitian_defect,
     _label_blocks,
     _search_blocks,
+    _slab_max,
     kron,
     partial_trace,
     partial_transpose,
@@ -323,6 +325,40 @@ class TestCoupledBlocks:
         pt = partial_transpose(rho.matrix, rho.layout)
         d = rho.layout.dims[0]
         assert sorted(b.size for b in _coupled_blocks(pt)) == [1] * d + [2] * (d * (d - 1) // 2)
+
+
+# Ties at flat indices 1, 3, 5 and 8: the maximum 3 is first at row 0, column 1.
+SLAB_GRID = np.array([[0, 3, 1], [3, 2, 3], [1, 0, 3], [2, 3, 0], [1, 1, 1]], dtype=float)
+SLAB_AXES = (np.arange(5) / 4, np.arange(3) / 2)
+
+
+class TestSlabMax:
+    @pytest.mark.parametrize("budget,step", [(1, 1), (48, 2), (1 << 19, 5)])
+    def test_first_maximum_over_slabs_of_the_budget(self, monkeypatch, budget, step):
+        monkeypatch.setattr(tensor, "GRID_SLAB_BYTES", budget)
+        slabs = []
+
+        def slab(start, stop):
+            slabs.append((start, stop))
+            return SLAB_GRID[start:stop]
+        assert _slab_max(SLAB_AXES, slab, "grid") == (3.0, (0.0, 0.5))
+        assert slabs == [(a, min(a + step, 5)) for a in range(0, 5, step)]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("budget", [1, 48, 1 << 19])
+    def test_first_non_finite_value_raises_with_its_point(self, monkeypatch, budget, value):
+        monkeypatch.setattr(tensor, "GRID_SLAB_BYTES", budget)
+        grid = SLAB_GRID.copy()
+        grid[3, 1], grid[4, 0] = value, math.nan
+        with pytest.raises(ValueError, match=r"^grid at \(0\.75, 0\.5\)$"):
+            _slab_max(SLAB_AXES, lambda start, stop: grid[start:stop], "grid")
+
+    def test_rows_run_over_all_axes_but_the_last(self):
+        cube = np.zeros((2, 3, 4))
+        cube[1, 2, 0] = 1.0
+        axes = (np.array([0.0, 1.0]), np.array([0.0, 1.0, 2.0]), np.arange(4.0))
+        assert _slab_max(axes, lambda start, stop: cube.reshape(6, 4)[start:stop], "cube") == \
+            (1.0, (1.0, 2.0, 0.0))
 
 
 class TestPartialTrace:
