@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .tensor import (
     SubsystemLayout,
-    SchmidtDecomposition,
     kron,
     partial_trace,
     partial_transpose,

@@ -9,10 +9,12 @@ antisymmetric part of the unsymmetrized moments, which is how a real
 matrix comes out.) A matrix is a legal state iff Gamma + i*Lambda >= 0,
 with Lambda the direct sum of 2x2 blocks [[0, 1], [-1, 0]].
 
-This module exists as a cross-oracle for the Fock-basis route on pure
-two-mode squeezed states and as a covariance-matrix data model; mixed or
-multimode negativities are out of scope. Displacements are carried but do
-not affect any quantity computed here.
+This module is a covariance-matrix data model and a cross-oracle for the
+Fock-basis route on two-mode Gaussian states, pure or mixed: their
+partial-transpose trace norm is max(1, 1/nu_min) in the smallest
+symplectic eigenvalue nu_min of the momentum-flipped matrix (Vidal and
+Werner, PRA 65, 032314 (2002)). Multimode negativities are out of scope.
+Displacements are carried but do not affect any quantity computed here.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ from .states import require_squeezing
 
 CM_SYMMETRY_TOL = 1e-10
 CM_BONA_FIDE_TOL = 1e-8
-CM_PURITY_TOL = 1e-6
-# The largest r of the covariance route: from r ~ 5.7 the rounding error of
-# det Gamma (entries near cosh 2r) exceeds CM_PURITY_TOL, and cosh 2r
-# overflows from r ~ 355.
+# The largest r of the covariance route. The spectrum's rounding grows with
+# the entries, cosh 2r: on tmsvs_cm's matrix |ratio - tanh r| is 1.8e-12 at
+# r = 5, 1.4e-11 at 6 and 1.6e-9 at 8. At r = 10 the smallest eigenvalue of
+# Gamma, e^(-2r), lies below the rounding of entries near 2.4e8, so
+# symplectic_eigenvalues refuses Gamma; cosh 2r overflows from r ~ 355.
 CM_MAX_R = 5.0
 
 
@@ -145,23 +148,19 @@ def symplectic_eigenvalues(gamma: np.ndarray) -> np.ndarray:
 
 
 def cm_ratio_negativity(cm: CovarianceMatrix) -> float:
-    """Ratio negativity of a pure two-mode Gaussian state from its
-    covariance matrix, across mode 0 | mode 1.
+    """Ratio negativity of a two-mode Gaussian state, pure or mixed, from
+    its covariance matrix, across mode 0 | mode 1.
 
-    The partial-transpose trace norm of a pure two-mode Gaussian state is
-    1/nu_min, with nu_min the smallest symplectic eigenvalue after the
-    momentum flip; this formula is validated against the Fock-basis route
-    in the test suite rather than trusted a priori. Mixed or multimode
-    inputs are unsupported.
+    The partial-transpose trace norm is max(1, 1/nu_min), with nu_min the
+    smallest symplectic eigenvalue after the momentum flip; the clamp of
+    the Fock-basis route supplies the max. The formula is checked against
+    dense Fock-basis states, pure and lossy, in the test suite. Multimode
+    inputs are refused.
     """
     if cm.modes != 2:
-        raise ValueError(f"pure-state cross-check supports exactly 2 modes, got {cm.modes}")
-    det = float(np.linalg.det(cm.gamma))
-    if abs(det - 1.0) > CM_PURITY_TOL:
-        raise ValueError(f"covariance matrix is not pure (det Gamma = {det!r}); mixed states unsupported")
+        raise ValueError(f"the covariance route supports exactly 2 modes, got {cm.modes}")
     report = validate_cm(cm)
     if not report.ok:
         raise ValueError(f"invalid covariance matrix: {report.message}")
-    # The trace norm is 1/nu_min; it goes through the Fock-basis route's clamp.
     nu = symplectic_eigenvalues(cm_partial_transpose(cm, (0,)).gamma)
     return _from_negativity(float(_clamped_negativity(1.0 / nu[-1])), "ratio")

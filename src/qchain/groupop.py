@@ -142,8 +142,19 @@ def _check_associativity(law: CompositionLaw, xs: np.ndarray, tol: float) -> Axi
     return AxiomResult(True, f"max associativity defect {worst:.3e}", worst)
 
 
+def _identity_residuals(law: CompositionLaw, xs: np.ndarray, es) -> np.ndarray:
+    """max over x of |g(x, e) - x| and |g(e, x) - x| for each candidate e in
+    es. A non-finite residual counts as +inf, so a candidate at which the
+    law is undefined, as it may be at an open endpoint, is never an
+    identity."""
+    es = np.asarray(es, dtype=float)[:, None]
+    res = np.maximum(np.max(np.abs(law(xs, es) - xs), axis=1),
+                     np.max(np.abs(law(es, xs) - xs), axis=1))
+    return np.where(np.isfinite(res), res, np.inf)
+
+
 def _identity_residual(law: CompositionLaw, xs: np.ndarray, e: float) -> float:
-    return float(max(np.max(np.abs(law(xs, e) - xs)), np.max(np.abs(law(e, xs) - xs))))
+    return float(_identity_residuals(law, xs, [e])[0])
 
 
 def _find_identity(law: CompositionLaw, xs: np.ndarray, tol: float):
@@ -151,9 +162,7 @@ def _find_identity(law: CompositionLaw, xs: np.ndarray, tol: float):
     golden-section refinement; domain endpoints are tried exactly since
     identities of bounded laws usually sit there."""
     candidates = np.linspace(law.lo, law.hi, 512)
-    residuals = np.maximum(np.max(np.abs(law(xs, candidates[:, None]) - xs), axis=1),
-                           np.max(np.abs(law(candidates[:, None], xs) - xs), axis=1))
-    best = int(np.argmin(residuals))
+    best = int(np.argmin(_identity_residuals(law, xs, candidates)))
     lo = candidates[max(0, best - 1)]
     hi = candidates[min(len(candidates) - 1, best + 1)]
     phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -173,7 +182,7 @@ def _find_identity(law: CompositionLaw, xs: np.ndarray, tol: float):
             break
     refined = (a + b) / 2.0
     options = [refined, law.lo, law.hi]
-    res = [_identity_residual(law, xs, e) for e in options]
+    res = _identity_residuals(law, xs, options)
     k = int(np.argmin(res))
     e, r = float(options[k]), float(res[k])
     if r <= tol:

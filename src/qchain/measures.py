@@ -4,8 +4,12 @@ the pure-state Schmidt fast paths for concurrence-family quantities.
 `pt_trace_norm` is the one spectral step (Schmidt coefficients for pure
 states, a dense partial-transpose spectrum for mixed ones). Every
 negativity-family value follows from it through one clamp, and a state is
-PPT exactly when its clamped negativity is 0. Convex-roof extensions are
-evaluated only on pure inputs, where they coincide with the plain measures.
+PPT exactly when its clamped negativity is 0. Every pure-state measure
+reads `PureState.schmidt_coefficients`, which come from
+`tensor.schmidt_decompose`, the kernel the monogamy residuals run on
+stacks; a Schmidt vector given as input passes the same unit-weight rule,
+`tensor._check_distribution`. Convex-roof extensions are evaluated only
+on pure inputs, where they coincide with the plain measures.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .states import PSD_TOL, DensityMatrix, PureState
-from .tensor import TRACE_TOL, require_tolerance
+from .tensor import _check_distribution, require_tolerance
 
 State = DensityMatrix | PureState
 
@@ -109,7 +113,7 @@ def pt_trace_norm(state: State) -> float:
     spectral steps run once per state object and are reused.
     """
     if isinstance(state, PureState):
-        return float(_schmidt_trace_norm(state.schmidt().coefficients))
+        return float(_schmidt_trace_norm(state.schmidt_coefficients))
     return state._pt_trace_norm
 
 
@@ -136,22 +140,9 @@ def alpha_ratio_negativity(state: State, alpha: float) -> float:
     return evaluate_measure(MeasureSpec("alpha_ratio", alpha), state).value
 
 
-def _check_distribution(lam, size: int | None = None) -> np.ndarray:
-    """lam as a float vector of Schmidt coefficients: non-empty, of length
-    `size` when given, non-negative and summing to 1 within TRACE_TOL."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim != 1 or lam.size == 0 or np.any(lam < 0):
-        raise ValueError(f"Schmidt coefficients must be a non-negative vector, got {lam}")
-    if size is not None and lam.size != size:
-        raise ValueError(f"need exactly {size} Schmidt coefficients, got {lam.size}")
-    if not abs(float(lam.sum()) - 1.0) <= TRACE_TOL:
-        raise ValueError(f"Schmidt coefficients must sum to 1, got {float(lam.sum())!r}")
-    return lam
-
-
 def concurrence_pure(psi: PureState) -> float:
     """sqrt(2 (1 - tr rho_A^2)) for a bipartite pure state."""
-    lam = psi.schmidt().coefficients
+    lam = psi.schmidt_coefficients
     tr_rho_a2 = float(np.sum(lam ** 2))
     return math.sqrt(max(0.0, 2.0 * (1.0 - tr_rho_a2)))
 
@@ -164,13 +155,13 @@ def g_concurrence_pure(lam, d: int) -> float:
     concurrence 2 sqrt(lambda_0 lambda_1), one correctly rounded root. The
     value is at most 1 (the mean of the lambda_j bounds their geometric
     mean), so a rounded value above 1, as the uniform vector gives at
-    d = 6, 8 and 14, reads 1.
+    d = 6, 8 and 14, or a pair summing to just above 1 at d = 2, reads 1.
     """
     lam = _check_distribution(lam, d)
     if np.any(lam == 0):
         return 0.0
     if d == 2:
-        return 2.0 * math.sqrt(lam[0] * lam[1])
+        return min(1.0, 2.0 * math.sqrt(lam[0] * lam[1]))
     return min(1.0, float(d * np.exp(np.mean(np.log(lam)))))
 
 
@@ -245,13 +236,12 @@ def evaluate_measure(spec: MeasureSpec, state: State, psd_tol: float = PSD_TOL) 
     elif spec.kind == "concurrence":
         value = concurrence_pure(state)
     elif spec.kind == "g_concurrence":
-        value = g_concurrence_pure(state.schmidt().coefficients,
+        value = g_concurrence_pure(state.schmidt_coefficients,
                                    min(state.layout.dim_a, state.layout.dim_b))
     elif spec.kind == "scp":
-        sd = state.schmidt()
-        lam = sd.coefficients[:2] if sd.rank <= 2 else None
-        if lam is None or state.layout.dim_a != 2 or state.layout.dim_b != 2:
+        if state.layout.dim_a != 2 or state.layout.dim_b != 2:
             raise ValueError("singlet conversion probability needs a 2-qubit pure state")
+        lam = state.schmidt_coefficients
         value = scp_pure_qubit(lam / lam.sum())
     elif spec.kind == "custom_f":
         value = spec.f(n)

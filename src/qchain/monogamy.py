@@ -17,8 +17,8 @@ import numpy as np
 
 from .measures import _check_alpha, _clamped_negativity, _from_negativity, _schmidt_trace_norm
 from .states import DensityMatrix, PureState, haar_amplitude_rows, require_unit_density
-from .tensor import (SubsystemLayout, _slab_max, partial_transpose, require_normalized,
-                     require_tolerance)
+from .tensor import (SubsystemLayout, _slab_max, group_subsystems, partial_transpose,
+                     require_tolerance, schmidt_decompose)
 
 VIOLATION_TOL = 1e-9
 DEFAULT_GRID_N = 500
@@ -116,23 +116,13 @@ def ckw_residuals(amplitudes, dims, party_a=(0,), measure: str = "ratio",
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.ndim != 2 or amps.shape[1] != split.dim:
         raise ValueError(f"amplitudes must have shape (n, {split.dim}), got {amps.shape}")
-    require_normalized(amps)
-    n = amps.shape[0]
-    t = amps.reshape((n,) + dims)
+    lam = schmidt_decompose(amps, split)
+    lhs = _from_negativity(_clamped_negativity(_schmidt_trace_norm(lam)), measure, alpha)
 
-    def grouped(first) -> np.ndarray:
-        # (n, prod dims[first], rest) with the `first` axes leading, in order.
-        d_first = math.prod(dims[i] for i in first)
-        moved = np.moveaxis(t, [1 + i for i in first], range(1, 1 + len(first)))
-        return moved.reshape(n, d_first, split.dim // d_first)
-
-    s = np.linalg.svd(grouped(party_a), compute_uv=False)
-    lhs = _from_negativity(_clamped_negativity(_schmidt_trace_norm(s ** 2)), measure, alpha)
-
-    rhs = np.empty((n, len(split.party_b)))
+    rhs = np.empty((amps.shape[0], len(split.party_b)))
     for j, b in enumerate(split.party_b):
         keep = sorted(party_a + (b,))
-        m = grouped(keep)
+        m = group_subsystems(amps, dims, keep)
         rho = require_unit_density(m @ m.conj().transpose(0, 2, 1), "reduced state")
         pair = SubsystemLayout([dims[i] for i in keep], [keep.index(i) for i in party_a])
         w = np.linalg.eigvalsh(partial_transpose(rho, pair))

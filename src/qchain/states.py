@@ -17,6 +17,7 @@ import numpy as np
 from .tensor import (
     TRACE_TOL,
     SubsystemLayout,
+    _check_distribution,
     _float_or_complex,
     _trace_norm_blocks,
     partial_transpose,
@@ -95,17 +96,13 @@ class PureState:
         rho = np.outer(a, a.conj()) if a.imag.any() else np.outer(a.real, a.real)
         return DensityMatrix(_hand_over(rho), self.layout, self.truncation_deficit, _trusted=True)
 
-    def schmidt(self):
-        """Schmidt decomposition across the A|B split, computed once per state;
-        its arrays are read-only."""
-        return self._schmidt
-
     @cached_property
-    def _schmidt(self):
-        sd = schmidt_decompose(self.amplitudes, self.layout)
-        for a in (sd.coefficients, sd.left, sd.right):
-            a.setflags(write=False)
-        return sd
+    def schmidt_coefficients(self) -> np.ndarray:
+        """Schmidt coefficients across the A|B split, descending, computed
+        once per state; the array is read-only."""
+        lam = schmidt_decompose(self.amplitudes, self.layout)
+        lam.setflags(write=False)
+        return lam
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,8 +284,7 @@ def pure_from_schmidt(lam, dims: tuple[int, int]) -> PureState:
         raise ValueError(f"need 1 <= len(lambda) <= min{(d_a, d_b)}, got {lam.size}")
     if np.any(lam <= 0):
         raise ValueError("Schmidt coefficients must be > 0")
-    if abs(float(lam.sum()) - 1.0) > 1e-12:
-        raise ValueError(f"Schmidt coefficients must sum to 1, got {lam.sum()!r}")
+    _check_distribution(lam)
     amps = np.zeros((d_a, d_b), dtype=complex)
     amps[np.arange(lam.size), np.arange(lam.size)] = np.sqrt(lam)
     return PureState(amps.reshape(-1), SubsystemLayout((d_a, d_b), (0,)))

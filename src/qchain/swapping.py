@@ -28,9 +28,9 @@ import numbers
 import sys
 from dataclasses import dataclass, field
 
-from .measures import (MeasureSpec, _check_distribution, g_concurrence_pure, ratio_negativity,
-                       scp_pure_qubit)
+from .measures import MeasureSpec, g_concurrence_pure, ratio_negativity, scp_pure_qubit
 from .states import TmsvsSpec, require_squeezing, tmsvs_truncated
+from .tensor import _check_distribution
 
 LINK_KINDS = ("qubit_pure", "qudit_pure", "tmsvs")
 

@@ -10,7 +10,7 @@ package follow this convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ HERM_TOL_BASE = 1e-10
 # The one unit-weight rule: |psi|^2, tr rho and a sum of Schmidt coefficients
 # must each lie within TRACE_TOL of 1.
 TRACE_TOL = 1e-10
-SCHMIDT_CUTOFF = 1e-12
 HERM_STRIP = 64
 # The six grid checks (groupop's closure, associativity, solvability,
 # necessary conditions and multiplicative f; monogamy's two-term grid) walk
@@ -136,6 +135,19 @@ def require_normalized(psi: np.ndarray) -> np.ndarray:
     if np.any(off):
         raise ValueError(f"pure state is not normalized: |psi|^2 = {float(weights[off].flat[0])!r}")
     return psi
+
+
+def _check_distribution(lam, size: int | None = None) -> np.ndarray:
+    """lam as a float vector of Schmidt coefficients: non-empty, of length
+    `size` when given, non-negative and summing to 1 within TRACE_TOL."""
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim != 1 or lam.size == 0 or np.any(lam < 0):
+        raise ValueError(f"Schmidt coefficients must be a non-negative vector, got {lam}")
+    if size is not None and lam.size != size:
+        raise ValueError(f"need exactly {size} Schmidt coefficients, got {lam.size}")
+    if not abs(float(lam.sum()) - 1.0) <= TRACE_TOL:
+        raise ValueError(f"Schmidt coefficients must sum to 1, got {float(lam.sum())!r}")
+    return lam
 
 
 def _hermitian_defect(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,42 +344,31 @@ def partial_trace(rho: np.ndarray, layout: SubsystemLayout, keep) -> np.ndarray:
     return result.reshape(d_keep, d_keep)
 
 
-@dataclass(frozen=True, eq=False)
-class SchmidtDecomposition:
-    """Bipartite Schmidt data: probabilities descending, orthonormal vectors.
-
-    coefficients are the probabilities lambda_i (squared singular values);
-    rank counts coefficients above the reporting cutoff, but the full
-    coefficient list is kept.
-    """
-
-    coefficients: np.ndarray
-    left: np.ndarray   # columns are party-A vectors
-    right: np.ndarray  # columns are party-B vectors
-    rank: int
-    layout: SubsystemLayout = field(repr=False, default=None)
+def group_subsystems(psi: np.ndarray, dims, rows) -> np.ndarray:
+    """Amplitudes over dims (one vector, or a stack along leading axes) as
+    matrices with the subsystems `rows`, in the order given, on the rows
+    and every other subsystem, in index order, on the columns. rows may
+    name every subsystem, which gives one column."""
+    dims, rows = tuple(dims), tuple(rows)
+    lead = psi.ndim - 1
+    d_rows = math.prod(dims[i] for i in rows)
+    t = np.moveaxis(psi.reshape(psi.shape[:-1] + dims), [lead + i for i in rows],
+                    range(lead, lead + len(rows)))
+    return t.reshape(psi.shape[:-1] + (d_rows, math.prod(dims) // d_rows))
 
 
 def bipartite_matrix(psi: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
-    """Reshape an amplitude vector to a (dim_A, dim_B) matrix, A-axes first."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.shape[0] != layout.dim:
-        raise ValueError(f"amplitude count {psi.shape[0]} != layout dimension {layout.dim}")
-    t = psi.reshape(layout.dims)
-    perm = list(layout.party_a) + list(layout.party_b)
-    return np.ascontiguousarray(t.transpose(perm)).reshape(layout.dim_a, layout.dim_b)
+    """Amplitudes (one vector or a stack) as (dim_A, dim_B) matrices, A-axes first."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape[-1] != layout.dim:
+        raise ValueError(f"amplitude count {psi.shape[-1]} != layout dimension {layout.dim}")
+    return group_subsystems(psi, layout.dims, layout.party_a)
 
 
-def schmidt_decompose(psi: np.ndarray, layout: SubsystemLayout) -> SchmidtDecomposition:
-    """Schmidt decomposition across the layout's A|B split.
-
-    psi must pass require_normalized. Coefficients sum to 1 and come
-    out descending; the reported rank drops coefficients below SCHMIDT_CUTOFF.
-    """
-    psi = require_normalized(np.asarray(psi, dtype=complex).reshape(-1))
-    mat = bipartite_matrix(psi, layout)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    lam = s ** 2
-    rank = int(np.count_nonzero(lam > SCHMIDT_CUTOFF))
-    return SchmidtDecomposition(coefficients=lam, left=u, right=vh.conj().T,
-                                rank=rank, layout=layout)
+def schmidt_decompose(psi: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
+    """Schmidt coefficients across the layout's A|B split, descending, of
+    one amplitude vector or of each in a stack along leading axes (then
+    along the last axis). psi must pass require_normalized, so each set
+    sums to 1 within TRACE_TOL."""
+    psi = require_normalized(np.asarray(psi, dtype=complex))
+    return np.linalg.svd(bipartite_matrix(psi, layout), compute_uv=False) ** 2

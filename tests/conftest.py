@@ -8,6 +8,8 @@ tail-sum ratio formula.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,39 @@ def moment_oracle_cm(psi_matrix: np.ndarray) -> np.ndarray:
             val = np.vdot(apply(op_s, m_s), apply(op_l, m_l))
             gamma[s, l] = 2.0 * (np.real(val) - means[s] * means[l])
     return gamma
+
+
+def lossy_tmsvs_matrix(r: float, eta: float, cutoff: int, rotation=None) -> np.ndarray:
+    """Density matrix over (cutoff, cutoff) of a two-mode squeezed vacuum
+    truncated to photon numbers below cutoff and renormalized, after a
+    pure-loss channel of transmissivity eta on mode B, in real arithmetic.
+
+    rho = Psi^T Psi, with row k of Psi the branch in which k photons are
+    lost: psi_k[m, m - k] = c_m sqrt(C(m, k)) eta^((m-k)/2) (1 - eta)^(k/2),
+    c_m = sqrt(1 - chi^2) chi^m, chi = tanh r. A real orthogonal `rotation`
+    (cutoff x cutoff) acts on mode A, which keeps every negativity but
+    couples the Fock blocks of the partial transpose."""
+    chi = np.tanh(r)
+    psi = np.zeros((cutoff, cutoff, cutoff))
+    for k in range(cutoff):
+        m = np.arange(k, cutoff)
+        binom = np.array([math.comb(int(x), k) for x in m], dtype=float)
+        psi[k, m, m - k] = (np.sqrt(1 - chi ** 2) * chi ** m * np.sqrt(binom)
+                            * eta ** ((m - k) / 2) * (1 - eta) ** (k / 2))
+    if rotation is not None:
+        psi = np.einsum("am,kmn->kan", rotation, psi)
+    rows = psi.reshape(cutoff, cutoff * cutoff)
+    rho = rows.T @ rows
+    return rho / np.trace(rho)
+
+
+def lossy_tmsvs_cm(r: float, eta: float) -> np.ndarray:
+    """Covariance matrix of the untruncated state lossy_tmsvs_matrix
+    describes: mode A keeps cosh 2r, mode B becomes eta cosh 2r + 1 - eta,
+    and the correlations sqrt(eta) sinh 2r."""
+    a, s = math.cosh(2 * r), math.sinh(2 * r)
+    b, c = eta * a + 1 - eta, math.sqrt(eta) * s
+    return np.array([[a, 0, c, 0], [0, a, 0, -c], [c, 0, b, 0], [0, -c, 0, b]])
 
 
 def scp_oracle(lam) -> float:

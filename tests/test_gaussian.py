@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qchain.gaussian import (
     CM_MAX_R,
@@ -14,9 +16,10 @@ from qchain.gaussian import (
     validate_cm,
 )
 from qchain.measures import ratio_negativity
-from qchain.states import TmsvsSpec, tmsvs_truncated
+from qchain.states import DensityMatrix, TmsvsSpec, tmsvs_truncated
+from qchain.tensor import SubsystemLayout
 
-from conftest import moment_oracle_cm
+from conftest import lossy_tmsvs_cm, lossy_tmsvs_matrix, moment_oracle_cm
 
 R_GRID = (0.1, 0.3, 0.5, 1.0, 1.5)
 
@@ -191,9 +194,10 @@ class TestCmRatioNegativity:
             fock = ratio_negativity(tmsvs_truncated(TmsvsSpec.from_r(r)))
             assert abs(cm_ratio_negativity(tmsvs_cm(r)) - fock) < 1e-6
 
-    def test_rejects_mixed(self):
-        with pytest.raises(ValueError, match="pure"):
-            cm_ratio_negativity(CovarianceMatrix(2.0 * np.eye(4)))
+    def test_thermal_product_reads_zero(self):
+        # Mixed states are in scope: a product of thermal modes has
+        # symplectic eigenvalues 2, so 1/nu_min = 1/2 and the clamp reads 0.
+        assert cm_ratio_negativity(CovarianceMatrix(2.0 * np.eye(4))) == 0.0
 
     def test_rejects_multimode(self):
         with pytest.raises(ValueError, match="2 modes"):
@@ -202,3 +206,38 @@ class TestCmRatioNegativity:
     def test_displacement_is_carried_but_ignored(self):
         displaced = CovarianceMatrix(tmsvs_cm(0.5).gamma, np.array([1.0, -2.0, 0.5, 0.0]))
         assert abs(cm_ratio_negativity(displaced) - math.tanh(0.5)) < 1e-6
+
+
+class TestLossyTwoModeStates:
+    """A two-mode squeezed vacuum with loss on mode B is mixed; its dense
+    Fock-basis ratio negativity meets the covariance route's max(1,
+    1/nu_min) within the amplitude tail chi^cutoff, the pure case's bound
+    (sech^2 r t/(1 - chi t) <= t), plus rounding."""
+
+    @staticmethod
+    def gap(r, eta, cutoff, rotation=None):
+        layout = SubsystemLayout((cutoff, cutoff), (0,))
+        dense = ratio_negativity(DensityMatrix(lossy_tmsvs_matrix(r, eta, cutoff, rotation), layout))
+        return abs(dense - cm_ratio_negativity(CovarianceMatrix(lossy_tmsvs_cm(r, eta))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(r=st.floats(0.05, 2.0), eta=st.floats(0.0, 1.0), cutoff=st.integers(2, 24),
+           seed=st.none() | st.integers(0, 2 ** 32 - 1))
+    @example(r=0.5, eta=0.6, cutoff=20, seed=None)
+    @example(r=0.5, eta=0.6, cutoff=20, seed=7)
+    def test_dense_route_meets_covariance_route(self, r, eta, cutoff, seed):
+        rotation = None
+        if seed is not None:
+            rotation = np.linalg.qr(np.random.default_rng(seed).standard_normal((cutoff, cutoff)))[0]
+        assert self.gap(r, eta, cutoff, rotation) <= math.tanh(r) ** cutoff + 1e-12
+
+    def test_converged_cutoff_agrees_to_rounding(self):
+        # chi^40 = 3.9e-14 at r = 0.5: the truncation is below rounding.
+        assert self.gap(0.5, 0.6, 40) < 1e-14
+
+    def test_lossy_link_is_weaker(self):
+        lossy = cm_ratio_negativity(CovarianceMatrix(lossy_tmsvs_cm(0.5, 0.6)))
+        assert 0.0 < lossy < math.tanh(0.5)
+
+    def test_no_loss_is_the_pure_state(self):
+        assert np.array_equal(lossy_tmsvs_cm(0.5, 1.0), tmsvs_cm(0.5).gamma)

@@ -13,6 +13,7 @@ from qchain.groupop import (
     SOLVE_TOL,
     CLOSURE_TOL,
     F_CHECK_TOL,
+    IDENTITY_TOL,
     AxiomResult,
     CompositionLaw,
     MultiplicativeFReport,
@@ -20,6 +21,7 @@ from qchain.groupop import (
     _check_associativity,
     _check_closure,
     _check_solvability,
+    _find_identity,
     check_group_operation,
     get_law,
     necessary_conditions_check,
@@ -78,6 +80,27 @@ class TestOtherRegistryLaws:
     def test_unknown_law(self):
         with pytest.raises(ValueError, match="unknown law"):
             get_law("geometric_mean")
+
+
+class TestIdentityOnNonFiniteLaws:
+    def test_candidate_where_the_law_is_nan_is_not_an_identity(self):
+        # Undefined at x = 0, the closed end of the candidate range; the
+        # open grid never samples it. A NaN term must not read as residual 0.
+        law = CompositionLaw("nan_left_zero", lambda x, y: np.where(x == 0.0, np.nan, x + y),
+                             0.0, 1.0, open_lo=True)
+        xs = law.grid(16)
+        result, e = _find_identity(law, xs, IDENTITY_TOL)
+        assert e != 0.0
+        assert np.all(np.isfinite(law(xs, e))) and np.all(np.isfinite(law(e, xs)))
+        assert result.max_deviation == max(np.max(np.abs(law(xs, e) - xs)),
+                                           np.max(np.abs(law(e, xs) - xs)))
+
+    def test_law_nan_everywhere_has_no_identity(self):
+        law = CompositionLaw("nan", lambda x, y: np.full(np.broadcast(x, y).shape, np.nan), 0.0, 1.0)
+        result, e = _find_identity(law, law.grid(16), IDENTITY_TOL)
+        assert e is None and not result.passed
+        assert result.max_deviation == math.inf
+        assert "residual inf" in result.detail
 
 
 class TestCustomLaws:

@@ -630,6 +630,23 @@ class TestOneNegativityRule:
         with pytest.raises(ValueError, match="need exactly 3"):
             g_concurrence_pure([0.5, 0.5], 3)
 
+    def test_one_unit_weight_rule_for_schmidt_vectors(self):
+        """States and links take one sum rule, TRACE_TOL: a pair 5e-11
+        heavy is accepted everywhere and its links read 1, a pair 2e-10
+        heavy is refused everywhere."""
+        from qchain.states import pure_from_schmidt
+        from qchain.swapping import qubit_link, qudit_link
+        heavy = [0.5, 0.5 + 5e-11]
+        assert np.allclose(pure_from_schmidt(heavy, (2, 2)).schmidt_coefficients, heavy[::-1])
+        assert g_concurrence_pure(heavy, 2) == 1.0
+        assert qudit_link(lam=heavy).native_value == 1.0
+        assert qubit_link(lam=heavy).native_value == 1.0
+        too_heavy = [0.5, 0.5 + 2e-10]
+        for call in (lambda: pure_from_schmidt(too_heavy, (2, 2)), lambda: qudit_link(lam=too_heavy),
+                     lambda: qubit_link(lam=too_heavy), lambda: g_concurrence_pure(too_heavy, 2)):
+            with pytest.raises(ValueError, match="must sum to 1"):
+                call()
+
 
 NEGATIVITY_KINDS = ("negativity", "log_negativity", "ratio", "alpha_ratio")
 

@@ -20,7 +20,7 @@ from qchain.monogamy import (
     family_supported,
     sample_monogamy_scan,
 )
-from qchain.measures import negativity
+from qchain.measures import MeasureSpec, evaluate_measure, negativity
 from qchain.states import (
     DensityMatrix,
     PureState,
@@ -129,6 +129,18 @@ class TestCkwResidual:
         psi = random_haar_pure(layout, 99)
         rep = ckw_residual(psi, "ratio", 2.0, (0, 1))
         assert len(rep.rhs_terms) == 2  # B partners: subsystems 2 and 3
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 4), (2, 3, 4), (3, 3, 3), (2, 2, 2, 2)])
+    @pytest.mark.parametrize("measure", ["ratio", "negativity"])
+    def test_lhs_is_the_measure_bit_for_bit(self, dims, measure):
+        """The left side and evaluate_measure take their Schmidt
+        coefficients from one kernel, so they agree in every bit."""
+        for i in range(30):
+            psi = random_haar_pure(SubsystemLayout(dims, (0,)), substream(23, i))
+            for party_a in ((0,), (len(dims) - 1,), (0, 1)):
+                split = PureState(psi.amplitudes, SubsystemLayout(dims, party_a))
+                expected = evaluate_measure(MeasureSpec(measure), split).value
+                assert ckw_residual(psi, measure, 1.0, party_a).lhs == expected
 
     def test_mixed_input_rejected(self):
         dm = random_density_matrix(SubsystemLayout((2, 2, 2), (0,)), 2, 1)
@@ -389,7 +401,7 @@ def test_amplitude_marginals_match_dense_route(split, seed, measure, alpha):
         return (neg / (neg + 1.0) if measure == "ratio" else neg) ** alpha
 
     layout = SubsystemLayout(dims, party_a)
-    lam = PureState(psi.amplitudes, layout).schmidt().coefficients
+    lam = PureState(psi.amplitudes, layout).schmidt_coefficients
     lhs = powered(max(0.0, (float(np.sum(np.sqrt(lam)) ** 2) - 1.0) / 2.0))
     rho = psi.density_matrix().matrix
     terms = []

@@ -54,7 +54,7 @@ def pt_negativity_oracle(state: PureState) -> float:
 
 class TestBell:
     def test_schmidt_coefficients(self):
-        assert np.allclose(bell_state().schmidt().coefficients, [0.5, 0.5])
+        assert np.allclose(bell_state().schmidt_coefficients, [0.5, 0.5])
 
     def test_negativity_via_oracle(self):
         assert abs(pt_negativity_oracle(bell_state()) - 0.5) < 1e-10
@@ -76,7 +76,7 @@ class TestPureFromSchmidt:
 
     def test_uniform_qutrit(self):
         st = pure_from_schmidt([1 / 3] * 3, (3, 3))
-        lam = st.schmidt().coefficients
+        lam = st.schmidt_coefficients
         from qchain.measures import g_concurrence_pure
         assert abs(g_concurrence_pure(lam, 3) - 1.0) < 1e-12
 
@@ -92,7 +92,7 @@ class TestPureFromSchmidt:
     def test_roundtrip_with_schmidt_decompose(self):
         lam = np.array([0.6, 0.3, 0.1])
         st = pure_from_schmidt(lam, (3, 3))
-        back = np.sort(st.schmidt().coefficients)[::-1]
+        back = np.sort(st.schmidt_coefficients)[::-1]
         assert np.allclose(back, lam, atol=1e-10)
 
 
@@ -111,19 +111,19 @@ class TestTmsvs:
         for r, cutoff in [(1.0, 60), (0.5, 40), (1.5, 100)]:
             chi = math.tanh(r)
             st = tmsvs_truncated(TmsvsSpec.from_r(r, cutoff=cutoff))
-            s = np.sum(np.sqrt(st.schmidt().coefficients)) ** 2
+            s = np.sum(np.sqrt(st.schmidt_coefficients)) ** 2
             value = (s - 1) / (s + 1)
             assert abs(value - chi) <= chi ** (cutoff + 1)
             assert value < chi  # truncation only ever loses entanglement
 
     def test_negativity_analytic_small_r(self):
         st = tmsvs_truncated(TmsvsSpec.from_r(0.5, cutoff=40))
-        s = np.sum(np.sqrt(st.schmidt().coefficients)) ** 2
+        s = np.sum(np.sqrt(st.schmidt_coefficients)) ** 2
         assert abs((s - 1) / 2 - (math.e - 1) / 2) < 1e-9
 
     def test_vacuum_limit(self):
         st = tmsvs_truncated(TmsvsSpec.from_r(1e-8))
-        s = np.sum(np.sqrt(st.schmidt().coefficients)) ** 2
+        s = np.sum(np.sqrt(st.schmidt_coefficients)) ** 2
         assert (s - 1) / 2 < 1e-7
 
     def test_refuses_lossy_cutoff(self):
@@ -137,7 +137,7 @@ class TestTmsvs:
         values = []
         for cutoff in (30, 40, 50, 60):
             st = tmsvs_truncated(TmsvsSpec.from_r(r, cutoff=cutoff))
-            s = np.sum(np.sqrt(st.schmidt().coefficients)) ** 2
+            s = np.sum(np.sqrt(st.schmidt_coefficients)) ** 2
             values.append((s - 1) / 2)
         assert all(b > a for a, b in zip(values, values[1:]))
         for cutoff, (a, b) in zip((30, 40, 50), zip(values, values[1:])):
@@ -191,7 +191,7 @@ class TestRandomStates:
         n = 10_000
         for i in range(n):
             st = random_haar_pure(QUBIT_PAIR, substream(7, i))
-            lam = st.schmidt().coefficients
+            lam = st.schmidt_coefficients
             total += math.sqrt(lam[0] * lam[1])
         assert 0.2 < total / n < 0.4
 
@@ -333,11 +333,12 @@ class TestValidation:
 
     def test_cached_schmidt_arrays_frozen(self):
         psi = random_haar_pure(SubsystemLayout((2, 3), (0,)), 4)
-        sd = psi.schmidt()
-        assert psi.schmidt() is sd
-        for a in (sd.coefficients, sd.left, sd.right):
-            with pytest.raises(ValueError):
-                a[0] = 0.0
+        lam = psi.schmidt_coefficients
+        assert psi.schmidt_coefficients is lam
+        with pytest.raises(ValueError):
+            lam[0] = 0.0
+        with pytest.raises(AttributeError):
+            psi.schmidt_coefficients = lam.copy()
 
 
 class TestPsdCheck:

@@ -402,50 +402,79 @@ class TestPartialTrace:
 
 class TestSchmidt:
     def test_bell(self):
-        sd = schmidt_decompose(BELL, QUBIT_PAIR)
-        assert np.allclose(sd.coefficients, [0.5, 0.5])
-        assert sd.rank == 2
+        lam = schmidt_decompose(BELL, QUBIT_PAIR)
+        assert lam.shape == (2,)
+        assert np.allclose(lam, [0.5, 0.5])
 
     def test_lopsided_pair(self):
         psi = np.zeros(4, dtype=complex)
         psi[0] = math.sqrt(0.1)
         psi[3] = math.sqrt(0.9)
-        sd = schmidt_decompose(psi, QUBIT_PAIR)
-        assert np.allclose(sd.coefficients, [0.9, 0.1])
+        assert np.allclose(schmidt_decompose(psi, QUBIT_PAIR), [0.9, 0.1])
 
     def test_product_state_rank_one(self):
         psi = np.zeros(4, dtype=complex)
         psi[0] = 1.0
-        sd = schmidt_decompose(psi, QUBIT_PAIR)
-        assert sd.rank == 1
-        assert abs(sd.coefficients[0] - 1.0) < 1e-14
+        lam = schmidt_decompose(psi, QUBIT_PAIR)
+        assert abs(lam[0] - 1.0) < 1e-14
+        assert abs(lam[1]) < 1e-14
 
-    def test_roundtrip_overlap(self, rng):
-        for dims, party in [((2, 2), (0,)), ((3, 4), (1,)), ((2, 2, 2), (0, 1)),
-                            ((2, 3, 2), (1,))]:
-            layout = SubsystemLayout(dims, party)
-            v = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
-            v /= np.linalg.norm(v)
-            sd = schmidt_decompose(v, layout)
-            rebuilt_mat = (sd.left * np.sqrt(sd.coefficients)) @ sd.right.conj().T
-            # Undo the A-axes-first permutation to compare with the input.
-            perm = list(layout.party_a) + list(layout.party_b)
-            inverse = np.argsort(perm)
-            shaped = rebuilt_mat.reshape([dims[i] for i in perm]).transpose(inverse)
-            overlap = abs(np.vdot(shaped.reshape(-1), v))
-            assert overlap >= 1 - 1e-10
+    @pytest.mark.parametrize("dims,rows", [
+        ((2, 2), (0,)), ((3, 4), (1,)), ((2, 2, 2), (0, 1)), ((2, 3, 2), (1,)),
+        ((2, 3, 4), (2, 0)), ((2, 3, 4), (0, 1, 2)), ((3, 2, 2, 3), (0, 2)),
+    ])
+    def test_grouping_round_trips(self, rng, dims, rows):
+        """Undoing the axis move restores every amplitude exactly, for one
+        vector and for a stack; rows naming every subsystem give one column."""
+        n = math.prod(dims)
+        stack = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        rest = [i for i in range(len(dims)) if i not in rows]
+        d_rows = math.prod(dims[i] for i in rows)
+        inverse = list(np.argsort(list(rows) + rest))
+        for psi in (stack[0], stack):
+            lead = psi.shape[:-1]
+            mat = tensor.group_subsystems(psi, dims, rows)
+            assert mat.shape == lead + (d_rows, n // d_rows)
+            t = mat.reshape(lead + tuple(dims[i] for i in list(rows) + rest))
+            back = t.transpose(list(range(len(lead))) + [len(lead) + i for i in inverse])
+            assert np.array_equal(back.reshape(psi.shape), psi)
+
+    def test_bipartite_matrix_puts_party_a_on_rows(self):
+        layout = SubsystemLayout((2, 3, 2), (1,))
+        psi = np.arange(12.0)
+        expected = psi.reshape(2, 3, 2).transpose(1, 0, 2).reshape(3, 4)
+        assert np.array_equal(tensor.bipartite_matrix(psi, layout), expected)
+
+    @pytest.mark.parametrize("dims,party", [((3, 5), (0,)), ((2, 3, 4), (1,)), ((2, 2, 2, 2), (0, 2))])
+    def test_stack_equals_rows(self, rng, dims, party):
+        """A stacked call gives each row's coefficients bit for bit, and
+        they are the descending eigenvalues of M M^dag."""
+        layout = SubsystemLayout(dims, party)
+        v = rng.standard_normal((4, layout.dim)) + 1j * rng.standard_normal((4, layout.dim))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        stacked = schmidt_decompose(v, layout)
+        assert stacked.shape == (4, min(layout.dim_a, layout.dim_b))
+        for row, lam in zip(v, stacked):
+            assert np.array_equal(schmidt_decompose(row, layout), lam)
+            m = tensor.bipartite_matrix(row, layout)
+            w = np.linalg.eigvalsh(m @ m.conj().T)[::-1][:lam.size]
+            assert np.max(np.abs(lam - w)) < 1e-12
 
     def test_coefficients_sum_to_one(self, rng):
         layout = SubsystemLayout((3, 5), (0,))
         v = rng.standard_normal(15) + 1j * rng.standard_normal(15)
         v /= np.linalg.norm(v)
-        sd = schmidt_decompose(v, layout)
-        assert abs(np.sum(sd.coefficients) - 1.0) < 1e-12
-        assert np.all(np.diff(sd.coefficients) <= 0)
+        lam = schmidt_decompose(v, layout)
+        assert abs(np.sum(lam) - 1.0) < 1e-12
+        assert np.all(np.diff(lam) <= 0)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
             schmidt_decompose(np.array([1.0, 0, 0, 1.0]), QUBIT_PAIR)
+
+    def test_rejects_wrong_amplitude_count(self):
+        with pytest.raises(ValueError, match="amplitude count 3"):
+            tensor.bipartite_matrix(np.ones(3), QUBIT_PAIR)
 
 
 def test_pt_trace_norm_multiplicative_under_tensor(rng):
