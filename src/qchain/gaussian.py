@@ -26,6 +26,7 @@ import numpy as np
 
 from .measures import _clamped_negativity, _from_negativity
 from .states import require_squeezing
+from .tensor import require_finite
 
 CM_SYMMETRY_TOL = 1e-10
 CM_BONA_FIDE_TOL = 1e-8
@@ -60,6 +61,8 @@ class CovarianceMatrix:
         d = np.zeros(g.shape[0]) if d is None else np.array(d, dtype=float)
         if d.shape != (g.shape[0],):
             raise ValueError(f"displacement must have length {g.shape[0]}, got {d.shape}")
+        require_finite(g, "covariance matrix")
+        require_finite(d, "displacement")
         g.setflags(write=False)
         d.setflags(write=False)
         object.__setattr__(self, "gamma", g)

@@ -17,8 +17,8 @@ import numpy as np
 
 from .measures import _check_alpha, _clamped_negativity, _from_negativity, _schmidt_trace_norm
 from .states import DensityMatrix, PureState, haar_amplitude_rows, require_unit_density
-from .tensor import (SubsystemLayout, _slab_max, group_subsystems, partial_transpose,
-                     require_tolerance, schmidt_decompose)
+from .tensor import (SubsystemLayout, _slab_max, _trace_norm_blocks, group_subsystems,
+                     partial_transpose, require_tolerance, schmidt_decompose)
 
 VIOLATION_TOL = 1e-9
 DEFAULT_GRID_N = 500
@@ -63,8 +63,8 @@ def aux_g(r: float, u: float) -> float:
     """
     if not (0.0 < u < 1.0):
         raise ValueError(f"u must lie in (0, 1), got {u}")
-    if r <= 0.0:
-        raise ValueError(f"r must be > 0, got {r}")
+    if not (r > 0.0 and math.isfinite(r)):
+        raise ValueError(f"r must be finite and > 0, got {r}")
     base = (1.0 + r) * u / (1.0 + r * u)
     if abs(base - 1.0) < 1e-14:
         raise ValueError(f"logarithm base degenerates to 1 at (r={r}, u={u})")
@@ -108,7 +108,8 @@ def ckw_residuals(amplitudes, dims, party_a=(0,), measure: str = "ratio",
     rhs has shape (n, parties outside A): E^alpha on the reduced state of A
     and each party outside A, in index order. residual = lhs - rhs summed.
     Each reduced state is M M^dag for the amplitude tensor M reshaped to
-    (kept, traced) indices; the full density matrix is never formed.
+    (kept, traced) indices; the full density matrix is never formed. Both
+    sides share evaluate_measure's kernels and equal it bit for bit.
     """
     dims = tuple(int(d) for d in dims)
     party_a = _check_residual_args(dims, measure, alpha, party_a)
@@ -125,8 +126,8 @@ def ckw_residuals(amplitudes, dims, party_a=(0,), measure: str = "ratio",
         m = group_subsystems(amps, dims, keep)
         rho = require_unit_density(m @ m.conj().transpose(0, 2, 1), "reduced state")
         pair = SubsystemLayout([dims[i] for i in keep], [keep.index(i) for i in party_a])
-        w = np.linalg.eigvalsh(partial_transpose(rho, pair))
-        rhs[:, j] = _from_negativity(_clamped_negativity(np.sum(np.abs(w), axis=1)), measure, alpha)
+        t = _trace_norm_blocks(partial_transpose(rho, pair))
+        rhs[:, j] = _from_negativity(_clamped_negativity(t), measure, alpha)
     return lhs, rhs, lhs - np.sum(rhs, axis=1)
 
 

@@ -21,7 +21,6 @@ from .tensor import (
     _float_or_complex,
     _trace_norm_blocks,
     partial_transpose,
-    require_finite,
     require_hermitian,
     require_normalized,
     require_tolerance,
@@ -35,9 +34,9 @@ MAX_TRUNCATION_DEFICIT = 0.01
 
 
 def require_unit_density(m: np.ndarray, what: str = "density matrix") -> np.ndarray:
-    """m (one matrix or a stack along leading axes) when each matrix passes
-    tensor.require_hermitian and has trace 1 within TRACE_TOL."""
-    m = require_hermitian(m)
+    """m (one matrix or a stack) when each passes tensor.require_hermitian
+    (its messages name what) and has trace 1 within TRACE_TOL."""
+    m = require_hermitian(m, what)
     tr = np.trace(m, axis1=-2, axis2=-1)
     off = np.abs(tr - 1.0) > TRACE_TOL
     if np.any(off):
@@ -116,10 +115,9 @@ class DensityMatrix:
 
     Constructors inside this package produce PSD matrices by construction
     and skip the PSD check; data from untrusted sources (files) goes
-    through validate(). Finiteness, Hermiticity and trace are always
-    enforced, once per matrix: tensor.require_hermitian compares row and
-    column strips of HERM_STRIP lines, so the check allocates no n x n
-    temporary (at n = 4096 its temporaries peak at 8 MB).
+    through validate(). Every matrix is checked once: its shape, then
+    finiteness and Hermiticity in one walk over upper-triangle strips
+    (tensor.require_hermitian, no n x n temporary), then its trace.
 
     The stored matrix is read-only and no caller can write to it: a
     caller's matrix is copied once every check has passed, while an array
@@ -131,17 +129,11 @@ class DensityMatrix:
     copy. At n = 4096 complex, each of these arrays is 256 MB.
 
     The partial-transpose trace norm is computed once and kept (the
-    matrix is read-only, so it cannot go stale). Its
-    spectrum is taken per block of the partial transpose
-    (tensor._trace_norm_blocks), with no second check: the partial
-    transpose holds the same entries as the checked matrix. A generic
-    state does not split and runs one dense eigensolve, while a
-    Fock-basis state such as a truncated two-mode squeezed state, whose
-    partial transpose couples |mn> only with |nm>, splits into 1x1 and
-    2x2 blocks. The dense matrix and its partial transpose are still
-    built in full. validate() computes eigenvalues only for a matrix it
-    rejects or one whose smallest eigenvalue lies within rounding of
-    -psd_tol.
+    matrix is read-only, so it cannot go stale) by the kernel the monogamy
+    scans share, tensor._trace_norm_blocks, which splits a Fock-basis
+    state's partial transpose into 1x1 and 2x2 blocks. validate() computes
+    eigenvalues only for a matrix it rejects or one whose smallest
+    eigenvalue lies within rounding of -psd_tol.
     """
 
     matrix: np.ndarray
@@ -153,7 +145,6 @@ class DensityMatrix:
         m = _float_or_complex(self.matrix)
         if np.iscomplexobj(m) and not m.imag.any():
             m = m.real
-        require_finite(m, "density matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != self.layout.dim:
             raise ValueError(f"density matrix shape {m.shape} incompatible with layout dim {self.layout.dim}")
         require_unit_density(m)
@@ -194,7 +185,7 @@ class DensityMatrix:
         # The partial transpose only moves entries, so it is as finite and
         # as Hermitian (same defect, same largest |entry|) as the matrix
         # __post_init__ checked; checking it again could never fail.
-        return _trace_norm_blocks(partial_transpose(self.matrix, self.layout))
+        return float(_trace_norm_blocks(partial_transpose(self.matrix, self.layout)))
 
 
 def require_squeezing(r) -> float:
@@ -380,12 +371,12 @@ def apply_kraus_branches(state: DensityMatrix | PureState, kraus_ops) -> list[tu
     """Outcome branches (probability, renormalized post-state) of a
     generalized measurement given by full-space Kraus operators.
 
-    The operators must satisfy sum_i K_i^dag K_i = identity.
+    The operators must satisfy sum_i K_i^dag K_i = I within 1e-10 entrywise.
     """
     rho = state.density_matrix() if isinstance(state, PureState) else state
     d = rho.layout.dim
     total = sum(np.asarray(k, dtype=complex).conj().T @ np.asarray(k, dtype=complex) for k in kraus_ops)
-    if not np.allclose(total, np.eye(d), atol=1e-10):
+    if not np.allclose(total, np.eye(d), rtol=0.0, atol=1e-10):
         raise ValueError("Kraus operators do not resolve the identity")
     branches = []
     for k in kraus_ops:

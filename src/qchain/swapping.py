@@ -122,7 +122,7 @@ def canonical_qubit_schmidt(concurrence: float) -> tuple[float, float]:
 def characteristic_length(link_measure_value: float) -> float:
     """-1/ln(e) with the link spacing as the length unit; +inf at e = 1."""
     e = float(link_measure_value)
-    if e <= 0.0 or e > 1.0:
+    if not 0.0 < e <= 1.0:
         raise ValueError(f"measure value must lie in (0, 1], got {e}")
     if e == 1.0:
         return math.inf

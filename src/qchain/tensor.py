@@ -151,38 +151,41 @@ def _check_distribution(lam, size: int | None = None) -> np.ndarray:
 
 
 def _hermitian_defect(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(max |m - m^H|, max |entry|) of each matrix in a non-empty stack.
-
-    Rows i:i+HERM_STRIP are compared with columns i:i+HERM_STRIP, keeping
-    running maxima, so no temporary grows past a strip of HERM_STRIP
-    rows. A maximum does not depend on the order it is taken in, so both
-    equal the whole-matrix formula's bit for bit; a matrix of dimension
-    <= HERM_STRIP is one strip. On a real stack, where conjugation is the
-    identity, the absolute value overwrites the difference, so a strip
-    takes one temporary rather than two.
-    """
+    """(max |m - m^H|, max |entry|) of each matrix in a non-empty stack, in
+    one walk over the block upper triangle: each strip of HERM_STRIP rows,
+    from the diagonal on, is compared with its mirrored strip of columns,
+    keeping running maxima, so no temporary grows past a strip. Since
+    |a - conj b| = |b - conj a| exactly and a maximum does not depend on
+    its order, both equal the whole-matrix formula's bit for bit; a NaN or
+    infinite entry makes top NaN or inf. On a real stack, abs overwrites
+    the difference and top is max(max, -min), with no abs temporary."""
     real = not np.iscomplexobj(m)
     top = defect = np.zeros(m.shape[:-2])
-    for i in range(0, m.shape[-1], HERM_STRIP):
-        rows = m[..., i:i + HERM_STRIP, :]
-        cols = np.swapaxes(m[..., :, i:i + HERM_STRIP], -2, -1)
-        top = np.maximum(top, np.max(np.abs(rows), axis=(-2, -1)))
-        if real:
-            diff = rows - cols
-            np.abs(diff, out=diff)
-        else:
-            diff = np.abs(rows - cols.conj())
-        defect = np.maximum(defect, np.max(diff, axis=(-2, -1)))
+    axes = (-2, -1)
+    with np.errstate(invalid="ignore"):  # inf - inf = NaN; top is inf then
+        for i in range(0, m.shape[-1], HERM_STRIP):
+            rows, cols = m[..., i:i + HERM_STRIP, i:], m[..., i:, i:i + HERM_STRIP]
+            for part in (rows, cols):
+                peak = (np.maximum(np.max(part, axis=axes), 0.0 - np.min(part, axis=axes))
+                        if real else np.max(np.abs(part), axis=axes))
+                top = np.maximum(top, peak)
+            diff = rows - np.swapaxes(cols, -2, -1).conj()
+            diff = np.abs(diff, out=diff) if real else np.abs(diff)
+            defect = np.maximum(defect, np.max(diff, axis=axes))
     return defect, top
 
 
-def require_hermitian(m: np.ndarray) -> np.ndarray:
-    """m (one matrix or a stack) when each matrix deviates from its conjugate
-    transpose by at most HERM_TOL_BASE * max(1, its largest |entry|)."""
+def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """m (one matrix or a stack) when each matrix is finite and within
+    HERM_TOL_BASE * max(1, its largest |entry|) of its conjugate transpose,
+    all read in one walk (_hermitian_defect); a non-finite entry raises
+    "{what} contains non-finite entries"."""
     m = _check_square(m)
     if not m.size:
         return m
     defect, top = _hermitian_defect(m)
+    if not np.all(np.isfinite(top)):
+        raise ValueError(f"{what} contains non-finite entries")
     scale = np.maximum(1.0, top)
     off = defect > HERM_TOL_BASE * scale
     if np.any(off):
@@ -216,10 +219,10 @@ def partial_transpose(rho: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
 
 def _coupled_blocks(m: np.ndarray) -> list[np.ndarray]:
     """Connected components of the graph on range(n) with an edge wherever
-    m[i, j] != 0 or m[j, i] != 0: index arrays, each ascending, in order of
-    their first index. Both sides of the diagonal count, because a matrix
-    Hermitian only within tolerance may be zero on one side, and eigvalsh
-    reads the lower triangle.
+    m[i, j] != 0 or m[j, i] != 0 in m or any matrix of its stack: index
+    arrays, each ascending, in order of their first index. Both sides of
+    the diagonal count, because a matrix Hermitian only within tolerance
+    may be zero on one side, and eigvalsh reads the lower triangle.
 
     Both routes start from the n x n boolean nonzero mask, and the pattern
     chooses between them. A sparse one, with at most 1/32 of its entries
@@ -231,7 +234,7 @@ def _coupled_blocks(m: np.ndarray) -> list[np.ndarray]:
     index arrays. On permuted block-diagonal and banded patterns at n =
     64 to 4096 the labels were faster wherever they are used.
     """
-    linked = m != 0
+    linked = np.any(m != 0, axis=tuple(range(m.ndim - 2))) if m.ndim > 2 else m != 0
     if 32 * np.count_nonzero(linked) > linked.size:
         return _search_blocks(linked)
     return _label_blocks(linked)
@@ -290,39 +293,39 @@ def _label_blocks(linked: np.ndarray) -> list[np.ndarray]:
 
 
 def trace_norm_hermitian(m: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix, which must be
-    finite and pass require_hermitian; see _trace_norm_blocks."""
+    """Sum of absolute eigenvalues of a Hermitian matrix, which must pass
+    require_hermitian (finite entries included); see _trace_norm_blocks."""
     m = require_hermitian(m)
-    require_finite(m, "matrix")
     if m.ndim != 2:
         raise ValueError(f"expected one square matrix, got shape {m.shape}")
-    return _trace_norm_blocks(m)
+    return float(_trace_norm_blocks(m))
 
 
-def _trace_norm_blocks(m: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of one square matrix (float64 or
-    complex128) that the caller has already found finite and Hermitian.
+def _trace_norm_blocks(m: np.ndarray) -> np.ndarray:
+    """Sum of absolute eigenvalues of each square matrix in m (float64 or
+    complex128; one matrix, or a stack along leading axes, giving an array
+    of shape m.shape[:-2]) that the caller has already found finite and
+    Hermitian: the one place that turns partial transposes into trace norms.
 
-    The spectrum is taken block by block: m is split into the blocks its
-    nonzero entries couple (_coupled_blocks), so a matrix that is block
-    diagonal up to a permutation of its basis, such as the partial
-    transpose of a Fock-basis two-mode squeezed state (1x1 and 2x2
-    blocks), never goes to one dense eigensolve. Blocks of equal size go
-    to one stacked eigvalsh, and |eigenvalues| are summed by block size,
-    then by each block's first index. A matrix that does not split runs
-    one eigvalsh on the whole matrix. The split costs one n x n boolean
-    mask, plus O(nnz) index arrays (about 40 bytes per nonzero) when the
-    pattern is sparse; a matrix with no zero entries is found whole after
-    reading one row of the mask.
+    m is split into the blocks its nonzero entries couple (_coupled_blocks,
+    on the union of a stack's patterns), so a Fock-basis partial transpose
+    falls into 1x1 and 2x2 blocks and never goes to one dense eigensolve,
+    while a generic matrix, or a stack of Haar-random reduced states, is
+    one block and runs one (stacked) eigvalsh. Blocks of equal size share
+    one stacked eigvalsh, and |eigenvalues| are summed along the last
+    axis, by block size, then by each block's first index. The split costs
+    one n x n boolean mask, plus O(nnz) index arrays (about 40 bytes per
+    nonzero) when the pattern is sparse.
     """
     blocks = _coupled_blocks(m)
     if len(blocks) <= 1:
-        return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+        return np.sum(np.abs(np.linalg.eigvalsh(m)), axis=-1)
     spectra = []
     for size in sorted({b.size for b in blocks}):
         idx = np.array([b for b in blocks if b.size == size])
-        spectra.append(np.linalg.eigvalsh(m[idx[:, :, None], idx[:, None, :]]).ravel())
-    return float(np.sum(np.abs(np.concatenate(spectra))))
+        w = np.linalg.eigvalsh(m[..., idx[:, :, None], idx[:, None, :]])
+        spectra.append(w.reshape(m.shape[:-2] + (-1,)))
+    return np.sum(np.abs(np.concatenate(spectra, axis=-1)), axis=-1)
 
 
 def partial_trace(rho: np.ndarray, layout: SubsystemLayout, keep) -> np.ndarray:

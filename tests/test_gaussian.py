@@ -80,6 +80,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             CovarianceMatrix(np.eye(3))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_gamma_rejected(self, bad):
+        # An infinite diagonal entry used to validate as ok with a NaN
+        # symmetry defect, and a NaN one as an uncertainty violation.
+        g = np.eye(4)
+        g[1, 1] = bad
+        with pytest.raises(ValueError, match="covariance matrix contains non-finite entries"):
+            CovarianceMatrix(g)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_displacement_rejected(self, bad):
+        with pytest.raises(ValueError, match="displacement contains non-finite entries"):
+            CovarianceMatrix(np.eye(4), np.array([0.0, bad, 0.0, 0.0]))
+
 
 class TestTmsvsCm:
     def test_moment_oracle_agreement(self):

@@ -28,7 +28,7 @@ from qchain.states import (
     random_haar_pure,
     substream,
 )
-from qchain.tensor import SubsystemLayout, partial_trace
+from qchain.tensor import SubsystemLayout, group_subsystems, partial_trace
 
 
 def mp_aux_g(r, u, dps=50):
@@ -84,6 +84,9 @@ class TestAuxG:
             aux_g(-0.1, 0.5)
         with pytest.raises(ValueError, match="base"):
             aux_g(0.5, 1.0 - 5e-15)
+        for r, u in ((math.nan, 0.5), (math.inf, 0.5), (0.5, math.nan)):
+            with pytest.raises(ValueError):
+                aux_g(r, u)
 
 
 class TestCkwResidual:
@@ -141,6 +144,27 @@ class TestCkwResidual:
                 split = PureState(psi.amplitudes, SubsystemLayout(dims, party_a))
                 expected = evaluate_measure(MeasureSpec(measure), split).value
                 assert ckw_residual(psi, measure, 1.0, party_a).lhs == expected
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 4), (2, 3, 4), (3, 3, 3), (2, 2, 2, 2)])
+    @pytest.mark.parametrize("measure", ["ratio", "negativity"])
+    def test_rhs_is_the_measure_bit_for_bit(self, dims, measure):
+        """Each pairwise term and evaluate_measure on its reduced state take
+        their trace norms from one kernel, so they agree in every bit; the
+        witness state's reduced partial transposes split into blocks."""
+        states = [random_haar_pure(SubsystemLayout(dims, (0,)), substream(24, i)) for i in range(30)]
+        if dims == (2, 2, 2):
+            states.append(ckw_violation_state())
+        for psi in states:
+            for party_a in ((0,), (len(dims) - 1,), (0, 1)):
+                rep = ckw_residual(psi, measure, 1.0, party_a)
+                partners = [b for b in range(len(dims)) if b not in party_a]
+                assert len(rep.rhs_terms) == len(partners)
+                for term, b in zip(rep.rhs_terms, partners):
+                    keep = sorted(party_a + (b,))
+                    m = group_subsystems(psi.amplitudes, dims, keep)
+                    pair = SubsystemLayout([dims[i] for i in keep], [keep.index(i) for i in party_a])
+                    reduced = DensityMatrix(m @ m.conj().T, pair, _trusted=True)
+                    assert term == evaluate_measure(MeasureSpec(measure), reduced).value
 
     def test_mixed_input_rejected(self):
         dm = random_density_matrix(SubsystemLayout((2, 2, 2), (0,)), 2, 1)

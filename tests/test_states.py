@@ -394,6 +394,17 @@ class TestKrausBranches:
         with pytest.raises(ValueError, match="identity"):
             apply_kraus_branches(bell_state(), [half])
 
+    def test_completeness_is_absolute_not_relative(self):
+        # sum K^dag K = diag(1 + 5e-6, 1) x I: within a relative 1e-5, but
+        # 5e-6 off the identity, so the branch probabilities would sum to
+        # 1.0000025.
+        k1 = kron(np.diag([math.sqrt(0.5 + 5e-6), math.sqrt(0.5)]), np.eye(2))
+        k2 = kron(np.diag([math.sqrt(0.5), math.sqrt(0.5)]), np.eye(2))
+        with pytest.raises(ValueError, match="identity"):
+            apply_kraus_branches(bell_state(), [k1, k2])
+        k1 = kron(np.diag([math.sqrt(0.5 + 5e-11), math.sqrt(0.5)]), np.eye(2))
+        assert len(apply_kraus_branches(bell_state(), [k1, k2])) == 2
+
     def test_projective_measurement_on_bell(self):
         p0 = kron(np.diag([1.0, 0.0]).astype(complex), np.eye(2))
         p1 = kron(np.diag([0.0, 1.0]).astype(complex), np.eye(2))
@@ -446,9 +457,9 @@ def test_untrusted_density_matrix_is_checked_once(monkeypatch):
     checked = []
     original = tensor_mod.require_hermitian
 
-    def counting(m):
+    def counting(m, *args):
         checked.append(np.shape(m))
-        return original(m)
+        return original(m, *args)
 
     # Patched in each module that looks the name up.
     monkeypatch.setattr(states_mod, "require_hermitian", counting)
@@ -490,7 +501,7 @@ class TestStoredMatrix:
     def test_pure_density_matrix_is_not_copied(self):
         psi = tmsvs_truncated(TmsvsSpec.from_r(0.5, cutoff=40))
         dm, peak = traced_peak(psi.density_matrix)
-        # The outer product and require_finite's boolean mask.
+        # The outer product and the check's strip temporaries.
         assert peak <= 1.2 * dm.matrix.nbytes
 
     @pytest.mark.parametrize("trusted", [False, True])
@@ -623,6 +634,10 @@ class TestRealRoute:
                 DensityMatrix(matrix, QUBIT_PAIR)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+
+    def test_shape_is_checked_before_entries(self):
+        with pytest.raises(ValueError, match=re.escape("density matrix shape (3, 3) incompatible")):
+            DensityMatrix(np.full((3, 3), np.nan), QUBIT_PAIR)
 
 
 @st.composite

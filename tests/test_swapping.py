@@ -236,7 +236,7 @@ class TestCharacteristicLength:
         assert characteristic_length(1.0) == math.inf
         assert math.isclose(characteristic_length(1.0 / math.e), 1.0, rel_tol=1e-15)
 
-    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.2])
+    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.2, math.nan])
     def test_domain_enforced(self, bad):
         with pytest.raises(ValueError):
             characteristic_length(bad)

@@ -16,6 +16,7 @@ from qchain.tensor import (
     _label_blocks,
     _search_blocks,
     _slab_max,
+    _trace_norm_blocks,
     kron,
     partial_trace,
     partial_transpose,
@@ -208,7 +209,55 @@ def hidden_block_diagonal(draw):
     return m[np.ix_(perm, perm)]
 
 
+@st.composite
+def shared_pattern_stacks(draw):
+    """A real symmetric or complex Hermitian stack on 1-2 leading axes
+    whose matrices share one nonzero pattern: a Fock-basis partial
+    transpose (|mn> coupled only with |nm>, 1x1 and 2x2 blocks) or a
+    permuted block diagonal with dense blocks of size 1-6."""
+    lead = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
+    real = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        c = draw(st.integers(2, 9))
+        n = c * c
+        blocks = [np.array(sorted({m * c + k, k * c + m})) for m in range(c) for k in range(m, c)]
+    else:
+        sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=10))
+        n = sum(sizes)
+        perm = rng.permutation(n)
+        starts = np.cumsum([0] + sizes)
+        blocks = [perm[a:b] for a, b in zip(starts, starts[1:])]
+    stack = np.zeros(lead + (n, n), dtype=float if real else complex)
+    for b in blocks:
+        a = rng.standard_normal(lead + (b.size, b.size))
+        if not real:
+            a = a + 1j * rng.standard_normal(a.shape)
+        stack[..., b[:, None], b[None, :]] = a + np.swapaxes(a, -2, -1).conj()
+    return stack
+
+
 class TestBlockTraceNorm:
+    @settings(max_examples=200, deadline=None)
+    @given(stack=shared_pattern_stacks())
+    def test_stack_rows_equal_single_matrix_calls(self, stack):
+        got = _trace_norm_blocks(stack)
+        assert got.shape == stack.shape[:-2] and got.dtype == np.float64
+        for norm, m in zip(got.reshape(-1), stack.reshape((-1,) + stack.shape[-2:])):
+            assert norm == _trace_norm_blocks(m) == trace_norm_hermitian(m)
+
+    def test_stack_splits_by_the_union_of_patterns(self):
+        # One matrix couples 0 with 3, the other 1 with 2: the stack splits
+        # into {0, 3} and {1, 2}, and each row keeps its own trace norm.
+        a = np.diag([0.5, 0.25, 0.25, 0.0])
+        a[0, 3] = a[3, 0] = 0.5
+        b = np.diag([0.25, 0.5, 0.0, 0.25])
+        b[1, 2] = b[2, 1] = -0.75
+        stack = np.stack([a, b])
+        assert [list(blk) for blk in _coupled_blocks(stack)] == [[0, 3], [1, 2]]
+        want = [float(np.sum(np.abs(np.linalg.eigvalsh(m)))) for m in (a, b)]
+        assert np.allclose(_trace_norm_blocks(stack), want, rtol=1e-15, atol=0)
+
     @settings(max_examples=150, deadline=None)
     @given(m=hidden_block_diagonal())
     def test_matches_whole_matrix_spectrum(self, m):
@@ -545,7 +594,8 @@ class TestStackChecks:
 def whole_matrix_hermitian_check(m):
     """The whole-matrix formula: (defect, scale, error text or None)."""
     scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
-    defect = np.max(np.abs(m - np.swapaxes(m, -2, -1).conj()), axis=(-2, -1))
+    with np.errstate(invalid="ignore"):
+        defect = np.max(np.abs(m - np.swapaxes(m, -2, -1).conj()), axis=(-2, -1))
     off = defect > HERM_TOL_BASE * scale
     if not np.any(off):
         return defect, scale, None
@@ -557,7 +607,8 @@ def whole_matrix_hermitian_check(m):
 def perturbed_hermitian_stacks(draw):
     """A real symmetric or complex Hermitian stack of dimension 1-200
     (strip edges favoured) on 0-2 leading axes, with one entry moved by an
-    amount around the tolerance."""
+    amount around the tolerance; or a stack that is not Hermitian at all,
+    or one with 1-3 entries set to NaN or to an infinity."""
     n = draw(st.one_of(st.sampled_from([1, 63, 64, 65, 128, 129, 200]), st.integers(1, 200)))
     lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -570,15 +621,30 @@ def perturbed_hermitian_stacks(draw):
     m = (a + np.swapaxes(a, -2, -1).conj()) / 2
     where = tuple(draw(st.integers(0, k - 1)) for k in shape)
     m[where] += draw(st.sampled_from([0.0, 1e-13, 1e-10, 1e-7, -1e3 if real else 1j * 1e-4, 1e3]))
+    kind = draw(st.sampled_from(["hermitian"] * 4 + ["general", "non-finite"]))
+    if kind == "general":
+        m = a
+    elif kind == "non-finite":
+        poisons = [np.nan, np.inf, -np.inf] + ([] if real else [complex(np.inf, np.nan), -1j * np.inf])
+        for _ in range(draw(st.integers(1, 3))):
+            m[tuple(draw(st.integers(0, k - 1)) for k in shape)] = draw(st.sampled_from(poisons))
     return m
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(m=perturbed_hermitian_stacks())
 def test_stripwise_hermitian_check_matches_whole_matrix_formula(m):
     defect, scale, message = whole_matrix_hermitian_check(m)
     got_defect, got_top = _hermitian_defect(m)
     assert got_defect.dtype == got_top.dtype == np.float64
+    if not np.isfinite(m).all():
+        # The same maxima (NaN where the formula has NaN), and the walk
+        # names the non-finite entries before any defect.
+        assert np.array_equal(got_defect, defect, equal_nan=True)
+        assert np.array_equal(got_top, np.max(np.abs(m), axis=(-2, -1)), equal_nan=True)
+        with pytest.raises(ValueError, match="^stack contains non-finite entries$"):
+            require_hermitian(m, "stack")
+        return
     assert got_defect.tobytes() == np.asarray(defect).tobytes()
     assert got_top.tobytes() == np.asarray(np.max(np.abs(m), axis=(-2, -1))).tobytes()
     assert np.maximum(1.0, got_top).tobytes() == np.asarray(scale).tobytes()
@@ -606,6 +672,12 @@ def test_partial_transpose_keeps_defect_scale_and_finiteness(case, poison, where
     else:
         with pytest.raises(ValueError, match="non-finite"):
             require_finite(pt)
+
+
+def test_zero_matrix_top_is_positive_zero():
+    for m in (np.zeros((3, 3)), -np.zeros((2, 70, 70)), np.zeros((5, 5), dtype=complex)):
+        defect, top = _hermitian_defect(m)
+        assert defect.tobytes() == top.tobytes() == np.zeros(m.shape[:-2]).tobytes()
 
 
 def test_hermitian_check_allocates_strips_not_matrices(rng):
