@@ -165,7 +165,7 @@ def cmd_gaussian(args) -> tuple[int, dict]:
     cm = tmsvs_cm(args.r)
     validation = validate_cm(cm)
     chi = cm_ratio_negativity(cm)
-    nu = symplectic_eigenvalues(cm.gamma)
+    nu = symplectic_eigenvalues(cm)
     config = {"r": args.r}
     return EXIT_OK, {"config": config, "result": {
         "covariance_matrix": cm_to_json(cm),

@@ -15,6 +15,8 @@ partial-transpose trace norm is max(1, 1/nu_min) in the smallest
 symplectic eigenvalue nu_min of the momentum-flipped matrix (Vidal and
 Werner, PRA 65, 032314 (2002)). Multimode negativities are out of scope.
 Displacements are carried but do not affect any quantity computed here.
+Functions take a CovarianceMatrix, the one shape and finiteness check,
+and validate_cm and symplectic_eigenvalues share one symmetry rule.
 """
 
 from __future__ import annotations
@@ -78,17 +80,20 @@ class CmValidation:
     message: str
 
 
+def _symmetry_fault(g: np.ndarray) -> tuple[float, str | None]:
+    """max |Gamma - Gamma^T|, and the fault it names beyond CM_SYMMETRY_TOL."""
+    defect = float(np.max(np.abs(g - g.T)))
+    return defect, f"matrix is not symmetric (defect {defect:.3e})" if defect > CM_SYMMETRY_TOL else None
+
+
 def validate_cm(cm: CovarianceMatrix) -> CmValidation:
     """Report whether Gamma is symmetric within CM_SYMMETRY_TOL and
     Gamma + i*Lambda is PSD down to -CM_BONA_FIDE_TOL."""
     g = cm.gamma
-    sym_defect = float(np.max(np.abs(g - g.T)))
-    lam = symplectic_form(cm.modes)
-    w = np.linalg.eigvalsh((g + g.T) / 2 + 1j * lam)
-    min_eig = float(w[0])
-    if sym_defect > CM_SYMMETRY_TOL:
-        return CmValidation(False, sym_defect, min_eig,
-                            f"matrix is not symmetric (defect {sym_defect:.3e})")
+    sym_defect, fault = _symmetry_fault(g)
+    min_eig = float(np.linalg.eigvalsh((g + g.T) / 2 + 1j * symplectic_form(cm.modes))[0])
+    if fault:
+        return CmValidation(False, sym_defect, min_eig, fault)
     if min_eig < -CM_BONA_FIDE_TOL:
         return CmValidation(False, sym_defect, min_eig,
                             f"uncertainty relation violated (min eig {min_eig:.3e})")
@@ -125,29 +130,24 @@ def cm_partial_transpose(cm: CovarianceMatrix, modes_a) -> CovarianceMatrix:
     if any(i < 0 or i >= cm.modes for i in modes_a):
         raise ValueError(f"mode indices {modes_a} out of range for {cm.modes} modes")
     f = np.ones(2 * cm.modes)
-    for i in modes_a:
-        f[2 * i + 1] = -1.0
-    flip = np.diag(f)
-    return CovarianceMatrix(flip @ cm.gamma @ flip, flip @ cm.displacement)
+    f[[2 * i + 1 for i in modes_a]] = -1.0
+    return CovarianceMatrix(cm.gamma * np.outer(f, f), cm.displacement * f)
 
 
-def symplectic_eigenvalues(gamma: np.ndarray) -> np.ndarray:
+def symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
     """Positive moduli of the spectrum of i*Lambda*Gamma, descending.
 
-    Gamma must be symmetric positive definite; each value appears once.
+    Gamma must be symmetric within CM_SYMMETRY_TOL and positive definite;
+    either fault is refused by name. Each value appears once.
     """
-    g = np.asarray(gamma, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2 != 0:
-        raise ValueError(f"expected an even-dimensional square matrix, got {g.shape}")
-    w_g = np.linalg.eigvalsh((g + g.T) / 2)
-    if w_g[0] <= 0:
-        raise ValueError(f"covariance matrix must be positive definite (min eig {w_g[0]:.3e})")
-    modes = g.shape[0] // 2
-    lam = symplectic_form(modes)
-    w = np.linalg.eigvals(1j * lam @ g)
-    nu = np.sort(np.abs(w))[::-1]
+    g = cm.gamma
+    if fault := _symmetry_fault(g)[1]:
+        raise ValueError(f"covariance {fault}")
+    if (min_eig := np.linalg.eigvalsh((g + g.T) / 2)[0]) <= 0:
+        raise ValueError(f"covariance matrix must be positive definite (min eig {min_eig:.3e})")
+    w = np.linalg.eigvals(1j * symplectic_form(cm.modes) @ g)
     # The spectrum comes in +/- pairs; keep one representative per pair.
-    return nu[::2]
+    return np.sort(np.abs(w))[::-1][::2]
 
 
 def cm_ratio_negativity(cm: CovarianceMatrix) -> float:
@@ -165,5 +165,5 @@ def cm_ratio_negativity(cm: CovarianceMatrix) -> float:
     report = validate_cm(cm)
     if not report.ok:
         raise ValueError(f"invalid covariance matrix: {report.message}")
-    nu = symplectic_eigenvalues(cm_partial_transpose(cm, (0,)).gamma)
+    nu = symplectic_eigenvalues(cm_partial_transpose(cm, (0,)))
     return _from_negativity(float(_clamped_negativity(1.0 / nu[-1])), "ratio")

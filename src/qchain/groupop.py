@@ -283,11 +283,6 @@ class MultiplicativeFReport:
     witness: tuple | None
     passed: bool
 
-    def to_json(self) -> dict:
-        return {"law": self.law, "grid_n": self.grid_n, "monotone": self.monotone,
-                "direction": self.direction, "max_deviation": self.max_deviation,
-                "witness": list(self.witness) if self.witness else None, "passed": self.passed}
-
 
 def verify_multiplicative_f(law: CompositionLaw | str, f: Callable,
                             grid_n: int = DEFAULT_GRID) -> MultiplicativeFReport:

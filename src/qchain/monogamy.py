@@ -82,12 +82,6 @@ class MonogamyReport:
     residual: float
     satisfied: bool
 
-    def to_json(self) -> dict:
-        return {"dims": list(self.dims), "partyA": list(self.party_a),
-                "measure": self.measure, "alpha": self.alpha, "lhs": self.lhs,
-                "rhs_terms": list(self.rhs_terms), "residual": self.residual,
-                "verdict": "satisfied" if self.satisfied else "violated"}
-
 
 def _check_residual_args(dims: tuple[int, ...], measure: str, alpha: float,
                          party_a) -> tuple[int, ...]:

@@ -86,9 +86,7 @@ def _mixture_states():
     rho1[0, 0] = rho1[3, 3] = 0.5
     bell = bell_state().density_matrix().matrix
     mix = (rho1 + bell) / 2
-    return (DensityMatrix(rho1, layout, _trusted=True),
-            DensityMatrix(bell, layout, _trusted=True),
-            DensityMatrix(mix, layout, _trusted=True))
+    return DensityMatrix(rho1, layout), DensityMatrix(bell, layout), DensityMatrix(mix, layout)
 
 
 def fixture_nonconvexity() -> Fixture:
@@ -176,7 +174,7 @@ def fixture_tensor_composition() -> Fixture:
     chi_a, chi_b = ratio_negativity(a), ratio_negativity(b)
     composite_layout = SubsystemLayout((2, 2, 2, 2), (0, 2))
     product = DensityMatrix(kron(a.density_matrix().matrix, b.density_matrix().matrix),
-                            composite_layout, _trusted=True)
+                            composite_layout)
     chi_dense = ratio_negativity(product)
     formula = (chi_a + chi_b) / (1 + chi_a * chi_b)
     return Fixture("tensor-composition", (

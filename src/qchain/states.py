@@ -374,13 +374,12 @@ def apply_kraus_branches(state: DensityMatrix | PureState, kraus_ops) -> list[tu
     The operators must satisfy sum_i K_i^dag K_i = I within 1e-10 entrywise.
     """
     rho = state.density_matrix() if isinstance(state, PureState) else state
-    d = rho.layout.dim
-    total = sum(np.asarray(k, dtype=complex).conj().T @ np.asarray(k, dtype=complex) for k in kraus_ops)
-    if not np.allclose(total, np.eye(d), rtol=0.0, atol=1e-10):
+    kraus_ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
+    total = sum(k.conj().T @ k for k in kraus_ops)
+    if not np.allclose(total, np.eye(rho.layout.dim), rtol=0.0, atol=1e-10):
         raise ValueError("Kraus operators do not resolve the identity")
     branches = []
     for k in kraus_ops:
-        k = np.asarray(k, dtype=complex)
         out = k @ rho.matrix @ k.conj().T
         p = float(np.real(np.trace(out)))
         if p < 1e-14:

@@ -276,12 +276,14 @@ class FockCrosscheckReport:
 
 def chain_fock_crosscheck(r: float, length: int, cutoff: int,
                           alphas=(1.0, 0.5, 2.0, 3.191)) -> FockCrosscheckReport:
-    """Cross-check the measure-level swap rule against a dense computation.
+    """Check the Fock-basis measure route on the composite state that
+    `chain_compose` reports.
 
     Takes the composite squeezing parameter of `length` identical links
     from `chain_compose`, builds that truncated two-mode squeezed state
     densely, and compares its alpha-ratio negativities (via the dense
-    partial-transpose route) against tanh(r)^(length*alpha).
+    partial-transpose route) against tanh(r)^(length*alpha). No swap is
+    simulated, so this does not test the multiplication rule itself.
     """
     if length < 2:
         raise ValueError(f"need at least 2 links, got {length}")

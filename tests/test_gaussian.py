@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,45 +150,78 @@ class TestCmPartialTranspose:
         with pytest.raises(ValueError):
             cm_partial_transpose(CovarianceMatrix(np.eye(4)), (5,))
 
+    def test_sign_flip_equals_flip_matrix_product(self):
+        # Reference: F Gamma F and F d with F = diag(f), the flip as a
+        # matrix. The elementwise flip differs only in the sign of zeros.
+        d = np.linspace(-1.0, 1.0, 4)
+        cases = [tmsvs_cm(r).gamma for r in np.linspace(0.01, 5.0, 200)]
+        cases += [lossy_tmsvs_cm(r, eta) for r in np.linspace(0.01, 5.0, 20)
+                  for eta in np.linspace(0.0, 1.0, 11)]
+        flip = np.diag([1.0, -1.0, 1.0, 1.0])
+        for g in cases:
+            flipped = cm_partial_transpose(CovarianceMatrix(g, d), (0,))
+            reference = CovarianceMatrix(flip @ g @ flip, flip @ d)
+            assert np.array_equal(flipped.gamma, reference.gamma)
+            assert np.array_equal(flipped.displacement, reference.displacement)
+            assert np.array_equal(symplectic_eigenvalues(flipped), symplectic_eigenvalues(reference))
+
 
 class TestSymplecticEigenvalues:
     def test_vacuum(self):
-        assert np.allclose(symplectic_eigenvalues(np.eye(6)), [1, 1, 1])
+        assert np.allclose(symplectic_eigenvalues(CovarianceMatrix(np.eye(6))), [1, 1, 1])
 
     def test_tmsvs_is_pure(self):
         for r in (0.3, 1.0):
-            nu = symplectic_eigenvalues(tmsvs_cm(r).gamma)
+            nu = symplectic_eigenvalues(tmsvs_cm(r))
             assert np.allclose(nu, [1.0, 1.0], atol=1e-8)
 
     def test_pt_spectrum_is_exp_2r(self):
         for r in (0.3, 0.8):
-            nu = symplectic_eigenvalues(cm_partial_transpose(tmsvs_cm(r), (0,)).gamma)
+            nu = symplectic_eigenvalues(cm_partial_transpose(tmsvs_cm(r), (0,)))
             assert abs(nu[0] - math.exp(2 * r)) < 1e-6
             assert abs(nu[-1] - math.exp(-2 * r)) < 1e-6
 
     def test_thermal_state(self):
-        assert np.allclose(symplectic_eigenvalues(2.0 * np.eye(4)), [2.0, 2.0])
+        assert np.allclose(symplectic_eigenvalues(CovarianceMatrix(2.0 * np.eye(4))), [2.0, 2.0])
 
     def test_symplectic_invariance(self, rng):
         lam = symplectic_form(2)
         gamma = tmsvs_cm(0.6).gamma
-        base = symplectic_eigenvalues(gamma)
+        base = symplectic_eigenvalues(CovarianceMatrix(gamma))
         for _ in range(10):
             s = random_symplectic(rng)
             assert np.max(np.abs(s.T @ lam @ s - lam)) < 1e-12
-            transformed = symplectic_eigenvalues(s @ gamma @ s.T)
+            transformed = symplectic_eigenvalues(CovarianceMatrix(s @ gamma @ s.T))
             assert np.allclose(transformed, base, atol=1e-9)
 
     def test_rejects_non_positive_definite(self):
         with pytest.raises(ValueError, match="positive definite"):
-            symplectic_eigenvalues(np.diag([1.0, 1.0, -1.0, 1.0]))
+            symplectic_eigenvalues(CovarianceMatrix(np.diag([1.0, 1.0, -1.0, 1.0])))
+
+    @pytest.mark.parametrize("index, bad", [((1, 1), np.nan), ((0, 2), np.inf)])
+    def test_non_finite_entry_refused_without_warning(self, index, bad):
+        # A bare array once named the wrong fault for the NaN, or ended in
+        # a LinAlgError, after a RuntimeWarning for the infinity.
+        g = np.eye(4)
+        g[index] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^covariance matrix contains non-finite entries$"):
+                symplectic_eigenvalues(CovarianceMatrix(g))
+
+    def test_rejects_asymmetric(self):
+        # A bare array with this defect once gave [1.0, 1.0].
+        g = np.eye(4)
+        g[0, 1] = 0.9
+        with pytest.raises(ValueError, match=r"^covariance matrix is not symmetric \(defect 9.000e-01\)$"):
+            symplectic_eigenvalues(CovarianceMatrix(g))
 
     def test_pure_iff_unit_determinant(self):
         # All symplectic values 1 exactly when det Gamma = 1.
         cases = [CovarianceMatrix(np.eye(4)).gamma, tmsvs_cm(0.4).gamma, 2.0 * np.eye(4),
                  np.diag([2.0, 0.5, 1.0, 1.0])]
         for g in cases:
-            nu = symplectic_eigenvalues(g)
+            nu = symplectic_eigenvalues(CovarianceMatrix(g))
             all_unit = np.allclose(nu, 1.0, atol=1e-9)
             det_unit = abs(np.linalg.det(g) - 1.0) < 1e-9
             assert all_unit == det_unit

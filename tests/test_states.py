@@ -405,6 +405,20 @@ class TestKrausBranches:
         k1 = kron(np.diag([math.sqrt(0.5 + 5e-11), math.sqrt(0.5)]), np.eye(2))
         assert len(apply_kraus_branches(bell_state(), [k1, k2])) == 2
 
+    def test_operators_read_once(self):
+        # A generator of operators once passed the completeness check and
+        # then yielded no branches.
+        m1 = np.diag([math.sqrt(0.8), math.sqrt(0.2)])
+        m2 = np.diag([math.sqrt(0.2), math.sqrt(0.8)])
+        ops = [kron(m, np.eye(2)) for m in (m1, m2)]
+        expected = apply_kraus_branches(bell_state(), ops)
+        assert len(expected) == 2
+        for kraus_ops in (tuple(ops), (k for k in ops)):
+            branches = apply_kraus_branches(bell_state(), kraus_ops)
+            assert [p for p, _ in branches] == [p for p, _ in expected]
+            for (_, out), (_, ref) in zip(branches, expected, strict=True):
+                assert np.array_equal(out.matrix, ref.matrix)
+
     def test_projective_measurement_on_bell(self):
         p0 = kron(np.diag([1.0, 0.0]).astype(complex), np.eye(2))
         p1 = kron(np.diag([0.0, 1.0]).astype(complex), np.eye(2))
