@@ -42,11 +42,8 @@ CM_MAX_R = 5.0
 
 def symplectic_form(modes: int) -> np.ndarray:
     """Direct sum of `modes` copies of [[0, 1], [-1, 0]]."""
-    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    out = np.zeros((2 * modes, 2 * modes))
-    for k in range(modes):
-        out[2 * k:2 * k + 2, 2 * k:2 * k + 2] = j
-    return out
+    # In integers, so no entry is the -0.0 that float zeros times -1 give.
+    return np.kron(np.eye(modes, dtype=int), [[0, 1], [-1, 0]]).astype(float)
 
 
 @dataclass(frozen=True, eq=False)

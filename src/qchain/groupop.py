@@ -8,6 +8,10 @@ inverses) and verifies supplied candidate f's. It never synthesizes f
 from g; constructing one requires one-parameter-subgroup machinery far
 beyond what a grid check can support.
 
+The identity search runs 7 scans of 512 candidates, each a 512 x grid
+array, so associativity's g(y, z) stays the only whole grid x grid array;
+the other checks walk the grid in slabs.
+
 All checks are deterministic: same law, same grid, same report.
 """
 
@@ -71,11 +75,14 @@ LAW_REGISTRY = {
 }
 
 
-def get_law(name: str) -> CompositionLaw:
+def get_law(law: CompositionLaw | str) -> CompositionLaw:
+    """The registry law of that name, or the law itself when given one."""
+    if isinstance(law, CompositionLaw):
+        return law
     try:
-        return LAW_REGISTRY[name]
+        return LAW_REGISTRY[law]
     except KeyError:
-        raise ValueError(f"unknown law {name!r}; registry: {sorted(LAW_REGISTRY)}") from None
+        raise ValueError(f"unknown law {law!r}; registry: {sorted(LAW_REGISTRY)}") from None
 
 
 @dataclass(frozen=True)
@@ -153,38 +160,24 @@ def _identity_residuals(law: CompositionLaw, xs: np.ndarray, es) -> np.ndarray:
     return np.where(np.isfinite(res), res, np.inf)
 
 
-def _identity_residual(law: CompositionLaw, xs: np.ndarray, e: float) -> float:
-    return float(_identity_residuals(law, xs, [e])[0])
-
-
 def _find_identity(law: CompositionLaw, xs: np.ndarray, tol: float):
-    """Minimize max_x |g(x, e) - x| over candidate e by coarse scan plus
-    golden-section refinement; domain endpoints are tried exactly since
-    identities of bounded laws usually sit there."""
+    """Minimize the identity residual over candidate e in 7 scans of 512:
+    one over the domain, then 6 across the two steps of the last scan
+    around the best candidate so far, so the last bracket is (2/511)^6
+    (3.6e-15) of the domain. A candidate replaces the best only with a
+    smaller residual, so the domain endpoints, which the first scan tries
+    exactly and where identities of bounded laws usually sit, win ties."""
     candidates = np.linspace(law.lo, law.hi, 512)
-    best = int(np.argmin(_identity_residuals(law, xs, candidates)))
-    lo = candidates[max(0, best - 1)]
-    hi = candidates[min(len(candidates) - 1, best + 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = _identity_residual(law, xs, c), _identity_residual(law, xs, d)
-    for _ in range(80):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = _identity_residual(law, xs, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = _identity_residual(law, xs, d)
-        if b - a < 1e-14:
-            break
-    refined = (a + b) / 2.0
-    options = [refined, law.lo, law.hi]
-    res = _identity_residuals(law, xs, options)
+    res = _identity_residuals(law, xs, candidates)
     k = int(np.argmin(res))
-    e, r = float(options[k]), float(res[k])
+    e, r = float(candidates[k]), float(res[k])
+    for _ in range(6):
+        step = candidates[1] - candidates[0]
+        candidates = np.linspace(max(law.lo, e - step), min(law.hi, e + step), 512)
+        res = _identity_residuals(law, xs, candidates)
+        k = int(np.argmin(res))
+        if res[k] < r:
+            e, r = float(candidates[k]), float(res[k])
     if r <= tol:
         return AxiomResult(True, f"identity e = {e:.12g} with residual {r:.3e}", r), e
     return AxiomResult(False, f"no identity found (best candidate {e:.6g}, residual {r:.3e})",
@@ -260,8 +253,7 @@ def check_group_operation(law: CompositionLaw | str, grid_n: int = DEFAULT_GRID,
     boundary cases.
     """
     require_tolerance(assoc_tol, "assoc_tol")
-    if isinstance(law, str):
-        law = get_law(law)
+    law = get_law(law)
     xs = law.grid(grid_n)
     closure = _check_closure(law, xs, CLOSURE_TOL)
     assoc = _check_associativity(law, xs, assoc_tol)
@@ -277,7 +269,6 @@ def check_group_operation(law: CompositionLaw | str, grid_n: int = DEFAULT_GRID,
 class MultiplicativeFReport:
     law: str
     grid_n: int
-    monotone: bool
     direction: str
     max_deviation: float
     witness: tuple | None
@@ -293,10 +284,10 @@ def verify_multiplicative_f(law: CompositionLaw | str, f: Callable,
     accepted and labeled (only measures built directly on the negativity
     need the increasing direction).
     """
-    if isinstance(law, str):
-        law = get_law(law)
+    law = get_law(law)
     xs = law.grid(grid_n)
-    fx = np.array([float(f(x)) for x in xs])
+    f_of = np.vectorize(lambda v: float(f(v)), otypes=[float])
+    fx = f_of(xs)
     diffs = np.diff(fx)
     if np.all(diffs > 0):
         direction = "increasing"
@@ -304,7 +295,6 @@ def verify_multiplicative_f(law: CompositionLaw | str, f: Callable,
         direction = "decreasing"
     else:
         raise ValueError("candidate f is not strictly monotone on the grid")
-    f_of = np.vectorize(lambda v: float(f(v)), otypes=[float])
 
     def deviation(start, stop):
         fg = f_of(law(xs[start:stop, None], xs[None, :]))
@@ -312,9 +302,9 @@ def verify_multiplicative_f(law: CompositionLaw | str, f: Callable,
 
     worst, at = _slab_max((xs, xs), deviation, "f(g(x, y)) - f(x) f(y) is not finite")
     passed = worst <= F_CHECK_TOL
-    return MultiplicativeFReport(law=law.name, grid_n=grid_n, monotone=True,
-                                 direction=direction, max_deviation=worst,
-                                 witness=None if passed else at, passed=passed)
+    return MultiplicativeFReport(law=law.name, grid_n=grid_n, direction=direction,
+                                 max_deviation=worst, witness=None if passed else at,
+                                 passed=passed)
 
 
 @dataclass(frozen=True)
@@ -343,8 +333,7 @@ def necessary_conditions_check(law: CompositionLaw | str,
     """Grid checks of the properties any swap-output measure composition
     must have: strict increase in each argument, vanishing exactly when an
     argument vanishes, and never exceeding the smaller argument."""
-    if isinstance(law, str):
-        law = get_law(law)
+    law = get_law(law)
     xs = law.grid(grid_n)
     # Zero annihilation: g(0, y) = g(x, 0) = 0 on the zero edges (when the
     # domain contains 0) and g > 0 away from them.

@@ -375,8 +375,13 @@ def apply_kraus_branches(state: DensityMatrix | PureState, kraus_ops) -> list[tu
     """
     rho = state.density_matrix() if isinstance(state, PureState) else state
     kraus_ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
+    dim = rho.layout.dim
+    for i, k in enumerate(kraus_ops):
+        if k.shape != (dim, dim):
+            raise ValueError(f"Kraus operator {i} has shape {k.shape}; the state has "
+                             f"dimension {dim}, so each operator must be ({dim}, {dim})")
     total = sum(k.conj().T @ k for k in kraus_ops)
-    if not np.allclose(total, np.eye(rho.layout.dim), rtol=0.0, atol=1e-10):
+    if not np.allclose(total, np.eye(dim), rtol=0.0, atol=1e-10):
         raise ValueError("Kraus operators do not resolve the identity")
     branches = []
     for k in kraus_ops:

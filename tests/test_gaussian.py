@@ -185,6 +185,14 @@ class TestSymplecticEigenvalues:
         assert np.allclose(symplectic_eigenvalues(CovarianceMatrix(2.0 * np.eye(4))), [2.0, 2.0])
 
     def test_symplectic_invariance(self, rng):
+        j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        for modes in range(1, 7):
+            blocks = np.zeros((2 * modes, 2 * modes))
+            for k in range(modes):
+                blocks[2 * k:2 * k + 2, 2 * k:2 * k + 2] = j
+            # Bit for bit: no entry may turn into -0.0.
+            assert np.array_equal(symplectic_form(modes), blocks)
+            assert symplectic_form(modes).tobytes() == blocks.tobytes()
         lam = symplectic_form(2)
         gamma = tmsvs_cm(0.6).gamma
         base = symplectic_eigenvalues(CovarianceMatrix(gamma))

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qchain.groupop import (
     ASSOC_TOL,
@@ -101,6 +103,61 @@ class TestIdentityOnNonFiniteLaws:
         assert e is None and not result.passed
         assert result.max_deviation == math.inf
         assert "residual inf" in result.detail
+
+
+def _shift_law(c):
+    """x + y - c on [0, 1], with identity c."""
+    return CompositionLaw("shift", lambda x, y: x + y - c, 0.0, 1.0)
+
+
+def _tanh_shift_law(c):
+    """tanh(atanh x + atanh y - atanh c) on [0, 1), with identity c. The
+    atanh arguments are clipped below 1, so the candidate e = 1 gives a
+    finite value, not a divide-by-zero warning."""
+    below_one = np.nextafter(1.0, 0.0)
+
+    def fn(x, y):
+        return np.tanh(np.arctanh(np.minimum(x, below_one))
+                       + np.arctanh(np.minimum(y, below_one)) - math.atanh(c))
+    return CompositionLaw("tanh_shift", fn, 0.0, 1.0, open_hi=True)
+
+
+class TestIdentitySearch:
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.floats(0.01, 0.99))
+    @pytest.mark.parametrize("make_law", [_shift_law, _tanh_shift_law])
+    def test_interior_identity(self, make_law, c):
+        law = make_law(c)
+        result, e = _find_identity(law, law.grid(64), IDENTITY_TOL)
+        assert abs(e - c) <= 1e-14
+        assert result.passed and result.max_deviation <= IDENTITY_TOL
+
+    @pytest.mark.parametrize("grid_n", [2, 3, 17, 64, 1024])
+    @pytest.mark.parametrize("name, identity", [("product", 1.0), ("tanh_sum", 0.0),
+                                                ("min", 1.0), ("sum", 0.0)])
+    def test_registry_identity_is_the_exact_endpoint(self, name, identity, grid_n):
+        # The first scan tries the endpoints exactly, and a rescan candidate
+        # replaces one only with a residual below its 0.
+        law = get_law(name)
+        result, e = _find_identity(law, law.grid(grid_n), IDENTITY_TOL)
+        assert e == identity
+        assert result.passed and result.max_deviation == 0.0
+
+    def test_identity_outside_the_domain_is_not_found(self):
+        # x + y + 0.001 has identity -0.001, less than the first scan's
+        # step 1/511 below lo = 0: a rescan that left [lo, hi] would find it.
+        law = _shift_law(-0.001)
+        result, e = _find_identity(law, law.grid(16), IDENTITY_TOL)
+        assert e is None and not result.passed
+        assert result.witness == (0.0,)
+
+    def test_wide_domain_returns(self):
+        # Near 3e6 adjacent floats are 4.7e-10 apart, so a search that stops
+        # on an absolute bracket width of 1e-14 never returned on this law.
+        law = CompositionLaw("shift_3e6", lambda x, y: x + y - 3e6, 0.0, 1e7)
+        result, e = _find_identity(law, law.grid(16), IDENTITY_TOL)
+        assert result.passed
+        assert abs(e - 3e6) <= 2 * math.ulp(3e6)
 
 
 class TestCustomLaws:
@@ -401,7 +458,7 @@ def _whole_grid_f(law, grid_n):
     if worst > F_CHECK_TOL:
         i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
         witness = (float(xs[i]), float(xs[j]))
-    return MultiplicativeFReport(law.name, grid_n, True, "increasing", worst, witness,
+    return MultiplicativeFReport(law.name, grid_n, "increasing", worst, witness,
                                  worst <= F_CHECK_TOL)
 
 

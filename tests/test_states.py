@@ -419,6 +419,15 @@ class TestKrausBranches:
             for (_, out), (_, ref) in zip(branches, expected, strict=True):
                 assert np.array_equal(out.matrix, ref.matrix)
 
+    @pytest.mark.parametrize("op", [np.eye(2), np.eye(8), np.ones((4, 2)) / 2, np.eye(4)[None]],
+                             ids=["2x2", "8x8", "4x2", "1x4x4"])
+    def test_operator_shape_named(self, op):
+        # Each was refused with numpy's broadcast or gufunc message, which
+        # named neither the operator nor the state dimension.
+        message = f"Kraus operator 0 has shape {op.shape}; the state has dimension 4"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            apply_kraus_branches(bell_state(), [op])
+
     def test_projective_measurement_on_bell(self):
         p0 = kron(np.diag([1.0, 0.0]).astype(complex), np.eye(2))
         p1 = kron(np.diag([0.0, 1.0]).astype(complex), np.eye(2))
