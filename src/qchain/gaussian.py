@@ -14,9 +14,10 @@ Fock-basis route on two-mode Gaussian states, pure or mixed: their
 partial-transpose trace norm is max(1, 1/nu_min) in the smallest
 symplectic eigenvalue nu_min of the momentum-flipped matrix (Vidal and
 Werner, PRA 65, 032314 (2002)). Multimode negativities are out of scope.
-Displacements are carried but do not affect any quantity computed here.
-Functions take a CovarianceMatrix, the one shape and finiteness check,
-and validate_cm and symplectic_eigenvalues share one symmetry rule.
+States are zero-mean: no quantity here depends on first moments, so none
+are stored. Functions take a CovarianceMatrix, the one check of shape,
+finiteness and symmetry; validate_cm then reads only the uncertainty
+relation and symplectic_eigenvalues only positive definiteness.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .measures import _clamped_negativity, _from_negativity
 from .states import require_squeezing
-from .tensor import require_finite
+from .tensor import _integer, require_finite
 
 CM_SYMMETRY_TOL = 1e-10
 CM_BONA_FIDE_TOL = 1e-8
@@ -48,53 +49,37 @@ def symplectic_form(modes: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
+    """Gamma, refused unless square of even size, finite and symmetric."""
+
     gamma: np.ndarray
-    displacement: np.ndarray = None
     modes: int = field(init=False)
 
     def __post_init__(self):
         g = np.array(self.gamma, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2 != 0:
             raise ValueError(f"covariance matrix must be square with even dimension, got {g.shape}")
-        d = self.displacement
-        d = np.zeros(g.shape[0]) if d is None else np.array(d, dtype=float)
-        if d.shape != (g.shape[0],):
-            raise ValueError(f"displacement must have length {g.shape[0]}, got {d.shape}")
         require_finite(g, "covariance matrix")
-        require_finite(d, "displacement")
+        if (defect := float(np.max(np.abs(g - g.T)))) > CM_SYMMETRY_TOL:
+            raise ValueError(f"covariance matrix is not symmetric (defect {defect:.3e})")
         g.setflags(write=False)
-        d.setflags(write=False)
         object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "displacement", d)
         object.__setattr__(self, "modes", g.shape[0] // 2)
 
 
 @dataclass(frozen=True)
 class CmValidation:
     ok: bool
-    symmetry_defect: float
     min_bona_fide_eigenvalue: float
     message: str
 
 
-def _symmetry_fault(g: np.ndarray) -> tuple[float, str | None]:
-    """max |Gamma - Gamma^T|, and the fault it names beyond CM_SYMMETRY_TOL."""
-    defect = float(np.max(np.abs(g - g.T)))
-    return defect, f"matrix is not symmetric (defect {defect:.3e})" if defect > CM_SYMMETRY_TOL else None
-
-
 def validate_cm(cm: CovarianceMatrix) -> CmValidation:
-    """Report whether Gamma is symmetric within CM_SYMMETRY_TOL and
-    Gamma + i*Lambda is PSD down to -CM_BONA_FIDE_TOL."""
+    """Report whether Gamma + i*Lambda is PSD down to -CM_BONA_FIDE_TOL."""
     g = cm.gamma
-    sym_defect, fault = _symmetry_fault(g)
     min_eig = float(np.linalg.eigvalsh((g + g.T) / 2 + 1j * symplectic_form(cm.modes))[0])
-    if fault:
-        return CmValidation(False, sym_defect, min_eig, fault)
     if min_eig < -CM_BONA_FIDE_TOL:
-        return CmValidation(False, sym_defect, min_eig,
-                            f"uncertainty relation violated (min eig {min_eig:.3e})")
-    return CmValidation(True, sym_defect, min_eig, "ok")
+        return CmValidation(False, min_eig, f"uncertainty relation violated (min eig {min_eig:.3e})")
+    return CmValidation(True, min_eig, "ok")
 
 
 def tmsvs_cm(r: float) -> CovarianceMatrix:
@@ -123,23 +108,18 @@ def cm_partial_transpose(cm: CovarianceMatrix, modes_a) -> CovarianceMatrix:
     legitimately violate the uncertainty relation, which is exactly the
     entanglement signal.
     """
-    modes_a = sorted(set(int(i) for i in modes_a))
+    modes_a = sorted(set(_integer(i, "each entry of modes_a") for i in modes_a))
     if any(i < 0 or i >= cm.modes for i in modes_a):
         raise ValueError(f"mode indices {modes_a} out of range for {cm.modes} modes")
     f = np.ones(2 * cm.modes)
     f[[2 * i + 1 for i in modes_a]] = -1.0
-    return CovarianceMatrix(cm.gamma * np.outer(f, f), cm.displacement * f)
+    return CovarianceMatrix(cm.gamma * np.outer(f, f))
 
 
 def symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
-    """Positive moduli of the spectrum of i*Lambda*Gamma, descending.
-
-    Gamma must be symmetric within CM_SYMMETRY_TOL and positive definite;
-    either fault is refused by name. Each value appears once.
-    """
+    """Positive moduli of the spectrum of i*Lambda*Gamma, descending, each
+    value once. A Gamma that is not positive definite is refused by name."""
     g = cm.gamma
-    if fault := _symmetry_fault(g)[1]:
-        raise ValueError(f"covariance {fault}")
     if (min_eig := np.linalg.eigvalsh((g + g.T) / 2)[0]) <= 0:
         raise ValueError(f"covariance matrix must be positive definite (min eig {min_eig:.3e})")
     w = np.linalg.eigvals(1j * symplectic_form(cm.modes) @ g)

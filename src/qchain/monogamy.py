@@ -17,7 +17,7 @@ import numpy as np
 
 from .measures import _check_alpha, _clamped_negativity, _from_negativity, _schmidt_trace_norm
 from .states import DensityMatrix, PureState, haar_amplitude_rows, require_unit_density
-from .tensor import (SubsystemLayout, _slab_max, _trace_norm_blocks, group_subsystems,
+from .tensor import (SubsystemLayout, _integer, _slab_max, _trace_norm_blocks, group_subsystems,
                      partial_transpose, require_tolerance, schmidt_decompose)
 
 VIOLATION_TOL = 1e-9
@@ -36,7 +36,7 @@ _MAX_SCAN_DIM = 1 << 32
 # Families the power threshold is proven for: any number of qubits, or
 # three parties with dimensions (2, 2, 3) or (2, 2, 2^m).
 def family_supported(dims) -> bool:
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_integer(d, "each entry of dims") for d in dims)
     if len(dims) >= 3 and all(d == 2 for d in dims):
         return True
     if len(dims) == 3 and dims[0] == 2 and dims[1] == 2:
@@ -105,7 +105,7 @@ def ckw_residuals(amplitudes, dims, party_a=(0,), measure: str = "ratio",
     (kept, traced) indices; the full density matrix is never formed. Both
     sides share evaluate_measure's kernels and equal it bit for bit.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_integer(d, "each entry of dims") for d in dims)
     party_a = _check_residual_args(dims, measure, alpha, party_a)
     split = SubsystemLayout(dims, party_a)
     amps = np.asarray(amplitudes, dtype=complex)
@@ -242,7 +242,7 @@ def sample_monogamy_scan(dims, samples: int, alpha: float, seed: int,
     appended to the sample set. Unsupported dims families still run but
     the report carries a warning.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_integer(d, "each entry of dims") for d in dims)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     require_tolerance(violation_tol, "violation_tol")

@@ -19,6 +19,7 @@ from .tensor import (
     SubsystemLayout,
     _check_distribution,
     _float_or_complex,
+    _integer,
     _trace_norm_blocks,
     partial_transpose,
     require_hermitian,
@@ -215,6 +216,7 @@ class TmsvsSpec:
 
     def __post_init__(self):
         _require_chi_below_one(self.r)
+        object.__setattr__(self, "cutoff", _integer(self.cutoff, "cutoff"))
         if self.cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
 
@@ -227,7 +229,7 @@ class TmsvsSpec:
         r = require_squeezing(r)
         if cutoff is None:
             cutoff = default_cutoff(_require_chi_below_one(r))
-        return TmsvsSpec(r=r, cutoff=int(cutoff))
+        return TmsvsSpec(r=r, cutoff=cutoff)
 
     @property
     def truncation_deficit(self) -> float:
@@ -257,7 +259,11 @@ def cutoff_for_amplitude_tail(chi: float, tail: float) -> int:
         raise ValueError(f"chi must lie in (0, 1), got {chi!r}")
     if not (0 < tail < 1):
         raise ValueError("tail must lie in (0, 1)")
-    return max(1, int(math.ceil(math.log(tail) / math.log(chi) - 1)))
+    # The log estimate can round a step either way; start below it and step up.
+    n = max(1, math.ceil(math.log(tail) / math.log(chi) - 1) - 1)
+    while chi ** (n + 1) > tail:
+        n += 1
+    return n
 
 
 def bell_state() -> PureState:
@@ -270,7 +276,7 @@ def bell_state() -> PureState:
 def pure_from_schmidt(lam, dims: tuple[int, int]) -> PureState:
     """Sum_a sqrt(lam_a) |aa> in the computational basis of a dA x dB system."""
     lam = np.asarray(lam, dtype=float)
-    d_a, d_b = int(dims[0]), int(dims[1])
+    d_a, d_b = _integer(dims[0], "each entry of dims"), _integer(dims[1], "each entry of dims")
     if lam.ndim != 1 or lam.size == 0 or lam.size > min(d_a, d_b):
         raise ValueError(f"need 1 <= len(lambda) <= min{(d_a, d_b)}, got {lam.size}")
     if np.any(lam <= 0):
@@ -372,6 +378,8 @@ def apply_kraus_branches(state: DensityMatrix | PureState, kraus_ops) -> list[tu
     generalized measurement given by full-space Kraus operators.
 
     The operators must satisfy sum_i K_i^dag K_i = I within 1e-10 entrywise.
+    A branch of probability below 1e-14 is left out, so the list can be
+    shorter than the operators.
     """
     rho = state.density_matrix() if isinstance(state, PureState) else state
     kraus_ops = [np.asarray(k, dtype=complex) for k in kraus_ops]

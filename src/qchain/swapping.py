@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .measures import MeasureSpec, g_concurrence_pure, ratio_negativity, scp_pure_qubit
 from .states import TmsvsSpec, require_squeezing, tmsvs_truncated
-from .tensor import _check_distribution
+from .tensor import _check_distribution, _integer
 
 LINK_KINDS = ("qubit_pure", "qudit_pure", "tmsvs")
 
@@ -97,7 +97,7 @@ def qudit_link(lam=None, d: int | None = None, g_concurrence: float | None = Non
             raise ValueError(f"qudit links need an integer local dimension d >= 2, got {d!r}")
         return LinkResource(kind="qudit_pure", d=int(d),
                             native_value=_target(g_concurrence, "G-concurrence"))
-    lam = tuple(float(x) for x in _check_distribution(lam, None if d is None else int(d)))
+    lam = tuple(float(x) for x in _check_distribution(lam, None if d is None else _integer(d, "d")))
     if len(lam) < 2:
         raise ValueError(f"qudit links need at least 2 Schmidt coefficients, got {len(lam)}")
     return LinkResource(kind="qudit_pure", schmidt=lam, d=len(lam),

@@ -10,6 +10,7 @@ package follow this convention.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,15 @@ HERM_STRIP = 64
 GRID_SLAB_BYTES = 1 << 19
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; a non-integer such as 2.7 or True is refused by name."""
+    if type(value) is int:  # the common case, first
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SubsystemLayout:
     """Tensor factorization of a Hilbert space plus the bipartition mask.
@@ -38,8 +48,8 @@ class SubsystemLayout:
     party_a: tuple[int, ...]
 
     def __init__(self, dims, party_a):
-        dims = tuple(int(d) for d in dims)
-        party_a = tuple(sorted(set(int(i) for i in party_a)))
+        dims = tuple(_integer(d, "each entry of dims") for d in dims)
+        party_a = tuple(sorted(set(_integer(i, "each entry of party_a") for i in party_a)))
         if len(dims) < 1 or any(d < 2 for d in dims):
             raise ValueError(f"subsystem dimensions must all be >= 2, got {dims}")
         if not party_a:
@@ -331,7 +341,7 @@ def _trace_norm_blocks(m: np.ndarray) -> np.ndarray:
 def partial_trace(rho: np.ndarray, layout: SubsystemLayout, keep) -> np.ndarray:
     """Trace out all subsystems not in `keep`; kept subsystems stay in order."""
     rho = _check_square(rho, layout)
-    keep = sorted(set(int(i) for i in keep))
+    keep = sorted(set(_integer(i, "each entry of keep") for i in keep))
     n = len(layout.dims)
     if not keep:
         raise ValueError("keep must be non-empty")

@@ -1041,13 +1041,20 @@ def test_scan_dims_must_be_a_list(tmp_path, capsys):
     assert "dims must be a list of integers" in capsys.readouterr().err
 
 
-def test_runtime_needs_no_test_extra():
-    # The runtime imports none of the test-only packages.
+def test_runtime_needs_no_test_extra(tmp_path):
+    # Every subcommand runs without importing a test-only package.
+    state = write_json(tmp_path / "state.json", {"kind": "tmsvs", "r": 0.5})
+    chain = write_json(tmp_path / "chain.json",
+                       {"kind": "tmsvs", "links": {"identical": {"r": 0.5}, "count": 3}})
+    runs = [["repro"], ["gaussian", "--r", "0.5"], ["measure", "--input", state],
+            ["chain", "--input", chain], ["sweep", "--input", chain],
+            ["monogamy", "--dims", "2,2,2", "--samples", "10"],
+            ["groupop", "--law", "tanh_sum", "--grid", "8"]]
     code = (
         "import os, sys\n"
         "from qchain.cli import main\n"
-        "assert main(['repro', '--output', os.devnull]) == 0\n"
-        "assert main(['gaussian', '--r', '0.5', '--output', os.devnull]) == 0\n"
+        f"for argv in {runs!r}:\n"
+        "    assert main(argv + ['--output', os.devnull]) == 0, argv\n"
         "loaded = {'jsonschema', 'mpmath', 'hypothesis', 'scipy', 'pytest'} & set(sys.modules)\n"
         "assert not loaded, loaded\n"
     )

@@ -338,8 +338,7 @@ class TestSolvabilityMatchesScalarReference:
                                                     0.0, 1.0)],
                              ids=lambda law: getattr(law, "name", law))
     def test_exact_match(self, law, grid_n):
-        if isinstance(law, str):
-            law = get_law(law)
+        law = get_law(law)
         xs = law.grid(grid_n)
         assert _check_solvability(law, xs, SOLVE_TOL) == _scalar_solvability(law, xs, SOLVE_TOL)
 

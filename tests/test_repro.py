@@ -1,11 +1,12 @@
-"""The closed-form `repro` checks, pinned in ulps of their exact values.
+"""The `repro` checks, pinned in ulps of their exact values.
 
 `repro`'s own tolerances (1e-10 and the like) are pinned by the benchmark
 reference, so they stay; this test asks far more of the same numbers. Each
-exact value is computed with mpmath at 50 digits. Each ulp budget is a
-first-order bound on the rounding error of the operations that compute
-the value, replayed here with the rules of `_Bound`, not a margin over the
-error observed.
+exact value is computed with mpmath at 50 digits: a closed form, or for the
+tmsvs-ratio checks the value of the truncated state as built. Each ulp
+budget is a first-order bound on the rounding error of the operations that
+compute the value, replayed here with the rules of `_Bound`, not a margin
+over the error observed.
 """
 
 import math
@@ -13,14 +14,13 @@ import math
 import mpmath
 import numpy as np
 
-from qchain.repro import run_fixtures
-from qchain.states import PSD_TOL
+from qchain.repro import TMSVS_R_GRID, run_fixtures
+from qchain.states import PSD_TOL, TmsvsSpec, cutoff_for_amplitude_tail, tmsvs_truncated
 
 EPS = float(np.finfo(float).eps)
 
-# The exact value of its own truncated state, not a closed form, lies
-# behind each of these; "rounds to 3.191" compares with a rounded value.
-NOT_PINNED = ("rounds to 3.191", "ratio negativity at r=", "negativity at r=")
+# "rounds to 3.191" compares with a rounded value.
+NOT_PINNED = ("rounds to 3.191",)
 
 
 class _Bound:
@@ -125,6 +125,45 @@ def _ratio(t):
     return n / (n + 1)
 
 
+def _tmsvs_budgets():
+    """{check name: (exact value, error bound in EPS)} of the tmsvs-ratio
+    checks. Each exact value is that of the truncated state as built: the
+    spec's float chi = tanh r taken as exact, levels 0 to the fixture's
+    cutoff, renormalized, with trace norm (sum_n sqrt(lambda_n))^2."""
+    budgets = {}
+    for r in TMSVS_R_GRID:
+        chi = _Bound(math.tanh(r))
+        d = cutoff_for_amplitude_tail(math.tanh(r), 1e-10) + 1
+        # tmsvs_truncated: diag = sqrt(1 - chi^2) chi^n, then diag divided
+        # by np.linalg.norm(diag) = sqrt(diag . diag). The terms decrease
+        # with n, and a sum of positive terms replayed largest first bounds
+        # the rounding of any summation order, BLAS's included.
+        scale = (1 - chi ** 2).sqrt()
+        diag = [scale * chi ** n for n in range(d)]
+        squares = [a * a for a in diag]
+        total = squares[0]
+        for sq in squares[1:]:
+            total = total + sq
+        norm = total.sqrt()
+        amps = [a / norm for a in diag]
+        # The amplitude matrix is diagonal, so the SVD reads the computed
+        # amplitudes exactly (a zero Householder tail gives tau = 0, and a
+        # zero off-diagonal deflates); checked bit for bit below. Then
+        # sum_n sqrt(sigma_n^2), largest first, squared.
+        state = tmsvs_truncated(TmsvsSpec.from_r(r, cutoff=d - 1))
+        computed = state.amplitudes.reshape(d, d).diagonal().real
+        assert np.array_equal(state.schmidt_coefficients, computed ** 2), r
+        roots = [(a * a).sqrt() for a in amps]
+        total = roots[0]
+        for root in roots[1:]:
+            total = total + root
+        t = total * total
+        ratio, neg = _ratio(t), _negativity(t)
+        budgets[f"ratio negativity at r={r}"] = (ratio.v, ratio.err)
+        budgets[f"negativity at r={r}"] = (neg.v, neg.err)
+    return budgets
+
+
 def _budgets():
     """{check name: (exact value, error bound in EPS)}."""
     mp = mpmath.mpf
@@ -217,11 +256,11 @@ def _budgets():
 
 def test_closed_form_checks_within_their_ulp_budgets():
     with mpmath.workdps(50):
-        budgets = _budgets()
+        budgets = {**_budgets(), **_tmsvs_budgets()}
         checks = [c for fixture in run_fixtures() for c in fixture.checks
                   if c.kind == "close" and not c.name.startswith(NOT_PINNED)]
         assert sorted(c.name for c in checks) == sorted(budgets)
-        assert len(checks) == 23
+        assert len(checks) == 31
         # The classical part's trace norm is 1 within far less than PSD_TOL.
         assert _mixed_trace_norm(1, 4, 0.0).err * EPS < PSD_TOL
         lines, over = [], []

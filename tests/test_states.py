@@ -155,6 +155,25 @@ class TestTmsvs:
         c = cutoff_for_amplitude_tail(chi, 1e-10)
         assert chi ** (c + 1) <= 1e-10 < chi ** c
 
+    @settings(max_examples=300, deadline=None)
+    @given(chi=st.floats(0.01, 0.99), k=st.integers(1, 39),
+           scale=st.one_of(st.just(1.0), st.floats(0.5, 1.0)))
+    @example(chi=0.5, k=29, scale=1.0)
+    def test_cutoff_for_amplitude_tail_is_the_smallest(self, chi, k, scale):
+        # Brute force over the same float test; at chi = 0.5 and tail
+        # 0.5^29 the log estimate alone gave 29, though 28 passes.
+        tail = scale * chi ** k
+        n = 1
+        while chi ** (n + 1) > tail:
+            n += 1
+        assert cutoff_for_amplitude_tail(chi, tail) == n
+
+    def test_cutoffs_in_use_are_unchanged(self):
+        # The tmsvs-ratio fixture's cutoffs and the default cutoff at r = 1.
+        assert [cutoff_for_amplitude_tail(math.tanh(r), 1e-10) for r in (0.1, 0.5, 1.0, 1.5)] == \
+            [9, 29, 84, 231]
+        assert default_cutoff(math.tanh(1.0)) == 50
+
     @pytest.mark.parametrize("chi", [1.0, 0.0, -0.5, 1.5])
     def test_cutoff_for_amplitude_tail_refuses_chi_outside_unit_interval(self, chi):
         with pytest.raises(ValueError, match="chi must lie in"):

@@ -26,6 +26,11 @@ from qchain.tensor import (
     trace_norm_hermitian,
 )
 
+from qchain.gaussian import CovarianceMatrix, cm_partial_transpose
+from qchain.monogamy import sample_monogamy_scan
+from qchain.states import TmsvsSpec, pure_from_schmidt
+from qchain.swapping import qudit_link
+
 from conftest import charpoly_eigenvalues, dense_partial_transpose
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
@@ -447,6 +452,33 @@ class TestPartialTrace:
     def test_empty_keep_rejected(self):
         with pytest.raises(ValueError):
             partial_trace(BELL_DM, QUBIT_PAIR, keep=[])
+
+
+class TestIntegerArguments:
+    """Integer arguments are refused by name, not truncated: each of these
+    calls once ran on the truncated value."""
+
+    @pytest.mark.parametrize("call, what", [
+        (lambda: SubsystemLayout((2.7, 2), (0,)), "each entry of dims"),
+        (lambda: SubsystemLayout((2, 2), (0.9,)), "each entry of party_a"),
+        (lambda: SubsystemLayout((2, 2), (True,)), "each entry of party_a"),
+        (lambda: sample_monogamy_scan((2, 2, 2.9), 3, 1.0, 0), "each entry of dims"),
+        (lambda: pure_from_schmidt([0.5, 0.5], (2.5, 2)), "each entry of dims"),
+        (lambda: TmsvsSpec.from_r(0.5, 2.5), "cutoff"),
+        (lambda: TmsvsSpec(0.5, 2.5), "cutoff"),
+        (lambda: cm_partial_transpose(CovarianceMatrix(np.eye(4)), (0.7,)), "each entry of modes_a"),
+        (lambda: partial_trace(BELL_DM, QUBIT_PAIR, (1.5,)), "each entry of keep"),
+        (lambda: qudit_link([0.5, 0.5], d=2.5), "d"),
+    ], ids=["layout-dims", "layout-party_a", "layout-bool", "scan", "pure_from_schmidt",
+            "from_r", "tmsvs_spec", "cm_partial_transpose", "partial_trace", "qudit_link"])
+    def test_non_integer_refused(self, call, what):
+        with pytest.raises(ValueError, match=rf"^{what} must be an integer, got "):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        layout = SubsystemLayout((np.int64(2), np.uint8(3)), (np.int32(1),))
+        assert (layout.dims, layout.party_a) == ((2, 3), (1,))
+        assert type(TmsvsSpec(0.5, np.int64(3)).cutoff) is int
 
 
 class TestSchmidt:
