@@ -78,6 +78,14 @@ def _positive(text: str) -> float:
     return _finite(text, lambda v: v > 0, "> 0")
 
 
+def _dims(text: str) -> list[int]:
+    try:
+        return [int(d) for d in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers, got {text!r} ({exc})") from None
+
+
 def cmd_measure(args) -> tuple[int, dict]:
     kinds = [m.strip() for m in args.measures.split(",") if m.strip()]
     if not kinds:
@@ -139,7 +147,7 @@ def cmd_monogamy(args) -> tuple[int, dict]:
     else:
         if args.dims is None:
             raise ValueError("monogamy needs --input or --dims")
-        dims = [int(d) for d in args.dims.split(",")]
+        dims = args.dims
         samples = 1000 if args.samples is None else args.samples
         alpha = 1.0 if args.alpha is None else args.alpha
         seed = 0 if args.seed is None else args.seed
@@ -230,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("monogamy", help="Monte-Carlo monogamy scan")
     p.add_argument("--input", default=None, help="scan config JSON file")
-    p.add_argument("--dims", default=None, help="comma-separated party dimensions")
+    p.add_argument("--dims", type=_dims, default=None, help="comma-separated party dimensions")
     p.add_argument("--samples", type=int, default=None, help="with --dims; default 1000")
     p.add_argument("--alpha", type=_positive, default=None, help="with --dims; default 1")
     p.add_argument("--seed", type=int, default=None, help="with --dims; default 0")

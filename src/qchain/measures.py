@@ -157,7 +157,12 @@ def g_concurrence_pure(lam, d: int) -> float:
     mean), so a rounded value above 1, as the uniform vector gives at
     d = 6, 8 and 14, or a pair summing to just above 1 at d = 2, reads 1.
     """
-    lam = _check_distribution(lam, d)
+    return _g_concurrence(_check_distribution(lam, d))
+
+
+def _g_concurrence(lam: np.ndarray) -> float:
+    """g_concurrence_pure's formula on d = lam.size checked coefficients."""
+    d = lam.size
     if np.any(lam == 0):
         return 0.0
     if d == 2:
@@ -236,8 +241,9 @@ def evaluate_measure(spec: MeasureSpec, state: State, psd_tol: float = PSD_TOL) 
     elif spec.kind == "concurrence":
         value = concurrence_pure(state)
     elif spec.kind == "g_concurrence":
-        value = g_concurrence_pure(state.schmidt_coefficients,
-                                   min(state.layout.dim_a, state.layout.dim_b))
+        # The state's own coefficients, min(dim_a, dim_b) of them, come from
+        # amplitudes its constructor accepted; they are not checked again.
+        value = _g_concurrence(state.schmidt_coefficients)
     elif spec.kind == "scp":
         if state.layout.dim_a != 2 or state.layout.dim_b != 2:
             raise ValueError("singlet conversion probability needs a 2-qubit pure state")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import _check_alpha, _clamped_negativity, _from_negativity, _schmidt_trace_norm
-from .states import DensityMatrix, PureState, haar_amplitude_rows, require_unit_density
+from .states import DensityMatrix, PureState, haar_amplitude_rows
 from .tensor import (SubsystemLayout, _integer, _slab_max, _trace_norm_blocks, group_subsystems,
                      partial_transpose, require_tolerance, schmidt_decompose)
 
@@ -83,42 +83,42 @@ class MonogamyReport:
     satisfied: bool
 
 
-def _check_residual_args(dims: tuple[int, ...], measure: str, alpha: float,
-                         party_a) -> tuple[int, ...]:
-    if len(dims) < 3:
-        raise ValueError(f"need at least 3 parties, got {len(dims)}")
+def _check_residual_args(layout: SubsystemLayout, measure: str, alpha: float) -> None:
+    if len(layout.dims) < 3:
+        raise ValueError(f"need at least 3 parties, got {len(layout.dims)}")
     _check_alpha(alpha)
     if measure not in ("ratio", "negativity"):
         raise ValueError(f"unsupported measure {measure!r}: monogamy residuals are negativity-based")
-    return SubsystemLayout(dims, party_a).party_a
 
 
-def ckw_residuals(amplitudes, dims, party_a=(0,), measure: str = "ratio",
+def ckw_residuals(amplitudes, layout: SubsystemLayout, measure: str = "ratio",
                   alpha: float = 1.0):
     """(lhs, rhs, residual) of the one-against-rest inequality for a stack
-    of pure states, one normalized amplitude vector per row of `amplitudes`.
+    of pure states over `layout`, one normalized amplitude vector per row.
 
     lhs has shape (n,): E^alpha across A|rest from the Schmidt closed form.
     rhs has shape (n, parties outside A): E^alpha on the reduced state of A
     and each party outside A, in index order. residual = lhs - rhs summed.
     Each reduced state is M M^dag for the amplitude tensor M reshaped to
-    (kept, traced) indices; the full density matrix is never formed. Both
-    sides share evaluate_measure's kernels and equal it bit for bit.
+    (kept, traced) indices; the full density matrix is never formed, and
+    only the amplitudes are checked. Both sides share evaluate_measure's
+    kernels and equal it bit for bit.
     """
-    dims = tuple(_integer(d, "each entry of dims") for d in dims)
-    party_a = _check_residual_args(dims, measure, alpha, party_a)
-    split = SubsystemLayout(dims, party_a)
+    _check_residual_args(layout, measure, alpha)
     amps = np.asarray(amplitudes, dtype=complex)
-    if amps.ndim != 2 or amps.shape[1] != split.dim:
-        raise ValueError(f"amplitudes must have shape (n, {split.dim}), got {amps.shape}")
-    lam = schmidt_decompose(amps, split)
+    if amps.ndim != 2 or amps.shape[1] != layout.dim:
+        raise ValueError(f"amplitudes must have shape (n, {layout.dim}), got {amps.shape}")
+    lam = schmidt_decompose(amps, layout)
     lhs = _from_negativity(_clamped_negativity(_schmidt_trace_norm(lam)), measure, alpha)
-
-    rhs = np.empty((amps.shape[0], len(split.party_b)))
-    for j, b in enumerate(split.party_b):
+    dims, party_a = layout.dims, layout.party_a
+    rhs = np.empty((amps.shape[0], len(layout.party_b)))
+    for j, b in enumerate(layout.party_b):
         keep = sorted(party_a + (b,))
         m = group_subsystems(amps, dims, keep)
-        rho = require_unit_density(m @ m.conj().transpose(0, 2, 1), "reduced state")
+        # Not checked again: the Gram matrix of amplitudes require_normalized
+        # accepted is finite, Hermitian up to rounding (eigvalsh reads one
+        # triangle) and of trace |psi|^2; a check could only refuse rounding.
+        rho = m @ m.conj().transpose(0, 2, 1)
         pair = SubsystemLayout([dims[i] for i in keep], [keep.index(i) for i in party_a])
         t = _trace_norm_blocks(partial_transpose(rho, pair))
         rhs[:, j] = _from_negativity(_clamped_negativity(t), measure, alpha)
@@ -137,11 +137,10 @@ def ckw_residual(psi: PureState, measure: str = "ratio", alpha: float = 1.0,
     """
     if isinstance(psi, DensityMatrix):
         raise ValueError("mixed multipartite states are unsupported (convex roof out of scope)")
-    dims = psi.layout.dims
-    party_a = _check_residual_args(dims, measure, alpha, party_a)
-    lhs, rhs, residual = ckw_residuals(psi.amplitudes[None, :], dims, party_a, measure, alpha)
+    layout = SubsystemLayout(psi.layout.dims, party_a)
+    lhs, rhs, residual = ckw_residuals(psi.amplitudes[None, :], layout, measure, alpha)
     residual = float(residual[0])
-    return MonogamyReport(dims=dims, party_a=party_a, measure=measure, alpha=alpha,
+    return MonogamyReport(dims=layout.dims, party_a=layout.party_a, measure=measure, alpha=alpha,
                           lhs=float(lhs[0]), rhs_terms=tuple(float(v) for v in rhs[0]),
                           residual=residual, satisfied=residual >= -VIOLATION_TOL)
 
@@ -242,15 +241,15 @@ def sample_monogamy_scan(dims, samples: int, alpha: float, seed: int,
     appended to the sample set. Unsupported dims families still run but
     the report carries a warning.
     """
-    dims = tuple(_integer(d, "each entry of dims") for d in dims)
+    layout = SubsystemLayout(dims, (0,))
+    dims = layout.dims
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     require_tolerance(violation_tol, "violation_tol")
-    layout = SubsystemLayout(dims, (0,))
     if layout.dim > _MAX_SCAN_DIM:
         raise ValueError(f"dims {dims} give a state of dimension {layout.dim}; a scan draws "
                          f"states of dimension at most {_MAX_SCAN_DIM}")
-    _check_residual_args(dims, "ratio", alpha, (0,))
+    _check_residual_args(layout, "ratio", alpha)
     covered = family_supported(dims)
 
     pair = dims[0] * max(dims[1:])
@@ -258,7 +257,7 @@ def sample_monogamy_scan(dims, samples: int, alpha: float, seed: int,
     residuals = []
     for start in range(0, samples, rows):
         amps = haar_amplitude_rows(layout.dim, seed, range(start, min(start + rows, samples)))
-        residuals.append(ckw_residuals(amps, dims, (0,), "ratio", alpha)[2])
+        residuals.append(ckw_residuals(amps, layout, "ratio", alpha)[2])
     if dims == (2, 2, 2):
         residuals.append([ckw_residual(ckw_violation_state(), "ratio", alpha, (0,)).residual])
 

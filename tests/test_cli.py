@@ -12,6 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from qchain import repro
 from qchain.cli import EXIT_IO, EXIT_MEMORY, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from qchain.gaussian import CM_MAX_R
 from qchain.groupop import LAW_REGISTRY
@@ -376,6 +377,16 @@ class TestReproCommand:
     def test_unknown_fixture(self):
         assert main(["repro", "--only", "does-not-exist"]) == EXIT_VALIDATION
 
+    def test_failing_fixture_exits_3_and_names_the_check(self, tmp_path, monkeypatch, capsys):
+        broken = repro.Fixture("broken", (repro.Check("off by one", "close", 2.0, 1.0, 0.0),))
+        monkeypatch.setattr(repro, "FIXTURES", {"broken": lambda: broken})
+        out = tmp_path / "repro.json"
+        assert main(["repro", "--output", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "[FAIL] broken" in err
+        assert "off by one: computed 2.0, expected 1.0 (tol 0.0)" in err
+        assert load_report(out)["result"]["all_pass"] is False
+
 
 class TestExitCodesAndDeterminism:
     def test_missing_file_is_io_error(self):
@@ -389,6 +400,13 @@ class TestExitCodesAndDeterminism:
     def test_bad_usage_is_validation_error(self, capsys):
         assert main(["measure"]) == EXIT_VALIDATION
         capsys.readouterr()
+
+    def test_report_goes_to_stdout_without_output(self, bell_file, capsys):
+        assert main(["measure", "--input", bell_file]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["command"] == "measure"
+        assert [m["measure"] for m in report["result"]["measures"]] == \
+            ["negativity", "log_negativity", "ratio"]
 
     def test_unwritable_output_is_io_error(self, bell_file):
         assert main(["measure", "--input", bell_file,
@@ -414,6 +432,11 @@ class TestFormatFlag:
 
 
 class TestMeasureInputChecks:
+    def test_unknown_state_kind(self, tmp_path, capsys):
+        path = write_json(tmp_path / "state.json", {"kind": "bogus"})
+        assert main(["measure", "--input", path]) == EXIT_VALIDATION
+        assert "unknown state kind 'bogus'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("extra", [[], ["--cutoff", "5"]])
     def test_json_list_input_rejected(self, tmp_path, extra, capsys):
         path = write_json(tmp_path / "list.json", [1, 2])
@@ -473,7 +496,7 @@ def test_monogamy_twelve_qubits_run(tmp_path):
     assert load_report(out)["result"]["scan"]["samples"] == 2
 
 
-BAD_NUMBERS = ["nan", "inf", "-1"]
+BAD_NUMBERS = ["nan", "inf", "-1", "abc"]
 
 
 @pytest.mark.parametrize("value", BAD_NUMBERS)
@@ -511,6 +534,12 @@ class TestFinitePositiveFlags:
     def test_gaussian_r(self, value, capsys):
         assert main(["gaussian", f"--r={value}"]) == EXIT_VALIDATION
         assert "--r" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dims", ["2,2.5,2", "2,,2"])
+def test_monogamy_dims_must_be_integers(dims, capsys):
+    assert main(["monogamy", "--dims", dims, "--samples", "5"]) == EXIT_VALIDATION
+    assert "--dims" in capsys.readouterr().err
 
 
 class TestTolPsdReachesPsdCheck:
@@ -690,6 +719,8 @@ class TestChainRefusals:
          "end-to-end value of 2 links, 0.0, lies below the normal float64 range"),
         ({"kind": "tmsvs", "links": [{"r": 1e-200}, {"r": 1e-200}], "alpha": 0.5},
          "product of tanh r over 2 links, 0.0, lies below the normal float64 range"),
+        ({"kind": "qubit", "links": []}, "links must be a non-empty list or {identical, count}"),
+        ({"kind": "qubit", "links": 5}, "links must be a non-empty list or {identical, count}"),
     ])
     def test_refused(self, tmp_path, command, doc, message, capsys):
         path = write_json(tmp_path / "chain.json", doc)

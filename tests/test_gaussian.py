@@ -252,6 +252,11 @@ class TestCmRatioNegativity:
         with pytest.raises(ValueError, match="2 modes"):
             cm_ratio_negativity(CovarianceMatrix(np.eye(6)))
 
+    def test_rejects_an_uncertainty_violation(self):
+        # 0.5 I is symmetric and positive definite, but below the vacuum.
+        with pytest.raises(ValueError, match="invalid covariance matrix: uncertainty relation violated"):
+            cm_ratio_negativity(CovarianceMatrix(0.5 * np.eye(4)))
+
 
 class TestLossyTwoModeStates:
     """A two-mode squeezed vacuum with loss on mode B is mixed; its dense

@@ -365,6 +365,8 @@ class TestScp:
     def test_rejects_qudit_input(self):
         with pytest.raises(ValueError):
             scp_pure_qubit([0.5, 0.3, 0.2])
+        with pytest.raises(ValueError, match="needs a 2-qubit pure state"):
+            evaluate_measure(MeasureSpec("scp"), random_haar_pure(SubsystemLayout((2, 3), (0,)), 1))
 
 
 class TestPpt:
@@ -504,6 +506,10 @@ class TestOneTraceNormPerValue:
     def test_invalid_custom_f_rejected_at_spec(self):
         with pytest.raises(ValueError, match="invalid f"):
             MeasureSpec("custom_f", f=lambda x: -x)
+        with pytest.raises(ValueError, match="custom_f requires a function handle"):
+            MeasureSpec("custom_f")
+        with pytest.raises(ValueError, match=re.escape("invalid f for f-negativity: f(0.0) is not finite")):
+            MeasureSpec("custom_f", f=lambda x: x if x else math.nan)
 
 
 def _count_calls(monkeypatch, owner, names):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -180,6 +181,12 @@ class TestCkwResidual:
         with pytest.raises(ValueError, match="negativity-based"):
             ckw_residual(ckw_violation_state(), "concurrence", 1.0, (0,))
 
+    def test_amplitude_shape_checked(self):
+        layout = SubsystemLayout((2, 2, 2), (0,))
+        for amps in (ckw_violation_state().amplitudes, np.zeros((1, 4))):
+            with pytest.raises(ValueError, match=r"amplitudes must have shape \(n, 8\)"):
+                monogamy.ckw_residuals(amps, layout)
+
     def test_reduced_states_respect_qubit_bound(self):
         # Any 2 x d state has negativity at most 1/2.
         for i in range(60):
@@ -348,6 +355,16 @@ class TestScan:
         threaded = sample_monogamy_scan((2, 2, 2), 64, 3.2, seed=9)
         assert base == threaded
 
+    def test_witness_residual_read_through_the_module(self, monkeypatch):
+        # perfbench/selfcheck.py injects its scan fault by patching
+        # monogamy.ckw_residual; the (2, 2, 2) witness must go through it.
+        original = monogamy.ckw_residual
+        monkeypatch.setattr(monogamy, "ckw_residual",
+                            lambda *args: dataclasses.replace(original(*args), residual=-1.0))
+        report = sample_monogamy_scan((2, 2, 2), 50, alpha_threshold(), seed=7)
+        assert report.min_residual == -1.0
+        assert report.violation_count == 1
+
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             sample_monogamy_scan((2, 2, 2), 0, 1.0, seed=1)
@@ -466,7 +483,7 @@ def test_party_a_follows_the_layout_rule(party_a, message):
     with pytest.raises(ValueError, match=message):
         ckw_residual(ckw_violation_state(), "ratio", 1.0, party_a)
     with pytest.raises(ValueError, match=message):
-        monogamy.ckw_residuals(ckw_violation_state().amplitudes[None, :], (2, 2, 2), party_a)
+        monogamy.ckw_residuals(ckw_violation_state().amplitudes[None, :], SubsystemLayout((2, 2, 2), party_a))
 
 
 def test_party_a_is_sorted_without_repeats():

@@ -84,6 +84,7 @@ class TestPureFromSchmidt:
         ([0.5, 0.6], (2, 2)),       # does not sum to 1
         ([0.5, 0.5, 0.0], (2, 2)),  # too many coefficients, zero entry
         ([1.5, -0.5], (2, 2)),      # negative entry
+        ([0.5, 0.5], (2, 2, 7)),    # more than two parties
     ])
     def test_rejects_invalid(self, lam, dims):
         with pytest.raises(ValueError):
@@ -178,6 +179,10 @@ class TestTmsvs:
     def test_cutoff_for_amplitude_tail_refuses_chi_outside_unit_interval(self, chi):
         with pytest.raises(ValueError, match="chi must lie in"):
             cutoff_for_amplitude_tail(chi, 1e-10)
+
+    def test_cutoff_for_amplitude_tail_refuses_tail_outside_unit_interval(self):
+        with pytest.raises(ValueError, match=re.escape("tail must lie in (0, 1)")):
+            cutoff_for_amplitude_tail(0.5, 1.5)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -305,30 +310,63 @@ class TestRandomStates:
         assert calls == [(9, 0)]
 
 
+def scaled_pair_and_triple(k):
+    """A qubit pair's and three qubits' amplitudes with |psi|^2 = 1 + k TRACE_TOL."""
+    scale = math.sqrt(1.0 + k * TRACE_TOL)
+    amps = np.array([0.5, 0.1, 0.1, 0.3, 0.2, 0.4, 0.1, 0.2])
+    return np.array([0.6, 0, 0, 0.8]) * scale, amps / np.linalg.norm(amps) * scale
+
+
 class TestValidation:
     def test_pure_state_norm_enforced(self):
         with pytest.raises(ValueError, match="normalized"):
             PureState(np.array([1.0, 1.0, 0, 0]), QUBIT_PAIR)
 
-    @pytest.mark.parametrize("k", [0.9, -0.9])
-    def test_accepted_weight_passes_every_path(self, k):
-        # One unit-weight rule: a state the constructor accepts also passes
-        # the trace and Schmidt-sum checks of every later path.
-        scale = math.sqrt(1.0 + k * TRACE_TOL)
-        pair = PureState(np.array([0.6, 0, 0, 0.8]) * scale, QUBIT_PAIR)
-        for kind in ("negativity", "concurrence", "g_concurrence", "scp"):
-            evaluate_measure(MeasureSpec(kind), pair)
-        pair.density_matrix()
-        amps = np.array([0.5, 0.1, 0.1, 0.3, 0.2, 0.4, 0.1, 0.2])
-        triple = PureState(amps / np.linalg.norm(amps) * scale, SubsystemLayout((2, 2, 2), (0,)))
-        triple.density_matrix()
-        ckw_residual(triple)
+    # Seeded Haar vectors rescaled to |psi|^2 = 1 - ~1e-10: the constructor
+    # accepts them, and the sums derived from them round past TRACE_TOL.
+    EDGE_PAIR = [0.7776395623094285, 0, 0, 0.6287103554349973]
+    EDGE_TRIPLE = [0.08821050716464708 - 0.08655247758301116j, 0.2546806116788151 - 0.04475088806673275j,
+                   -0.37471194592565565 + 0.0011970622906195406j, -0.4653806049803227 + 0.3091602272880877j,
+                   0.14348078052294935 + 0.15079858257074366j, -0.22526654814572858 - 0.33365950318557086j,
+                   -0.11754939868031437 - 0.06106946265075878j, 0.40980554474460923 - 0.27277194949190325j]
+
+    @pytest.mark.parametrize("pair,triple", [
+        pytest.param(*scaled_pair_and_triple(0.9), id="0.9"),
+        pytest.param(*scaled_pair_and_triple(-0.9), id="-0.9"),
+        pytest.param(EDGE_PAIR, None, id="edge_pair"),
+        pytest.param(None, EDGE_TRIPLE, id="edge_triple"),
+    ])
+    def test_accepted_weight_passes_every_path(self, pair, triple):
+        # A state the constructor accepts passes every later path. Only its
+        # amplitudes are checked: Schmidt coefficients and reduced states
+        # derived from them are not checked again, as their sums round
+        # differently (g_concurrence refused EDGE_PAIR, and ckw_residual
+        # EDGE_TRIPLE, when they were).
+        if pair is not None:
+            pair = PureState(np.array(pair), QUBIT_PAIR)
+            for kind in ("negativity", "concurrence", "g_concurrence", "scp"):
+                evaluate_measure(MeasureSpec(kind), pair)
+            pair.density_matrix()
+        if triple is not None:
+            triple = PureState(np.array(triple), SubsystemLayout((2, 2, 2), (0,)))
+            triple.density_matrix()
+            ckw_residual(triple)
 
     @pytest.mark.parametrize("k", [1.1, -1.1])
     def test_weight_beyond_trace_tol_is_refused(self, k):
         amps = np.array([0.6, 0, 0, 0.8]) * math.sqrt(1.0 + k * TRACE_TOL)
         with pytest.raises(ValueError, match=r"not normalized: \|psi\|\^2 = "):
             PureState(amps, QUBIT_PAIR)
+
+    def test_amplitude_count_must_match_layout(self):
+        with pytest.raises(ValueError, match="amplitude count 3 != layout dimension 4"):
+            PureState(np.array([0.6, 0.0, 0.8]), QUBIT_PAIR)
+
+    def test_negative_truncation_deficit_refused(self):
+        with pytest.raises(ValueError, match="truncation_deficit must be >= 0"):
+            PureState(bell_state().amplitudes, QUBIT_PAIR, -1e-3)
+        with pytest.raises(ValueError, match="truncation_deficit must be >= 0"):
+            DensityMatrix(np.eye(4) / 4, QUBIT_PAIR, -1e-3)
 
     def test_density_matrix_trace_enforced(self):
         with pytest.raises(ValueError, match="trace"):
@@ -446,6 +484,15 @@ class TestKrausBranches:
         message = f"Kraus operator 0 has shape {op.shape}; the state has dimension 4"
         with pytest.raises(ValueError, match=re.escape(message)):
             apply_kraus_branches(bell_state(), [op])
+
+    def test_zero_probability_branch_left_out(self):
+        # |00> measured on qubit 0: the outcome 1 has probability 0.
+        p0 = kron(np.diag([1.0, 0.0]), np.eye(2))
+        p1 = kron(np.diag([0.0, 1.0]), np.eye(2))
+        ket00 = PureState(np.array([1.0, 0.0, 0.0, 0.0]), QUBIT_PAIR)
+        [(p, out)] = apply_kraus_branches(ket00, [p0, p1])
+        assert p == 1.0
+        assert np.array_equal(out.matrix, ket00.density_matrix().matrix)
 
     def test_projective_measurement_on_bell(self):
         p0 = kron(np.diag([1.0, 0.0]).astype(complex), np.eye(2))

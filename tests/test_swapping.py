@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import sys
 
 import numpy as np
@@ -16,6 +17,7 @@ from qchain.measures import (
 )
 from qchain.states import TmsvsSpec, pure_from_schmidt, substream, tmsvs_truncated
 from qchain.swapping import (
+    LinkResource,
     chain_compose,
     chain_fock_crosscheck,
     chain_prefixes,
@@ -386,6 +388,18 @@ class TestLinkValidation:
             qubit_link()
         with pytest.raises(ValueError):
             qubit_link(lam=(0.5, 0.5), concurrence=0.5)
+        with pytest.raises(ValueError, match="give exactly one of lam or g_concurrence"):
+            qudit_link()
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: LinkResource("mixed", native_value=0.5), "unknown link kind 'mixed'"),
+        (lambda: LinkResource("qubit_pure", native_value=1.5),
+         "native measure value must lie in [0, 1], got 1.5"),
+        (lambda: chain_compose([]), "chain must have at least one link"),
+    ], ids=["unknown_kind", "value_above_one", "empty_chain"])
+    def test_malformed_link_or_chain_refused(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
     def test_measure_value_dispatch(self):
         link = tmsvs_link(0.5)

@@ -453,6 +453,10 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(BELL_DM, QUBIT_PAIR, keep=[])
 
+    def test_keep_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match=r"keep indices \[2\] out of range"):
+            partial_trace(BELL_DM, QUBIT_PAIR, keep=(2,))
+
 
 class TestIntegerArguments:
     """Integer arguments are refused by name, not truncated: each of these
