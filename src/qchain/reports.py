@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .gaussian import CovarianceMatrix
 from .measures import _check_alpha
-from .states import PSD_TOL, DensityMatrix, PureState, TmsvsSpec, _hand_over, tmsvs_truncated
+from .states import PSD_TOL, DensityMatrix, PureState, TmsvsSpec, _read_density, tmsvs_truncated
 from .swapping import qubit_link, qudit_link, tmsvs_link
 from .tensor import SubsystemLayout
 
@@ -290,9 +290,7 @@ def state_from_json(doc: dict, psd_tol: float = PSD_TOL) -> PureState | DensityM
         amps = _from_pairs(fields["amplitudes"], (layout.dim,), "amplitudes")
         return PureState(amps, layout, deficit)
     mat = _from_pairs(fields["matrix"], (layout.dim, layout.dim), "matrix")
-    state = DensityMatrix(_hand_over(mat), layout, deficit, _trusted=True)
-    state.validate(psd_tol)
-    return state
+    return _read_density(mat, layout, deficit, psd_tol)
 
 
 def read_json(path: str):

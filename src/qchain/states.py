@@ -52,12 +52,29 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _hand_over(a: np.ndarray) -> np.ndarray:
-    """a, which a constructor in this package has just built and keeps no
-    other reference to, set read-only so that a trusted DensityMatrix
-    stores it without a copy."""
-    a.setflags(write=False)
-    return a
+def _storage_dtype(m) -> np.ndarray:
+    """m, or a float64 view of its real part when every imaginary part is 0."""
+    m = _float_or_complex(m)
+    return m.real if np.iscomplexobj(m) and not m.imag.any() else m
+
+
+def _built(matrix, layout: SubsystemLayout, truncation_deficit: float = 0.0) -> "DensityMatrix":
+    """A new array that no caller holds, stored read-only, unchecked and uncopied
+    (a real part's view is copied out): a state this package has just built
+    is Hermitian, unit-trace and PSD, so a check could only refuse rounding."""
+    m = _storage_dtype(matrix)
+    m = m if m.flags.owndata else m.copy()
+    m.setflags(write=False)
+    rho = object.__new__(DensityMatrix)
+    vars(rho).update(matrix=m, layout=layout, truncation_deficit=truncation_deficit)
+    return rho
+
+
+def _read_density(matrix, layout, truncation_deficit, psd_tol: float) -> "DensityMatrix":
+    """A file's new array, checked as a caller's is but at psd_tol, and kept uncopied."""
+    rho = _built(matrix, layout, truncation_deficit)
+    rho._check(psd_tol)
+    return rho
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -94,7 +111,7 @@ class PureState:
         """|psi><psi|; float64 when the amplitudes are all real."""
         a = self.amplitudes
         rho = np.outer(a, a.conj()) if a.imag.any() else np.outer(a.real, a.real)
-        return DensityMatrix(_hand_over(rho), self.layout, self.truncation_deficit, _trusted=True)
+        return _built(rho, self.layout, self.truncation_deficit)
 
     @cached_property
     def schmidt_coefficients(self) -> np.ndarray:
@@ -114,20 +131,16 @@ class DensityMatrix:
     partial transpose and its spectrum) runs in real arithmetic on half
     the bytes; any other matrix is stored as complex128.
 
-    Constructors inside this package produce PSD matrices by construction
-    and skip the PSD check; data from untrusted sources (files) goes
-    through validate(). Every matrix is checked once: its shape, then
-    finiteness and Hermiticity in one walk over upper-triangle strips
-    (tensor.require_hermitian, no n x n temporary), then its trace.
-
-    The stored matrix is read-only and no caller can write to it: a
-    caller's matrix is copied once every check has passed, while an array
-    that a constructor in this package has just built is handed over
-    uncopied (_hand_over). In n x n arrays, an untrusted build holds the input,
-    validate()'s shifted copy and Cholesky's two buffers (numpy's work
-    copy and its output), then the input and the private copy; a measure
-    holds the stored matrix, its partial transpose and eigvalsh's work
-    copy. At n = 4096 complex, each of these arrays is 256 MB.
+    A caller's matrix is checked once: its shape, then finiteness and
+    Hermiticity in one walk over upper-triangle strips (require_hermitian),
+    then its trace, the deficit and validate(); only then is it copied,
+    read-only. In n x n arrays, that build holds the input, validate()'s
+    shifted copy and Cholesky's two buffers (numpy's work copy and its
+    output), then the input and the copy; a measure holds the stored
+    matrix, its partial transpose and eigvalsh's work copy (256 MB each at
+    n = 4096 complex).
+    A state this package builds is stored unchecked and uncopied (_built);
+    a file's matrix is checked at the file's PSD tolerance and not copied.
 
     The partial-transpose trace norm is computed once and kept (the
     matrix is read-only, so it cannot go stale) by the kernel the monogamy
@@ -140,27 +153,20 @@ class DensityMatrix:
     matrix: np.ndarray
     layout: SubsystemLayout
     truncation_deficit: float = 0.0
-    _trusted: bool = False
 
     def __post_init__(self):
-        m = _float_or_complex(self.matrix)
-        if np.iscomplexobj(m) and not m.imag.any():
-            m = m.real
+        object.__setattr__(self, "matrix", _storage_dtype(self.matrix))
+        self._check(PSD_TOL)
+        object.__setattr__(self, "matrix", _freeze(self.matrix))  # after validate()'s buffers are freed
+
+    def _check(self, psd_tol: float) -> None:
+        m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != self.layout.dim:
             raise ValueError(f"density matrix shape {m.shape} incompatible with layout dim {self.layout.dim}")
         require_unit_density(m)
         if self.truncation_deficit < 0:
             raise ValueError("truncation_deficit must be >= 0")
-        if not self._trusted:
-            # validate() checks m before the private copy exists, so its
-            # shifted copy and Cholesky buffers are freed when the copy is made.
-            object.__setattr__(self, "matrix", m)
-            self.validate()
-        # A trusted read-only array that owns its memory was handed over
-        # (_hand_over) and is kept; any other matrix is copied.
-        if not self._trusted or m.flags.writeable or not m.flags.owndata:
-            m = _freeze(m)
-        object.__setattr__(self, "matrix", m)
+        self.validate(psd_tol)
 
     def validate(self, psd_tol: float = PSD_TOL) -> None:
         """Reject a matrix whose smallest eigenvalue is below -psd_tol.
@@ -326,9 +332,7 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
 
 
 def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return substream(int(seed), 0)
+    return seed if isinstance(seed, np.random.Generator) else substream(_integer(seed, "seed"), 0)
 
 
 def random_haar_pure(layout: SubsystemLayout, seed) -> PureState:
@@ -371,8 +375,7 @@ def random_density_matrix(layout: SubsystemLayout, rank: int, seed) -> DensityMa
     g = rng.standard_normal((layout.dim, rank)) + 1j * rng.standard_normal((layout.dim, rank))
     rho = g @ g.conj().T
     rho /= np.real(np.trace(rho))
-    rho = _hermitian_part(rho)
-    return DensityMatrix(_hand_over(rho), layout, _trusted=True)
+    return _built(_hermitian_part(rho), layout)
 
 
 def apply_kraus_branches(state: DensityMatrix | PureState, kraus_ops) -> list[tuple[float, DensityMatrix]]:
@@ -401,6 +404,5 @@ def apply_kraus_branches(state: DensityMatrix | PureState, kraus_ops) -> list[tu
             continue
         out = _hermitian_part(out)
         out /= p
-        branches.append((p, DensityMatrix(_hand_over(out), rho.layout,
-                                          rho.truncation_deficit, _trusted=True)))
+        branches.append((p, _built(out, rho.layout, rho.truncation_deficit)))
     return branches

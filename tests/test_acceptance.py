@@ -97,9 +97,9 @@ def test_criterion_03_swap_multiplicativity():
 
 
 def test_criterion_04_nonconvexity_fixture():
-    rho1 = DensityMatrix(np.diag([0.5, 0, 0, 0.5]).astype(complex), QUBIT_PAIR, _trusted=True)
+    rho1 = DensityMatrix(np.diag([0.5, 0, 0, 0.5]).astype(complex), QUBIT_PAIR)
     rho2 = bell_state().density_matrix()
-    mix = DensityMatrix((rho1.matrix + rho2.matrix) / 2, QUBIT_PAIR, _trusted=True)
+    mix = DensityMatrix((rho1.matrix + rho2.matrix) / 2, QUBIT_PAIR)
     f_mix = math.sqrt(negativity(mix))
     f_avg = (math.sqrt(negativity(rho1)) + math.sqrt(negativity(rho2))) / 2
     assert abs(f_mix - 0.5) < 1e-10
@@ -162,7 +162,7 @@ def test_criterion_10_subadditivity_identity():
         r1 = random_density_matrix(QUBIT_PAIR, 4, substream(1010, 2 * i))
         r2 = random_density_matrix(QUBIT_PAIR, 4, substream(1010, 2 * i + 1))
         chi1, chi2 = ratio_negativity(r1), ratio_negativity(r2)
-        product = DensityMatrix(kron(r1.matrix, r2.matrix), layout, _trusted=True)
+        product = DensityMatrix(kron(r1.matrix, r2.matrix), layout)
         lhs = ratio_negativity(product)
         rhs = (chi1 + chi2) / (1 + chi1 * chi2)
         assert math.isclose(lhs, rhs, rel_tol=1e-8, abs_tol=1e-14)

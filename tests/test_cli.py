@@ -88,7 +88,7 @@ class TestMeasureCommand:
         from qchain.tensor import kron, partial_trace
         ma = partial_trace(dm.matrix, dm.layout, [0])
         mb = partial_trace(dm.matrix, dm.layout, [1])
-        sep = DensityMatrix(kron(ma, mb), dm.layout, _trusted=True)
+        sep = DensityMatrix(kron(ma, mb), dm.layout)
         state = write_json(tmp_path / "sep.json", state_to_json(sep))
         out = tmp_path / "sep_report.json"
         assert main(["measure", "--input", state, "--output", str(out)]) == EXIT_OK
@@ -564,6 +564,40 @@ class TestTolPsdReachesPsdCheck:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             state_from_json(self.DOC)
         assert state_from_json(self.DOC, 1e-6).layout.dims == (2, 2)
+
+
+def _complex_mixed(diag, upper):
+    """[re, im] pairs of a 4 x 4 matrix with the given diagonal and
+    m[0, 1] = upper, m[1, 0] = its conjugate."""
+    m = np.diag(diag).astype(complex)
+    m[0, 1], m[1, 0] = upper, np.conj(upper)
+    return [[float(v.real), float(v.imag)] for v in m.reshape(-1)]
+
+
+_HERMITIAN = _complex_mixed([0.25] * 4, 0.1 + 0.1j)
+_NOT_HERMITIAN = _HERMITIAN[:4] + [[0.1, 0.1]] + _HERMITIAN[5:]
+
+
+@pytest.mark.parametrize("matrix,message", [
+    (_NOT_HERMITIAN, "matrix is not Hermitian within tolerance: defect 2.000e-01 > 1.000e-10"),
+    (_complex_mixed([0.5] * 4, 0.1j), "density matrix trace (2+0j) != 1"),
+    (_complex_mixed([0.25] * 4, complex(0, math.nan)), "density matrix contains non-finite entries"),
+    (_HERMITIAN[:15], "matrix must be a flat row-major list of 16 [re, im] pairs"),
+    (_complex_mixed([0.5 + 1e-9, 0.5, 0.0, -1e-9], 1e-12j),
+     "density matrix has negative eigenvalue -1.000e-09"),
+], ids=["non-Hermitian", "trace", "NaN", "pair count", "non-PSD"])
+@pytest.mark.parametrize("tol", [None, "1e-6"])
+def test_complex_mixed_file_refusal_message(tmp_path, matrix, message, tol, capsys):
+    # A complex file's matrix is checked as a caller's is; only the PSD
+    # check reads --tol-psd, so the looser tolerance accepts that file.
+    doc = {"dims": [2, 2], "partyA": [0], "kind": "mixed", "matrix": matrix}
+    argv = ["measure", "--input", write_json(tmp_path / "state.json", doc),
+            "--output", str(tmp_path / "report.json")]
+    code = main(argv + (["--tol-psd", tol] if tol else []))
+    if tol and "negative eigenvalue" in message:
+        assert code == EXIT_OK
+    else:
+        assert (code, capsys.readouterr().err) == (EXIT_VALIDATION, f"error: {message}\n")
 
 
 class TestInputFileFields:

@@ -48,9 +48,9 @@ def classical_bell_mixture():
     """1/2 rho_classical + 1/2 Bell, the standard nonconvexity witness."""
     rho1 = np.diag([0.5, 0, 0, 0.5]).astype(complex)
     bell = bell_state().density_matrix().matrix
-    return (DensityMatrix(rho1, QUBIT_PAIR, _trusted=True),
-            DensityMatrix(bell, QUBIT_PAIR, _trusted=True),
-            DensityMatrix((rho1 + bell) / 2, QUBIT_PAIR, _trusted=True))
+    return (DensityMatrix(rho1, QUBIT_PAIR),
+            DensityMatrix(bell, QUBIT_PAIR),
+            DensityMatrix((rho1 + bell) / 2, QUBIT_PAIR))
 
 
 class TestNegativity:
@@ -233,7 +233,7 @@ class TestRatioNegativity:
         psi = ckw_violation_state()
         rho = psi.density_matrix()
         reduced = partial_trace(rho.matrix, psi.layout, keep=[0, 1])
-        dm = DensityMatrix(reduced, QUBIT_PAIR, _trusted=True)
+        dm = DensityMatrix(reduced, QUBIT_PAIR)
         assert abs(ratio_negativity(dm) - 0.2) < 1e-10
 
     def test_tmsvs_equals_tanh_r(self):
@@ -387,7 +387,7 @@ class TestPpt:
             rho += kron(np.outer(a, a.conj()) / np.vdot(a, a).real,
                         np.outer(b, b.conj()) / np.vdot(b, b).real)
         rho /= np.real(np.trace(rho))
-        assert negativity(DensityMatrix(rho, QUBIT_PAIR, _trusted=True)) == 0.0
+        assert negativity(DensityMatrix(rho, QUBIT_PAIR)) == 0.0
 
 
 class TestTensorComposition:
@@ -397,7 +397,7 @@ class TestTensorComposition:
             r1 = random_density_matrix(QUBIT_PAIR, 4, substream(18, 2 * i))
             r2 = random_density_matrix(QUBIT_PAIR, 4, substream(18, 2 * i + 1))
             chi1, chi2 = ratio_negativity(r1), ratio_negativity(r2)
-            product = DensityMatrix(kron(r1.matrix, r2.matrix), layout, _trusted=True)
+            product = DensityMatrix(kron(r1.matrix, r2.matrix), layout)
             lhs = ratio_negativity(product)
             rhs = (chi1 + chi2) / (1 + chi1 * chi2)
             assert math.isclose(lhs, rhs, rel_tol=1e-8, abs_tol=1e-14)
@@ -411,7 +411,7 @@ class TestTensorComposition:
                   for lam in ([0.9, 0.1], [0.7, 0.3], [0.5, 0.5])]
         chis = [ratio_negativity(s) for s in states]
         big = kron(kron(states[0].matrix, states[1].matrix), states[2].matrix)
-        dense = ratio_negativity(DensityMatrix(big, layout, _trusted=True))
+        dense = ratio_negativity(DensityMatrix(big, layout))
         assert abs(dense - compose_ratio_tensor(chis)) < 1e-7
 
     def test_compose_ratio_validates_range(self):
@@ -707,7 +707,7 @@ def test_odds_product_rule_on_dense_tensor_products(pair):
     # A on the first factor of each state: (a1, b1, a2, b2), party A = (0, 2).
     r1, r2 = pair
     layout = SubsystemLayout(r1.layout.dims + r2.layout.dims, (0, 2))
-    product = DensityMatrix(kron(r1.matrix, r2.matrix), layout, _trusted=True)
+    product = DensityMatrix(kron(r1.matrix, r2.matrix), layout)
     chis = [ratio_negativity(r1), ratio_negativity(r2)]
     assert abs(ratio_negativity(product) - compose_ratio_tensor(chis)) < 1e-10
 

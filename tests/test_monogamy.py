@@ -164,7 +164,7 @@ class TestCkwResidual:
                     keep = sorted(party_a + (b,))
                     m = group_subsystems(psi.amplitudes, dims, keep)
                     pair = SubsystemLayout([dims[i] for i in keep], [keep.index(i) for i in party_a])
-                    reduced = DensityMatrix(m @ m.conj().T, pair, _trusted=True)
+                    reduced = DensityMatrix(m @ m.conj().T, pair)
                     assert term == evaluate_measure(MeasureSpec(measure), reduced).value
 
     def test_mixed_input_rejected(self):
@@ -194,7 +194,7 @@ class TestCkwResidual:
             rho = psi.density_matrix()
             for keep, kept_dims in ([ (0, 1), (2, 2)], [(0, 2), (2, 4)]):
                 reduced = partial_trace(rho.matrix, psi.layout, keep=keep)
-                dm = DensityMatrix(reduced, SubsystemLayout(kept_dims, (0,)), _trusted=True)
+                dm = DensityMatrix(reduced, SubsystemLayout(kept_dims, (0,)))
                 assert negativity(dm) <= 0.5 + 1e-9
 
 
@@ -449,7 +449,7 @@ def test_amplitude_marginals_match_dense_route(split, seed, measure, alpha):
     for b in layout.party_b:
         keep = sorted(set(party_a) | {b})
         pair = SubsystemLayout([dims[i] for i in keep], [keep.index(i) for i in party_a])
-        dm = DensityMatrix(partial_trace(rho, psi.layout, keep), pair, _trusted=True)
+        dm = DensityMatrix(partial_trace(rho, psi.layout, keep), pair)
         terms.append(powered(negativity(dm)))
     assert abs(report.lhs - lhs) < 1e-12
     assert len(report.rhs_terms) == len(terms)

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from qchain import states
 from qchain.groupop import CompositionLaw, check_group_operation
-from qchain.measures import MeasureSpec, evaluate_measure, ratio_negativity
+from qchain.measures import MeasureSpec, evaluate_measure, negativity, ratio_negativity
 from qchain.monogamy import ckw_residual, sample_monogamy_scan
 from qchain.reports import state_from_json, state_to_json
+from qchain.swapping import chain_fock_crosscheck
 from qchain.states import (
     PSD_TOL,
     DensityMatrix,
@@ -269,6 +270,23 @@ class TestRandomStates:
         assert got.dtype == want.dtype and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("build,seed", [
+        (random_haar_pure, 2.7), (random_haar_pure, True),
+        (lambda layout, seed: random_density_matrix(layout, 2, seed), 3.9),
+    ], ids=["haar-2.7", "haar-True", "wishart-3.9"])
+    def test_non_integer_seed_refused(self, build, seed):
+        # Each was truncated by int(): 2.7 gave seed 2, True seed 1, 3.9 seed 3.
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+            build(QUBIT_PAIR, seed)
+
+    def test_numpy_integer_and_generator_seeds_accepted(self):
+        want = random_haar_pure(QUBIT_PAIR, 2).amplitudes
+        assert np.array_equal(random_haar_pure(QUBIT_PAIR, np.int64(2)).amplitudes, want)
+        assert np.array_equal(random_haar_pure(QUBIT_PAIR, substream(2, 0)).amplitudes, want)
+        want = random_density_matrix(QUBIT_PAIR, 2, 3).matrix
+        assert np.array_equal(random_density_matrix(QUBIT_PAIR, 2, np.uint32(3)).matrix, want)
+        assert np.array_equal(random_density_matrix(QUBIT_PAIR, 2, substream(3, 0)).matrix, want)
+
     def test_rank_bounds(self):
         with pytest.raises(ValueError):
             random_density_matrix(QUBIT_PAIR, rank=0, seed=1)
@@ -317,6 +335,33 @@ def scaled_pair_and_triple(k):
     return np.array([0.6, 0, 0, 0.8]) * scale, amps / np.linalg.norm(amps) * scale
 
 
+QUTRIT_PAIR = SubsystemLayout((3, 3), (0,))
+# A local filter on party A of a 3 x 3 state, as two Kraus operators.
+QUTRIT_FILTERS = [kron(np.diag(np.sqrt(w)), np.eye(3)) for w in ([0.8, 0.2, 0.5], [0.2, 0.8, 0.5])]
+
+
+def edge_qutrit_pair(index, weight, seed=101):
+    """Haar amplitudes on 3 x 3 from substream(seed, index), rescaled to
+    |psi|^2 = 1 + weight TRACE_TOL."""
+    amps = random_haar_pure(QUTRIT_PAIR, substream(seed, index)).amplitudes
+    return PureState(amps * math.sqrt(1.0 + weight * TRACE_TOL), QUTRIT_PAIR)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), index=st.integers(0, 2**16), weight=st.floats(-1.0, 1.0))
+@example(seed=101, index=1, weight=1.0)
+@example(seed=101, index=41, weight=-1.0)
+def test_accepted_amplitudes_build_every_density_matrix(seed, index, weight):
+    """Whenever PureState accepts amplitudes within TRACE_TOL of unit
+    weight, their density matrix and a Kraus split both build."""
+    try:
+        psi = edge_qutrit_pair(index, weight, seed)
+    except ValueError:
+        assume(False)
+    assert psi.density_matrix().layout == QUTRIT_PAIR
+    assert len(apply_kraus_branches(psi, QUTRIT_FILTERS)) == 2
+
+
 class TestValidation:
     def test_pure_state_norm_enforced(self):
         with pytest.raises(ValueError, match="normalized"):
@@ -351,6 +396,20 @@ class TestValidation:
             triple = PureState(np.array(triple), SubsystemLayout((2, 2, 2), (0,)))
             triple.density_matrix()
             ckw_residual(triple)
+
+    @pytest.mark.parametrize("index,sign,value", [(1, 1, 0.6192480779780176),
+                                                  (41, -1, 0.4145767107183075)])
+    def test_edge_weight_builds_a_density_matrix(self, index, sign, value):
+        # Haar 3 x 3 amplitudes at |psi|^2 = 1 +- 1e-10: the constructor
+        # accepts them, and the trace of |psi><psi| rounds past TRACE_TOL
+        # (1.0000000001 and 0.9999999999), so checking it again refused them.
+        psi = edge_qutrit_pair(index, sign)
+        assert abs(negativity(psi) - value) < 1e-12
+        rho = psi.density_matrix()
+        assert abs(np.trace(rho.matrix) - 1.0) > TRACE_TOL
+        assert negativity(rho) == pytest.approx(negativity(psi), abs=1e-9)
+        branches = apply_kraus_branches(psi, QUTRIT_FILTERS)
+        assert len(branches) == 2 and abs(sum(p for p, _ in branches) - 1.0) < 1e-9
 
     @pytest.mark.parametrize("k", [1.1, -1.1])
     def test_weight_beyond_trace_tol_is_refused(self, k):
@@ -436,7 +495,7 @@ def test_cholesky_check_matches_eigenvalue_rule(d, k, log_tol, seed):
     rho = (rho + rho.conj().T) / 2
     smallest = np.linalg.eigvalsh(rho)[0]
     assume(abs(smallest + tol) >= 1e-3 * tol)
-    dm = DensityMatrix(rho, SubsystemLayout((2, d), (0,)), _trusted=True)
+    dm = states._built(rho, SubsystemLayout((2, d), (0,)))
     try:
         dm.validate(tol)
         accepted = True
@@ -560,6 +619,53 @@ def test_untrusted_density_matrix_is_checked_once(monkeypatch):
     assert all(math.isfinite(v) for v in values)
 
 
+class TestChecksRunOnce:
+    """A state this package builds is not checked; a caller's matrix and a
+    file's are each checked once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        unit, validate = states.require_unit_density, DensityMatrix.validate
+
+        def counting_unit(m, *args):
+            calls.append("require_unit_density")
+            return unit(m, *args)
+
+        def counting_validate(self, psd_tol=PSD_TOL):
+            calls.append(("validate", psd_tol))
+            return validate(self, psd_tol)
+
+        monkeypatch.setattr(states, "require_unit_density", counting_unit)
+        monkeypatch.setattr(DensityMatrix, "validate", counting_validate)
+        return calls
+
+    @pytest.mark.parametrize("build", [
+        lambda: random_density_matrix(SubsystemLayout((4, 4), (0,)), 3, seed=1),
+        lambda: random_haar_pure(QUTRIT_PAIR, 5).density_matrix(),
+        lambda: tmsvs_truncated(TmsvsSpec.from_r(0.5, cutoff=6)).density_matrix(),
+        lambda: apply_kraus_branches(random_haar_pure(QUTRIT_PAIR, 5), QUTRIT_FILTERS),
+        lambda: apply_kraus_branches(random_density_matrix(QUTRIT_PAIR, 2, seed=2), QUTRIT_FILTERS),
+        lambda: chain_fock_crosscheck(0.5, 5, 40),
+    ], ids=["wishart", "complex_pure", "real_pure", "kraus_pure", "kraus_mixed", "fock"])
+    def test_package_built_states_are_not_checked(self, calls, build):
+        build()
+        assert calls == []
+
+    def test_public_constructor_checks_once(self, calls):
+        m = random_density_matrix(QUTRIT_PAIR, 3, seed=4).matrix
+        calls.clear()
+        DensityMatrix(m, QUTRIT_PAIR)
+        assert calls == ["require_unit_density", ("validate", PSD_TOL)]
+
+    @pytest.mark.parametrize("psd_tol", [PSD_TOL, 1e-6])
+    def test_file_matrix_checked_once_at_its_tolerance(self, calls, psd_tol):
+        doc = state_to_json(random_density_matrix(QUTRIT_PAIR, 3, seed=4))
+        calls.clear()
+        state_from_json(doc, psd_tol)
+        assert calls == ["require_unit_density", ("validate", psd_tol)]
+
+
 def traced_peak(build):
     """(result of build(), tracemalloc peak of the call in bytes)."""
     tracemalloc.start()
@@ -593,18 +699,27 @@ class TestStoredMatrix:
         # The outer product and the check's strip temporaries.
         assert peak <= 1.2 * dm.matrix.nbytes
 
+    # trusted: the matrix goes to the private constructor (states._built)
+    # that stores the package's own states, not to the public one.
     @pytest.mark.parametrize("trusted", [False, True])
     @pytest.mark.parametrize("real", [False, True])
     def test_writing_to_the_callers_array_changes_nothing(self, trusted, real):
         layout = SubsystemLayout((4, 4), (0,))
         if real:
             m = tmsvs_truncated(TmsvsSpec.from_r(0.5, cutoff=3)).density_matrix().matrix
-            m = m.astype(complex)  # stored through its real view
+            m = m.astype(complex)  # stored as a float64 copy of its real part
         else:
             m = self.caller_matrix(layout)
         kept = m.copy()
-        dm = DensityMatrix(m, layout, _trusted=trusted)
-        m[...] = np.eye(16) / 16
+        dm = (states._built if trusted else DensityMatrix)(m, layout)
+        if trusted and not real:
+            # The private constructor keeps the array itself and sets it
+            # read-only, so it cannot be written through either name.
+            assert dm.matrix is m
+            with pytest.raises(ValueError, match="read-only"):
+                m[...] = np.eye(16) / 16
+        else:
+            m[...] = np.eye(16) / 16
         assert np.array_equal(dm.matrix, kept)
         assert dm._pt_trace_norm == DensityMatrix(kept, layout)._pt_trace_norm > 1
 
@@ -613,8 +728,9 @@ class TestStoredMatrix:
         m = self.caller_matrix()
         view = m.view()
         view.setflags(write=False)
-        dm = DensityMatrix(view, self.LAYOUT, _trusted=trusted)
+        dm = (states._built if trusted else DensityMatrix)(view, self.LAYOUT)
         assert not np.shares_memory(dm.matrix, m)
+        assert np.array_equal(dm.matrix, m) and dm.matrix.flags.c_contiguous
 
     @pytest.mark.parametrize("trusted", [False, True])
     def test_transposed_complex_matrix_builds(self, trusted):
@@ -622,7 +738,7 @@ class TestStoredMatrix:
         layout = SubsystemLayout((2, 3), (0,))
         m = random_density_matrix(layout, 3, seed=6).matrix.T
         assert np.iscomplexobj(m) and not m.flags.c_contiguous
-        dm = DensityMatrix(m, layout, _trusted=trusted)
+        dm = (states._built if trusted else DensityMatrix)(m, layout)
         ref = DensityMatrix(np.ascontiguousarray(m), layout)
         assert np.array_equal(dm.matrix, ref.matrix)
         assert ratio_negativity(dm) == ratio_negativity(ref) > 0
@@ -648,7 +764,7 @@ class TestStoredMatrix:
         lambda: apply_kraus_branches(bell_state(), [np.eye(4)])[0][1],
         lambda: state_from_json(state_to_json(random_density_matrix(QUBIT_PAIR, 3, seed=1))),
         lambda: DensityMatrix(np.eye(4) / 4, QUBIT_PAIR),
-        lambda: DensityMatrix(np.eye(4, dtype=complex) / 4, QUBIT_PAIR, _trusted=True),
+        lambda: states._built(np.eye(4, dtype=complex) / 4, QUBIT_PAIR),
     ], ids=["wishart", "real_pure", "complex_pure", "kraus", "file", "untrusted", "trusted"])
     def test_stored_matrix_is_read_only(self, build):
         dm = build()
