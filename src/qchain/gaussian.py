@@ -16,8 +16,9 @@ symplectic eigenvalue nu_min of the momentum-flipped matrix (Vidal and
 Werner, PRA 65, 032314 (2002)). Multimode negativities are out of scope.
 States are zero-mean: no quantity here depends on first moments, so none
 are stored. Functions take a CovarianceMatrix, the one check of shape,
-finiteness and symmetry; validate_cm then reads only the uncertainty
-relation and symplectic_eigenvalues only positive definiteness.
+finiteness and symmetry; validate_cm then checks only the uncertainty
+relation and symplectic_eigenvalues only positive definiteness. Each
+check raises a ValueError that names the fault.
 """
 
 from __future__ import annotations
@@ -66,20 +67,13 @@ class CovarianceMatrix:
         object.__setattr__(self, "modes", g.shape[0] // 2)
 
 
-@dataclass(frozen=True)
-class CmValidation:
-    ok: bool
-    min_bona_fide_eigenvalue: float
-    message: str
-
-
-def validate_cm(cm: CovarianceMatrix) -> CmValidation:
-    """Report whether Gamma + i*Lambda is PSD down to -CM_BONA_FIDE_TOL."""
+def validate_cm(cm: CovarianceMatrix) -> None:
+    """Refuse Gamma unless Gamma + i*Lambda is PSD down to -CM_BONA_FIDE_TOL."""
     g = cm.gamma
     min_eig = float(np.linalg.eigvalsh((g + g.T) / 2 + 1j * symplectic_form(cm.modes))[0])
     if min_eig < -CM_BONA_FIDE_TOL:
-        return CmValidation(False, min_eig, f"uncertainty relation violated (min eig {min_eig:.3e})")
-    return CmValidation(True, min_eig, "ok")
+        raise ValueError(f"invalid covariance matrix: uncertainty relation violated "
+                         f"(min eig {min_eig:.3e})")
 
 
 def tmsvs_cm(r: float) -> CovarianceMatrix:
@@ -139,8 +133,6 @@ def cm_ratio_negativity(cm: CovarianceMatrix) -> float:
     """
     if cm.modes != 2:
         raise ValueError(f"the covariance route supports exactly 2 modes, got {cm.modes}")
-    report = validate_cm(cm)
-    if not report.ok:
-        raise ValueError(f"invalid covariance matrix: {report.message}")
+    validate_cm(cm)
     nu = symplectic_eigenvalues(cm_partial_transpose(cm, (0,)))
     return _from_negativity(float(_clamped_negativity(1.0 / nu[-1])), "ratio")

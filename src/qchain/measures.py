@@ -7,9 +7,12 @@ negativity-family value follows from it through one clamp, and a state is
 PPT exactly when its clamped negativity is 0. Every pure-state measure
 reads `PureState.schmidt_coefficients`, which come from
 `tensor.schmidt_decompose`, the kernel the monogamy residuals run on
-stacks; a Schmidt vector given as input passes the same unit-weight rule,
-`tensor._check_distribution`. Convex-roof extensions are evaluated only
-on pure inputs, where they coincide with the plain measures.
+stacks. A Schmidt vector a caller passes is checked once, where it
+enters, by the unit-weight rule `tensor._check_distribution`; the
+private formulas `_g_concurrence` and `_scp` read accepted coefficients
+without checking them again. Each rule raises a ValueError when it
+fails. Convex-roof extensions are evaluated only on pure inputs, where
+they coincide with the plain measures.
 """
 
 from __future__ import annotations
@@ -38,8 +41,9 @@ F_GRID_MAX = 100.0
 @dataclass(frozen=True)
 class MeasureSpec:
     """Selects a measure and holds its rules: alpha (finite, > 0) applies
-    only to alpha_ratio and f (validate_f) only to custom_f. The
-    one-measure functions and chain links take their checks from here."""
+    only to alpha_ratio and f only to custom_f, which refuses an f that
+    validate_f refuses, with its message. The one-measure functions and
+    chain links take their checks from here."""
 
     kind: str
     alpha: float = 1.0
@@ -56,9 +60,7 @@ class MeasureSpec:
         if self.kind == "custom_f":
             if self.f is None:
                 raise ValueError("custom_f requires a function handle")
-            report = validate_f(self.f)
-            if not report.ok:
-                raise ValueError(f"invalid f for f-negativity: {report.message}")
+            validate_f(self.f)
         elif self.f is not None:
             raise ValueError(f"f applies only to the custom_f measure; {self.kind!r} takes no f")
 
@@ -176,38 +178,35 @@ def scp_pure_qubit(lam) -> float:
     lam = _check_distribution(lam)
     if lam.size > 2:
         raise ValueError(f"singlet conversion probability needs a 2-qubit Schmidt pair, got {lam.size} coefficients")
-    return 2.0 * float(np.min(lam)) if lam.size == 2 else 0.0
+    return _scp(lam)
 
 
-@dataclass(frozen=True)
-class FValidation:
-    ok: bool
-    zero_defect: float
-    first_violation: tuple[float, float] | None
-    message: str
+def _scp(lam) -> float:
+    """scp_pure_qubit's formula on one or two checked coefficients."""
+    return 2.0 * float(min(lam)) if len(lam) == 2 else 0.0
 
 
-def validate_f(f: Callable[[float], float]) -> FValidation:
-    """Check f(0) = 0 (within 1e-12) and strict increase on 0 followed by a
-    log-spaced grid of F_GRID_POINTS - 1 points up to F_GRID_MAX.
+def validate_f(f: Callable[[float], float]) -> None:
+    """Refuse f unless f(0) = 0 (within 1e-12) and f strictly increases on
+    0 followed by a log-spaced grid of F_GRID_POINTS - 1 points up to
+    F_GRID_MAX, every value finite.
 
-    The monotonicity check is grid-based and therefore advisory; f(0) = 0
-    is checked exactly at the point.
+    Every custom_f spec runs this check. Monotonicity is checked on the
+    grid only, so an f that falls between grid points passes; f(0) = 0 is
+    checked exactly at the point.
     """
     grid = np.concatenate([[0.0], np.geomspace(1e-9, F_GRID_MAX, F_GRID_POINTS - 1)])
     vals = np.array([float(f(x)) for x in grid])
     if not np.all(np.isfinite(vals)):
-        bad = float(grid[np.argmax(~np.isfinite(vals))])
-        return FValidation(False, math.inf, (bad, bad), f"f({bad}) is not finite")
-    zero_defect = abs(float(f(0.0)))
-    if zero_defect > 1e-12:
-        return FValidation(False, zero_defect, (0.0, 0.0), f"f(0) = {f(0.0)!r} != 0")
-    diffs = np.diff(vals)
-    if np.any(diffs <= 0):
-        i = int(np.argmax(diffs <= 0))
-        return FValidation(False, zero_defect, (float(grid[i]), float(grid[i + 1])),
-                           f"f is not strictly increasing on ({grid[i]!r}, {grid[i + 1]!r})")
-    return FValidation(True, zero_defect, None, "ok")
+        reason = f"f({float(grid[np.argmax(~np.isfinite(vals))])}) is not finite"
+    elif abs(float(f(0.0))) > 1e-12:
+        reason = f"f(0) = {f(0.0)!r} != 0"
+    elif np.any(falls := np.diff(vals) <= 0):
+        i = int(np.argmax(falls))
+        reason = f"f is not strictly increasing on ({grid[i]!r}, {grid[i + 1]!r})"
+    else:
+        return
+    raise ValueError(f"invalid f for f-negativity: {reason}")
 
 
 def f_negativity(f: Callable[[float], float], state: State) -> float:
@@ -247,8 +246,9 @@ def evaluate_measure(spec: MeasureSpec, state: State, psd_tol: float = PSD_TOL) 
     elif spec.kind == "scp":
         if state.layout.dim_a != 2 or state.layout.dim_b != 2:
             raise ValueError("singlet conversion probability needs a 2-qubit pure state")
+        # Dividing by the sum keeps the bits the reports have always carried.
         lam = state.schmidt_coefficients
-        value = scp_pure_qubit(lam / lam.sum())
+        value = _scp(lam / lam.sum())
     elif spec.kind == "custom_f":
         value = spec.f(n)
     else:  # pragma: no cover - guarded by MeasureSpec

@@ -26,9 +26,9 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .measures import MeasureSpec, g_concurrence_pure, ratio_negativity, scp_pure_qubit
+from .measures import MeasureSpec, _g_concurrence, _scp, ratio_negativity
 from .states import TmsvsSpec, require_squeezing, tmsvs_truncated
 from .tensor import _check_distribution, _integer
 
@@ -44,20 +44,22 @@ SUPPORTED_MEASURES = {
 
 @dataclass(frozen=True)
 class LinkResource:
-    """One link of a chain: its kind, Schmidt data (none for a qudit link
-    built from a target) or squeezing parameter, and the value of its
-    kind's native measure."""
+    """One link of a chain: its kind, the value of its kind's native
+    measure, and its Schmidt data (none for a qudit link built from a
+    target) or squeezing parameter. The constructor checks only the kind
+    and the value's range; the link builders check a caller's Schmidt
+    vector, which an scp chain then reads unchecked."""
 
     kind: str
+    native_value: float
     schmidt: tuple[float, ...] | None = None
     d: int | None = None
     r: float | None = None
-    native_value: float = field(default=None)
 
     def __post_init__(self):
         if self.kind not in LINK_KINDS:
             raise ValueError(f"unknown link kind {self.kind!r}")
-        if self.native_value is None or not (0.0 <= self.native_value <= 1.0):
+        if not (0.0 <= self.native_value <= 1.0):
             raise ValueError(f"native measure value must lie in [0, 1], got {self.native_value}")
 
 
@@ -79,8 +81,9 @@ def qubit_link(lam=None, concurrence: float | None = None) -> LinkResource:
         c = _target(concurrence, "concurrence")
         return LinkResource(kind="qubit_pure", schmidt=canonical_qubit_schmidt(c), d=2,
                             native_value=c)
-    lam = tuple(float(x) for x in _check_distribution(lam, 2))
-    return LinkResource(kind="qubit_pure", schmidt=lam, d=2, native_value=g_concurrence_pure(lam, 2))
+    lam = _check_distribution(lam, 2)
+    return LinkResource(kind="qubit_pure", schmidt=tuple(float(x) for x in lam), d=2,
+                        native_value=_g_concurrence(lam))
 
 
 def qudit_link(lam=None, d: int | None = None, g_concurrence: float | None = None) -> LinkResource:
@@ -97,11 +100,11 @@ def qudit_link(lam=None, d: int | None = None, g_concurrence: float | None = Non
             raise ValueError(f"qudit links need an integer local dimension d >= 2, got {d!r}")
         return LinkResource(kind="qudit_pure", d=int(d),
                             native_value=_target(g_concurrence, "G-concurrence"))
-    lam = tuple(float(x) for x in _check_distribution(lam, None if d is None else _integer(d, "d")))
-    if len(lam) < 2:
-        raise ValueError(f"qudit links need at least 2 Schmidt coefficients, got {len(lam)}")
-    return LinkResource(kind="qudit_pure", schmidt=lam, d=len(lam),
-                        native_value=g_concurrence_pure(lam, len(lam)))
+    lam = _check_distribution(lam, None if d is None else _integer(d, "d"))
+    if lam.size < 2:
+        raise ValueError(f"qudit links need at least 2 Schmidt coefficients, got {lam.size}")
+    return LinkResource(kind="qudit_pure", schmidt=tuple(float(x) for x in lam), d=lam.size,
+                        native_value=_g_concurrence(lam))
 
 
 def tmsvs_link(r: float) -> LinkResource:
@@ -184,7 +187,8 @@ def _walk(links, measure: str | None, alpha: float):
     if measure == "alpha_ratio":
         per_hop = tuple(lk.native_value ** alpha for lk in links)
     elif measure == "scp":
-        per_hop = tuple(scp_pure_qubit(lk.schmidt) for lk in links)
+        # Each link's pair is a checked Schmidt pair or a canonical one.
+        per_hop = tuple(_scp(lk.schmidt) for lk in links)
     else:
         per_hop = tuple(lk.native_value for lk in links)
     end, chi, alive, states = 1.0, 1.0, True, []

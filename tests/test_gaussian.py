@@ -59,17 +59,15 @@ def random_symplectic(rng):
 
 class TestValidation:
     def test_vacuum_ok(self):
-        report = validate_cm(CovarianceMatrix(np.eye(6)))
-        assert report.ok
-        assert report.min_bona_fide_eigenvalue > -1e-12
+        assert validate_cm(CovarianceMatrix(np.eye(6))) is None
 
     def test_zero_matrix_violates_uncertainty(self):
-        report = validate_cm(CovarianceMatrix(np.zeros((4, 4))))
-        assert not report.ok
-        assert "uncertainty" in report.message
+        with pytest.raises(ValueError, match=r"^invalid covariance matrix: uncertainty relation "
+                                             r"violated \(min eig -1\.000e\+00\)$"):
+            validate_cm(CovarianceMatrix(np.zeros((4, 4))))
 
     def test_tmsvs_cm_ok(self):
-        assert validate_cm(tmsvs_cm(0.5)).ok
+        assert validate_cm(tmsvs_cm(0.5)) is None
 
     def test_asymmetric_rejected(self):
         g = np.eye(4)
@@ -129,12 +127,15 @@ class TestTmsvsCm:
 
 class TestCmPartialTranspose:
     def test_product_cm_stays_bona_fide(self):
-        assert validate_cm(cm_partial_transpose(CovarianceMatrix(np.eye(4)), (0,))).ok
+        assert validate_cm(cm_partial_transpose(CovarianceMatrix(np.eye(4)), (0,))) is None
 
     def test_tmsvs_pt_violates_uncertainty(self):
-        for r in (0.2, 1.0):
+        # The smallest eigenvalue of the flipped Gamma + i*Lambda is e^(-2r) - 1.
+        for r, min_eig in ((0.2, "-3.297e-01"), (1.0, "-8.647e-01")):
             flipped = cm_partial_transpose(tmsvs_cm(r), (0,))
-            assert not validate_cm(flipped).ok
+            with pytest.raises(ValueError, match=r"^invalid covariance matrix: uncertainty relation "
+                                                 rf"violated \(min eig {min_eig}\)$"):
+                validate_cm(flipped)
 
     def test_double_flip_is_identity(self):
         cm = tmsvs_cm(0.7)

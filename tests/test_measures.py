@@ -92,24 +92,27 @@ class TestLogNegativity:
 
 
 class TestValidateF:
+    # The first grid interval, as the message prints it.
+    FIRST_FALL = ("invalid f for f-negativity: f is not strictly increasing on "
+                  "(np.float64(0.0), np.float64(1e-09))")
+
     def test_identity_ok(self):
-        assert validate_f(lambda x: x).ok
+        assert validate_f(lambda x: x) is None
 
     def test_ratio_generator_ok(self):
-        assert validate_f(lambda x: x / (x + 1)).ok
+        assert validate_f(lambda x: x / (x + 1)) is None
 
     def test_negation_fails_immediately(self):
-        report = validate_f(lambda x: -x)
-        assert not report.ok
-        assert report.first_violation is not None
+        with pytest.raises(ValueError, match=f"^{re.escape(self.FIRST_FALL)}$"):
+            validate_f(lambda x: -x)
 
     def test_nonzero_origin_fails(self):
-        report = validate_f(lambda x: x + 1)
-        assert not report.ok
-        assert "f(0)" in report.message
+        with pytest.raises(ValueError, match=r"^invalid f for f-negativity: f\(0\) = 1\.0 != 0$"):
+            validate_f(lambda x: x + 1)
 
     def test_constant_fails(self):
-        assert not validate_f(lambda x: 0.0).ok
+        with pytest.raises(ValueError, match=f"^{re.escape(self.FIRST_FALL)}$"):
+            validate_f(lambda x: 0.0)
 
 
 class TestFNegativity:

@@ -5,17 +5,27 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import qchain.measures
+import qchain.swapping
 from qchain.gaussian import tmsvs_cm
 from qchain.measures import (
+    MeasureSpec,
     concurrence_pure,
+    evaluate_measure,
     g_concurrence_pure,
     ratio_negativity,
     scp_pure_qubit,
 )
-from qchain.states import TmsvsSpec, pure_from_schmidt, substream, tmsvs_truncated
+from qchain.states import (
+    TmsvsSpec,
+    pure_from_schmidt,
+    random_haar_pure,
+    substream,
+    tmsvs_truncated,
+)
 from qchain.swapping import (
     LinkResource,
     chain_compose,
@@ -28,6 +38,7 @@ from qchain.swapping import (
     swap,
     tmsvs_link,
 )
+from qchain.tensor import TRACE_TOL, SubsystemLayout
 
 EPS = np.finfo(float).eps
 
@@ -596,3 +607,84 @@ class TestSqueezingParameter:
             with pytest.raises(ValueError, match=r"squeezing parameter r must be finite and > 0, "
                                                  rf"got {r}"):
                 build(r)
+
+
+class TestSchmidtChecksRunOnce:
+    """A Schmidt vector is checked once, where a caller passes it; a link's
+    stored pair and a pure state's own coefficients are not checked again."""
+
+    LAM = [0.9, 0.1]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        check = qchain.measures._check_distribution
+
+        def counting_check(lam, *args):
+            calls.append(tuple(np.asarray(lam, dtype=float)))
+            return check(lam, *args)
+
+        for module in (qchain.measures, qchain.swapping):
+            monkeypatch.setattr(module, "_check_distribution", counting_check)
+        return calls
+
+    @pytest.mark.parametrize("build", [
+        lambda lam: qubit_link(lam),
+        lambda lam: qudit_link(lam),
+        lambda lam: qudit_link(lam, d=2),
+        lambda lam: scp_pure_qubit(lam),
+        lambda lam: g_concurrence_pure(lam, 2),
+    ], ids=["qubit_link", "qudit_link", "qudit_link_with_d", "scp_pure_qubit",
+            "g_concurrence_pure"])
+    def test_a_callers_vector_is_checked_once(self, calls, build):
+        build(self.LAM)
+        assert calls == [tuple(self.LAM)]
+
+    @pytest.mark.parametrize("build", [
+        lambda: qubit_link(concurrence=0.6),
+        lambda: qudit_link(d=3, g_concurrence=0.6),
+        lambda: swap(qubit_link(concurrence=0.6), qubit_link(concurrence=0.8)),
+    ], ids=["qubit_target", "qudit_target", "swap"])
+    def test_target_links_are_not_checked(self, calls, build):
+        build()
+        assert calls == []
+
+    @pytest.mark.parametrize("compose", [chain_compose, chain_prefixes])
+    def test_scp_chains_check_no_hop(self, calls, compose):
+        links = [qubit_link(self.LAM), qubit_link(concurrence=0.6)] * 50
+        calls.clear()
+        compose(links, measure="scp")
+        assert calls == []
+
+    def test_scp_of_a_pure_state_is_not_checked_again(self, calls):
+        psi = random_haar_pure(SubsystemLayout((2, 2), (0,)), 3)
+        evaluate_measure(MeasureSpec("scp"), psi)
+        assert calls == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(0.0, 1.0), slack=st.floats(-TRACE_TOL, TRACE_TOL))
+@example(a=0.5, slack=0.0)
+@example(a=1.0, slack=0.0)
+@example(a=1e-17, slack=0.0)
+def test_scp_hops_keep_the_checked_formula(a, slack):
+    # Any pair the unit-weight rule accepts, and the canonical pair of its
+    # concurrence: each hop is twice the smaller coefficient, as computed
+    # when every hop checked its pair. Longer chains take the same hops.
+    lam = np.array([a, 1.0 - a + slack])
+    assume(lam[1] >= 0 and abs(float(lam.sum()) - 1.0) <= TRACE_TOL)
+    link = qubit_link(lam)
+    target = qubit_link(concurrence=link.native_value)
+    for lk, pair in ((link, lam), (target, target.schmidt)):
+        expected = 2.0 * float(np.min(pair))
+        # A subnormal value, alive, is refused by the chain's float64 range rule.
+        assume(expected == 0.0 or expected >= sys.float_info.min)
+        assert chain_compose([lk], measure="scp").per_hop == (expected,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_scp_of_haar_qubit_pairs_keeps_the_checked_formula(seed):
+    psi = random_haar_pure(SubsystemLayout((2, 2), (0,)), seed)
+    lam = psi.schmidt_coefficients
+    assert evaluate_measure(MeasureSpec("scp"), psi).value == 2.0 * float(np.min(lam / lam.sum()))
