@@ -8,11 +8,9 @@ PPT exactly when its clamped negativity is 0. Every pure-state measure
 reads `PureState.schmidt_coefficients`, which come from
 `tensor.schmidt_decompose`, the kernel the monogamy residuals run on
 stacks. A Schmidt vector a caller passes is checked once, where it
-enters, by the unit-weight rule `tensor._check_distribution`; the
-private formulas `_g_concurrence` and `_scp` read accepted coefficients
-without checking them again. Each rule raises a ValueError when it
-fails. Convex-roof extensions are evaluated only on pure inputs, where
-they coincide with the plain measures.
+enters, by the unit-weight rule `tensor._check_distribution`, and the
+private formulas read it unchecked. Convex-roof extensions are evaluated
+only on pure inputs, where they coincide with the plain measures.
 """
 
 from __future__ import annotations
@@ -189,11 +187,8 @@ def _scp(lam) -> float:
 def validate_f(f: Callable[[float], float]) -> None:
     """Refuse f unless f(0) = 0 (within 1e-12) and f strictly increases on
     0 followed by a log-spaced grid of F_GRID_POINTS - 1 points up to
-    F_GRID_MAX, every value finite.
-
-    Every custom_f spec runs this check. Monotonicity is checked on the
-    grid only, so an f that falls between grid points passes; f(0) = 0 is
-    checked exactly at the point.
+    F_GRID_MAX, every value finite. Every custom_f spec runs this check;
+    an f that falls only between grid points passes.
     """
     grid = np.concatenate([[0.0], np.geomspace(1e-9, F_GRID_MAX, F_GRID_POINTS - 1)])
     vals = np.array([float(f(x)) for x in grid])

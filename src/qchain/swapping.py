@@ -46,9 +46,9 @@ SUPPORTED_MEASURES = {
 class LinkResource:
     """One link of a chain: its kind, the value of its kind's native
     measure, and its Schmidt data (none for a qudit link built from a
-    target) or squeezing parameter. The constructor checks only the kind
-    and the value's range; the link builders check a caller's Schmidt
-    vector, which an scp chain then reads unchecked."""
+    target) or squeezing parameter. A caller's link is checked here, once,
+    Schmidt vector included (a qubit link needs a pair, which scp chains
+    read unchecked); the builders store what they derive unchecked."""
 
     kind: str
     native_value: float
@@ -61,6 +61,17 @@ class LinkResource:
             raise ValueError(f"unknown link kind {self.kind!r}")
         if not (0.0 <= self.native_value <= 1.0):
             raise ValueError(f"native measure value must lie in [0, 1], got {self.native_value}")
+        if self.schmidt is not None or self.kind == "qubit_pure":
+            lam = _check_distribution(self.schmidt, 2 if self.kind == "qubit_pure" else self.d)
+            object.__setattr__(self, "schmidt", tuple(float(x) for x in lam))
+
+
+def _built_link(kind: str, native_value: float, schmidt=None, d=None, r=None) -> LinkResource:
+    """A link of fields derived from checked input, stored without the
+    constructor's checks, which could refuse nothing."""
+    link = object.__new__(LinkResource)
+    vars(link).update(kind=kind, native_value=native_value, schmidt=schmidt, d=d, r=r)
+    return link
 
 
 def _target(value: float, name: str) -> float:
@@ -79,11 +90,9 @@ def qubit_link(lam=None, concurrence: float | None = None) -> LinkResource:
         raise ValueError("give exactly one of lam or concurrence")
     if lam is None:
         c = _target(concurrence, "concurrence")
-        return LinkResource(kind="qubit_pure", schmidt=canonical_qubit_schmidt(c), d=2,
-                            native_value=c)
+        return _built_link("qubit_pure", c, canonical_qubit_schmidt(c), d=2)
     lam = _check_distribution(lam, 2)
-    return LinkResource(kind="qubit_pure", schmidt=tuple(float(x) for x in lam), d=2,
-                        native_value=_g_concurrence(lam))
+    return _built_link("qubit_pure", _g_concurrence(lam), tuple(float(x) for x in lam), d=2)
 
 
 def qudit_link(lam=None, d: int | None = None, g_concurrence: float | None = None) -> LinkResource:
@@ -98,18 +107,16 @@ def qudit_link(lam=None, d: int | None = None, g_concurrence: float | None = Non
     if lam is None:
         if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 2:
             raise ValueError(f"qudit links need an integer local dimension d >= 2, got {d!r}")
-        return LinkResource(kind="qudit_pure", d=int(d),
-                            native_value=_target(g_concurrence, "G-concurrence"))
+        return _built_link("qudit_pure", _target(g_concurrence, "G-concurrence"), d=int(d))
     lam = _check_distribution(lam, None if d is None else _integer(d, "d"))
     if lam.size < 2:
         raise ValueError(f"qudit links need at least 2 Schmidt coefficients, got {lam.size}")
-    return LinkResource(kind="qudit_pure", schmidt=tuple(float(x) for x in lam), d=lam.size,
-                        native_value=_g_concurrence(lam))
+    return _built_link("qudit_pure", _g_concurrence(lam), tuple(float(x) for x in lam), d=lam.size)
 
 
 def tmsvs_link(r: float) -> LinkResource:
     r = require_squeezing(r)
-    return LinkResource(kind="tmsvs", r=r, native_value=math.tanh(r))
+    return _built_link("tmsvs", math.tanh(r), r=r)
 
 
 def canonical_qubit_schmidt(concurrence: float) -> tuple[float, float]:
@@ -187,7 +194,6 @@ def _walk(links, measure: str | None, alpha: float):
     if measure == "alpha_ratio":
         per_hop = tuple(lk.native_value ** alpha for lk in links)
     elif measure == "scp":
-        # Each link's pair is a checked Schmidt pair or a canonical one.
         per_hop = tuple(_scp(lk.schmidt) for lk in links)
     else:
         per_hop = tuple(lk.native_value for lk in links)
@@ -264,7 +270,7 @@ def swap(link1: LinkResource, link2: LinkResource) -> LinkResource:
         return qubit_link(concurrence=res.end_to_end)
     if res.kind == "qudit_pure":
         return qudit_link(d=link1.d, g_concurrence=res.end_to_end)
-    return LinkResource(kind="tmsvs", r=res.composite_r, native_value=res.end_to_end)
+    return _built_link("tmsvs", res.end_to_end, r=res.composite_r)
 
 
 @dataclass(frozen=True)

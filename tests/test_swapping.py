@@ -407,10 +407,31 @@ class TestLinkValidation:
         (lambda: LinkResource("qubit_pure", native_value=1.5),
          "native measure value must lie in [0, 1], got 1.5"),
         (lambda: chain_compose([]), "chain must have at least one link"),
-    ], ids=["unknown_kind", "value_above_one", "empty_chain"])
+        (lambda: LinkResource("qubit_pure", native_value=0.5, schmidt=(0.3, 0.3), d=2),
+         "Schmidt coefficients must sum to 1, got 0.6"),
+        (lambda: LinkResource("qubit_pure", native_value=0.5, schmidt=(0.5, 0.25, 0.25)),
+         "need exactly 2 Schmidt coefficients, got 3"),
+        (lambda: LinkResource("qubit_pure", native_value=0.5),
+         "Schmidt coefficients must be a non-negative vector, got nan"),
+        (lambda: LinkResource("qubit_pure", native_value=0.5, schmidt=(1.2, -0.2)),
+         "Schmidt coefficients must be a non-negative vector"),
+        (lambda: LinkResource("qudit_pure", native_value=0.5, schmidt=(0.5, 0.5), d=3),
+         "need exactly 3 Schmidt coefficients, got 2"),
+    ], ids=["unknown_kind", "value_above_one", "empty_chain", "qubit_pair_sum",
+            "qubit_three_coefficients", "qubit_no_pair", "qubit_negative", "qudit_size"])
     def test_malformed_link_or_chain_refused(self, build, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             build()
+
+    def test_direct_link_stores_its_checked_pair(self):
+        link = LinkResource("qubit_pure", native_value=0.6, schmidt=[np.float64(0.9), 0.1], d=2)
+        assert link.schmidt == (0.9, 0.1) and type(link.schmidt[0]) is float
+        assert chain_compose([link], "scp").per_hop == (2.0 * 0.1,)
+        # A builder's link, stored without the constructor, equals the same
+        # fields passed to it.
+        built = qubit_link([0.9, 0.1])
+        same = LinkResource("qubit_pure", native_value=built.native_value, schmidt=(0.9, 0.1), d=2)
+        assert built == same and hash(built) == hash(same) and repr(built) == repr(same)
 
     def test_measure_value_dispatch(self):
         link = tmsvs_link(0.5)
@@ -634,8 +655,10 @@ class TestSchmidtChecksRunOnce:
         lambda lam: qudit_link(lam, d=2),
         lambda lam: scp_pure_qubit(lam),
         lambda lam: g_concurrence_pure(lam, 2),
+        lambda lam: LinkResource("qubit_pure", native_value=0.6, schmidt=lam, d=2),
+        lambda lam: LinkResource("qudit_pure", native_value=0.6, schmidt=lam, d=2),
     ], ids=["qubit_link", "qudit_link", "qudit_link_with_d", "scp_pure_qubit",
-            "g_concurrence_pure"])
+            "g_concurrence_pure", "qubit_LinkResource", "qudit_LinkResource"])
     def test_a_callers_vector_is_checked_once(self, calls, build):
         build(self.LAM)
         assert calls == [tuple(self.LAM)]
@@ -644,7 +667,9 @@ class TestSchmidtChecksRunOnce:
         lambda: qubit_link(concurrence=0.6),
         lambda: qudit_link(d=3, g_concurrence=0.6),
         lambda: swap(qubit_link(concurrence=0.6), qubit_link(concurrence=0.8)),
-    ], ids=["qubit_target", "qudit_target", "swap"])
+        lambda: swap(tmsvs_link(0.5), tmsvs_link(0.7)),
+        lambda: LinkResource("qudit_pure", native_value=0.6, d=3),
+    ], ids=["qubit_target", "qudit_target", "swap", "tmsvs_swap", "qudit_LinkResource"])
     def test_target_links_are_not_checked(self, calls, build):
         build()
         assert calls == []
