@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import sys
 import time
 
@@ -42,6 +41,7 @@ from .reports import (
 )
 from .states import PSD_TOL
 from .swapping import chain_compose, chain_prefixes
+from .tensor import require_positive, require_tolerance
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -60,22 +60,17 @@ def _write_text(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _finite(text: str, ok, rule: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and ok(value)):
-        raise argparse.ArgumentTypeError(f"must be a finite number {rule}, got {text!r}")
-    return value
+def _number(rule, name: str):
+    """argparse type: float(text) if rule(value, name) accepts it, else the rule's message."""
+    def parse(text: str) -> float:
+        try:
+            return rule(float(text), name)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
-def _tolerance(text: str) -> float:
-    return _finite(text, lambda v: v >= 0, ">= 0")
-
-
-def _positive(text: str) -> float:
-    return _finite(text, lambda v: v > 0, "> 0")
+_alpha = _number(require_positive, "alpha")
 
 
 def _dims(text: str) -> list[int]:
@@ -94,11 +89,10 @@ def cmd_measure(args) -> tuple[int, dict]:
         raise ValueError("--alpha applies only to the alpha_ratio measure; "
                          f"--measures {args.measures!r} does not name it")
     alpha = 1.0 if args.alpha is None else args.alpha
+    # Built first, so that a bad kind or alpha is refused before the file is read.
+    specs = [MeasureSpec(k, alpha) if k == "alpha_ratio" else MeasureSpec(k) for k in kinds]
     state = read_state(args.input, args.tol_psd, args.cutoff)
-    results = []
-    for kind in kinds:
-        spec = MeasureSpec(kind, alpha) if kind == "alpha_ratio" else MeasureSpec(kind)
-        results.append(evaluate_measure(spec, state, psd_tol=args.tol_psd).to_json())
+    results = [evaluate_measure(spec, state, psd_tol=args.tol_psd).to_json() for spec in specs]
     config = {"input": args.input, "measures": args.measures, "alpha": alpha,
               "cutoff": args.cutoff, "tol_psd": args.tol_psd}
     return EXIT_OK, {"config": config, "result": {"measures": results}}
@@ -111,7 +105,8 @@ def _chain_input(args):
     links, measure, alpha = chain_from_json(doc)
     if alpha is not None and args.alpha is not None:
         raise ValueError("--alpha conflicts with the chain file's alpha; give only one")
-    alpha = alpha or args.alpha or 1.0
+    if alpha is None:
+        alpha = 1.0 if args.alpha is None else args.alpha
     return links, measure, alpha, {"input": args.input, "alpha": alpha, "spec": doc}
 
 
@@ -214,10 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="state JSON file")
     p.add_argument("--measures", default=DEFAULT_MEASURES,
                    help=f"comma-separated measure kinds (default {DEFAULT_MEASURES})")
-    p.add_argument("--alpha", type=_positive, default=None,
+    p.add_argument("--alpha", type=_alpha, default=None,
                    help="power of alpha_ratio (default 1); only with alpha_ratio")
     p.add_argument("--cutoff", type=int, default=None, help="Fock cutoff override for tmsvs inputs")
-    p.add_argument("--tol-psd", type=_tolerance, default=PSD_TOL,
+    p.add_argument("--tol-psd", type=_number(require_tolerance, "psd_tol"), default=PSD_TOL,
                    help="eigenvalues of a mixed input down to -tol-psd are accepted, and "
                         "negativities below it read 0")
     common(p)
@@ -225,13 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain", help="compose a chain spec")
     p.add_argument("--input", required=True, help="chain JSON file")
-    p.add_argument("--alpha", type=_positive, default=None, help="default 1; not with a file alpha")
+    p.add_argument("--alpha", type=_alpha, default=None, help="default 1; not with a file alpha")
     common(p)
     p.set_defaults(fn=cmd_chain)
 
     p = sub.add_parser("sweep", help="per-length chain values (plot-ready)")
     p.add_argument("--input", required=True, help="chain JSON file")
-    p.add_argument("--alpha", type=_positive, default=None, help="default 1; not with a file alpha")
+    p.add_argument("--alpha", type=_alpha, default=None, help="default 1; not with a file alpha")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p)
     p.set_defaults(fn=cmd_sweep)
@@ -240,22 +235,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default=None, help="scan config JSON file")
     p.add_argument("--dims", type=_dims, default=None, help="comma-separated party dimensions")
     p.add_argument("--samples", type=int, default=None, help="with --dims; default 1000")
-    p.add_argument("--alpha", type=_positive, default=None, help="with --dims; default 1")
+    p.add_argument("--alpha", type=_alpha, default=None, help="with --dims; default 1")
     p.add_argument("--seed", type=int, default=None, help="with --dims; default 0")
     p.add_argument("--grid", type=int, default=DEFAULT_GRID_N)
-    p.add_argument("--tol-violation", type=_tolerance, default=VIOLATION_TOL)
+    p.add_argument("--tol-violation", type=_number(require_tolerance, "violation_tol"),
+                   default=VIOLATION_TOL)
     common(p)
     p.set_defaults(fn=cmd_monogamy)
 
     p = sub.add_parser("groupop", help="group-operation analysis of a registry law")
     p.add_argument("--law", required=True, help=f"one of {sorted(LAW_REGISTRY)}")
     p.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    p.add_argument("--tol-assoc", type=_tolerance, default=ASSOC_TOL)
+    p.add_argument("--tol-assoc", type=_number(require_tolerance, "assoc_tol"), default=ASSOC_TOL)
     common(p)
     p.set_defaults(fn=cmd_groupop)
 
     p = sub.add_parser("gaussian", help="covariance-matrix route for a squeezed state")
-    p.add_argument("--r", type=_positive, required=True, help="squeezing parameter")
+    p.add_argument("--r", type=_number(require_positive, "squeezing parameter r"), required=True,
+                   help="squeezing parameter")
     common(p)
     p.set_defaults(fn=cmd_gaussian)
 

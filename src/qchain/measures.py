@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .states import PSD_TOL, DensityMatrix, PureState
-from .tensor import _check_distribution, require_tolerance
+from .tensor import _check_distribution, require_positive, require_tolerance
 
 State = DensityMatrix | PureState
 
@@ -51,7 +51,7 @@ class MeasureSpec:
         if self.kind not in MEASURE_KINDS:
             raise ValueError(f"unknown measure kind {self.kind!r}; choose from {MEASURE_KINDS}")
         if self.kind == "alpha_ratio":
-            _check_alpha(self.alpha)
+            require_positive(self.alpha, "alpha")
         elif self.alpha != 1:
             raise ValueError(f"alpha {self.alpha!r} applies only to the alpha_ratio measure; "
                              f"{self.kind!r} takes alpha 1")
@@ -89,12 +89,6 @@ def _clamped_negativity(t, psd_tol: float = PSD_TOL):
     """N = (t - 1)/2 for trace norms t (scalar or array), 0 where N < psd_tol."""
     n = (np.asarray(t, dtype=float) - 1.0) / 2.0
     return np.where(n >= psd_tol, n, 0.0)
-
-
-def _check_alpha(alpha: float) -> None:
-    """The one rule for a measure power alpha: finite and > 0."""
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
 
 
 def _from_negativity(n, kind: str, alpha: float | None = None):

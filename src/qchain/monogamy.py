@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import _check_alpha, _clamped_negativity, _from_negativity, _schmidt_trace_norm
+from .measures import _clamped_negativity, _from_negativity, _schmidt_trace_norm
 from .states import DensityMatrix, PureState, haar_amplitude_rows
 from .tensor import (SubsystemLayout, _integer, _slab_max, _trace_norm_blocks, group_subsystems,
-                     partial_transpose, require_tolerance, schmidt_decompose)
+                     partial_transpose, require_positive, require_tolerance, schmidt_decompose)
 
 VIOLATION_TOL = 1e-9
 DEFAULT_GRID_N = 500
@@ -36,7 +36,11 @@ _MAX_SCAN_DIM = 1 << 32
 # Families the power threshold is proven for: any number of qubits, or
 # three parties with dimensions (2, 2, 3) or (2, 2, 2^m).
 def family_supported(dims) -> bool:
-    dims = tuple(_integer(d, "each entry of dims") for d in dims)
+    return _family_supported(tuple(_integer(d, "each entry of dims") for d in dims))
+
+
+def _family_supported(dims: tuple[int, ...]) -> bool:
+    # dims are ints already, as a layout holds them.
     if len(dims) >= 3 and all(d == 2 for d in dims):
         return True
     if len(dims) == 3 and dims[0] == 2 and dims[1] == 2:
@@ -63,8 +67,7 @@ def aux_g(r: float, u: float) -> float:
     """
     if not (0.0 < u < 1.0):
         raise ValueError(f"u must lie in (0, 1), got {u}")
-    if not (r > 0.0 and math.isfinite(r)):
-        raise ValueError(f"r must be finite and > 0, got {r}")
+    require_positive(r, "r")
     base = (1.0 + r) * u / (1.0 + r * u)
     if abs(base - 1.0) < 1e-14:
         raise ValueError(f"logarithm base degenerates to 1 at (r={r}, u={u})")
@@ -86,7 +89,7 @@ class MonogamyReport:
 def _check_residual_args(layout: SubsystemLayout, measure: str, alpha: float) -> None:
     if len(layout.dims) < 3:
         raise ValueError(f"need at least 3 parties, got {len(layout.dims)}")
-    _check_alpha(alpha)
+    require_positive(alpha, "alpha")
     if measure not in ("ratio", "negativity"):
         raise ValueError(f"unsupported measure {measure!r}: monogamy residuals are negativity-based")
 
@@ -189,7 +192,7 @@ def check_ineq_xya_grid(a: float, b: float, alpha: float,
         raise ValueError(f"a^2 + b^2 overflows float64 at a={a}, b={b}")
     if grid_n < 100:
         raise ValueError(f"grid_n must be >= 100, got {grid_n}")
-    _check_alpha(alpha)
+    require_positive(alpha, "alpha")
     x = np.linspace(0.0, a, grid_n)
     y = np.linspace(0.0, b, grid_n)
     x2, y2 = x ** 2, y ** 2
@@ -250,7 +253,7 @@ def sample_monogamy_scan(dims, samples: int, alpha: float, seed: int,
         raise ValueError(f"dims {dims} give a state of dimension {layout.dim}; a scan draws "
                          f"states of dimension at most {_MAX_SCAN_DIM}")
     _check_residual_args(layout, "ratio", alpha)
-    covered = family_supported(dims)
+    covered = _family_supported(dims)
 
     pair = dims[0] * max(dims[1:])
     rows = max(1, SCAN_CHUNK_BYTES // (16 * (layout.dim + pair * pair)))

@@ -19,10 +19,9 @@ import numpy as np
 
 from . import __version__
 from .gaussian import CovarianceMatrix
-from .measures import _check_alpha
 from .states import PSD_TOL, DensityMatrix, PureState, TmsvsSpec, _read_density, tmsvs_truncated
 from .swapping import qubit_link, qudit_link, tmsvs_link
-from .tensor import SubsystemLayout
+from .tensor import SubsystemLayout, require_positive
 
 _PAIRS = {"type": "array",
           "items": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}}
@@ -295,9 +294,12 @@ def state_from_json(doc: dict, psd_tol: float = PSD_TOL) -> PureState | DensityM
 
 def read_json(path: str):
     """The JSON document in the file at path, parsed with the cyclic
-    collector paused (gc_paused)."""
+    collector paused (gc_paused); one nested too deeply is refused."""
     with gc_paused(), open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
 def read_state(path: str, psd_tol: float = PSD_TOL, cutoff: int | None = None):
@@ -352,7 +354,7 @@ def chain_from_json(doc) -> tuple[list, str | None, float | None]:
             links.append(qudit_link(link.get("lambda"), link.get("d"), link.get("g_concurrence")))
     alpha = chain.get("alpha")
     if alpha is not None:
-        _check_alpha(alpha)
+        require_positive(alpha, "alpha")
     return links * repeat, chain.get("measure"), alpha
 
 

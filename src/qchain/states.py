@@ -24,6 +24,7 @@ from .tensor import (
     partial_transpose,
     require_hermitian,
     require_normalized,
+    require_positive,
     require_tolerance,
     schmidt_decompose,
 )
@@ -103,8 +104,7 @@ class PureState:
         if amps.shape[0] != self.layout.dim:
             raise ValueError(f"amplitude count {amps.shape[0]} != layout dimension {self.layout.dim}")
         require_normalized(amps)
-        if self.truncation_deficit < 0:
-            raise ValueError("truncation_deficit must be >= 0")
+        require_tolerance(self.truncation_deficit, "truncation_deficit")
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
     def density_matrix(self) -> "DensityMatrix":
@@ -164,8 +164,7 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != self.layout.dim:
             raise ValueError(f"density matrix shape {m.shape} incompatible with layout dim {self.layout.dim}")
         require_unit_density(m)
-        if self.truncation_deficit < 0:
-            raise ValueError("truncation_deficit must be >= 0")
+        require_tolerance(self.truncation_deficit, "truncation_deficit")
         self.validate(psd_tol)
 
     def validate(self, psd_tol: float = PSD_TOL) -> None:
@@ -197,10 +196,7 @@ class DensityMatrix:
 
 def require_squeezing(r) -> float:
     """r as a float when it is a squeezing parameter: finite and > 0."""
-    r = float(r)
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError(f"squeezing parameter r must be finite and > 0, got {r}")
-    return r
+    return require_positive(float(r), "squeezing parameter r")
 
 
 def _require_chi_below_one(r) -> float:
@@ -232,10 +228,8 @@ class TmsvsSpec:
 
     @staticmethod
     def from_r(r: float, cutoff: int | None = None) -> "TmsvsSpec":
-        r = require_squeezing(r)
-        if cutoff is None:
-            cutoff = default_cutoff(_require_chi_below_one(r))
-        return TmsvsSpec(r=r, cutoff=cutoff)
+        chi = _require_chi_below_one(r)
+        return TmsvsSpec(r=float(r), cutoff=default_cutoff(chi) if cutoff is None else cutoff)
 
     @property
     def truncation_deficit(self) -> float:

@@ -24,7 +24,6 @@ cross-check takes its composite from the same chain.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -61,7 +60,9 @@ class LinkResource:
             raise ValueError(f"unknown link kind {self.kind!r}")
         if not (0.0 <= self.native_value <= 1.0):
             raise ValueError(f"native measure value must lie in [0, 1], got {self.native_value}")
-        if self.schmidt is not None or self.kind == "qubit_pure":
+        if self.kind == "qubit_pure" and self.schmidt is None:
+            raise ValueError("a qubit link needs its Schmidt pair")
+        if self.schmidt is not None:
             lam = _check_distribution(self.schmidt, 2 if self.kind == "qubit_pure" else self.d)
             object.__setattr__(self, "schmidt", tuple(float(x) for x in lam))
 
@@ -104,11 +105,12 @@ def qudit_link(lam=None, d: int | None = None, g_concurrence: float | None = Non
     """
     if (lam is None) == (g_concurrence is None):
         raise ValueError("give exactly one of lam or g_concurrence")
+    d = None if d is None else _integer(d, "d")
     if lam is None:
-        if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 2:
-            raise ValueError(f"qudit links need an integer local dimension d >= 2, got {d!r}")
-        return _built_link("qudit_pure", _target(g_concurrence, "G-concurrence"), d=int(d))
-    lam = _check_distribution(lam, None if d is None else _integer(d, "d"))
+        if d is None or d < 2:
+            raise ValueError(f"qudit links need a local dimension d >= 2, got {d}")
+        return _built_link("qudit_pure", _target(g_concurrence, "G-concurrence"), d=d)
+    lam = _check_distribution(lam, d)
     if lam.size < 2:
         raise ValueError(f"qudit links need at least 2 Schmidt coefficients, got {lam.size}")
     return _built_link("qudit_pure", _g_concurrence(lam), tuple(float(x) for x in lam), d=lam.size)

@@ -104,11 +104,18 @@ def require_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
 
 
 def require_tolerance(tol: float, name: str) -> float:
-    """tol when it is a usable tolerance: finite and >= 0. A NaN would
-    make every comparison against it false and pass anything."""
+    """tol when it is finite and >= 0: a tolerance or a truncation deficit.
+    A NaN would make every comparison against it false and pass anything."""
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
     return tol
+
+
+def require_positive(value: float, name: str) -> float:
+    """value when it is finite and > 0: a measure power or a squeezing parameter."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+    return value
 
 
 def _slab_max(axes, slab, what: str) -> tuple[float, tuple]:

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import csv
 import io
@@ -12,7 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from qchain import repro
+from qchain import cli, repro
 from qchain.cli import EXIT_IO, EXIT_MEMORY, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from qchain.gaussian import CM_MAX_R
 from qchain.groupop import LAW_REGISTRY
@@ -33,6 +34,26 @@ from qchain.states import TmsvsSpec, bell_state, random_density_matrix, tmsvs_tr
 from qchain.tensor import SubsystemLayout
 
 from conftest import REFUSED_REAL_MATRICES, typed_fields
+
+
+BAD_NUMBERS = ["nan", "inf", "-1", "abc"]
+# The edge values each number rule accepts: -0.0 >= 0, and the smallest
+# subnormal is finite and > 0.
+SMALLEST_POSITIVE = "5e-324"
+TOLERANCE_EDGES = ["-0.0", SMALLEST_POSITIVE]
+ALPHA_RULE = "alpha must be finite and > 0"
+
+
+def assert_flag_refused(err, flag, value, rule):
+    """err holds one error line, which names the flag and carries the
+    library rule's text (float()'s for a non-number), and no traceback."""
+    (line,) = [ln for ln in err.splitlines() if "error:" in ln]
+    assert f"argument {flag}: " in line
+    if value == "abc":
+        assert line.endswith("could not convert string to float: 'abc'")
+    else:
+        assert line.endswith(f"{rule}, got {float(value)}")
+    assert "Traceback" not in err
 
 
 def write_json(path, doc):
@@ -432,6 +453,26 @@ class TestFormatFlag:
 
 
 class TestMeasureInputChecks:
+    @pytest.mark.parametrize("measures", ["bogus", "negativity,bogus"])
+    def test_unknown_measure_refused_before_the_file_is_read(self, monkeypatch, measures, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the state file was read")
+
+        monkeypatch.setattr(cli, "read_state", refuse)
+        assert main(["measure", "--input", "unread.json", "--measures", measures]) \
+            == EXIT_VALIDATION
+        assert "unknown measure kind 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["measure", "chain", "sweep", "monogamy"])
+    def test_deeply_nested_file_exits_2(self, tmp_path, command, capsys):
+        # json.load recurses once per "[", so this depth is far past
+        # Python's recursion limit; the refusal is one line, no traceback.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert main([command, "--input", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == \
+            [f"error: {path}: JSON nested too deeply to parse"]
+
     def test_unknown_state_kind(self, tmp_path, capsys):
         path = write_json(tmp_path / "state.json", {"kind": "bogus"})
         assert main(["measure", "--input", path]) == EXIT_VALIDATION
@@ -457,16 +498,18 @@ class TestMeasureInputChecks:
         assert main(["measure", "--input", path]) == EXIT_VALIDATION
         assert "chi = tanh r must lie below 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["nan", "-1e-10", "inf"])
+    @pytest.mark.parametrize("tol", ["nan", "-1e-10", "inf", "1e400"] + TOLERANCE_EDGES)
     def test_tol_psd_must_be_finite_nonnegative(self, tmp_path, tol, capsys):
         path = write_json(tmp_path / "tmsvs.json", {"kind": "tmsvs", "r": 0.5})
+        if tol in TOLERANCE_EDGES:
+            assert main(["measure", "--input", path, f"--tol-psd={tol}"]) == EXIT_OK
+            return
         assert main(["measure", "--input", path, f"--tol-psd={tol}"]) == EXIT_VALIDATION
-        assert "--tol-psd" in capsys.readouterr().err
+        assert_flag_refused(capsys.readouterr().err, "--tol-psd", tol,
+                            "psd_tol must be finite and >= 0")
 
 
 def test_monogamy_grid_rejected_before_scan(monkeypatch, capsys):
-    import qchain.cli as cli
-
     def refuse(*args, **kwargs):
         raise AssertionError("scan ran before the grid was checked")
 
@@ -496,44 +539,63 @@ def test_monogamy_twelve_qubits_run(tmp_path):
     assert load_report(out)["result"]["scan"]["samples"] == 2
 
 
-BAD_NUMBERS = ["nan", "inf", "-1", "abc"]
-
-
-@pytest.mark.parametrize("value", BAD_NUMBERS)
+@pytest.mark.parametrize("value", BAD_NUMBERS + ["1e400"] + TOLERANCE_EDGES)
 @pytest.mark.parametrize("argv,flag", [
     (["monogamy", "--dims", "2,2,2", "--samples", "20", "--alpha", "1.0", "--seed", "3"],
      "--tol-violation"),
     (["groupop", "--law", "tanh_sum", "--grid", "16"], "--tol-assoc"),
 ])
 def test_tolerance_flags_must_be_finite_nonnegative(argv, flag, value, capsys):
+    if value in TOLERANCE_EDGES:
+        assert main(argv + [f"{flag}={value}"]) == EXIT_OK
+        return
     assert main(argv + [f"{flag}={value}"]) == EXIT_VALIDATION
-    assert flag in capsys.readouterr().err
+    name = {"--tol-violation": "violation_tol", "--tol-assoc": "assoc_tol"}[flag]
+    assert_flag_refused(capsys.readouterr().err, flag, value, f"{name} must be finite and >= 0")
 
 
 class TestFinitePositiveFlags:
-    @pytest.mark.parametrize("value", BAD_NUMBERS + ["0"])
+    @pytest.mark.parametrize("value", BAD_NUMBERS + ["0", "1e400", SMALLEST_POSITIVE])
     def test_measure_alpha(self, tmp_path, value, capsys):
         path = write_json(tmp_path / "tmsvs.json", {"kind": "tmsvs", "r": 0.5})
         argv = ["measure", "--input", path, "--measures", "alpha_ratio", f"--alpha={value}"]
+        if value == SMALLEST_POSITIVE:
+            assert main(argv) == EXIT_OK
+            return
         assert main(argv) == EXIT_VALIDATION
-        assert "--alpha" in capsys.readouterr().err
+        assert_flag_refused(capsys.readouterr().err, "--alpha", value, ALPHA_RULE)
 
     @pytest.mark.parametrize("command", ["chain", "sweep"])
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "1e400", SMALLEST_POSITIVE])
     def test_chain_and_sweep_alpha(self, chain_file, command, value, capsys):
-        assert main([command, "--input", chain_file, f"--alpha={value}"]) == EXIT_VALIDATION
-        assert "--alpha" in capsys.readouterr().err
+        argv = [command, "--input", chain_file, f"--alpha={value}"]
+        if value == SMALLEST_POSITIVE:
+            assert main(argv) == EXIT_OK
+            return
+        assert main(argv) == EXIT_VALIDATION
+        assert_flag_refused(capsys.readouterr().err, "--alpha", value, ALPHA_RULE)
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400", SMALLEST_POSITIVE])
     def test_monogamy_alpha(self, value, capsys):
-        assert main(["monogamy", "--dims", "2,2,2", "--samples", "5",
-                     f"--alpha={value}"]) == EXIT_VALIDATION
-        assert "--alpha" in capsys.readouterr().err
+        argv = ["monogamy", "--dims", "2,2,2", "--samples", "5", f"--alpha={value}"]
+        if value == SMALLEST_POSITIVE:
+            assert main(argv) == EXIT_OK
+            return
+        assert main(argv) == EXIT_VALIDATION
+        assert_flag_refused(capsys.readouterr().err, "--alpha", value, ALPHA_RULE)
 
-    @pytest.mark.parametrize("value", BAD_NUMBERS)
+    @pytest.mark.parametrize("value", BAD_NUMBERS + ["0", "1e400"])
     def test_gaussian_r(self, value, capsys):
         assert main(["gaussian", f"--r={value}"]) == EXIT_VALIDATION
-        assert "--r" in capsys.readouterr().err
+        assert_flag_refused(capsys.readouterr().err, "--r", value,
+                            "squeezing parameter r must be finite and > 0")
+
+
+def test_chain_alpha_zero_refused_without_argparse(chain_file):
+    # A 0.0 that reaches the command, as from a caller's Namespace, is not
+    # read as "no alpha": the chain's alpha rule refuses it.
+    with pytest.raises(ValueError, match="alpha must be finite and > 0, got 0.0"):
+        cli.cmd_chain(argparse.Namespace(input=chain_file, alpha=0.0))
 
 
 @pytest.mark.parametrize("dims", ["2,2.5,2", "2,,2"])
@@ -873,8 +935,6 @@ def test_min_law_writes_inapplicable_deviation_as_inf(tmp_path):
 
 
 def test_non_finite_report_value_is_numerical_failure(tmp_path, monkeypatch, capsys):
-    import qchain.cli as cli
-
     monkeypatch.setattr(cli, "cm_ratio_negativity", lambda cm: math.nan)
     out = tmp_path / "cm.json"
     assert main(["gaussian", "--r", "0.5", "--output", str(out)]) == EXIT_NUMERICAL
@@ -885,8 +945,6 @@ def test_non_finite_report_value_is_numerical_failure(tmp_path, monkeypatch, cap
 @pytest.mark.parametrize("message", [
     "Unable to allocate 512. MiB for an array with shape (8192, 8192) and data type float64", ""])
 def test_out_of_memory_is_a_one_line_error(tmp_path, monkeypatch, capsys, message):
-    import qchain.cli as cli
-
     def exhausted(*args, **kwargs):
         raise MemoryError(message)
 

@@ -472,6 +472,21 @@ class TestFamilySupport:
     def test_families(self, dims, expected):
         assert family_supported(dims) is expected
 
+    def test_scan_converts_its_dims_once(self, monkeypatch):
+        # The scan's layout converts its dims (tensor._integer), and the
+        # family check reads them as they are; family_supported converts
+        # a caller's dims itself.
+        real, calls = monogamy._integer, []
+
+        def counting(value, what):
+            calls.append(value)
+            return real(value, what)
+
+        monkeypatch.setattr(monogamy, "_integer", counting)
+        monogamy.sample_monogamy_scan((2, 2, 3), 5, 1.0, 0)
+        assert calls == []
+        assert family_supported((2, 2, 3)) and calls == [2, 2, 3]
+
 
 @pytest.mark.parametrize("party_a,message", [
     ((), "party A must be non-empty"),

@@ -422,10 +422,12 @@ class TestValidation:
             PureState(np.array([0.6, 0.0, 0.8]), QUBIT_PAIR)
 
     def test_negative_truncation_deficit_refused(self):
-        with pytest.raises(ValueError, match="truncation_deficit must be >= 0"):
-            PureState(bell_state().amplitudes, QUBIT_PAIR, -1e-3)
-        with pytest.raises(ValueError, match="truncation_deficit must be >= 0"):
-            DensityMatrix(np.eye(4) / 4, QUBIT_PAIR, -1e-3)
+        for deficit in (-1e-3, math.nan, math.inf):
+            message = re.escape(f"truncation_deficit must be finite and >= 0, got {deficit!r}")
+            with pytest.raises(ValueError, match=message):
+                PureState(bell_state().amplitudes, QUBIT_PAIR, deficit)
+            with pytest.raises(ValueError, match=message):
+                DensityMatrix(np.eye(4) / 4, QUBIT_PAIR, deficit)
 
     def test_density_matrix_trace_enforced(self):
         with pytest.raises(ValueError, match="trace"):

@@ -330,8 +330,16 @@ class TestQuditTargets:
 
     @pytest.mark.parametrize("d", [None, 1, 0, 2.0, 3.5, True, "3"])
     def test_target_needs_an_integer_dimension(self, d):
-        with pytest.raises(ValueError, match="integer local dimension d >= 2"):
-            qudit_link(d=d, g_concurrence=0.5)
+        if d is None or type(d) is int:
+            with pytest.raises(ValueError, match=f"local dimension d >= 2, got {d}"):
+                qudit_link(d=d, g_concurrence=0.5)
+            return
+        # A non-integer d is refused by tensor._integer, with one message on
+        # both branches.
+        for build in (lambda: qudit_link(d=d, g_concurrence=0.5),
+                      lambda: qudit_link(lam=[0.5, 0.5], d=d)):
+            with pytest.raises(ValueError, match=re.escape(f"d must be an integer, got {d!r}")):
+                build()
 
     @pytest.mark.parametrize("c", [-0.1, 1.0 + EPS, math.nan, math.inf])
     def test_qubit_target_outside_unit_interval(self, c):
@@ -412,13 +420,16 @@ class TestLinkValidation:
         (lambda: LinkResource("qubit_pure", native_value=0.5, schmidt=(0.5, 0.25, 0.25)),
          "need exactly 2 Schmidt coefficients, got 3"),
         (lambda: LinkResource("qubit_pure", native_value=0.5),
-         "Schmidt coefficients must be a non-negative vector, got nan"),
+         "a qubit link needs its Schmidt pair"),
+        (lambda: LinkResource("qubit_pure", native_value=0.5, d=2),
+         "a qubit link needs its Schmidt pair"),
         (lambda: LinkResource("qubit_pure", native_value=0.5, schmidt=(1.2, -0.2)),
          "Schmidt coefficients must be a non-negative vector"),
         (lambda: LinkResource("qudit_pure", native_value=0.5, schmidt=(0.5, 0.5), d=3),
          "need exactly 3 Schmidt coefficients, got 2"),
     ], ids=["unknown_kind", "value_above_one", "empty_chain", "qubit_pair_sum",
-            "qubit_three_coefficients", "qubit_no_pair", "qubit_negative", "qudit_size"])
+            "qubit_three_coefficients", "qubit_no_pair", "qubit_no_pair_with_d", "qubit_negative",
+            "qudit_size"])
     def test_malformed_link_or_chain_refused(self, build, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             build()
