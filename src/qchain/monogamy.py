@@ -11,7 +11,7 @@ on pure states the extension coincides with the plain measure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -159,6 +159,11 @@ def ckw_violation_state() -> PureState:
     return PureState(amps, SubsystemLayout((2, 2, 2), (0,)))
 
 
+def _fields_json(report) -> dict:
+    """A report's dataclass fields as a JSON object, tuples as lists."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(report).items()}
+
+
 @dataclass(frozen=True)
 class GridCheckReport:
     a: float
@@ -170,9 +175,7 @@ class GridCheckReport:
     violation_count: int
 
     def to_json(self) -> dict:
-        return {"a": self.a, "b": self.b, "alpha": self.alpha, "grid_n": self.grid_n,
-                "max_violation": self.max_violation, "violation_count": self.violation_count,
-                "witness": list(self.witness) if self.witness else None}
+        return _fields_json(self)
 
 
 def check_ineq_xya_grid(a: float, b: float, alpha: float,
@@ -226,11 +229,7 @@ class ScanReport:
     warning: str | None = None
 
     def to_json(self) -> dict:
-        return {"dims": list(self.dims), "samples": self.samples, "alpha": self.alpha,
-                "seed": self.seed, "family_covered": self.family_covered,
-                "min_residual": self.min_residual, "violation_count": self.violation_count,
-                "histogram": list(self.histogram), "histogram_edges": list(self.histogram_edges),
-                "warning": self.warning}
+        return _fields_json(self)
 
 
 def sample_monogamy_scan(dims, samples: int, alpha: float, seed: int,

@@ -12,6 +12,7 @@ import gc
 import itertools
 import json
 import math
+import sys
 import time
 from contextlib import contextmanager
 
@@ -260,7 +261,8 @@ def _from_pairs(pairs, shape: tuple[int, ...], what: str) -> np.ndarray:
     except OverflowError:  # an integer literal beyond the float range
         raise ValueError(f"{what} entries must be finite numbers") from None
     arr = arr.reshape(*shape, 2)
-    return arr[..., 0] + 1j * arr[..., 1]
+    with np.errstate(invalid="ignore"):  # 1j * inf holds a NaN; the file checks name it
+        return arr[..., 0] + 1j * arr[..., 1]
 
 
 def state_to_json(state: PureState | DensityMatrix) -> dict:
@@ -338,6 +340,8 @@ def chain_from_json(doc) -> tuple[list, str | None, float | None]:
         entries, repeat = [identical["identical"]], identical["count"]
         if repeat < 1:
             raise ValueError(f"links.count must be an integer >= 1, got {repeat}")
+        if repeat > sys.maxsize:  # no list holds that many links
+            raise ValueError(f"links.count must be at most {sys.maxsize}, got {repeat}")
     elif isinstance(raw, list) and raw:
         entries, repeat = raw, 1
     else:

@@ -24,7 +24,7 @@ passes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,8 +62,7 @@ class Check:
         return self.computed > self.expected
 
     def to_json(self) -> dict:
-        return {"name": self.name, "kind": self.kind, "computed": self.computed,
-                "expected": self.expected, "tolerance": self.tolerance, "pass": self.passed}
+        return {**asdict(self), "pass": self.passed}
 
 
 @dataclass(frozen=True)

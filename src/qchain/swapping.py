@@ -58,8 +58,7 @@ class LinkResource:
     def __post_init__(self):
         if self.kind not in LINK_KINDS:
             raise ValueError(f"unknown link kind {self.kind!r}")
-        if not (0.0 <= self.native_value <= 1.0):
-            raise ValueError(f"native measure value must lie in [0, 1], got {self.native_value}")
+        _target(self.native_value, "native measure value")
         if self.kind == "qubit_pure" and self.schmidt is None:
             raise ValueError("a qubit link needs its Schmidt pair")
         if self.schmidt is not None:

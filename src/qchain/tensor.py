@@ -147,7 +147,8 @@ def require_normalized(psi: np.ndarray) -> np.ndarray:
     """Finite amplitudes with |psi|^2 within TRACE_TOL of 1; psi is one
     vector or a stack of them along leading axes."""
     require_finite(psi, "amplitudes")
-    weights = np.linalg.norm(psi, axis=-1) ** 2
+    with np.errstate(over="ignore"):  # |psi|^2 = inf is refused below
+        weights = np.linalg.norm(psi, axis=-1) ** 2
     off = np.abs(weights - 1.0) > TRACE_TOL
     if np.any(off):
         raise ValueError(f"pure state is not normalized: |psi|^2 = {float(weights[off].flat[0])!r}")
@@ -174,21 +175,16 @@ def _hermitian_defect(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keeping running maxima, so no temporary grows past a strip. Since
     |a - conj b| = |b - conj a| exactly and a maximum does not depend on
     its order, both equal the whole-matrix formula's bit for bit; a NaN or
-    infinite entry makes top NaN or inf. On a real stack, abs overwrites
-    the difference and top is max(max, -min), with no abs temporary."""
-    real = not np.iscomplexobj(m)
+    infinite entry makes top NaN or inf."""
     top = defect = np.zeros(m.shape[:-2])
     axes = (-2, -1)
-    with np.errstate(invalid="ignore"):  # inf - inf = NaN; top is inf then
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf differences are refused
         for i in range(0, m.shape[-1], HERM_STRIP):
             rows, cols = m[..., i:i + HERM_STRIP, i:], m[..., i:, i:i + HERM_STRIP]
             for part in (rows, cols):
-                peak = (np.maximum(np.max(part, axis=axes), 0.0 - np.min(part, axis=axes))
-                        if real else np.max(np.abs(part), axis=axes))
-                top = np.maximum(top, peak)
+                top = np.maximum(top, np.max(np.abs(part), axis=axes))
             diff = rows - np.swapaxes(cols, -2, -1).conj()
-            diff = np.abs(diff, out=diff) if real else np.abs(diff)
-            defect = np.maximum(defect, np.max(diff, axis=axes))
+            defect = np.maximum(defect, np.max(np.abs(diff), axis=axes))
     return defect, top
 
 

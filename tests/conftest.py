@@ -79,27 +79,35 @@ def moment_oracle_cm(psi_matrix: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def lossy_tmsvs_matrix(r: float, eta: float, cutoff: int, rotation=None) -> np.ndarray:
-    """Density matrix over (cutoff, cutoff) of a two-mode squeezed vacuum
-    truncated to photon numbers below cutoff and renormalized, after a
-    pure-loss channel of transmissivity eta on mode B, in real arithmetic.
-
-    rho = Psi^T Psi, with row k of Psi the branch in which k photons are
-    lost: psi_k[m, m - k] = c_m sqrt(C(m, k)) eta^((m-k)/2) (1 - eta)^(k/2),
-    c_m = sqrt(1 - chi^2) chi^m, chi = tanh r. A real orthogonal `rotation`
-    (cutoff x cutoff) acts on mode A, which keeps every negativity but
-    couples the Fock blocks of the partial transpose."""
+def lossy_tmsvs_amplitudes(r: float, eta: float, cutoff: int) -> np.ndarray:
+    """Normalized amplitudes psi[a, b, c] over three modes of cutoff levels:
+    a two-mode squeezed vacuum on A-B, truncated to photon numbers below
+    cutoff, after a beam splitter of transmissivity eta mixes B with vacuum
+    on C, in real arithmetic:
+    psi[m, m - k, k] = c_m sqrt(C(m, k)) eta^((m-k)/2) (1 - eta)^(k/2),
+    c_m = sqrt(1 - chi^2) chi^m, chi = tanh r. The splitter acts on B and C
+    only, so it is local across A|BC, and swapping B with C is eta -> 1 - eta."""
     chi = np.tanh(r)
     psi = np.zeros((cutoff, cutoff, cutoff))
     for k in range(cutoff):
         m = np.arange(k, cutoff)
         binom = np.array([math.comb(int(x), k) for x in m], dtype=float)
-        psi[k, m, m - k] = (np.sqrt(1 - chi ** 2) * chi ** m * np.sqrt(binom)
+        psi[m, m - k, k] = (np.sqrt(1 - chi ** 2) * chi ** m * np.sqrt(binom)
                             * eta ** ((m - k) / 2) * (1 - eta) ** (k / 2))
+    return psi / np.linalg.norm(psi)
+
+
+def lossy_tmsvs_matrix(r: float, eta: float, cutoff: int, rotation=None) -> np.ndarray:
+    """Density matrix over (cutoff, cutoff) of lossy_tmsvs_amplitudes traced
+    over C: the truncated two-mode squeezed vacuum after a pure-loss channel
+    of transmissivity eta on mode B. A real orthogonal `rotation`
+    (cutoff x cutoff) acts on mode A, which keeps every negativity but
+    couples the Fock blocks of the partial transpose."""
+    psi = lossy_tmsvs_amplitudes(r, eta, cutoff)
     if rotation is not None:
-        psi = np.einsum("am,kmn->kan", rotation, psi)
-    rows = psi.reshape(cutoff, cutoff * cutoff)
-    rho = rows.T @ rows
+        psi = np.einsum("am,mbc->abc", rotation, psi)
+    ab_c = psi.reshape(cutoff * cutoff, cutoff)
+    rho = ab_c @ ab_c.T
     return rho / np.trace(rho)
 
 

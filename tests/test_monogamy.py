@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qchain import monogamy
+from qchain.gaussian import CovarianceMatrix, cm_ratio_negativity
 from qchain.monogamy import (
     HISTOGRAM_BINS,
     HISTOGRAM_RANGE,
@@ -17,12 +19,14 @@ from qchain.monogamy import (
     aux_g,
     check_ineq_xya_grid,
     ckw_residual,
+    ckw_residuals,
     ckw_violation_state,
     family_supported,
     sample_monogamy_scan,
 )
 from qchain.measures import MeasureSpec, evaluate_measure, negativity
 from qchain.states import (
+    PSD_TOL,
     DensityMatrix,
     PureState,
     random_density_matrix,
@@ -30,6 +34,8 @@ from qchain.states import (
     substream,
 )
 from qchain.tensor import SubsystemLayout, group_subsystems, partial_trace
+
+from conftest import lossy_tmsvs_amplitudes, lossy_tmsvs_cm
 
 
 def mp_aux_g(r, u, dps=50):
@@ -504,3 +510,72 @@ def test_party_a_follows_the_layout_rule(party_a, message):
 def test_party_a_is_sorted_without_repeats():
     report = ckw_residual(ckw_violation_state(), "ratio", 1.0, (2, 0, 2))
     assert report.party_a == (0, 2)
+
+
+class TestReportJson:
+    """to_json writes every dataclass field under its own name, tuples as lists."""
+
+    @pytest.mark.parametrize("witness", [None, (0.25, 0.5)])
+    def test_grid_check_report(self, witness):
+        report = monogamy.GridCheckReport(a=0.5, b=0.75, alpha=1.5, grid_n=100,
+                                          max_violation=0.125, witness=witness,
+                                          violation_count=3)
+        expected = {"a": 0.5, "b": 0.75, "alpha": 1.5, "grid_n": 100, "max_violation": 0.125,
+                    "violation_count": 3, "witness": None if witness is None else [0.25, 0.5]}
+        assert report.to_json() == expected
+        assert json.dumps(report.to_json(), sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    @pytest.mark.parametrize("warning", [None, "dims (2, 2, 5) lie outside the families"])
+    def test_scan_report(self, warning):
+        report = monogamy.ScanReport(dims=(2, 2, 5), samples=4, alpha=3.191, seed=7,
+                                     family_covered=warning is None, min_residual=-0.0625,
+                                     violation_count=1, histogram=(1, 0, 3),
+                                     histogram_edges=(-1.0, 0.0, 0.5, 1.0), warning=warning)
+        expected = {"dims": [2, 2, 5], "samples": 4, "alpha": 3.191, "seed": 7,
+                    "family_covered": warning is None, "min_residual": -0.0625,
+                    "violation_count": 1, "histogram": [1, 0, 3],
+                    "histogram_edges": [-1.0, 0.0, 0.5, 1.0], "warning": warning}
+        assert report.to_json() == expected
+        assert json.dumps(report.to_json(), sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+class TestLossyThreeModeFamily:
+    """A two-mode squeezed vacuum on A-B whose B is split on a beam splitter
+    of transmissivity eta, with vacuum on C, has a closed form on every
+    split: R(A|BC) = tanh r, since the splitter is local to BC, and R(A|B),
+    R(A|C) are the covariance values of the lossy state at eta and 1 - eta.
+    The Fock state of c levels a mode meets them within the amplitude tail
+    chi^c, times alpha for E^alpha (|a^2 - b^2| <= 2|a - b| on [0, 1]), plus
+    PSD_TOL: both routes read a negativity below PSD_TOL as 0."""
+
+    @staticmethod
+    def residuals(r, eta, c, alpha):
+        psi = lossy_tmsvs_amplitudes(r, eta, c)
+        return ckw_residuals(psi.reshape(1, -1), SubsystemLayout((c, c, c), (0,)), "ratio", alpha)
+
+    @staticmethod
+    def closed_forms(r, eta, alpha):
+        pair = [cm_ratio_negativity(CovarianceMatrix(lossy_tmsvs_cm(r, e))) for e in (eta, 1 - eta)]
+        return math.tanh(r) ** alpha, [p ** alpha for p in pair]
+
+    @settings(max_examples=25, deadline=None)
+    @given(r=st.floats(0.05, 1.0), eta=st.floats(0.0, 1.0), c=st.integers(4, 16))
+    @example(r=0.5, eta=0.6, c=16)
+    @example(r=0.3, eta=0.9, c=16)
+    @example(r=0.05, eta=9.999993936194823e-11, c=16)  # R(A|B) at the clamp
+    def test_residuals_meet_the_closed_forms(self, r, eta, c):
+        for alpha in (1.0, 2.0):
+            (lhs,), (rhs,), (residual,) = self.residuals(r, eta, c, alpha)
+            want_lhs, want_rhs = self.closed_forms(r, eta, alpha)
+            tol = alpha * math.tanh(r) ** c + PSD_TOL + 1e-12
+            assert abs(lhs - want_lhs) <= tol
+            assert np.all(np.abs(rhs - want_rhs) <= tol)
+            assert abs(residual - (want_lhs - sum(want_rhs))) <= 3 * tol
+
+    def test_alpha_one_violates_ckw(self):
+        # At (r, eta) = (0.5, 0.6) the first power violates the inequality.
+        want_lhs, want_rhs = self.closed_forms(0.5, 0.6, 1.0)
+        assert round(want_lhs - sum(want_rhs), 3) == -0.091
+        (residual,) = self.residuals(0.5, 0.6, 16, 1.0)[2]
+        assert residual < 0
+        assert abs(residual - (want_lhs - sum(want_rhs))) <= 3 * (math.tanh(0.5) ** 16 + 1e-12)

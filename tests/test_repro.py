@@ -9,12 +9,14 @@ compute the value, replayed here with the rules of `_Bound`, not a margin
 over the error observed.
 """
 
+import json
 import math
 
 import mpmath
 import numpy as np
+import pytest
 
-from qchain.repro import TMSVS_R_GRID, run_fixtures
+from qchain.repro import TMSVS_R_GRID, Check, run_fixtures
 from qchain.states import PSD_TOL, TmsvsSpec, cutoff_for_amplitude_tail, tmsvs_truncated
 
 EPS = float(np.finfo(float).eps)
@@ -273,3 +275,13 @@ def test_closed_form_checks_within_their_ulp_budgets():
             if distance > budget:
                 over.append(c.name)
     assert not over, "over budget: " + ", ".join(over) + "\n" + "\n".join(lines)
+
+
+@pytest.mark.parametrize("kind,computed,passed", [("close", 0.5 + 1e-12, True),
+                                                  ("greater", 0.25, False)])
+def test_check_json_adds_pass_to_its_fields(kind, computed, passed):
+    check = Check(name="a check", kind=kind, computed=computed, expected=0.5, tolerance=1e-10)
+    expected = {"name": "a check", "kind": kind, "computed": computed, "expected": 0.5,
+                "tolerance": 1e-10, "pass": passed}
+    assert check.to_json() == expected
+    assert json.dumps(check.to_json(), sort_keys=True) == json.dumps(expected, sort_keys=True)

@@ -434,6 +434,11 @@ class TestLinkValidation:
         with pytest.raises(ValueError, match=re.escape(message)):
             build()
 
+    def test_direct_link_keeps_an_integer_value(self):
+        # The [0, 1] rule checks the value; the link stores it as given.
+        link = LinkResource("qubit_pure", native_value=1, schmidt=(0.5, 0.5), d=2)
+        assert type(link.native_value) is int
+
     def test_direct_link_stores_its_checked_pair(self):
         link = LinkResource("qubit_pure", native_value=0.6, schmidt=[np.float64(0.9), 0.1], d=2)
         assert link.schmidt == (0.9, 0.1) and type(link.schmidt[0]) is float
