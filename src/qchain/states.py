@@ -9,6 +9,7 @@ independently of execution order or chunk size.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -221,6 +222,9 @@ class TmsvsSpec:
         object.__setattr__(self, "cutoff", _integer(self.cutoff, "cutoff"))
         if self.cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
+        if (self.cutoff + 1) ** 2 > sys.maxsize:  # no array holds that many amplitudes
+            raise ValueError(f"cutoff must be at most {math.isqrt(sys.maxsize) - 1}, "
+                             f"got {self.cutoff}")
 
     @property
     def chi(self) -> float:

@@ -28,8 +28,6 @@ GRID_SLAB_BYTES = 1 << 19
 
 def _integer(value, what: str) -> int:
     """value as an int; a non-integer such as 2.7 or True is refused by name."""
-    if type(value) is int:  # the common case, first
-        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)

@@ -14,13 +14,7 @@ import numpy as np
 import pytest
 
 from qchain import groupop, monogamy, tensor
-from qchain.reports import (
-    CHAIN_SCHEMA,
-    IDENTICAL_LINKS_SCHEMA,
-    LINK_SCHEMAS,
-    SCAN_SCHEMA,
-    STATE_SCHEMA,
-)
+from qchain.reports import CHAIN_SCHEMA, IDENTICAL_LINKS_SCHEMA, LINK_SCHEMAS, STATE_SCHEMA
 
 
 def charpoly_coefficients(a: np.ndarray) -> np.ndarray:
@@ -187,8 +181,7 @@ REFUSED_REAL_MATRICES = {
 # fields in messages.
 _INPUT_OBJECT_SCHEMAS = ([(branch, "") for branch in STATE_SCHEMA["oneOf"]]
                          + [(CHAIN_SCHEMA, ""), (IDENTICAL_LINKS_SCHEMA, "links.")]
-                         + [(link, "") for link in LINK_SCHEMAS.values()]
-                         + [(SCAN_SCHEMA, "")])
+                         + [(link, "") for link in LINK_SCHEMAS.values()])
 
 
 def typed_fields() -> list[tuple[dict, str, str, str]]:

@@ -1,4 +1,3 @@
-import argparse
 import copy
 import csv
 import io
@@ -23,7 +22,6 @@ from qchain.reports import (
     IDENTICAL_LINKS_SCHEMA,
     LINK_SCHEMAS,
     REPORT_SCHEMA,
-    SCAN_SCHEMA,
     STATE_SCHEMA,
     SWEEP_CSV_COLUMNS,
     state_from_json,
@@ -94,10 +92,9 @@ class TestMeasureCommand:
         assert all(m["ppt"] is False for m in doc["result"]["measures"])
 
     def test_tmsvs_input(self, tmp_path):
-        state = write_json(tmp_path / "tmsvs.json", {"kind": "tmsvs", "r": 1.0})
+        state = write_json(tmp_path / "tmsvs.json", {"kind": "tmsvs", "r": 1.0, "cutoff": 200})
         out = tmp_path / "r.json"
-        code = main(["measure", "--input", state, "--measures", "ratio",
-                     "--cutoff", "200", "--output", str(out)])
+        code = main(["measure", "--input", state, "--measures", "ratio", "--output", str(out)])
         assert code == EXIT_OK
         doc = load_report(out)
         assert abs(doc["result"]["measures"][0]["value"] - math.tanh(1.0)) < 1e-8
@@ -246,16 +243,23 @@ class TestSweepMatchesChain:
 
 
 class TestIgnoredFlagsRefused:
-    def test_measure_cutoff_on_a_non_tmsvs_state(self, bell_file, capsys):
-        assert main(["measure", "--input", bell_file, "--cutoff", "5"]) == EXIT_VALIDATION
-        assert "--cutoff" in capsys.readouterr().err
-
-    def test_measure_cutoff_with_a_file_cutoff(self, tmp_path, capsys):
-        path = write_json(tmp_path / "tmsvs.json", {"kind": "tmsvs", "r": 0.5, "cutoff": 10})
-        assert main(["measure", "--input", path, "--cutoff", "50"]) == EXIT_VALIDATION
+    @pytest.mark.parametrize("argv,refusal", [
+        (["measure", "--input", "{bell}", "--cutoff", "5"], "unrecognized arguments: --cutoff 5"),
+        (["chain", "--input", "{chain}", "--alpha", "2"], "unrecognized arguments: --alpha 2"),
+        (["sweep", "--input", "{chain}", "--alpha", "2"], "unrecognized arguments: --alpha 2"),
+        (["monogamy", "--dims", "2,2,2", "--input", "{chain}"],
+         "unrecognized arguments: --input {chain}"),
+        (["monogamy"], "the following arguments are required: --dims"),
+    ], ids=["measure-cutoff", "chain-alpha", "sweep-alpha", "monogamy-input", "monogamy-no-dims"])
+    def test_one_route_per_value(self, bell_file, chain_file, argv, refusal, capsys):
+        # A tmsvs cutoff and a chain alpha come only from the input file,
+        # and a scan only from the flags.
+        paths = {"bell": bell_file, "chain": chain_file}
+        assert main([a.format(**paths) for a in argv]) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert "--cutoff 50" in err and "cutoff 10" in err
-        assert main(["measure", "--input", path, "--output", str(tmp_path / "r.json")]) == EXIT_OK
+        (line,) = [ln for ln in err.splitlines() if "error:" in ln]
+        assert line.endswith(refusal.format(**paths))
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("measures", ["ratio", "negativity,log_negativity,ratio"])
     def test_measure_alpha_without_alpha_ratio(self, bell_file, measures, capsys):
@@ -283,21 +287,6 @@ class TestIgnoredFlagsRefused:
         assert "alpha" not in ratio and powered["alpha"] == 3.0
         assert abs(powered["value"] - ratio["value"] ** 3) < 1e-15
 
-    @pytest.mark.parametrize("flag,value", [("--dims", "2,2,2"), ("--samples", "10"),
-                                            ("--alpha", "2.0"), ("--seed", "3")])
-    def test_monogamy_input_with_scan_flags(self, tmp_path, flag, value, capsys):
-        path = write_json(tmp_path / "scan.json",
-                          {"dims": [2, 2, 2], "samples": 10, "alpha": 1.0, "seed": 1})
-        assert main(["monogamy", "--input", path, flag, value]) == EXIT_VALIDATION
-        assert flag in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["chain", "sweep"])
-    def test_alpha_with_a_chain_file_alpha(self, tmp_path, command, capsys):
-        path = write_json(tmp_path / "chain.json",
-                          {"kind": "tmsvs", "links": [{"r": 0.5}], "alpha": 2.0})
-        assert main([command, "--input", path, "--alpha", "2.0"]) == EXIT_VALIDATION
-        assert "--alpha" in capsys.readouterr().err
-
     def test_monogamy_defaults_apply_with_dims(self, tmp_path):
         out = tmp_path / "scan.json"
         assert main(["monogamy", "--dims", "2,2,2", "--output", str(out)]) == EXIT_OK
@@ -308,16 +297,6 @@ class TestIgnoredFlagsRefused:
 
 
 class TestMonogamyCommand:
-    def test_scan_from_config_file(self, tmp_path):
-        cfg = {"dims": [2, 2, 2], "samples": 50, "alpha": 3.191, "seed": 7}
-        jsonschema.validate(cfg, SCAN_SCHEMA)
-        path = write_json(tmp_path / "scan.json", cfg)
-        out = tmp_path / "scan_report.json"
-        assert main(["monogamy", "--input", path, "--output", str(out)]) == EXIT_OK
-        doc = load_report(out)
-        assert doc["result"]["scan"]["violation_count"] == 0
-        assert doc["result"]["two_term_grid"]["violation_count"] == 0
-
     def test_inline_dims(self, tmp_path):
         out = tmp_path / "scan2.json"
         code = main(["monogamy", "--dims", "2,2,2", "--samples", "25",
@@ -434,11 +413,10 @@ class TestExitCodesAndDeterminism:
                      "--output", "/no/such/dir/out.json"]) == EXIT_IO
 
     def test_reports_identical_after_meta_strip(self, tmp_path):
-        cfg = write_json(tmp_path / "scan.json",
-                         {"dims": [2, 2, 3], "samples": 20, "alpha": 3.2, "seed": 11})
+        argv = ["monogamy", "--dims", "2,2,3", "--samples", "20", "--alpha", "3.2", "--seed", "11"]
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["monogamy", "--input", cfg, "--output", str(out1)]) == EXIT_OK
-        assert main(["monogamy", "--input", cfg, "--output", str(out2)]) == EXIT_OK
+        assert main(argv + ["--output", str(out1)]) == EXIT_OK
+        assert main(argv + ["--output", str(out2)]) == EXIT_OK
         a = json.dumps(strip_meta(json.loads(out1.read_text())), sort_keys=True)
         b = json.dumps(strip_meta(json.loads(out2.read_text())), sort_keys=True)
         assert a == b
@@ -463,7 +441,7 @@ class TestMeasureInputChecks:
             == EXIT_VALIDATION
         assert "unknown measure kind 'bogus'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["measure", "chain", "sweep", "monogamy"])
+    @pytest.mark.parametrize("command", ["measure", "chain", "sweep"])
     def test_deeply_nested_file_exits_2(self, tmp_path, command, capsys):
         # json.load recurses once per "[", so this depth is far past
         # Python's recursion limit; the refusal is one line, no traceback.
@@ -478,10 +456,9 @@ class TestMeasureInputChecks:
         assert main(["measure", "--input", path]) == EXIT_VALIDATION
         assert "unknown state kind 'bogus'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [[], ["--cutoff", "5"]])
-    def test_json_list_input_rejected(self, tmp_path, extra, capsys):
+    def test_json_list_input_rejected(self, tmp_path, capsys):
         path = write_json(tmp_path / "list.json", [1, 2])
-        assert main(["measure", "--input", path] + extra) == EXIT_VALIDATION
+        assert main(["measure", "--input", path]) == EXIT_VALIDATION
         assert "must be an object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", sorted(REFUSED_REAL_MATRICES))
@@ -497,6 +474,13 @@ class TestMeasureInputChecks:
         path = write_json(tmp_path / "tmsvs.json", {"kind": "tmsvs", "r": 20})
         assert main(["measure", "--input", path]) == EXIT_VALIDATION
         assert "chi = tanh r must lie below 1" in capsys.readouterr().err
+
+    def test_tmsvs_cutoff_beyond_any_array_exits_2(self, tmp_path, capsys):
+        # The file's 1e308 reads as the integer int(1e308).
+        path = write_json(tmp_path / "tmsvs.json", {"kind": "tmsvs", "r": 0.5, "cutoff": 1e308})
+        assert main(["measure", "--input", path]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            f"error: cutoff must be at most 3037000498, got {int(1e308)}\n"
 
     @pytest.mark.parametrize("tol", ["nan", "-1e-10", "inf", "1e400"] + TOLERANCE_EDGES)
     def test_tol_psd_must_be_finite_nonnegative(self, tmp_path, tol, capsys):
@@ -565,16 +549,6 @@ class TestFinitePositiveFlags:
         assert main(argv) == EXIT_VALIDATION
         assert_flag_refused(capsys.readouterr().err, "--alpha", value, ALPHA_RULE)
 
-    @pytest.mark.parametrize("command", ["chain", "sweep"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "1e400", SMALLEST_POSITIVE])
-    def test_chain_and_sweep_alpha(self, chain_file, command, value, capsys):
-        argv = [command, "--input", chain_file, f"--alpha={value}"]
-        if value == SMALLEST_POSITIVE:
-            assert main(argv) == EXIT_OK
-            return
-        assert main(argv) == EXIT_VALIDATION
-        assert_flag_refused(capsys.readouterr().err, "--alpha", value, ALPHA_RULE)
-
     @pytest.mark.parametrize("value", ["nan", "inf", "1e400", SMALLEST_POSITIVE])
     def test_monogamy_alpha(self, value, capsys):
         argv = ["monogamy", "--dims", "2,2,2", "--samples", "5", f"--alpha={value}"]
@@ -589,13 +563,6 @@ class TestFinitePositiveFlags:
         assert main(["gaussian", f"--r={value}"]) == EXIT_VALIDATION
         assert_flag_refused(capsys.readouterr().err, "--r", value,
                             "squeezing parameter r must be finite and > 0")
-
-
-def test_chain_alpha_zero_refused_without_argparse(chain_file):
-    # A 0.0 that reaches the command, as from a caller's Namespace, is not
-    # read as "no alpha": the chain's alpha rule refuses it.
-    with pytest.raises(ValueError, match="alpha must be finite and > 0, got 0.0"):
-        cli.cmd_chain(argparse.Namespace(input=chain_file, alpha=0.0))
 
 
 @pytest.mark.parametrize("dims", ["2,2.5,2", "2,,2"])
@@ -664,7 +631,6 @@ def test_complex_mixed_file_refusal_message(tmp_path, matrix, message, tol, caps
 
 class TestInputFileFields:
     CHAIN = {"kind": "tmsvs", "links": {"identical": {"r": 0.5}, "count": 3}}
-    SCAN = {"dims": [2, 2, 2], "samples": 10, "alpha": 1.0, "seed": 1}
 
     @pytest.mark.parametrize("command", ["chain", "sweep"])
     @pytest.mark.parametrize("alpha", ["1e999", pytest.param("1" + "0" * 400, id="1e400-int"),
@@ -684,10 +650,6 @@ class TestInputFileFields:
          CHAIN_SCHEMA, "links.count"),
         ("sweep", {**CHAIN, "links": {"identical": {"r": 0.5}, "count": 0}},
          CHAIN_SCHEMA, "links.count"),
-        ("monogamy", {**SCAN, "seed": 1.7}, SCAN_SCHEMA, "seed"),
-        ("monogamy", {**SCAN, "samples": 10.9}, SCAN_SCHEMA, "samples"),
-        ("monogamy", {**SCAN, "seed": False}, SCAN_SCHEMA, "seed"),
-        ("monogamy", {**SCAN, "dims": [2, 2.5, 2]}, SCAN_SCHEMA, "dims entry"),
     ])
     def test_integer_fields(self, tmp_path, command, doc, schema, field, capsys):
         with pytest.raises(jsonschema.ValidationError):
@@ -727,7 +689,7 @@ class TestInputFileFields:
         assert main([command, "--input", path]) == EXIT_VALIDATION
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["chain", "sweep", "monogamy"])
+    @pytest.mark.parametrize("command", ["chain", "sweep"])
     def test_document_must_be_an_object(self, tmp_path, command, capsys):
         path = write_json(tmp_path / "input.json", [1])
         assert main([command, "--input", path]) == EXIT_VALIDATION
@@ -738,7 +700,7 @@ class TestInputFileFields:
         ("measure", {"kind": "tmsvs", "r": 0.5, "dims": [2, 2]}, STATE_SCHEMA, "dims"),
         ("measure", {**state_to_json(bell_state()), "bogus": 1}, STATE_SCHEMA, "bogus"),
         ("measure", {**state_to_json(bell_state()), "r": 0.5}, STATE_SCHEMA, "r"),
-        ("monogamy", {**SCAN, "bogus": 1}, SCAN_SCHEMA, "bogus"),
+        ("measure", {**state_to_json(bell_state()), "cutoff": 10}, STATE_SCHEMA, "cutoff"),
         ("chain", {**CHAIN, "bogus": 1}, CHAIN_SCHEMA, "bogus"),
         ("sweep", {**CHAIN, "bogus": 1}, CHAIN_SCHEMA, "bogus"),
         ("chain", {**CHAIN, "links": {"identical": {"r": 0.5}, "count": 3, "bogus": 1}},
@@ -762,7 +724,7 @@ class TestInputFileFields:
     @pytest.mark.parametrize("command,doc,schema", [
         ("chain", {**CHAIN, "alpha": 2}, CHAIN_SCHEMA),
         ("sweep", {**CHAIN, "links": {"identical": {"r": 0.5}, "count": 3.0}}, CHAIN_SCHEMA),
-        ("monogamy", {**SCAN, "samples": 10.0, "alpha": 2}, SCAN_SCHEMA),
+        ("measure", {"kind": "tmsvs", "r": 1, "cutoff": 10.0}, STATE_SCHEMA),
         ("chain", {"kind": "qubit", "links": [{"lambda": [0.9, 0.1]}, {"concurrence": 0.5}]},
          CHAIN_SCHEMA),
         ("sweep", {"kind": "qudit", "links": [{"lambda": [0.5, 0.3, 0.2], "d": 3},
@@ -995,10 +957,8 @@ class TestNullValuesRefused:
     """No input schema admits null, so a null value exits 2 naming its key
     instead of reading as an absent key."""
 
-    TMSVS_NULL_CUTOFF = {"kind": "tmsvs", "r": 0.5, "cutoff": None}
-
     @pytest.mark.parametrize("command,doc,schema,key", [
-        ("measure", TMSVS_NULL_CUTOFF, STATE_SCHEMA, "cutoff"),
+        ("measure", {"kind": "tmsvs", "r": 0.5, "cutoff": None}, STATE_SCHEMA, "cutoff"),
         ("measure", {**state_to_json(bell_state()), "truncation_deficit": None}, STATE_SCHEMA,
          "truncation_deficit"),
         ("chain", {"kind": "qubit", "links": [{"concurrence": 0.5, "lambda": None}]},
@@ -1011,20 +971,14 @@ class TestNullValuesRefused:
          "measure"),
         ("chain", {"kind": "tmsvs", "links": {"identical": None, "count": 2}}, CHAIN_SCHEMA,
          "identical"),
-        ("monogamy", {**TestInputFileFields.SCAN, "seed": None}, SCAN_SCHEMA, "seed"),
     ], ids=["tmsvs-cutoff", "pure-truncation_deficit", "chain-lambda", "sweep-lambda",
-            "chain-measure", "sweep-measure", "chain-identical", "scan-seed"])
+            "chain-measure", "sweep-measure", "chain-identical"])
     def test_null_value(self, tmp_path, command, doc, schema, key, capsys):
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(doc, schema)
         path = write_json(tmp_path / "input.json", doc)
         assert main([command, "--input", path]) == EXIT_VALIDATION
         assert f"null value for key {key!r}" in capsys.readouterr().err
-
-    def test_null_cutoff_conflicts_with_cutoff_flag(self, tmp_path, capsys):
-        path = write_json(tmp_path / "input.json", self.TMSVS_NULL_CUTOFF)
-        assert main(["measure", "--input", path, "--cutoff", "10"]) == EXIT_VALIDATION
-        assert "conflicts with the state file's cutoff" in capsys.readouterr().err
 
 
 def _without(doc, key):
@@ -1035,7 +989,6 @@ _PURE_DOC = state_to_json(bell_state())
 _MIXED_DOC = state_to_json(bell_state().density_matrix())
 _TMSVS_DOC = {"kind": "tmsvs", "r": 0.5}
 _CHAIN_DOC = {"kind": "tmsvs", "links": {"identical": {"r": 0.5}, "count": 3}}
-_SCAN_DOC = {"dims": [2, 2, 2], "samples": 10, "alpha": 1.0, "seed": 1}
 # Every required key of every input format, each omitted from a valid document.
 _MISSING_KEYS = (
     [pytest.param("measure", _without(d, k), STATE_SCHEMA, k, id=f"{fmt}-no-{k}")
@@ -1050,8 +1003,6 @@ _MISSING_KEYS = (
     + [pytest.param("chain", {"kind": "tmsvs", "links": [{"r": 0.5}, _without({"r": 0.5}, k)]},
                     CHAIN_SCHEMA, k, id=f"link-no-{k}")
        for k in LINK_SCHEMAS["tmsvs"]["required"]]
-    + [pytest.param("monogamy", _without(_SCAN_DOC, k), SCAN_SCHEMA, k, id=f"scan-no-{k}")
-       for k in SCAN_SCHEMA["required"]]
 )
 
 
@@ -1083,10 +1034,8 @@ _TYPED_INPUTS = [
      LINK_SCHEMAS["qudit"]),
     ("chain", {"kind": "qudit", "links": [{"d": 3, "g_concurrence": 0.5}]}, ("links", 0),
      LINK_SCHEMAS["qudit"]),
-    ("monogamy", _SCAN_DOC, (), SCAN_SCHEMA),
 ]
-_FILE_SCHEMAS = {"measure": STATE_SCHEMA, "chain": CHAIN_SCHEMA, "sweep": CHAIN_SCHEMA,
-                 "monogamy": SCAN_SCHEMA}
+_FILE_SCHEMAS = {"measure": STATE_SCHEMA, "chain": CHAIN_SCHEMA, "sweep": CHAIN_SCHEMA}
 # Values of the wrong type for each kind of field, and how the refusal reads.
 _WRONG_TYPES = {
     "integer": ([True, "3", 2.5], "an integer"),
@@ -1156,12 +1105,6 @@ def test_chain_kind_must_be_a_string(tmp_path, command, kind, capsys):
     path = write_json(tmp_path / "input.json", {"kind": kind, "links": [{"r": 0.5}]})
     assert main([command, "--input", path]) == EXIT_VALIDATION
     assert "chain kind must be tmsvs|qubit|qudit" in capsys.readouterr().err
-
-
-def test_scan_dims_must_be_a_list(tmp_path, capsys):
-    path = write_json(tmp_path / "scan.json", {**_SCAN_DOC, "dims": 3})
-    assert main(["monogamy", "--input", path]) == EXIT_VALIDATION
-    assert "dims must be a list of integers" in capsys.readouterr().err
 
 
 def test_runtime_needs_no_test_extra(tmp_path):

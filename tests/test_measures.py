@@ -90,6 +90,16 @@ class TestLogNegativity:
         assert abs(log_negativity(st) - 2 * r / math.log(2)) < 1e-9
         assert abs(log_negativity(st) * math.log(2) - 2 * r) < 1e-9
 
+    @pytest.mark.parametrize("trace", [1 - 0.9e-10, 1 + 0.9e-10])
+    def test_clamped_state_reads_zero(self, trace):
+        # I/4 scaled to this trace has trace norm t = trace, whose negativity
+        # (t - 1)/2 the clamp reads as 0: the state is PPT, and its
+        # log-negativity is log2(1 + 2 * 0) = 0, not log2(t) = -+1.3e-10.
+        result = evaluate_measure(MeasureSpec("log_negativity"),
+                                  DensityMatrix(np.eye(4) / 4 * trace, QUBIT_PAIR))
+        assert abs(math.log2(result.trace_norm)) > 1.2e-10
+        assert (result.ppt, result.value) == (True, 0.0)
+
 
 class TestValidateF:
     # The first grid interval, as the message prints it.
@@ -741,7 +751,7 @@ def test_one_measure_functions_follow_the_clamp_rule():
         n = n if n >= PSD_TOL else 0.0
         alpha = 0.5 + t % 1.0
         assert negativity(state) == n, i
-        assert log_negativity(state) == math.log2(t), i
+        assert log_negativity(state) == math.log2(1.0 + 2.0 * n), i
         assert ratio_negativity(state) == n / (n + 1.0), i
         assert alpha_ratio_negativity(state, alpha) == (n / (n + 1.0)) ** alpha, i
         assert f_negativity(f, state) == f(n), i

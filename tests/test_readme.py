@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 
 from qchain.cli import EXIT_OK, main
-from qchain.reports import CHAIN_SCHEMA, SCAN_SCHEMA, STATE_SCHEMA
+from qchain.reports import CHAIN_SCHEMA, STATE_SCHEMA
 
 from conftest import typed_fields
 
@@ -48,7 +48,7 @@ def _file_format_examples():
             doc = json.loads(text)
         except ValueError:
             continue
-        fmt = "chain" if "links" in doc else "scan" if "samples" in doc else doc["kind"]
+        fmt = "chain" if "links" in doc else doc["kind"]
         examples.append((fmt, doc))
     return examples
 
@@ -56,10 +56,9 @@ def _file_format_examples():
 def test_file_format_examples_run(tmp_path):
     # Each example follows its schema and runs through the CLI.
     examples = _file_format_examples()
-    assert {fmt for fmt, _ in examples} >= {"pure", "tmsvs", "chain", "scan"}
+    assert {fmt for fmt, _ in examples} >= {"pure", "tmsvs", "chain"}
     for i, (fmt, doc) in enumerate(examples):
-        schema, command = {"chain": (CHAIN_SCHEMA, "chain"),
-                           "scan": (SCAN_SCHEMA, "monogamy")}.get(fmt, (STATE_SCHEMA, "measure"))
+        schema, command = (CHAIN_SCHEMA, "chain") if fmt == "chain" else (STATE_SCHEMA, "measure")
         jsonschema.validate(doc, schema)
         path = tmp_path / f"example{i}.json"
         path.write_text(json.dumps(doc))

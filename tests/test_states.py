@@ -196,6 +196,15 @@ class TestTmsvs:
         with pytest.raises(ValueError, match="cutoff must be >= 1"):
             TmsvsSpec(r=1.0, cutoff=0)
 
+    @pytest.mark.parametrize("cutoff", [3_037_000_499, 2 ** 63, int(1e308), 10 ** 400],
+                             ids=["3037000499", "2^63", "1e308", "10^400"])
+    def test_cutoff_beyond_any_array_refused(self, cutoff):
+        # (cutoff + 1)^2 amplitudes above sys.maxsize fit no array; the largest
+        # cutoff left has a deficit that is a float.
+        assert TmsvsSpec(r=1.0, cutoff=3_037_000_498).truncation_deficit == 0.0
+        with pytest.raises(ValueError, match=f"cutoff must be at most 3037000498, got {cutoff}$"):
+            TmsvsSpec(r=1.0, cutoff=cutoff)
+
     def test_chi_is_tanh_r(self):
         # chi is derived, so a spec cannot label one state with another's r.
         assert TmsvsSpec(r=0.3, cutoff=5).chi == math.tanh(0.3)
