@@ -126,8 +126,9 @@ def cm_ratio_negativity(cm: CovarianceMatrix) -> float:
     its covariance matrix, across mode 0 | mode 1.
 
     The partial-transpose trace norm is max(1, 1/nu_min), with nu_min the
-    smallest symplectic eigenvalue after the momentum flip; the clamp of
-    the Fock-basis route supplies the max. The formula is checked against
+    smallest symplectic eigenvalue after the momentum flip; its negativity
+    (1/nu_min - 1)/2, at weight 1, goes through the clamp of the
+    Fock-basis route, which supplies the max. The formula is checked against
     dense Fock-basis states, pure and lossy, in the test suite. Multimode
     inputs are refused.
     """
@@ -135,4 +136,4 @@ def cm_ratio_negativity(cm: CovarianceMatrix) -> float:
         raise ValueError(f"the covariance route supports exactly 2 modes, got {cm.modes}")
     validate_cm(cm)
     nu = symplectic_eigenvalues(cm_partial_transpose(cm, (0,)))
-    return _from_negativity(float(_clamped_negativity(1.0 / nu[-1])), "ratio")
+    return _from_negativity(float(_clamped_negativity(1.0, (1.0 / nu[-1] - 1.0) / 2.0)), "ratio")

@@ -1,14 +1,25 @@
-"""Entanglement measures built on the partial-transpose trace norm, plus
-the pure-state Schmidt fast paths for concurrence-family quantities.
+"""Entanglement measures from one pair per state, plus the pure-state
+Schmidt fast paths for concurrence-family quantities.
 
-`pt_trace_norm` is the one spectral step (Schmidt coefficients for pure
-states, a dense partial-transpose spectrum for mixed ones). Every
-negativity-family value follows from it through one clamp, and a state is
-PPT exactly when its clamped negativity is 0. Every pure-state measure
-reads `PureState.schmidt_coefficients`, which come from
-`tensor.schmidt_decompose`, the kernel the monogamy residuals run on
-stacks. A Schmidt vector a caller passes is checked once, where it
-enters, by the unit-weight rule `tensor._check_distribution`, and the
+Every measure value comes from the pair (w, neg) of the state's partial
+transpose across its A|B split (`_pt_parts`): its weight w, the sum of
+its eigenvalues, and its negative part neg, the magnitude of the sum of
+the negative ones (Vidal and Werner 2002). A pure state's pair comes
+from its Schmidt coefficients lambda as w = sum lambda and
+neg = sum_{i<j} sqrt(lambda_i lambda_j), summed by `_pair_sum` with
+every term >= 0, so nothing cancels; a mixed state's comes from the
+partial-transpose spectrum `tensor._trace_norm_blocks` computes once.
+From the pair: the trace norm t = w + 2 neg (`pt_trace_norm`), the
+negativity N = neg / w through one clamp, every negativity-family value
+from N (log-negativity log1p(2N)/ln 2), and the concurrence
+2 sqrt(`_pair_sum`(lambda)) / w. A state is PPT exactly when its clamped
+negativity is 0, and since N does not move when w is scaled, neither
+does that verdict.
+
+Every pure-state measure reads `PureState.schmidt_coefficients`, which
+come from `tensor.schmidt_decompose`, the kernel the monogamy residuals
+run on stacks. A Schmidt vector a caller passes is checked once, where
+it enters, by the unit-weight rule `tensor._check_distribution`, and the
 private formulas read it unchecked. Convex-roof extensions are evaluated
 only on pure inputs, where they coincide with the plain measures.
 """
@@ -22,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .states import PSD_TOL, DensityMatrix, PureState
-from .tensor import _check_distribution, require_positive, require_tolerance
+from .tensor import _check_distribution, _trace_norm, require_positive, require_tolerance
 
 State = DensityMatrix | PureState
 
@@ -80,14 +91,33 @@ class MeasureResult:
         return out
 
 
-def _schmidt_trace_norm(lam):
-    """(sum_i sqrt(lambda_i))^2 over the last axis of Schmidt coefficients."""
-    return np.sum(np.sqrt(lam), axis=-1) ** 2
+def _pair_sum(x):
+    """sum_j x_j (x_0 + ... + x_{j-1}) over the last axis of x sorted
+    ascending, which is sum_{i<j} x_i x_j: every term is >= 0 for x >= 0,
+    so nothing cancels."""
+    x = np.sort(x, axis=-1)
+    return np.sum(x[..., 1:] * np.cumsum(x, axis=-1)[..., :-1], axis=-1)
 
 
-def _clamped_negativity(t, psd_tol: float = PSD_TOL):
-    """N = (t - 1)/2 for trace norms t (scalar or array), 0 where N < psd_tol."""
-    n = (np.asarray(t, dtype=float) - 1.0) / 2.0
+def _schmidt_parts(lam):
+    """(w, neg) over the last axis of Schmidt coefficients: the weight
+    sum_i lambda_i and the partial transpose's negative part
+    sum_{i<j} sqrt(lambda_i lambda_j)."""
+    return np.sum(lam, axis=-1), _pair_sum(np.sqrt(lam))
+
+
+def _pt_parts(state: State):
+    """(w, neg) of the state's partial transpose: its trace and the sum of
+    its negative eigenvalues' magnitudes, from the Schmidt coefficients of
+    a pure state or the spectrum a mixed state keeps."""
+    if isinstance(state, PureState):
+        return _schmidt_parts(state.schmidt_coefficients)
+    return state._pt_parts
+
+
+def _clamped_negativity(w, neg, psd_tol: float = PSD_TOL):
+    """N = neg / w (scalars or arrays), 0 where N < psd_tol."""
+    n = np.asarray(neg, dtype=float) / w
     return np.where(n >= psd_tol, n, 0.0)
 
 
@@ -100,25 +130,23 @@ def _from_negativity(n, kind: str, alpha: float | None = None):
 
 
 def pt_trace_norm(state: State) -> float:
-    """Trace norm of the partial transpose across the state's A|B split.
-
-    For a pure state this is (sum_i sqrt(lambda_i))^2 in its Schmidt
-    coefficients; for a mixed state the dense spectrum is summed. Both
-    spectral steps run once per state object and are reused.
+    """Trace norm w + 2 neg of the partial transpose across the state's
+    A|B split, from _pt_parts. Both spectral steps (the Schmidt
+    coefficients, a mixed state's dense spectrum) run once per state
+    object and are reused.
     """
-    if isinstance(state, PureState):
-        return float(_schmidt_trace_norm(state.schmidt_coefficients))
-    return state._pt_trace_norm
+    return float(_trace_norm(*_pt_parts(state)))
 
 
 def negativity(state: State) -> float:
-    """(|rho^T_A|_1 - 1)/2, clamped to 0 when below PSD_TOL."""
+    """neg / w of the partial transpose, clamped to 0 when below PSD_TOL."""
     return evaluate_measure(MeasureSpec("negativity"), state).value
 
 
 def log_negativity(state: State) -> float:
-    """log2 of the partial-transpose trace norm, as reports carry it: log2(1 + 2N)
-    of the clamped negativity N, so a PPT state reads exactly 0.
+    """log2 of the partial-transpose trace norm of the unit-trace state, as
+    reports carry it: log1p(2N)/ln 2 of the clamped negativity N, so a PPT
+    state reads exactly 0.
 
     Some conventions use the natural log (under which a two-mode squeezed
     vacuum has value exactly 2r); multiply by ln 2 for that reading.
@@ -127,7 +155,7 @@ def log_negativity(state: State) -> float:
 
 
 def ratio_negativity(state: State) -> float:
-    """N/(N+1) = (|rho^T_A|_1 - 1)/(|rho^T_A|_1 + 1), bounded in [0, 1)."""
+    """N/(N+1) of the clamped negativity N, bounded in [0, 1)."""
     return evaluate_measure(MeasureSpec("ratio"), state).value
 
 
@@ -136,10 +164,10 @@ def alpha_ratio_negativity(state: State, alpha: float) -> float:
 
 
 def concurrence_pure(psi: PureState) -> float:
-    """sqrt(2 (1 - tr rho_A^2)) for a bipartite pure state."""
+    """sqrt(2 (1 - tr rho_A^2)) for a bipartite pure state, as
+    2 sqrt(sum_{i<j} lambda_i lambda_j) / w, which does not cancel."""
     lam = psi.schmidt_coefficients
-    tr_rho_a2 = float(np.sum(lam ** 2))
-    return math.sqrt(max(0.0, 2.0 * (1.0 - tr_rho_a2)))
+    return 2.0 * math.sqrt(_pair_sum(lam)) / float(np.sum(lam))
 
 
 def g_concurrence_pure(lam, d: int) -> float:
@@ -221,12 +249,12 @@ def evaluate_measure(spec: MeasureSpec, state: State, psd_tol: float = PSD_TOL) 
     if spec.kind in PURE_ONLY_KINDS and not isinstance(state, PureState):
         raise ValueError(f"{spec.kind} is only evaluated on pure states (convex roof out of scope)")
     t = pt_trace_norm(state)
-    n = float(_clamped_negativity(t, psd_tol))
+    n = float(_clamped_negativity(*_pt_parts(state), psd_tol))
     alpha = spec.alpha if spec.kind == "alpha_ratio" else None
     if spec.kind in ("negativity", "ratio", "alpha_ratio"):
         value = _from_negativity(n, spec.kind, alpha)
     elif spec.kind == "log_negativity":
-        value = math.log2(1.0 + 2.0 * n)
+        value = math.log1p(2.0 * n) / math.log(2.0)
     elif spec.kind == "concurrence":
         value = concurrence_pure(state)
     elif spec.kind == "g_concurrence":

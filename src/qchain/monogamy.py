@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .measures import _clamped_negativity, _from_negativity, _schmidt_trace_norm
+from .measures import _clamped_negativity, _from_negativity, _schmidt_parts
 from .states import DensityMatrix, PureState, haar_amplitude_rows
 from .tensor import (SubsystemLayout, _integer, _slab_max, _trace_norm_blocks, group_subsystems,
                      partial_transpose, require_positive, require_tolerance, schmidt_decompose)
@@ -33,14 +33,11 @@ SCAN_CHUNK_BYTES = 1 << 22
 # take 64 GiB, and larger dims are refused before any sample is drawn.
 _MAX_SCAN_DIM = 1 << 32
 
-# Families the power threshold is proven for: any number of qubits, or
-# three parties with dimensions (2, 2, 3) or (2, 2, 2^m).
-def family_supported(dims) -> bool:
-    return _family_supported(tuple(_integer(d, "each entry of dims") for d in dims))
-
 
 def _family_supported(dims: tuple[int, ...]) -> bool:
-    # dims are ints already, as a layout holds them.
+    """Whether the power threshold is proven for dims (ints, as a layout
+    holds them): any number of qubits, or three parties with dimensions
+    (2, 2, 3) or (2, 2, 2^m)."""
     if len(dims) >= 3 and all(d == 2 for d in dims):
         return True
     if len(dims) == 3 and dims[0] == 2 and dims[1] == 2:
@@ -112,7 +109,7 @@ def ckw_residuals(amplitudes, layout: SubsystemLayout, measure: str = "ratio",
     if amps.ndim != 2 or amps.shape[1] != layout.dim:
         raise ValueError(f"amplitudes must have shape (n, {layout.dim}), got {amps.shape}")
     lam = schmidt_decompose(amps, layout)
-    lhs = _from_negativity(_clamped_negativity(_schmidt_trace_norm(lam)), measure, alpha)
+    lhs = _from_negativity(_clamped_negativity(*_schmidt_parts(lam)), measure, alpha)
     dims, party_a = layout.dims, layout.party_a
     rhs = np.empty((amps.shape[0], len(layout.party_b)))
     for j, b in enumerate(layout.party_b):
@@ -123,8 +120,8 @@ def ckw_residuals(amplitudes, layout: SubsystemLayout, measure: str = "ratio",
         # triangle) and of trace |psi|^2; a check could only refuse rounding.
         rho = m @ m.conj().transpose(0, 2, 1)
         pair = SubsystemLayout([dims[i] for i in keep], [keep.index(i) for i in party_a])
-        t = _trace_norm_blocks(partial_transpose(rho, pair))
-        rhs[:, j] = _from_negativity(_clamped_negativity(t), measure, alpha)
+        parts = _trace_norm_blocks(partial_transpose(rho, pair))
+        rhs[:, j] = _from_negativity(_clamped_negativity(*parts), measure, alpha)
     return lhs, rhs, lhs - np.sum(rhs, axis=1)
 
 
@@ -245,6 +242,7 @@ def sample_monogamy_scan(dims, samples: int, alpha: float, seed: int,
     """
     layout = SubsystemLayout(dims, (0,))
     dims = layout.dims
+    samples = _integer(samples, "samples")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     require_tolerance(violation_tol, "violation_tol")

@@ -143,12 +143,14 @@ class DensityMatrix:
     A state this package builds is stored unchecked and uncopied (_built);
     a file's matrix is checked at the file's PSD tolerance and not copied.
 
-    The partial-transpose trace norm is computed once and kept (the
-    matrix is read-only, so it cannot go stale) by the kernel the monogamy
-    scans share, tensor._trace_norm_blocks, which splits a Fock-basis
-    state's partial transpose into 1x1 and 2x2 blocks. validate() computes
-    eigenvalues only for a matrix it rejects or one whose smallest
-    eigenvalue lies within rounding of -psd_tol.
+    The partial transpose's (w, neg) pair, the sum of its eigenvalues and
+    the magnitude of the sum of its negative ones, is computed once and
+    kept (the matrix is read-only, so it cannot go stale) by the kernel
+    the monogamy scans share, tensor._trace_norm_blocks, which splits a
+    Fock-basis state's partial transpose into 1x1 and 2x2 blocks. Its
+    trace norm w + 2 neg and its negativity neg / w are read from the
+    pair. validate() computes eigenvalues only for a matrix it rejects or
+    one whose smallest eigenvalue lies within rounding of -psd_tol.
     """
 
     matrix: np.ndarray
@@ -188,11 +190,12 @@ class DensityMatrix:
                 raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}") from None
 
     @cached_property
-    def _pt_trace_norm(self) -> float:
+    def _pt_parts(self) -> tuple[float, float]:
         # The partial transpose only moves entries, so it is as finite and
         # as Hermitian (same defect, same largest |entry|) as the matrix
         # __post_init__ checked; checking it again could never fail.
-        return float(_trace_norm_blocks(partial_transpose(self.matrix, self.layout)))
+        w, neg = _trace_norm_blocks(partial_transpose(self.matrix, self.layout))
+        return float(w), float(neg)
 
 
 def require_squeezing(r) -> float:
@@ -315,22 +318,23 @@ def tmsvs_truncated(spec: TmsvsSpec) -> PureState:
     return PureState(amps.reshape(-1), layout, truncation_deficit=deficit)
 
 
-def _substream_key(master_seed: int, index: int) -> np.ndarray:
-    return np.array([np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF),
-                     np.uint64(index & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
-
-
 def substream(master_seed: int, index: int) -> np.random.Generator:
     """Independent generator for sample `index` of a seeded scan.
 
     Philox is keyed on the (seed, index) pair directly, so streams do not
-    depend on how many samples ran before this one.
+    depend on how many samples ran before this one. The seed is the
+    key's first word: an integer in [0, 2^64); anything else is refused
+    by name, where a wrapped seed would alias another.
     """
-    return np.random.Generator(np.random.Philox(key=_substream_key(master_seed, index)))
+    seed = _integer(master_seed, "seed")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    key = np.array([seed, index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _as_generator(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else substream(_integer(seed, "seed"), 0)
+    return seed if isinstance(seed, np.random.Generator) else substream(seed, 0)
 
 
 def random_haar_pure(layout: SubsystemLayout, seed) -> PureState:
@@ -367,6 +371,7 @@ def haar_amplitude_rows(dim: int, master_seed: int, indices: range) -> np.ndarra
 
 def random_density_matrix(layout: SubsystemLayout, rank: int, seed) -> DensityMatrix:
     """Wishart-type random mixed state G G^dag / tr(G G^dag) with G dim x rank."""
+    rank = _integer(rank, "rank")
     if not (1 <= rank <= layout.dim):
         raise ValueError(f"rank must lie in [1, {layout.dim}], got {rank}")
     rng = _as_generator(seed)

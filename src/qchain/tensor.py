@@ -305,38 +305,51 @@ def _label_blocks(linked: np.ndarray) -> list[np.ndarray]:
 
 def trace_norm_hermitian(m: np.ndarray) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix, which must pass
-    require_hermitian (finite entries included); see _trace_norm_blocks."""
+    require_hermitian (finite entries included), as _trace_norm of
+    _trace_norm_blocks' pair."""
     m = require_hermitian(m)
     if m.ndim != 2:
         raise ValueError(f"expected one square matrix, got shape {m.shape}")
-    return float(_trace_norm_blocks(m))
+    return float(_trace_norm(*_trace_norm_blocks(m)))
 
 
-def _trace_norm_blocks(m: np.ndarray) -> np.ndarray:
-    """Sum of absolute eigenvalues of each square matrix in m (float64 or
-    complex128; one matrix, or a stack along leading axes, giving an array
-    of shape m.shape[:-2]) that the caller has already found finite and
-    Hermitian: the one place that turns partial transposes into trace norms.
+def _trace_norm(w, neg):
+    """The trace norm w + 2 neg of a Hermitian matrix whose eigenvalues
+    sum to w and whose negative eigenvalues sum to -neg."""
+    return w + 2.0 * neg
+
+
+def _trace_norm_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, neg) of each square matrix in m (float64 or complex128; one
+    matrix, or a stack along leading axes, giving arrays of shape
+    m.shape[:-2]) that the caller has already found finite and Hermitian:
+    the sum w of its eigenvalues and the magnitude neg of the sum of its
+    negative ones, from one spectrum. This is the one place that turns
+    partial transposes into the pairs every negativity value and trace
+    norm (_trace_norm) is read from.
 
     m is split into the blocks its nonzero entries couple (_coupled_blocks,
     on the union of a stack's patterns), so a Fock-basis partial transpose
     falls into 1x1 and 2x2 blocks and never goes to one dense eigensolve,
     while a generic matrix, or a stack of Haar-random reduced states, is
     one block and runs one (stacked) eigvalsh. Blocks of equal size share
-    one stacked eigvalsh, and |eigenvalues| are summed along the last
+    one stacked eigvalsh, and the eigenvalues are summed along the last
     axis, by block size, then by each block's first index. The split costs
     one n x n boolean mask, plus O(nnz) index arrays (about 40 bytes per
     nonzero) when the pattern is sparse.
     """
     blocks = _coupled_blocks(m)
     if len(blocks) <= 1:
-        return np.sum(np.abs(np.linalg.eigvalsh(m)), axis=-1)
-    spectra = []
-    for size in sorted({b.size for b in blocks}):
-        idx = np.array([b for b in blocks if b.size == size])
-        w = np.linalg.eigvalsh(m[..., idx[:, :, None], idx[:, None, :]])
-        spectra.append(w.reshape(m.shape[:-2] + (-1,)))
-    return np.sum(np.abs(np.concatenate(spectra, axis=-1)), axis=-1)
+        mu = np.linalg.eigvalsh(m)
+    else:
+        spectra = []
+        for size in sorted({b.size for b in blocks}):
+            idx = np.array([b for b in blocks if b.size == size])
+            spectrum = np.linalg.eigvalsh(m[..., idx[:, :, None], idx[:, None, :]])
+            spectra.append(spectrum.reshape(m.shape[:-2] + (-1,)))
+        mu = np.concatenate(spectra, axis=-1)
+    # 0.0 - x turns a sum of zeros into +0.0, so a PPT matrix has neg = +0.0.
+    return np.sum(mu, axis=-1), 0.0 - np.sum(np.minimum(mu, 0.0), axis=-1)
 
 
 def partial_trace(rho: np.ndarray, layout: SubsystemLayout, keep) -> np.ndarray:

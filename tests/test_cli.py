@@ -164,7 +164,7 @@ class TestMeasureCommand:
         back = state_from_json(json.loads(json.dumps(doc)))
         assert back.matrix.dtype == np.float64
         assert np.array_equal(back.matrix, dm.matrix)
-        assert back._pt_trace_norm == dm._pt_trace_norm
+        assert back._pt_parts == dm._pt_parts
         assert json.dumps(state_to_json(back)) == json.dumps(doc)
 
 
@@ -303,6 +303,11 @@ class TestMonogamyCommand:
                      "--alpha", "1.0", "--seed", "3", "--output", str(out)])
         assert code == EXIT_OK
         assert load_report(out)["result"]["scan"]["violation_count"] >= 1
+
+    def test_seed_outside_the_key_word_exits_2(self, capsys):
+        assert main(["monogamy", "--dims", "2,2,2", "--samples", "10", "--seed", "-1"]) \
+            == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == ["error: seed must lie in [0, 2**64), got -1"]
 
     def test_requires_dims_or_input(self):
         assert main(["monogamy"]) == EXIT_VALIDATION

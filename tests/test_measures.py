@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qchain.measures import (
     MeasureSpec,
     _from_negativity,
+    _pt_parts,
     alpha_ratio_negativity,
     compose_ratio_tensor,
     concurrence_pure,
@@ -37,7 +38,7 @@ from qchain.states import (
     substream,
     tmsvs_truncated,
 )
-from qchain.tensor import SubsystemLayout, kron
+from qchain.tensor import TRACE_TOL, SubsystemLayout, kron
 
 from conftest import scp_oracle
 
@@ -92,9 +93,10 @@ class TestLogNegativity:
 
     @pytest.mark.parametrize("trace", [1 - 0.9e-10, 1 + 0.9e-10])
     def test_clamped_state_reads_zero(self, trace):
-        # I/4 scaled to this trace has trace norm t = trace, whose negativity
-        # (t - 1)/2 the clamp reads as 0: the state is PPT, and its
-        # log-negativity is log2(1 + 2 * 0) = 0, not log2(t) = -+1.3e-10.
+        # I/4 scaled to this trace has a partial transpose of weight
+        # w = trace and negative part 0, so its negativity is 0: the state
+        # is PPT, and its log-negativity is log1p(0)/ln 2 = 0, not
+        # log2(t) = -+1.3e-10 of its trace norm t = w.
         result = evaluate_measure(MeasureSpec("log_negativity"),
                                   DensityMatrix(np.eye(4) / 4 * trace, QUBIT_PAIR))
         assert abs(math.log2(result.trace_norm)) > 1.2e-10
@@ -743,15 +745,136 @@ def _one_measure_states():
 
 def test_one_measure_functions_follow_the_clamp_rule():
     # Each one-measure function is evaluate_measure's value, which follows
-    # from the trace norm t through the one clamp, bit for bit.
+    # from the partial transpose's (w, neg) pair through the one clamp on
+    # N = neg / w, bit for bit; the trace norm is w + 2 neg.
     f = lambda x: x * x + 2.0 * x
     for i, state in enumerate(_one_measure_states()):
+        w, neg = _pt_parts(state)
         t = pt_trace_norm(state)
-        n = (t - 1.0) / 2.0
+        assert t == w + 2.0 * neg, i
+        n = neg / w
         n = n if n >= PSD_TOL else 0.0
         alpha = 0.5 + t % 1.0
         assert negativity(state) == n, i
-        assert log_negativity(state) == math.log2(1.0 + 2.0 * n), i
+        assert log_negativity(state) == math.log1p(2.0 * n) / math.log(2.0), i
         assert ratio_negativity(state) == n / (n + 1.0), i
         assert alpha_ratio_negativity(state, alpha) == (n / (n + 1.0)) ** alpha, i
         assert f_negativity(f, state) == f(n), i
+
+
+# ---- measure values against mpmath at 50 digits --------------------------
+
+def _mp(x):
+    return mpmath.mpf(float(x))
+
+
+def _clamped(n):
+    """The exact value the clamp rule gives for an exact negativity n."""
+    return n if n >= PSD_TOL else mpmath.mpf(0)
+
+
+def _assert_close(got, exact, what):
+    """got within a relative 1e-15 of exact, or exactly 0 when exact is."""
+    if exact == 0:
+        assert got == 0.0, what
+    else:
+        assert abs(got - exact) <= 1e-15 * abs(exact), (what, got, float(exact))
+
+
+def _check_pure_against_mpmath(psi):
+    """N, the ratio and C of psi against mpmath at 50 digits, from the
+    state's own Schmidt coefficients lambda: N = sum_{i<j} sqrt(lambda_i
+    lambda_j) / w and C = 2 sqrt(sum_{i<j} lambda_i lambda_j) / w, with
+    w = sum_i lambda_i."""
+    with mpmath.workdps(50):
+        lam = [_mp(x) for x in psi.schmidt_coefficients]
+        pairs = [(a, b) for i, a in enumerate(lam) for b in lam[i + 1:]]
+        w = mpmath.fsum(lam)
+        n = mpmath.fsum(mpmath.sqrt(a * b) for a, b in pairs) / w
+        c = 2 * mpmath.sqrt(mpmath.fsum(a * b for a, b in pairs)) / w
+        if abs(n - PSD_TOL) <= 1e-15 * PSD_TOL:
+            return  # on the clamp's edge, rounding may read it either way
+        n = _clamped(n)
+        _assert_close(negativity(psi), n, "negativity")
+        _assert_close(ratio_negativity(psi), n / (n + 1), "ratio")
+        _assert_close(concurrence_pure(psi), c, "concurrence")
+
+
+@settings(max_examples=150, deadline=None)
+@given(exponent=st.floats(-30.0, -2.0))
+def test_weak_pairs_match_mpmath(exponent):
+    # ((sum sqrt lambda)^2 - 1)/2 read N = 1.0000000827e-10 at e = 1e-20,
+    # and sqrt(2 (1 - sum lambda^2)) read C = 0.0 at e = 1e-17.
+    e = 10.0 ** exponent
+    _check_pure_against_mpmath(pure_from_schmidt([1.0 - e, e], (2, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(exponents=st.lists(st.floats(-22.0, 0.0), min_size=2, max_size=8))
+def test_qudits_match_mpmath(exponents):
+    lam = 10.0 ** np.array(exponents)
+    lam /= lam.sum()
+    _check_pure_against_mpmath(pure_from_schmidt(lam, (lam.size, lam.size)))
+
+
+def _isotropic_edge_matrix(d, delta):
+    """p |Phi+><Phi+| + (1 - p) I/d^2 as entries a (background) and
+    b = a + delta (coherence), at unit trace d^2 a + d b = 1: N is
+    d (d - 1) delta / 2 for delta >= 0."""
+    a = (1.0 - d * delta) / (d * d + d)
+    m = a * np.eye(d * d)
+    ii = np.arange(d) * (d + 1)
+    m[ii[:, None], ii[None, :]] += a + delta
+    return m
+
+
+def _werner_edge_matrix(d, delta):
+    """x I - y F for the swap F, at unit trace d^2 x - d y = 1, with
+    x = d y - delta: N is delta for delta >= 0."""
+    y = (1.0 + d * d * delta) / (d ** 3 - d)
+    x = d * y - delta
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
+    return x * np.eye(d * d) - y * swap
+
+
+def _exact_pt_negativity(m, d):
+    """neg / w of m's partial transpose in mpmath at 50 digits, from m's
+    own entries: both families' partial transposes are a * I plus
+    couplings c between |ij> and |ji> (isotropic, i != j) or among the
+    |ii> (Werner), whose spectra are known in closed form."""
+    with mpmath.workdps(50):
+        pt = m.reshape(d, d, d, d).transpose(2, 1, 0, 3).reshape(d * d, d * d)
+        w = mpmath.fsum(_mp(v) for v in np.diag(pt))
+        ii = np.arange(d) * (d + 1)
+        if pt[1, d] != 0:  # isotropic: 2x2 blocks [[a, c], [c, a]] on |01>, |10>, ...
+            a, c = _mp(pt[1, 1]), _mp(pt[1, d])
+            neg = d * (d - 1) // 2 * max(mpmath.mpf(0), abs(c) - a)
+        else:  # Werner: one d x d block, e on the diagonal and c off it, on the |ii>
+            e, c = _mp(pt[0, 0]), _mp(pt[ii[0], ii[1]])
+            neg = max(mpmath.mpf(0), -(e + (d - 1) * c))
+        return neg / w
+
+
+@settings(max_examples=120, deadline=None)
+@given(family=st.sampled_from(["isotropic", "werner"]), d=st.integers(2, 4),
+       n_target=st.one_of(st.floats(-3e-10, 3e-10), st.floats(0.0, 1e-6)))
+def test_ppt_edge_states_match_mpmath(family, d, n_target):
+    # (t - 1)/2 of a trace norm t scaled with the trace read a Werner
+    # state's N = 2e-10 as 1.55e-10 or 2.45e-10, so a state near PSD_TOL
+    # could be reported PPT or not depending on trace rounding.
+    if family == "isotropic":
+        m = _isotropic_edge_matrix(d, 2.0 * n_target / (d * (d - 1)))
+    else:
+        m = _werner_edge_matrix(d, n_target)
+    layout = SubsystemLayout((d, d), (0,))
+    verdicts = set()
+    for scale in (1.0, 1.0 - 0.9 * TRACE_TOL, 1.0 + 0.9 * TRACE_TOL):
+        scaled = m * scale
+        exact = _exact_pt_negativity(scaled, d)
+        if abs(exact - PSD_TOL) <= 1e-15:
+            return  # on the clamp's edge, rounding may read it either way
+        result = evaluate_measure(MeasureSpec("negativity"), DensityMatrix(scaled, layout))
+        assert abs(result.value - _clamped(exact)) <= 1e-15, (scale, result.value, float(exact))
+        assert result.ppt == (exact < PSD_TOL), scale
+        verdicts.add(result.ppt)
+    assert len(verdicts) == 1

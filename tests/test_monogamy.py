@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -21,7 +22,6 @@ from qchain.monogamy import (
     ckw_residual,
     ckw_residuals,
     ckw_violation_state,
-    family_supported,
     sample_monogamy_scan,
 )
 from qchain.measures import MeasureSpec, evaluate_measure, negativity
@@ -156,7 +156,7 @@ class TestCkwResidual:
     @pytest.mark.parametrize("measure", ["ratio", "negativity"])
     def test_rhs_is_the_measure_bit_for_bit(self, dims, measure):
         """Each pairwise term and evaluate_measure on its reduced state take
-        their trace norms from one kernel, so they agree in every bit; the
+        their (w, neg) pairs from one kernel, so they agree in every bit; the
         witness state's reduced partial transposes split into blocks."""
         states = [random_haar_pure(SubsystemLayout(dims, (0,)), substream(24, i)) for i in range(30)]
         if dims == (2, 2, 2):
@@ -425,6 +425,28 @@ class TestScanArgumentGuards:
         with pytest.raises(ValueError):
             sample_monogamy_scan(dims, 10, alpha, seed=1)
 
+    @pytest.mark.parametrize("samples", [True, 2.5, "10"])
+    def test_samples_must_be_an_integer(self, samples):
+        # True ran one sample and reported "samples": true; 2.5 ended in a
+        # bare TypeError.
+        with pytest.raises(ValueError, match=f"^{re.escape(f'samples must be an integer, got {samples!r}')}$"):
+            sample_monogamy_scan((2, 2, 2), samples, 1.0, 0)
+
+    @pytest.mark.parametrize("seed,message", [
+        (2.5, "seed must be an integer, got 2.5"),
+        (-1, "seed must lie in [0, 2**64), got -1"),
+        (2**65 - 1, f"seed must lie in [0, 2**64), got {2**65 - 1}"),
+    ])
+    def test_seed_refused_where_it_enters(self, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_monogamy_scan((2, 2, 2), 50, 1.0, seed)
+
+    def test_largest_seed_is_its_own_scan(self):
+        # -1 and 2**65 - 1 gave this scan, apart from the echoed seed.
+        top = sample_monogamy_scan((2, 2, 2), 50, 1.0, 2**64 - 1)
+        assert top.seed == 2**64 - 1
+        assert top.min_residual != sample_monogamy_scan((2, 2, 2), 50, 1.0, 0).min_residual
+
 
 @st.composite
 def split_layouts(draw):
@@ -476,12 +498,12 @@ class TestFamilySupport:
         ((2, 2, 3, 2), False),
     ])
     def test_families(self, dims, expected):
-        assert family_supported(dims) is expected
+        assert monogamy._family_supported(dims) is expected
 
     def test_scan_converts_its_dims_once(self, monkeypatch):
         # The scan's layout converts its dims (tensor._integer), and the
-        # family check reads them as they are; family_supported converts
-        # a caller's dims itself.
+        # family check reads them as they are; the scan's own one call
+        # converts its sample count.
         real, calls = monogamy._integer, []
 
         def counting(value, what):
@@ -490,8 +512,7 @@ class TestFamilySupport:
 
         monkeypatch.setattr(monogamy, "_integer", counting)
         monogamy.sample_monogamy_scan((2, 2, 3), 5, 1.0, 0)
-        assert calls == []
-        assert family_supported((2, 2, 3)) and calls == [2, 2, 3]
+        assert calls == [5]
 
 
 @pytest.mark.parametrize("party_a,message", [

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qchain import states
 from qchain.groupop import CompositionLaw, check_group_operation
-from qchain.measures import MeasureSpec, evaluate_measure, negativity, ratio_negativity
+from qchain.measures import MeasureSpec, evaluate_measure, negativity, pt_trace_norm, ratio_negativity
 from qchain.monogamy import ckw_residual, sample_monogamy_scan
 from qchain.reports import state_from_json, state_to_json
 from qchain.swapping import chain_fock_crosscheck
@@ -288,6 +288,32 @@ class TestRandomStates:
         with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
             build(QUBIT_PAIR, seed)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**65 - 1])
+    def test_seed_outside_the_key_word_refused(self, seed):
+        # Each was masked to 64 bits: -1 and 2**65 - 1 drew the stream of
+        # 2**64 - 1, and 2**64 that of 0.
+        for call in (lambda: substream(seed, 0), lambda: random_haar_pure(QUBIT_PAIR, seed),
+                     lambda: random_density_matrix(QUBIT_PAIR, 2, seed),
+                     lambda: haar_amplitude_rows(4, seed, range(3))):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'seed must lie in [0, 2**64), got {seed}')}$"):
+                call()
+
+    def test_key_word_ends_are_accepted(self):
+        top = random_haar_pure(QUBIT_PAIR, 2**64 - 1).amplitudes
+        assert not np.array_equal(top, random_haar_pure(QUBIT_PAIR, 0).amplitudes)
+        assert np.array_equal(top, random_haar_pure(QUBIT_PAIR, np.uint64(2**64 - 1)).amplitudes)
+
+    @pytest.mark.parametrize("seed", [2.5, True, "3", None])
+    def test_substream_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'seed must be an integer, got {seed!r}')}$"):
+            substream(seed, 0)
+
+    @pytest.mark.parametrize("rank", [2.5, True])
+    def test_non_integer_rank_refused(self, rank):
+        # 2.5 ended in a bare TypeError, and True drew a rank-1 state.
+        with pytest.raises(ValueError, match=f"^{re.escape(f'rank must be an integer, got {rank!r}')}$"):
+            random_density_matrix(QUBIT_PAIR, rank, 1)
+
     def test_numpy_integer_and_generator_seeds_accepted(self):
         want = random_haar_pure(QUBIT_PAIR, 2).amplitudes
         assert np.array_equal(random_haar_pure(QUBIT_PAIR, np.int64(2)).amplitudes, want)
@@ -316,8 +342,15 @@ class TestRandomStates:
     def test_rekeyed_generator_matches_substream(self, seed, start):
         # Row j is re-keyed in place from one shared state dict; it must
         # equal a fresh substream(seed, start + j), byte for byte, including
-        # across the 64-bit wrap of the index word.
+        # across the 64-bit wrap of the index word. A seed outside
+        # [0, 2^64), which would alias seed + 2^64, is refused by both.
         dim = 5
+        if seed < 0:
+            for call in (lambda: haar_amplitude_rows(dim, seed, range(start, start + 4)),
+                         lambda: substream(seed, start)):
+                with pytest.raises(ValueError, match=r"^seed must lie in \[0, 2\*\*64\), got -1$"):
+                    call()
+            return
         rows = haar_amplitude_rows(dim, seed, range(start, start + 4))
         for j, row in enumerate(rows):
             fresh = substream(seed, start + j)
@@ -406,12 +439,14 @@ class TestValidation:
             triple.density_matrix()
             ckw_residual(triple)
 
-    @pytest.mark.parametrize("index,sign,value", [(1, 1, 0.6192480779780176),
-                                                  (41, -1, 0.4145767107183075)])
+    @pytest.mark.parametrize("index,sign,value", [(1, 1, 0.6192480778660931),
+                                                  (41, -1, 0.4145767108097651)])
     def test_edge_weight_builds_a_density_matrix(self, index, sign, value):
         # Haar 3 x 3 amplitudes at |psi|^2 = 1 +- 1e-10: the constructor
         # accepts them, and the trace of |psi><psi| rounds past TRACE_TOL
         # (1.0000000001 and 0.9999999999), so checking it again refused them.
+        # value is the negativity neg / w of the state at its own weight, as
+        # mpmath gives it at 50 digits.
         psi = edge_qutrit_pair(index, sign)
         assert abs(negativity(psi) - value) < 1e-12
         rho = psi.density_matrix()
@@ -732,7 +767,7 @@ class TestStoredMatrix:
         else:
             m[...] = np.eye(16) / 16
         assert np.array_equal(dm.matrix, kept)
-        assert dm._pt_trace_norm == DensityMatrix(kept, layout)._pt_trace_norm > 1
+        assert pt_trace_norm(dm) == pt_trace_norm(DensityMatrix(kept, layout)) > 1
 
     @pytest.mark.parametrize("trusted", [False, True])
     def test_read_only_view_of_a_writable_array_is_copied(self, trusted):
@@ -835,7 +870,7 @@ class TestRealRoute:
         for rho in (tmsvs_truncated(TmsvsSpec.from_r(0.5, cutoff=2)).density_matrix().matrix,
                     random_density_matrix(layout, 9, seed=1).matrix.real):
             rho = (rho + rho.T) / np.trace(rho) / 2
-            assert DensityMatrix(rho, layout)._pt_trace_norm >= 1.0
+            assert pt_trace_norm(DensityMatrix(rho, layout)) >= 1.0
         assert {name for name, _ in seen} == {"cholesky", "eigvalsh"}
         assert {dtype for _, dtype in seen} == {np.dtype(np.float64)}
 
@@ -889,7 +924,7 @@ def test_real_route_trace_norm_matches_complex_route(case):
     rho, layout = case
     state = DensityMatrix(rho, layout)
     assert state.matrix.dtype == np.float64
-    t = state._pt_trace_norm
+    t = pt_trace_norm(state)
     reference = trace_norm_hermitian(partial_transpose(rho.astype(complex), layout))
     assert abs(t - reference) <= 1e-12 * max(1.0, reference)
 

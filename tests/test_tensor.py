@@ -16,6 +16,7 @@ from qchain.tensor import (
     _label_blocks,
     _search_blocks,
     _slab_max,
+    _trace_norm,
     _trace_norm_blocks,
     kron,
     partial_trace,
@@ -246,10 +247,13 @@ class TestBlockTraceNorm:
     @settings(max_examples=200, deadline=None)
     @given(stack=shared_pattern_stacks())
     def test_stack_rows_equal_single_matrix_calls(self, stack):
-        got = _trace_norm_blocks(stack)
-        assert got.shape == stack.shape[:-2] and got.dtype == np.float64
-        for norm, m in zip(got.reshape(-1), stack.reshape((-1,) + stack.shape[-2:])):
-            assert norm == _trace_norm_blocks(m) == trace_norm_hermitian(m)
+        w, neg = _trace_norm_blocks(stack)
+        for part in (w, neg):
+            assert part.shape == stack.shape[:-2] and part.dtype == np.float64
+        rows = stack.reshape((-1,) + stack.shape[-2:])
+        for w_row, neg_row, m in zip(w.reshape(-1), neg.reshape(-1), rows):
+            assert (w_row, neg_row) == _trace_norm_blocks(m)
+            assert _trace_norm(w_row, neg_row) == trace_norm_hermitian(m)
 
     def test_stack_splits_by_the_union_of_patterns(self):
         # One matrix couples 0 with 3, the other 1 with 2: the stack splits
@@ -261,7 +265,7 @@ class TestBlockTraceNorm:
         stack = np.stack([a, b])
         assert [list(blk) for blk in _coupled_blocks(stack)] == [[0, 3], [1, 2]]
         want = [float(np.sum(np.abs(np.linalg.eigvalsh(m)))) for m in (a, b)]
-        assert np.allclose(_trace_norm_blocks(stack), want, rtol=1e-15, atol=0)
+        assert np.allclose(_trace_norm(*_trace_norm_blocks(stack)), want, rtol=1e-15, atol=0)
 
     @settings(max_examples=150, deadline=None)
     @given(m=hidden_block_diagonal())
@@ -281,9 +285,14 @@ class TestBlockTraceNorm:
     @settings(max_examples=60, deadline=None)
     @given(dim=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
     def test_no_zero_entries_bit_identical(self, dim, seed):
+        # One block: the pair comes from one whole-matrix eigvalsh, as w and
+        # the negative part's magnitude, and the trace norm is w + 2 neg.
         m = random_hermitian(np.random.default_rng(seed), dim)
         assert np.all(m != 0)
-        assert trace_norm_hermitian(m) == float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+        mu = np.linalg.eigvalsh(m)
+        w, neg = float(np.sum(mu)), -float(np.sum(np.minimum(mu, 0.0)))
+        assert trace_norm_hermitian(m) == w + 2.0 * neg
+        assert abs(trace_norm_hermitian(m) - float(np.sum(np.abs(mu)))) <= 1e-12 * max(1.0, w + 2.0 * neg)
 
 
 def reference_coupled_blocks(m):
