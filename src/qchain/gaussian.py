@@ -10,10 +10,14 @@ matrix comes out.) A matrix is a legal state iff Gamma + i*Lambda >= 0,
 with Lambda the direct sum of 2x2 blocks [[0, 1], [-1, 0]].
 
 This module is a covariance-matrix data model and a cross-oracle for the
-Fock-basis route on two-mode Gaussian states, pure or mixed: their
-partial-transpose trace norm is max(1, 1/nu_min) in the smallest
-symplectic eigenvalue nu_min of the momentum-flipped matrix (Vidal and
-Werner, PRA 65, 032314 (2002)). Multimode negativities are out of scope.
+Fock-basis route on two-mode Gaussian states, pure or mixed. A two-mode
+CovarianceMatrix is a state to the measures module: its symplectic
+spectrum is the third source, after Schmidt coefficients and
+partial-transpose spectra, of the (w, neg) pair every measure value is
+read from. Its partial-transpose trace norm is max(1, 1/nu_min) in the
+smallest symplectic eigenvalue nu_min of the momentum-flipped matrix
+(Vidal and Werner, PRA 65, 032314 (2002)), so w = 1 and
+neg = (max(1, 1/nu_min) - 1)/2. Multimode negativities are out of scope.
 States are zero-mean: no quantity here depends on first moments, so none
 are stored. Functions take a CovarianceMatrix, the one check of shape,
 finiteness and symmetry; validate_cm then checks only the uncertainty
@@ -25,10 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .measures import _clamped_negativity, _from_negativity
+from .measures import MeasureSpec, evaluate_measure
 from .states import require_squeezing
 from .tensor import _integer, require_finite
 
@@ -50,21 +55,41 @@ def symplectic_form(modes: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
-    """Gamma, refused unless square of even size, finite and symmetric."""
+    """Gamma, refused unless square of even, nonzero size, finite and
+    symmetric.
+
+    A Gaussian state carries no Fock truncation, so its measure results
+    report a truncation_deficit of 0.
+    """
 
     gamma: np.ndarray
     modes: int = field(init=False)
+    truncation_deficit = 0.0
 
     def __post_init__(self):
         g = np.array(self.gamma, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2 != 0:
             raise ValueError(f"covariance matrix must be square with even dimension, got {g.shape}")
+        if g.size == 0:
+            raise ValueError("covariance matrix is empty: it needs at least one mode")
         require_finite(g, "covariance matrix")
         if (defect := float(np.max(np.abs(g - g.T)))) > CM_SYMMETRY_TOL:
             raise ValueError(f"covariance matrix is not symmetric (defect {defect:.3e})")
         g.setflags(write=False)
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "modes", g.shape[0] // 2)
+
+    @cached_property
+    def _pt_parts(self) -> tuple[float, float]:
+        """(w, neg) of the partial transpose across mode 0 | mode 1: w = 1
+        and neg = (max(1, 1/nu_min) - 1)/2, from the smallest symplectic
+        eigenvalue nu_min after the momentum flip. Only two modes, and
+        only a matrix validate_cm accepts, are taken."""
+        if self.modes != 2:
+            raise ValueError(f"the covariance route supports exactly 2 modes, got {self.modes}")
+        validate_cm(self)
+        nu = symplectic_eigenvalues(cm_partial_transpose(self, (0,)))
+        return 1.0, float((max(1.0, 1.0 / nu[-1]) - 1.0) / 2.0)
 
 
 def validate_cm(cm: CovarianceMatrix) -> None:
@@ -123,17 +148,9 @@ def symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
 
 def cm_ratio_negativity(cm: CovarianceMatrix) -> float:
     """Ratio negativity of a two-mode Gaussian state, pure or mixed, from
-    its covariance matrix, across mode 0 | mode 1.
-
-    The partial-transpose trace norm is max(1, 1/nu_min), with nu_min the
-    smallest symplectic eigenvalue after the momentum flip; its negativity
-    (1/nu_min - 1)/2, at weight 1, goes through the clamp of the
-    Fock-basis route, which supplies the max. The formula is checked against
+    its covariance matrix, across mode 0 | mode 1: evaluate_measure's
+    ratio of the matrix's (w, neg) pair. The pair is checked against
     dense Fock-basis states, pure and lossy, in the test suite. Multimode
     inputs are refused.
     """
-    if cm.modes != 2:
-        raise ValueError(f"the covariance route supports exactly 2 modes, got {cm.modes}")
-    validate_cm(cm)
-    nu = symplectic_eigenvalues(cm_partial_transpose(cm, (0,)))
-    return _from_negativity(float(_clamped_negativity(1.0, (1.0 / nu[-1] - 1.0) / 2.0)), "ratio")
+    return evaluate_measure(MeasureSpec("ratio"), cm).value

@@ -8,7 +8,10 @@ the negative ones (Vidal and Werner 2002). A pure state's pair comes
 from its Schmidt coefficients lambda as w = sum lambda and
 neg = sum_{i<j} sqrt(lambda_i lambda_j), summed by `_pair_sum` with
 every term >= 0, so nothing cancels; a mixed state's comes from the
-partial-transpose spectrum `tensor._trace_norm_blocks` computes once.
+partial-transpose spectrum `tensor._trace_norm_blocks` computes once; a
+two-mode `gaussian.CovarianceMatrix`'s comes from its symplectic
+spectrum as w = 1 and neg = (max(1, 1/nu_min) - 1)/2, with a
+truncation_deficit of 0 in its results.
 From the pair: the trace norm t = w + 2 neg (`pt_trace_norm`), the
 negativity N = neg / w through one clamp, every negativity-family value
 from N (log-negativity log1p(2N)/ln 2), and the concurrence
@@ -28,14 +31,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
 
 from .states import PSD_TOL, DensityMatrix, PureState
 from .tensor import _check_distribution, _trace_norm, require_positive, require_tolerance
 
-State = DensityMatrix | PureState
+if TYPE_CHECKING:
+    from .gaussian import CovarianceMatrix
+
+# What pt_trace_norm, evaluate_measure and the negativity-family functions
+# take. A two-mode CovarianceMatrix is refused by the pure-only kinds, as a
+# DensityMatrix is; any other mode count is refused by name.
+State = Union[DensityMatrix, PureState, "CovarianceMatrix"]
 
 MEASURE_KINDS = ("negativity", "log_negativity", "ratio", "alpha_ratio",
                  "concurrence", "g_concurrence", "scp", "custom_f")
@@ -109,7 +118,7 @@ def _schmidt_parts(lam):
 def _pt_parts(state: State):
     """(w, neg) of the state's partial transpose: its trace and the sum of
     its negative eigenvalues' magnitudes, from the Schmidt coefficients of
-    a pure state or the spectrum a mixed state keeps."""
+    a pure state, or the pair a mixed state or covariance matrix keeps."""
     if isinstance(state, PureState):
         return _schmidt_parts(state.schmidt_coefficients)
     return state._pt_parts

@@ -16,7 +16,14 @@ from qchain.gaussian import (
     tmsvs_cm,
     validate_cm,
 )
-from qchain.measures import ratio_negativity
+from qchain.measures import (
+    PURE_ONLY_KINDS,
+    MeasureSpec,
+    evaluate_measure,
+    negativity,
+    pt_trace_norm,
+    ratio_negativity,
+)
 from qchain.states import PSD_TOL, DensityMatrix, TmsvsSpec, tmsvs_truncated
 from qchain.tensor import SubsystemLayout
 
@@ -78,6 +85,10 @@ class TestValidation:
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
             CovarianceMatrix(np.eye(3))
+        # An empty Gamma once passed the even-dimension rule and failed in
+        # the symmetry walk's reduction.
+        with pytest.raises(ValueError, match="^covariance matrix is empty: it needs at least one mode$"):
+            CovarianceMatrix(np.zeros((0, 0)))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_gamma_rejected(self, bad):
@@ -259,18 +270,100 @@ class TestCmRatioNegativity:
             cm_ratio_negativity(CovarianceMatrix(0.5 * np.eye(4)))
 
 
+def frozen_ratio(cm):
+    """cm_ratio_negativity's formula as it stood before a covariance matrix
+    became a state: the negativity (1/nu_min - 1)/2 at weight 1, clamped to
+    0 below PSD_TOL, then N/(N+1)."""
+    nu = symplectic_eigenvalues(cm_partial_transpose(cm, (0,)))
+    n = np.asarray((1.0 / nu[-1] - 1.0) / 2.0, dtype=float) / 1.0
+    n = float(np.where(n >= PSD_TOL, n, 0.0))
+    return n / (n + 1.0)
+
+
+squeezings = st.floats(0.0, CM_MAX_R, exclude_min=True)
+two_mode_cms = (squeezings.map(tmsvs_cm)
+                | st.tuples(squeezings, st.floats(0.0, 1.0)).map(
+                    lambda p: CovarianceMatrix(lossy_tmsvs_cm(*p))))
+
+
+class TestCovarianceMatrixPair:
+    """A two-mode covariance matrix is a state: every negativity-family
+    measure reads its (w, neg) pair, w = 1 and neg = (max(1, 1/nu_min) - 1)/2."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cm=two_mode_cms)
+    @example(cm=CovarianceMatrix(np.eye(4)))
+    @example(cm=CovarianceMatrix(2.0 * np.eye(4)))
+    @example(cm=tmsvs_cm(CM_MAX_R))
+    @example(cm=CovarianceMatrix(lossy_tmsvs_cm(0.078125, 1e-10)))  # a negativity at the clamp
+    @example(cm=CovarianceMatrix(lossy_tmsvs_cm(0.078125, 2e-10)))  # and just above it
+    def test_ratio_is_the_frozen_formula_bit_for_bit(self, cm):
+        assert cm_ratio_negativity(cm).hex() == frozen_ratio(cm).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(cm=two_mode_cms)
+    @example(cm=CovarianceMatrix(np.eye(4)))
+    @example(cm=CovarianceMatrix(2.0 * np.eye(4)))
+    @example(cm=CovarianceMatrix(lossy_tmsvs_cm(0.078125, 1e-10)))
+    @example(cm=CovarianceMatrix(lossy_tmsvs_cm(0.078125, 2e-10)))
+    def test_measures_obey_the_pair_relations(self, cm):
+        results = {kind: evaluate_measure(MeasureSpec(kind, **kw), cm) for kind, kw in (
+            ("negativity", {}), ("log_negativity", {}), ("ratio", {}),
+            ("alpha_ratio", {"alpha": 2.0}), ("custom_f", {"f": math.sqrt}))}
+        n = results["negativity"].value
+        expected = {"negativity": n, "log_negativity": math.log1p(2.0 * n) / math.log(2.0),
+                    "ratio": n / (n + 1.0), "alpha_ratio": (n / (n + 1.0)) ** 2.0,
+                    "custom_f": math.sqrt(n)}
+        t = pt_trace_norm(cm)
+        for kind, result in results.items():
+            assert result.value == expected[kind], kind
+            assert (result.trace_norm, result.ppt, result.truncation_deficit) == (t, n == 0.0, 0.0)
+        if n > 0:
+            assert t == 1.0 + 2.0 * n
+        else:
+            # A negative part below PSD_TOL reads N = 0, not the trace norm.
+            assert 1.0 <= t < 1.0 + 2.0 * PSD_TOL
+        assert negativity(cm) == n
+        assert cm_ratio_negativity(cm) == expected["ratio"]
+
+    @pytest.mark.parametrize("kind", PURE_ONLY_KINDS)
+    def test_pure_only_kinds_refused(self, kind):
+        with pytest.raises(ValueError, match=rf"^{kind} is only evaluated on pure states"):
+            evaluate_measure(MeasureSpec(kind), tmsvs_cm(0.5))
+
+    @pytest.mark.parametrize("gamma, message", [
+        (np.eye(6), "^the covariance route supports exactly 2 modes, got 3$"),
+        (0.5 * np.eye(4), r"^invalid covariance matrix: uncertainty relation violated "
+                          r"\(min eig -5\.000e-01\)$"),
+    ])
+    def test_refusals_through_every_entry_point(self, gamma, message):
+        cm = CovarianceMatrix(gamma)
+        for call in (lambda: evaluate_measure(MeasureSpec("ratio"), cm),
+                     lambda: negativity(cm), lambda: cm_ratio_negativity(cm)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
 class TestLossyTwoModeStates:
     """A two-mode squeezed vacuum with loss on mode B is mixed; its dense
     Fock-basis ratio negativity meets the covariance route's max(1,
     1/nu_min) within the amplitude tail chi^cutoff, the pure case's bound
     (sech^2 r t/(1 - chi t) <= t), plus rounding and PSD_TOL: both routes
-    read a negativity below PSD_TOL as 0."""
+    read a negativity below PSD_TOL as 0. Their negativities then meet
+    through N = R/(1 - R): N1 - N2 = (R1 - R2)/((1 - R1)(1 - R2))."""
 
     @staticmethod
-    def gap(r, eta, cutoff, rotation=None):
+    def routes(r, eta, cutoff, rotation=None):
+        """The dense and covariance routes' (ratio, negativity) pairs."""
         layout = SubsystemLayout((cutoff, cutoff), (0,))
-        dense = ratio_negativity(DensityMatrix(lossy_tmsvs_matrix(r, eta, cutoff, rotation), layout))
-        return abs(dense - cm_ratio_negativity(CovarianceMatrix(lossy_tmsvs_cm(r, eta))))
+        dense = DensityMatrix(lossy_tmsvs_matrix(r, eta, cutoff, rotation), layout)
+        cm = CovarianceMatrix(lossy_tmsvs_cm(r, eta))
+        return [(ratio_negativity(s), negativity(s)) for s in (dense, cm)]
+
+    @classmethod
+    def gap(cls, r, eta, cutoff, rotation=None):
+        (dense, _), (cm, _) = cls.routes(r, eta, cutoff, rotation)
+        return abs(dense - cm)
 
     @settings(max_examples=40, deadline=None)
     @given(r=st.floats(0.05, 2.0), eta=st.floats(0.0, 1.0), cutoff=st.integers(2, 24),
@@ -282,7 +375,10 @@ class TestLossyTwoModeStates:
         rotation = None
         if seed is not None:
             rotation = np.linalg.qr(np.random.default_rng(seed).standard_normal((cutoff, cutoff)))[0]
-        assert self.gap(r, eta, cutoff, rotation) <= math.tanh(r) ** cutoff + PSD_TOL + 1e-12
+        (r_dense, n_dense), (r_cm, n_cm) = self.routes(r, eta, cutoff, rotation)
+        bound = math.tanh(r) ** cutoff + PSD_TOL + 1e-12
+        assert abs(r_dense - r_cm) <= bound
+        assert abs(n_dense - n_cm) <= bound / ((1.0 - r_dense) * (1.0 - r_cm))
 
     def test_converged_cutoff_agrees_to_rounding(self):
         # chi^40 = 3.9e-14 at r = 0.5: the truncation is below rounding.

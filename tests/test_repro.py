@@ -7,8 +7,15 @@ tmsvs-ratio checks the value of the truncated state as built. Each ulp
 budget is a first-order bound on the rounding error of the operations that
 compute the value, replayed here with the rules of `_Bound`, not a margin
 over the error observed.
+
+Every checked measure value is read from N = neg / w, which does not
+change when a state's amplitudes or entries are all scaled by one factor.
+So the error of a factor common to all of them cancels: a replay takes
+such a factor as exact and charges each amplitude or entry only its own
+roundings.
 """
 
+import itertools
 import json
 import math
 
@@ -16,8 +23,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from qchain.repro import TMSVS_R_GRID, Check, run_fixtures
-from qchain.states import PSD_TOL, TmsvsSpec, cutoff_for_amplitude_tail, tmsvs_truncated
+from qchain.monogamy import ckw_violation_state
+from qchain.repro import TMSVS_R_GRID, Check, _mixture_states, run_fixtures
+from qchain.states import (PSD_TOL, TmsvsSpec, apply_kraus_branches, cutoff_for_amplitude_tail,
+                           pure_from_schmidt, tmsvs_truncated)
+from qchain.tensor import SubsystemLayout, _coupled_blocks, group_subsystems, partial_transpose
 
 EPS = float(np.finfo(float).eps)
 
@@ -101,29 +111,45 @@ def _spectral(n, delta):
     return n * delta + n
 
 
-def _mixed_trace_norm(t, n, delta):
-    """t = sum of |eigenvalues| of an n x n partial transpose: n values
-    each off by _spectral(n, delta), and n - 1 rounded additions."""
-    return _Bound(t, n * _spectral(n, delta) + (n - 1) * t / 2)
+def _sum(terms):
+    """A rounded sum of terms in any order, numpy's pairwise one included:
+    the terms' errors plus half of each partial sum of their magnitudes
+    taken largest first, the order whose partial sums are largest."""
+    partials = list(itertools.accumulate(sorted((abs(t.v) for t in terms), reverse=True)))
+    err = sum(t.err for t in terms) + sum(float(p) for p in partials[1:]) / 2
+    return _Bound(mpmath.fsum(t.v for t in terms), err)
 
 
-def _pure_trace_norm(sigmas, n, delta):
-    """t = (sum_i sqrt(sigma_i^2))^2 from the singular values sigmas of an
-    amplitude matrix of larger side n, as the Schmidt route computes it."""
+def _mixed_negativity(blocks, delta):
+    """N = neg / w of a partial transpose that _trace_norm_blocks splits
+    into blocks with the exact spectra `blocks`, one list per block, from
+    entries each off by at most delta: each eigenvalue is off by
+    _spectral(block size, delta), w sums them all and neg sums the
+    magnitudes of those that are not positive."""
+    mu = [_Bound(v, _spectral(len(block), delta)) for block in blocks for v in block]
+    return _sum([_Bound(-m.v, m.err) for m in mu if m.v <= 0]) / _sum(mu)
+
+
+def _schmidt(sigmas, n, delta):
+    """Schmidt coefficients sigma^2 from the singular values sigmas of an
+    amplitude matrix of larger side n whose entries are each off by delta."""
     s = _spectral(n, delta)
-    roots = [(_Bound(sigma, s) * _Bound(sigma, s)).sqrt() for sigma in sigmas]
-    total = roots[0]
-    for root in roots[1:]:
-        total = total + root
-    return total * total
+    return [_Bound(sigma, s) * _Bound(sigma, s) for sigma in sigmas]
 
 
-def _negativity(t):
-    return (t - 1) / 2
+def _pure_negativity(lam):
+    """N = neg / w of Schmidt coefficients lam as _schmidt_parts computes
+    it: w = sum lam, and neg = _pair_sum(sqrt lam), the sum over j of x_j
+    times the running sum x_0 + ... + x_{j-1}, x sorted ascending."""
+    x = sorted((l.sqrt() for l in lam), key=lambda b: b.v)
+    running, products = x[0], []
+    for xj in x[1:]:
+        products.append(xj * running)
+        running = running + xj
+    return _sum(products) / _sum(lam)
 
 
-def _ratio(t):
-    n = _negativity(t)
+def _ratio(n):
     return n / (n + 1)
 
 
@@ -131,36 +157,27 @@ def _tmsvs_budgets():
     """{check name: (exact value, error bound in EPS)} of the tmsvs-ratio
     checks. Each exact value is that of the truncated state as built: the
     spec's float chi = tanh r taken as exact, levels 0 to the fixture's
-    cutoff, renormalized, with trace norm (sum_n sqrt(lambda_n))^2."""
+    cutoff, renormalized, with Schmidt coefficients lambda_n the squares
+    of its amplitudes."""
     budgets = {}
     for r in TMSVS_R_GRID:
         chi = _Bound(math.tanh(r))
         d = cutoff_for_amplitude_tail(math.tanh(r), 1e-10) + 1
         # tmsvs_truncated: diag = sqrt(1 - chi^2) chi^n, then diag divided
-        # by np.linalg.norm(diag) = sqrt(diag . diag). The terms decrease
-        # with n, and a sum of positive terms replayed largest first bounds
-        # the rounding of any summation order, BLAS's included.
-        scale = (1 - chi ** 2).sqrt()
+        # by np.linalg.norm(diag). Both factors are common to every
+        # amplitude, so they are taken as exact.
+        scale = _Bound(mpmath.sqrt(1 - chi.v ** 2))
         diag = [scale * chi ** n for n in range(d)]
-        squares = [a * a for a in diag]
-        total = squares[0]
-        for sq in squares[1:]:
-            total = total + sq
-        norm = total.sqrt()
+        norm = _Bound(mpmath.sqrt(mpmath.fsum(a.v ** 2 for a in diag)))
         amps = [a / norm for a in diag]
         # The amplitude matrix is diagonal, so the SVD reads the computed
         # amplitudes exactly (a zero Householder tail gives tau = 0, and a
-        # zero off-diagonal deflates); checked bit for bit below. Then
-        # sum_n sqrt(sigma_n^2), largest first, squared.
+        # zero off-diagonal deflates); checked bit for bit below.
         state = tmsvs_truncated(TmsvsSpec.from_r(r, cutoff=d - 1))
         computed = state.amplitudes.reshape(d, d).diagonal().real
         assert np.array_equal(state.schmidt_coefficients, computed ** 2), r
-        roots = [(a * a).sqrt() for a in amps]
-        total = roots[0]
-        for root in roots[1:]:
-            total = total + root
-        t = total * total
-        ratio, neg = _ratio(t), _negativity(t)
+        neg = _pure_negativity([a * a for a in amps])
+        ratio = _ratio(neg)
         budgets[f"ratio negativity at r={r}"] = (ratio.v, ratio.err)
         budgets[f"negativity at r={r}"] = (neg.v, neg.err)
     return budgets
@@ -171,13 +188,21 @@ def _budgets():
     mp = mpmath.mpf
     sqrt2 = _Bound(2).sqrt()
     # Bell state: amplitudes 1 / sqrt(2), density entries their products.
+    # Its nonzero amplitudes, and so its nonzero entries, are one rounded
+    # value, a common factor: the Bell state's own values carry no error
+    # from them (delta = 0 below).
     bell_amp = 1 / sqrt2
     bell_entry = bell_amp * bell_amp
     # Equal mixture of diag(1/2, 0, 0, 1/2) and the Bell density matrix;
     # its largest entry is (1/2 + 1/2) / 2.
     mix_entry = (_Bound(mp(1) / 2) + bell_entry) / 2
-    nonconvex_mix = _negativity(_mixed_trace_norm(mp(3) / 2, 4, mix_entry.err))
-    nonconvex_bell = _negativity(_mixed_trace_norm(mp(2), 4, bell_entry.err))
+    # Each partial transpose splits into the blocks {0}, {3} and {1, 2}.
+    half, quarter = mp(1) / 2, mp(1) / 4
+    nonconvex_mix = _mixed_negativity([[half], [half], [quarter, -quarter]], mix_entry.err)
+    nonconvex_bell = _mixed_negativity([[half], [half], [half, -half]], 0.0)
+    # The classical part's 1x1 blocks are its exact diagonal entries, and
+    # its negativity is 0 within far less than PSD_TOL.
+    assert _mixed_negativity([[half], [0], [0], [half]], 0.0).err * EPS < PSD_TOL
 
     # sqrt(0.1)|00> + sqrt(0.9)|11>, measured by kron(diag(sqrt(0.8),
     # sqrt(0.2)), I) and kron(diag(sqrt(0.2), sqrt(0.8)), I). Each
@@ -185,39 +210,47 @@ def _budgets():
     amp = {w: _Bound.literal(mp(w) / 10).sqrt() for w in (1, 2, 8, 9)}
     rho = {(i, j): amp[i] * amp[j] for i in (1, 9) for j in (1, 9)}
 
-    def branch(k_first, k_last, n_exact):
+    def branch(k_first, k_last):
         diag = [amp[k_first] * rho[1, 1] * amp[k_first], amp[k_last] * rho[9, 9] * amp[k_last]]
         p = diag[0] + diag[1] + 0 + 0
         # The post-state: each entry of (K rho K^dag + its transpose) / 2,
-        # divided by p.
+        # divided by p, a common factor.
         off = amp[k_first] * rho[1, 9] * amp[k_last]
-        delta = max(((e + e) / 2 / p).err for e in (*diag, off))
-        n = _negativity(_mixed_trace_norm(1 + 2 * n_exact, 4, delta))
-        return p, n
+        delta = max(((e + e) / 2 / _Bound(p.v)).err for e in (*diag, off))
+        # Blocks {0}, {3} and {1, 2}, as for the mixture above.
+        a, b, c = (e.v / p.v for e in (*diag, off))
+        return p, _mixed_negativity([[a], [b], [c, -c]], delta)
 
-    p1, n1 = branch(8, 2, mp(6) / 13)
-    p2, n2 = branch(2, 8, mp(6) / 37)
-    schmidt_19 = _pure_trace_norm([mp(9) ** 0.5 / mp(10) ** 0.5, mp(1) / mp(10) ** 0.5],
-                                  2, amp[9].err)
-    n_in = _negativity(schmidt_19)
+    p1, n1 = branch(8, 2)
+    p2, n2 = branch(2, 8)
+    schmidt_19 = _schmidt([mp(9) ** 0.5 / mp(10) ** 0.5, mp(1) / mp(10) ** 0.5], 2, amp[9].err)
+    n_in = _pure_negativity(schmidt_19)
 
     # (|000> + |011> + sqrt(2)|110>)/2: an entry of a reduced two-party
     # state M M^dag sums at most two products of amplitudes, each bounded
     # here by the largest, sqrt(2)/2 squared. Across A|rest the amplitude
-    # matrix is 2 x 4 with singular values 1/sqrt(2), 1/sqrt(2). Both sides
-    # are raised to the power alpha = 1.
+    # matrix is 2 x 4 with singular values 1/sqrt(2), 1/sqrt(2). Each pair's
+    # partial transpose has the blocks {0}, {3} and {1, 2}, or {1}, {2} and
+    # {0, 3}, with the spectra 1/4, 1/2 and (1/2, -1/4). Both sides are
+    # raised to the power alpha = 1.
     ckw_amp = sqrt2 / 2
     ckw_entry = ckw_amp * ckw_amp + ckw_amp * ckw_amp
-    ckw_pair = _ratio(_mixed_trace_norm(mp(3) / 2, 4, ckw_entry.err)) ** 1
-    ckw_lhs = _ratio(_pure_trace_norm([1 / mp(2) ** 0.5] * 2, 4, ckw_amp.err)) ** 1
+    ckw_pair = _ratio(_mixed_negativity([[quarter], [half], [half, -quarter]], ckw_entry.err)) ** 1
+    ckw_lhs = _ratio(_pure_negativity(_schmidt([1 / mp(2) ** 0.5] * 2, 4, ckw_amp.err))) ** 1
 
     # The Schmidt vector (0.9, 0.1) against the Bell state, then their
-    # 16 x 16 product state, whose entries are one product of the two.
-    chi_a = _ratio(schmidt_19)
-    chi_b = _ratio(_pure_trace_norm([1 / mp(2) ** 0.5] * 2, 2, bell_amp.err))
+    # 16 x 16 product state, whose entries are one product of the two, the
+    # Bell factor common to all of them. Its partial transpose splits into
+    # four 1x1 and six 2x2 blocks: the products of the factors' spectra
+    # (0.9, 0.1, +-0.3) and (1/2, 1/2, +-1/2), each 2x2 block one +- pair.
+    chi_a = _ratio(n_in)
+    chi_b = _ratio(_pure_negativity(_schmidt([1 / mp(2) ** 0.5] * 2, 2, 0.0)))
     factor_a = amp[9] * amp[9]
-    product_entry = factor_a * bell_entry
-    chi_dense = _ratio(_mixed_trace_norm(mp(16) / 5, 16, product_entry.err))
+    product_entry = factor_a * _Bound(bell_entry.v)
+    big, mid, small = mp(9) / 20, mp(3) / 20, mp(1) / 20
+    chi_dense = _ratio(_mixed_negativity(
+        [[big], [big], [small], [small], [big, -big], [small, -small]] + [[mid, -mid]] * 4,
+        product_entry.err))
     formula = (chi_a + chi_b) / (1 + chi_a * chi_b)
     odds = 1 * ((1 + chi_a) / (1 - chi_a)) * ((1 + chi_b) / (1 - chi_b))
     helper = (odds - 1) / (odds + 1)
@@ -227,8 +260,8 @@ def _budgets():
 
     return {
         "negativity of the equal mixture": (mp(1) / 4, nonconvex_mix.err),
-        # Its trace norm is 1 within the bound below, so the PSD_TOL clamp
-        # sets the negativity to exactly 0.
+        # Its negativity is 0 within far less than PSD_TOL (asserted
+        # above), so the clamp sets it to exactly 0.
         "negativity of the classical part": (mp(0), 0.0),
         "negativity of the Bell part": (mp(1) / 2, nonconvex_bell.err),
         "sqrt-negativity of the mixture": (mp(1) / 2, nonconvex_mix.sqrt().err),
@@ -263,8 +296,6 @@ def test_closed_form_checks_within_their_ulp_budgets():
                   if c.kind == "close" and not c.name.startswith(NOT_PINNED)]
         assert sorted(c.name for c in checks) == sorted(budgets)
         assert len(checks) == 31
-        # The classical part's trace norm is 1 within far less than PSD_TOL.
-        assert _mixed_trace_norm(1, 4, 0.0).err * EPS < PSD_TOL
         lines, over = [], []
         for c in checks:
             exact, bound = budgets[c.name]
@@ -275,6 +306,29 @@ def test_closed_form_checks_within_their_ulp_budgets():
             if distance > budget:
                 over.append(c.name)
     assert not over, "over budget: " + ", ".join(over) + "\n" + "\n".join(lines)
+
+
+def test_replayed_blocks_are_the_kernels():
+    """The blocks _budgets replays are those _trace_norm_blocks splits each
+    partial transpose into, by size: a Fock-basis split, never one dense
+    eigensolve, whose errors would grow with the whole matrix."""
+    def sizes(matrix, layout):
+        return sorted(b.size for b in _coupled_blocks(partial_transpose(matrix, layout)))
+
+    pair = SubsystemLayout((2, 2), (0,))
+    classical, bell, mix = _mixture_states()
+    assert sizes(classical.matrix, pair) == [1, 1, 1, 1]
+    assert sizes(bell.matrix, pair) == sizes(mix.matrix, pair) == [1, 1, 2]
+    kraus = [np.kron(np.diag(np.sqrt(k)), np.eye(2)) for k in ([0.8, 0.2], [0.2, 0.8])]
+    for _, out in apply_kraus_branches(pure_from_schmidt([0.1, 0.9], (2, 2)), kraus):
+        assert sizes(out.matrix, pair) == [1, 1, 2]
+    psi = ckw_violation_state().amplitudes
+    for b in (1, 2):
+        m = group_subsystems(psi, (2, 2, 2), (0, b))
+        assert sizes(m @ m.conj().T, pair) == [1, 1, 2]
+    product = np.kron(pure_from_schmidt([0.9, 0.1], (2, 2)).density_matrix().matrix,
+                      bell.matrix)
+    assert sizes(product, SubsystemLayout((2, 2, 2, 2), (0, 2))) == [1] * 4 + [2] * 6
 
 
 @pytest.mark.parametrize("kind,computed,passed", [("close", 0.5 + 1e-12, True),
