@@ -19,12 +19,13 @@ from N (log-negativity log1p(2N)/ln 2), and the concurrence
 negativity is 0, and since N does not move when w is scaled, neither
 does that verdict.
 
-Every pure-state measure reads `PureState.schmidt_coefficients`, which
-come from `tensor.schmidt_decompose`, the kernel the monogamy residuals
-run on stacks. A Schmidt vector a caller passes is checked once, where
-it enters, by the unit-weight rule `tensor._check_distribution`, and the
-private formulas read it unchecked. Convex-roof extensions are evaluated
-only on pure inputs, where they coincide with the plain measures.
+Every pure-state measure reads `PureState.schmidt_coefficients`: the
+Schmidt-form constructors hand them over, and `tensor.schmidt_decompose`,
+the monogamy scans' kernel, computes any other state's. A Schmidt vector
+a caller passes is checked once, where it enters, by the unit-weight
+rule `tensor._check_distribution`, and the private formulas read it
+unchecked. Convex-roof extensions are evaluated only on pure inputs,
+where they coincide with the plain measures.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ if TYPE_CHECKING:
     from .gaussian import CovarianceMatrix
 
 # What pt_trace_norm, evaluate_measure and the negativity-family functions
-# take. A two-mode CovarianceMatrix is refused by the pure-only kinds, as a
-# DensityMatrix is; any other mode count is refused by name.
+# take; a CovarianceMatrix of any mode count but two is refused by name.
 State = Union[DensityMatrix, PureState, "CovarianceMatrix"]
 
 MEASURE_KINDS = ("negativity", "log_negativity", "ratio", "alpha_ratio",
@@ -243,20 +243,23 @@ def f_negativity(f: Callable[[float], float], state: State) -> float:
 
 def compose_ratio_tensor(chis) -> float:
     """Ratio negativity of a tensor product of states with the given ratio
-    negativities: the odds (1+chi)/(1-chi) multiply."""
+    negativities: the odds (1+chi)/(1-chi) multiply; an overflowed product
+    reads 1.0, as a finite one above 2^53 rounds to."""
     odds = 1.0
     for c in chis:
         if not (0 <= c < 1):
             raise ValueError(f"ratio negativity values must lie in [0, 1), got {c}")
         odds *= (1.0 + c) / (1.0 - c)
-    return (odds - 1.0) / (odds + 1.0)
+    return 1.0 if math.isinf(odds) else (odds - 1.0) / (odds + 1.0)
 
 
 def evaluate_measure(spec: MeasureSpec, state: State, psd_tol: float = PSD_TOL) -> MeasureResult:
     """Dispatch a measure evaluation and package the standard report fields."""
     require_tolerance(psd_tol, "psd_tol")
     if spec.kind in PURE_ONLY_KINDS and not isinstance(state, PureState):
-        raise ValueError(f"{spec.kind} is only evaluated on pure states (convex roof out of scope)")
+        why = (" (convex roof out of scope)" if isinstance(state, DensityMatrix) else
+               " given as amplitudes; a covariance matrix takes only the negativity-family kinds")
+        raise ValueError(f"{spec.kind} is only evaluated on pure states{why}")
     t = pt_trace_norm(state)
     n = float(_clamped_negativity(*_pt_parts(state), psd_tol))
     alpha = spec.alpha if spec.kind == "alpha_ratio" else None
@@ -267,8 +270,7 @@ def evaluate_measure(spec: MeasureSpec, state: State, psd_tol: float = PSD_TOL) 
     elif spec.kind == "concurrence":
         value = concurrence_pure(state)
     elif spec.kind == "g_concurrence":
-        # The state's own coefficients, min(dim_a, dim_b) of them, come from
-        # amplitudes its constructor accepted; they are not checked again.
+        # The state's own min(dim_a, dim_b) coefficients are not checked again.
         value = _g_concurrence(state.schmidt_coefficients)
     elif spec.kind == "scp":
         if state.layout.dim_a != 2 or state.layout.dim_b != 2:

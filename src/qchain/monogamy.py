@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .measures import _clamped_negativity, _from_negativity, _schmidt_parts
-from .states import DensityMatrix, PureState, haar_amplitude_rows
+from .states import DensityMatrix, PureState, _built_pure, haar_amplitude_rows
 from .tensor import (SubsystemLayout, _integer, _slab_max, _trace_norm_blocks, group_subsystems,
                      partial_transpose, require_positive, require_tolerance, schmidt_decompose)
 
@@ -149,11 +149,8 @@ def ckw_violation_state() -> PureState:
     """(|000> + |011> + sqrt(2)|110>)/2: three qubits whose pairwise ratio
     negativities are both 1/5 while the one-against-rest value is 1/3, so
     the unpowered inequality fails."""
-    amps = np.zeros(8, dtype=complex)
-    amps[0b000] = 0.5
-    amps[0b011] = 0.5
-    amps[0b110] = math.sqrt(2) / 2
-    return PureState(amps, SubsystemLayout((2, 2, 2), (0,)))
+    amps = np.array([0.5, 0, 0, 0.5, 0, 0, math.sqrt(2) / 2, 0], dtype=complex)
+    return _built_pure(SubsystemLayout((2, 2, 2), (0,)), amps)
 
 
 def _fields_json(report) -> dict:

@@ -47,9 +47,8 @@ def require_unit_density(m: np.ndarray, what: str = "density matrix") -> np.ndar
     return m
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    """A read-only copy of a, keeping its float64 or complex128 dtype."""
-    a = np.array(a)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, set read-only."""
     a.setflags(write=False)
     return a
 
@@ -65,8 +64,7 @@ def _built(matrix, layout: SubsystemLayout, truncation_deficit: float = 0.0) -> 
     (a real part's view is copied out): a state this package has just built
     is Hermitian, unit-trace and PSD, so a check could only refuse rounding."""
     m = _storage_dtype(matrix)
-    m = m if m.flags.owndata else m.copy()
-    m.setflags(write=False)
+    m = _read_only(m if m.flags.owndata else m.copy())
     rho = object.__new__(DensityMatrix)
     vars(rho).update(matrix=m, layout=layout, truncation_deficit=truncation_deficit)
     return rho
@@ -88,6 +86,21 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return h
 
 
+def _built_pure(layout: SubsystemLayout, amplitudes=None, diagonal=None, truncation_deficit=0.0) -> "PureState":
+    """A new owning complex vector that no caller holds, stored read-only,
+    unchecked and uncopied, as _built stores a matrix; or, given the real
+    amplitudes `diagonal` of |aa> on a (dA, dB) layout, that vector with its
+    Schmidt coefficients: the squared diagonal, descending, zero-padded to min(dA, dB)."""
+    psi = object.__new__(PureState)
+    if diagonal is not None:
+        amplitudes = np.zeros(layout.dim, dtype=complex)
+        amplitudes[::layout.dim_b + 1][:diagonal.size] = diagonal
+        lam = np.pad(np.sort(diagonal ** 2)[::-1], (0, min(layout.dim_a, layout.dim_b) - diagonal.size))
+        vars(psi)["schmidt_coefficients"] = _read_only(lam)
+    vars(psi).update(amplitudes=_read_only(amplitudes), layout=layout, truncation_deficit=truncation_deficit)
+    return psi
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized amplitude vector over a subsystem layout.
@@ -106,7 +119,7 @@ class PureState:
             raise ValueError(f"amplitude count {amps.shape[0]} != layout dimension {self.layout.dim}")
         require_normalized(amps)
         require_tolerance(self.truncation_deficit, "truncation_deficit")
-        object.__setattr__(self, "amplitudes", _freeze(amps))
+        object.__setattr__(self, "amplitudes", _read_only(np.array(amps)))
 
     def density_matrix(self) -> "DensityMatrix":
         """|psi><psi|; float64 when the amplitudes are all real."""
@@ -117,10 +130,8 @@ class PureState:
     @cached_property
     def schmidt_coefficients(self) -> np.ndarray:
         """Schmidt coefficients across the A|B split, descending, computed
-        once per state; the array is read-only."""
-        lam = schmidt_decompose(self.amplitudes, self.layout)
-        lam.setflags(write=False)
-        return lam
+        once per state unless handed over; the array is read-only."""
+        return _read_only(schmidt_decompose(self.amplitudes, self.layout))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +171,7 @@ class DensityMatrix:
     def __post_init__(self):
         object.__setattr__(self, "matrix", _storage_dtype(self.matrix))
         self._check(PSD_TOL)
-        object.__setattr__(self, "matrix", _freeze(self.matrix))  # after validate()'s buffers are freed
+        object.__setattr__(self, "matrix", _read_only(np.array(self.matrix)))  # after validate()'s buffers are freed
 
     def _check(self, psd_tol: float) -> None:
         m = self.matrix
@@ -275,9 +286,7 @@ def cutoff_for_amplitude_tail(chi: float, tail: float) -> int:
 
 def bell_state() -> PureState:
     """(|00> + |11>)/sqrt(2) on two qubits, party A = subsystem 0."""
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = amps[3] = 1 / math.sqrt(2)
-    return PureState(amps, SubsystemLayout((2, 2), (0,)))
+    return _built_pure(SubsystemLayout((2, 2), (0,)), diagonal=np.full(2, 1 / math.sqrt(2)))
 
 
 def pure_from_schmidt(lam, dims: tuple[int, int]) -> PureState:
@@ -291,9 +300,7 @@ def pure_from_schmidt(lam, dims: tuple[int, int]) -> PureState:
     if np.any(lam <= 0):
         raise ValueError("Schmidt coefficients must be > 0")
     _check_distribution(lam)
-    amps = np.zeros((d_a, d_b), dtype=complex)
-    amps[np.arange(lam.size), np.arange(lam.size)] = np.sqrt(lam)
-    return PureState(amps.reshape(-1), SubsystemLayout((d_a, d_b), (0,)))
+    return _built_pure(SubsystemLayout((d_a, d_b), (0,)), diagonal=np.sqrt(lam))
 
 
 def tmsvs_truncated(spec: TmsvsSpec) -> PureState:
@@ -308,14 +315,9 @@ def tmsvs_truncated(spec: TmsvsSpec) -> PureState:
         raise ValueError(
             f"cutoff {spec.cutoff} loses {deficit:.3e} probability weight for chi={spec.chi}; "
             f"increase the cutoff (limit {MAX_TRUNCATION_DEFICIT})")
-    n = np.arange(spec.cutoff + 1)
-    diag = math.sqrt(1 - spec.chi ** 2) * spec.chi ** n
-    diag = diag / np.linalg.norm(diag)
-    d = spec.cutoff + 1
-    amps = np.zeros((d, d), dtype=complex)
-    amps[n, n] = diag
-    layout = SubsystemLayout((d, d), (0,))
-    return PureState(amps.reshape(-1), layout, truncation_deficit=deficit)
+    diag = math.sqrt(1 - spec.chi ** 2) * spec.chi ** np.arange(spec.cutoff + 1)
+    diag /= np.linalg.norm(diag)
+    return _built_pure(SubsystemLayout((diag.size, diag.size), (0,)), diagonal=diag, truncation_deficit=deficit)
 
 
 def substream(master_seed: int, index: int) -> np.random.Generator:
@@ -341,8 +343,7 @@ def random_haar_pure(layout: SubsystemLayout, seed) -> PureState:
     """Haar-random pure state: normalized standard complex Gaussian vector."""
     rng = _as_generator(seed)
     v = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
-    v /= np.linalg.norm(v)
-    return PureState(v, layout)
+    return _built_pure(layout, v / np.linalg.norm(v))
 
 
 def haar_amplitude_rows(dim: int, master_seed: int, indices: range) -> np.ndarray:

@@ -331,6 +331,14 @@ class TestCovarianceMatrixPair:
         with pytest.raises(ValueError, match=rf"^{kind} is only evaluated on pure states"):
             evaluate_measure(MeasureSpec(kind), tmsvs_cm(0.5))
 
+    @pytest.mark.parametrize("kind", PURE_ONLY_KINDS)
+    def test_pure_only_refusal_names_the_covariance_route(self, kind):
+        # tmsvs_cm(0.5) is pure, so the refusal names the route, not the state.
+        with pytest.raises(ValueError, match=rf"^{kind} is only evaluated on pure states given as "
+                                             r"amplitudes; a covariance matrix takes only the "
+                                             r"negativity-family kinds$"):
+            evaluate_measure(MeasureSpec(kind), tmsvs_cm(0.5))
+
     @pytest.mark.parametrize("gamma, message", [
         (np.eye(6), "^the covariance route supports exactly 2 modes, got 3$"),
         (0.5 * np.eye(4), r"^invalid covariance matrix: uncertainty relation violated "

@@ -4,7 +4,7 @@ import re
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qchain.measures import (
@@ -433,6 +433,19 @@ class TestTensorComposition:
         with pytest.raises(ValueError):
             compose_ratio_tensor([0.5, 1.0])
 
+    @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=400))
+    @example([0.999] * 200)
+    @example([1.0 - 2.0 ** -53] * 2)
+    @settings(max_examples=200, deadline=None)
+    def test_compose_ratio_is_never_nan(self, chis):
+        value = compose_ratio_tensor(chis)
+        assert 0.0 <= value <= 1.0
+        odds = math.prod((1.0 + c) / (1.0 - c) for c in chis)
+        if math.isfinite(odds):  # a finite product keeps the odds formula's bits
+            assert value == (odds - 1.0) / (odds + 1.0)
+        else:  # an overflowed product reads what one above 2^53 rounds to
+            assert value == 1.0 == compose_ratio_tensor([1.0 - 2.0 ** -53] * 2)
+
 
 class TestEvaluateMeasure:
     def test_report_fields(self):
@@ -631,7 +644,8 @@ class TestOneNegativityRule:
     def test_mixed_state_rejected_for_each_pure_only_kind(self):
         dm = random_density_matrix(SubsystemLayout((2, 2), (0,)), 4, 21)
         for kind in ("concurrence", "g_concurrence", "scp"):
-            with pytest.raises(ValueError, match=f"{kind} is only evaluated on pure states"):
+            with pytest.raises(ValueError, match=f"^{kind} is only evaluated on pure states "
+                                                 r"\(convex roof out of scope\)$"):
                 evaluate_measure(MeasureSpec(kind), dm)
 
     @pytest.mark.parametrize("lam", [[0.5, math.nan], [math.nan, math.nan], [1.5, -0.5]])

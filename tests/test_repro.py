@@ -27,7 +27,8 @@ from qchain.monogamy import ckw_violation_state
 from qchain.repro import TMSVS_R_GRID, Check, _mixture_states, run_fixtures
 from qchain.states import (PSD_TOL, TmsvsSpec, apply_kraus_branches, cutoff_for_amplitude_tail,
                            pure_from_schmidt, tmsvs_truncated)
-from qchain.tensor import SubsystemLayout, _coupled_blocks, group_subsystems, partial_transpose
+from qchain.tensor import (SubsystemLayout, _coupled_blocks, group_subsystems, partial_transpose,
+                           schmidt_decompose)
 
 EPS = float(np.finfo(float).eps)
 
@@ -170,12 +171,14 @@ def _tmsvs_budgets():
         diag = [scale * chi ** n for n in range(d)]
         norm = _Bound(mpmath.sqrt(mpmath.fsum(a.v ** 2 for a in diag)))
         amps = [a / norm for a in diag]
-        # The amplitude matrix is diagonal, so the SVD reads the computed
+        # The state hands over lambda_n as the computed amplitudes squared.
+        # The amplitude matrix is diagonal, so the SVD reads the same
         # amplitudes exactly (a zero Householder tail gives tau = 0, and a
         # zero off-diagonal deflates); checked bit for bit below.
         state = tmsvs_truncated(TmsvsSpec.from_r(r, cutoff=d - 1))
         computed = state.amplitudes.reshape(d, d).diagonal().real
         assert np.array_equal(state.schmidt_coefficients, computed ** 2), r
+        assert np.array_equal(schmidt_decompose(state.amplitudes, state.layout), computed ** 2), r
         neg = _pure_negativity([a * a for a in amps])
         ratio = _ratio(neg)
         budgets[f"ratio negativity at r={r}"] = (ratio.v, ratio.err)

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from qchain import states
 from qchain.groupop import CompositionLaw, check_group_operation
-from qchain.measures import MeasureSpec, evaluate_measure, negativity, pt_trace_norm, ratio_negativity
-from qchain.monogamy import ckw_residual, sample_monogamy_scan
+from qchain.measures import (MEASURE_KINDS, MeasureSpec, evaluate_measure, negativity, pt_trace_norm,
+                             ratio_negativity)
+from qchain.monogamy import ckw_residual, ckw_violation_state, sample_monogamy_scan
 from qchain.reports import state_from_json, state_to_json
 from qchain.swapping import chain_fock_crosscheck
 from qchain.states import (
@@ -36,6 +37,7 @@ from qchain.tensor import (
     kron,
     partial_trace,
     partial_transpose,
+    schmidt_decompose,
     trace_norm_hermitian,
 )
 
@@ -965,3 +967,107 @@ def test_library_tolerances_accept_zero():
     assert not evaluate_measure(MeasureSpec("negativity"), bell_state(), psd_tol=0.0).ppt
     assert not check_group_operation(MEAN_LAW, grid_n=16, assoc_tol=0.0).associativity.passed
     assert sample_monogamy_scan((2, 2, 2), 50, 1.0, 3, violation_tol=0.0).violation_count > 0
+
+
+@st.composite
+def schmidt_forms(draw):
+    """(lam, dims): a normalized Schmidt vector of 1 to min(dims) entries."""
+    dims = (draw(st.integers(2, 8)), draw(st.integers(2, 8)))
+    w = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=min(dims))))
+    return w / w.sum(), dims
+
+
+SCHMIDT_FORMS = {
+    "bell": bell_state,
+    "square": lambda: pure_from_schmidt([0.2, 0.5, 0.3], (3, 3)),
+    "wide": lambda: pure_from_schmidt([0.6, 0.4], (2, 5)),
+    "tall": lambda: pure_from_schmidt([0.7, 0.3], (4, 2)),
+    "fewer": lambda: pure_from_schmidt([0.25, 0.75], (4, 3)),
+    "tmsvs": lambda: tmsvs_truncated(TmsvsSpec.from_r(0.8, 30)),
+    "tmsvs_default": lambda: tmsvs_truncated(TmsvsSpec.from_r(1.0)),
+}
+
+
+def every_pure_kind(layout: SubsystemLayout) -> list[MeasureSpec]:
+    """One spec per measure kind; scp only on two qubits."""
+    special = {"alpha_ratio": MeasureSpec("alpha_ratio", 2.0),
+               "custom_f": MeasureSpec("custom_f", f=math.sqrt)}
+    return [special[k] if k in special else MeasureSpec(k) for k in MEASURE_KINDS
+            if k != "scp" or (layout.dim_a, layout.dim_b) == (2, 2)]
+
+
+class TestHandedOverPureStates:
+    """bell_state, pure_from_schmidt and tmsvs_truncated hand their Schmidt
+    coefficients to the state (the squared amplitude diagonal), so no SVD
+    runs for them; a caller's vector still goes through every check."""
+
+    @pytest.mark.parametrize("name", SCHMIDT_FORMS)
+    def test_every_pure_kind_evaluates_without_the_svd(self, name, monkeypatch):
+        built = SCHMIDT_FORMS[name]()
+        public = PureState(built.amplitudes, built.layout, built.truncation_deficit)
+        expected = [evaluate_measure(spec, public).value for spec in every_pure_kind(built.layout)]
+
+        def no_svd(*args):
+            raise AssertionError("schmidt_decompose ran for a Schmidt-form state")
+
+        monkeypatch.setattr(states, "schmidt_decompose", no_svd)
+        psi = SCHMIDT_FORMS[name]()
+        values = [evaluate_measure(spec, psi).value for spec in every_pure_kind(psi.layout)]
+        assert values == pytest.approx(expected, rel=1e-14, abs=1e-15)
+        lam = psi.schmidt_coefficients
+        assert lam.shape == (min(psi.layout.dim_a, psi.layout.dim_b),)
+        assert np.all(np.diff(lam) <= 0) and lam[-1] >= 0
+
+    def test_fewer_coefficients_are_sorted_and_zero_padded(self):
+        psi = pure_from_schmidt([0.25, 0.75], (4, 3))
+        assert psi.schmidt_coefficients.tolist() == [math.sqrt(0.75) ** 2, 0.25, 0.0]
+        assert np.flatnonzero(psi.amplitudes).tolist() == [0, 4]
+
+    @given(r=st.floats(0.01, 2.5), cutoff=st.sampled_from([10, 37, 200, None]))
+    @example(r=1.0, cutoff=None)
+    @example(r=2.5, cutoff=200)
+    @settings(max_examples=60, deadline=None)
+    def test_tmsvs_coefficients_are_the_svd_bits(self, r, cutoff):
+        spec = TmsvsSpec.from_r(r, cutoff)
+        assume(spec.truncation_deficit <= states.MAX_TRUNCATION_DEFICIT)
+        psi = tmsvs_truncated(spec)
+        assert np.array_equal(psi.schmidt_coefficients, schmidt_decompose(psi.amplitudes, psi.layout))
+
+    @given(form=schmidt_forms())
+    # numpy 2.4's OpenBLAS SVD reads 0.5761242399980525 for this state, where
+    # the squared amplitude, the handed-over value, is 0.5761242399980528.
+    @example(form=([0.5761242399980528, 0.42387576000194715], (4, 2)))
+    @example(form=([0.1, 0.9], (2, 2)))
+    @settings(max_examples=200, deadline=None)
+    def test_schmidt_form_coefficients_within_4_ulps_of_the_svd(self, form):
+        lam, dims = form
+        psi = pure_from_schmidt(lam, dims)
+        handed, svd = psi.schmidt_coefficients, schmidt_decompose(psi.amplitudes, psi.layout)
+        assert np.all(np.abs(handed - svd) <= 4 * np.spacing(np.maximum(handed, svd)))
+
+    @pytest.mark.parametrize("build", [
+        *SCHMIDT_FORMS.values(),
+        lambda: random_haar_pure(SubsystemLayout((2, 3, 4), (1,)), 7),
+        ckw_violation_state,
+    ])
+    def test_handed_over_arrays_are_read_only_and_owned(self, build):
+        psi = build()
+        a = psi.amplitudes
+        assert a.flags.owndata and not a.flags.writeable
+        assert a.dtype == complex and a.shape == (psi.layout.dim,)
+        assert not psi.schmidt_coefficients.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+    def test_public_constructor_checks_copies_and_decomposes(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(states, "schmidt_decompose",
+                            lambda *args: calls.append(1) or schmidt_decompose(*args))
+        a = bell_state().amplitudes.copy()
+        psi = PureState(a, QUBIT_PAIR)
+        a[0] = 0.0
+        assert psi.amplitudes[0] != 0.0
+        assert psi.schmidt_coefficients.tolist() == [0.4999999999999999] * 2
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match=r"^pure state is not normalized: \|psi\|\^2 = 0\.4999999999999999$"):
+            PureState(a, QUBIT_PAIR)
