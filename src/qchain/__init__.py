@@ -27,17 +27,13 @@ from .states import (
 from .measures import (
     MeasureResult,
     MeasureSpec,
-    alpha_ratio_negativity,
     compose_ratio_tensor,
-    concurrence_pure,
     evaluate_measure,
     f_negativity,
-    g_concurrence_pure,
     log_negativity,
     negativity,
     pt_trace_norm,
     ratio_negativity,
-    scp_pure_qubit,
     validate_f,
 )
 from .gaussian import (

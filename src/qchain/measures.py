@@ -21,11 +21,11 @@ does that verdict.
 
 Every pure-state measure reads `PureState.schmidt_coefficients`: the
 Schmidt-form constructors hand them over, and `tensor.schmidt_decompose`,
-the monogamy scans' kernel, computes any other state's. A Schmidt vector
-a caller passes is checked once, where it enters, by the unit-weight
-rule `tensor._check_distribution`, and the private formulas read it
-unchecked. Convex-roof extensions are evaluated only on pure inputs,
-where they coincide with the plain measures.
+the monogamy scans' kernel, computes any other state's. The private
+formulas `_g_concurrence` and `_scp` read a state's vector or a link's,
+which `swapping` checks where it enters, unchecked. Convex-roof
+extensions are evaluated only on pure inputs, where they coincide with
+the plain measures.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Callable, Union
 import numpy as np
 
 from .states import PSD_TOL, DensityMatrix, PureState
-from .tensor import _check_distribution, _trace_norm, require_positive, require_tolerance
+from .tensor import _trace_norm, require_positive, require_tolerance
 
 if TYPE_CHECKING:
     from .gaussian import CovarianceMatrix
@@ -168,19 +168,9 @@ def ratio_negativity(state: State) -> float:
     return evaluate_measure(MeasureSpec("ratio"), state).value
 
 
-def alpha_ratio_negativity(state: State, alpha: float) -> float:
-    return evaluate_measure(MeasureSpec("alpha_ratio", alpha), state).value
-
-
-def concurrence_pure(psi: PureState) -> float:
-    """sqrt(2 (1 - tr rho_A^2)) for a bipartite pure state, as
-    2 sqrt(sum_{i<j} lambda_i lambda_j) / w, which does not cancel."""
-    lam = psi.schmidt_coefficients
-    return 2.0 * math.sqrt(_pair_sum(lam)) / float(np.sum(lam))
-
-
-def g_concurrence_pure(lam, d: int) -> float:
-    """d (lambda_0 ... lambda_{d-1})^(1/d); 0 if any coefficient vanishes.
+def _g_concurrence(lam: np.ndarray) -> float:
+    """d (lambda_0 ... lambda_{d-1})^(1/d) of d = lam.size checked
+    coefficients; 0 if any coefficient vanishes.
 
     Vanishing coefficients are the continuous extension of the geometric
     mean; strictly the formula assumes all lambda_j > 0. At d = 2 it is the
@@ -189,11 +179,6 @@ def g_concurrence_pure(lam, d: int) -> float:
     mean), so a rounded value above 1, as the uniform vector gives at
     d = 6, 8 and 14, or a pair summing to just above 1 at d = 2, reads 1.
     """
-    return _g_concurrence(_check_distribution(lam, d))
-
-
-def _g_concurrence(lam: np.ndarray) -> float:
-    """g_concurrence_pure's formula on d = lam.size checked coefficients."""
     d = lam.size
     if np.any(lam == 0):
         return 0.0
@@ -202,18 +187,10 @@ def _g_concurrence(lam: np.ndarray) -> float:
     return min(1.0, float(d * np.exp(np.mean(np.log(lam)))))
 
 
-def scp_pure_qubit(lam) -> float:
-    """Maximum probability of converting a 2-qubit pure state to a singlet
-    by local operations: twice the smaller Schmidt coefficient."""
-    lam = _check_distribution(lam)
-    if lam.size > 2:
-        raise ValueError(f"singlet conversion probability needs a 2-qubit Schmidt pair, got {lam.size} coefficients")
-    return _scp(lam)
-
-
 def _scp(lam) -> float:
-    """scp_pure_qubit's formula on one or two checked coefficients."""
-    return 2.0 * float(min(lam)) if len(lam) == 2 else 0.0
+    """Maximum probability of converting a 2-qubit pure state to a singlet
+    by local operations: twice the smaller of its two Schmidt coefficients."""
+    return 2.0 * float(min(lam))
 
 
 def validate_f(f: Callable[[float], float]) -> None:
@@ -268,7 +245,9 @@ def evaluate_measure(spec: MeasureSpec, state: State, psd_tol: float = PSD_TOL) 
     elif spec.kind == "log_negativity":
         value = math.log1p(2.0 * n) / math.log(2.0)
     elif spec.kind == "concurrence":
-        value = concurrence_pure(state)
+        # sqrt(2 (1 - tr rho_A^2)) as 2 sqrt(sum_{i<j} lambda_i lambda_j) / w: no cancelling.
+        lam = state.schmidt_coefficients
+        value = 2.0 * math.sqrt(_pair_sum(lam)) / float(np.sum(lam))
     elif spec.kind == "g_concurrence":
         # The state's own min(dim_a, dim_b) coefficients are not checked again.
         value = _g_concurrence(state.schmidt_coefficients)

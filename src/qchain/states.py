@@ -324,15 +324,18 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
     """Independent generator for sample `index` of a seeded scan.
 
     Philox is keyed on the (seed, index) pair directly, so streams do not
-    depend on how many samples ran before this one. The seed is the
-    key's first word: an integer in [0, 2^64); anything else is refused
-    by name, where a wrapped seed would alias another.
+    depend on how many samples ran before this one. The seed and the index
+    are the key's two words: each an integer in [0, 2^64); anything else
+    is refused by name, where a wrapped word would alias another stream.
     """
-    seed = _integer(master_seed, "seed")
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    key = np.array([seed, index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    key = np.array([_key_word(master_seed, "seed"), _key_word(index, "index")], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _key_word(value, name: str) -> int:
+    if not 0 <= (value := _integer(value, name)) < 1 << 64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+    return value
 
 
 def _as_generator(seed) -> np.random.Generator:
@@ -355,14 +358,17 @@ def haar_amplitude_rows(dim: int, master_seed: int, indices: range) -> np.ndarra
     empty output buffer) is read once, and each row writes its index into
     the dict's key and assigns the dict back. The state setter copies the
     values, so every row starts a fresh (master_seed, index) stream, and a
-    call builds one dict and one key array, none per row.
+    call builds one dict and one key array, none per row. substream's
+    index rule is checked once, on the ends of the range.
     """
-    raw = np.empty((len(indices), 2, dim))
     rng = substream(master_seed, 0)
+    for end in (indices[0], indices[-1]) if indices else ():
+        _key_word(end, "index")
+    raw = np.empty((len(indices), 2, dim))
     state = rng.bit_generator.state
     key = state["state"]["key"]
     for k, index in enumerate(indices):
-        key[1] = index & 0xFFFFFFFFFFFFFFFF
+        key[1] = index
         rng.bit_generator.state = state
         rng.standard_normal(out=raw[k])
     v = raw[:, 0] + 1j * raw[:, 1]

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .measures import MeasureSpec, _g_concurrence, _scp, ratio_negativity
 from .states import TmsvsSpec, require_squeezing, tmsvs_truncated
@@ -44,10 +45,11 @@ SUPPORTED_MEASURES = {
 @dataclass(frozen=True)
 class LinkResource:
     """One link of a chain: its kind, the value of its kind's native
-    measure, and its Schmidt data (none for a qudit link built from a
-    target) or squeezing parameter. A caller's link is checked here, once,
-    Schmidt vector included (a qubit link needs a pair, which scp chains
-    read unchecked); the builders store what they derive unchecked."""
+    measure, its local dimension d (2 for a qubit link, none for tmsvs),
+    and its Schmidt data (none for a qudit link built from a target) or
+    squeezing parameter. A caller's link is checked here, once, Schmidt
+    vector and d included (a qubit link needs a pair, which scp chains read
+    unchecked); the builders store what they derive unchecked."""
 
     kind: str
     native_value: float
@@ -59,11 +61,21 @@ class LinkResource:
         if self.kind not in LINK_KINDS:
             raise ValueError(f"unknown link kind {self.kind!r}")
         _target(self.native_value, "native measure value")
-        if self.kind == "qubit_pure" and self.schmidt is None:
-            raise ValueError("a qubit link needs its Schmidt pair")
-        if self.schmidt is not None:
-            lam = _check_distribution(self.schmidt, 2 if self.kind == "qubit_pure" else self.d)
-            object.__setattr__(self, "schmidt", tuple(float(x) for x in lam))
+        lam, d = self.schmidt, self.d
+        if self.kind == "qudit_pure":
+            lam, d = _qudit_parts(lam, d)
+        elif self.kind == "qubit_pure":
+            if lam is None:
+                raise ValueError("a qubit link needs its Schmidt pair")
+            if d is not None and _integer(d, "d") != 2:
+                raise ValueError(f"qubit links need local dimension d = 2, got {d}")
+            lam, d = _check_distribution(lam, 2), 2
+        elif d is not None:
+            raise ValueError(f"tmsvs links take no local dimension d, got {d}")
+        elif lam is not None:
+            lam = _check_distribution(lam)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "schmidt", None if lam is None else tuple(float(x) for x in lam))
 
 
 def _built_link(kind: str, native_value: float, schmidt=None, d=None, r=None) -> LinkResource:
@@ -104,15 +116,23 @@ def qudit_link(lam=None, d: int | None = None, g_concurrence: float | None = Non
     """
     if (lam is None) == (g_concurrence is None):
         raise ValueError("give exactly one of lam or g_concurrence")
+    lam, d = _qudit_parts(lam, d)
+    if lam is None:
+        return _built_link("qudit_pure", _target(g_concurrence, "G-concurrence"), d=d)
+    return _built_link("qudit_pure", _g_concurrence(lam), tuple(float(x) for x in lam), d=d)
+
+
+def _qudit_parts(lam, d):
+    """A qudit link's checked Schmidt vector (or None) and local dimension."""
     d = None if d is None else _integer(d, "d")
     if lam is None:
         if d is None or d < 2:
             raise ValueError(f"qudit links need a local dimension d >= 2, got {d}")
-        return _built_link("qudit_pure", _target(g_concurrence, "G-concurrence"), d=d)
+        return None, d
     lam = _check_distribution(lam, d)
     if lam.size < 2:
         raise ValueError(f"qudit links need at least 2 Schmidt coefficients, got {lam.size}")
-    return _built_link("qudit_pure", _g_concurrence(lam), tuple(float(x) for x in lam), d=lam.size)
+    return lam, lam.size
 
 
 def tmsvs_link(r: float) -> LinkResource:
@@ -166,12 +186,13 @@ class ChainResult:
 
 def _walk(links, measure: str | None, alpha: float):
     """Check a chain once and walk it: its kind, measure, per-hop values,
-    and one running state (end-to-end product, product of native values,
-    every link alive) per prefix.
+    and an iterator of one running state (end-to-end product, product of
+    native values, every link alive) per prefix, made as it is read.
 
     This is the one place that multiplies link values. The products run
-    left to right, which gives math.prod's bits, so each prefix's state
-    equals that of the prefix composed alone.
+    left to right from the first link, which gives math.prod's bits
+    (1.0 * x is x), so each prefix's state equals that of the prefix
+    composed alone.
     """
     links = list(links)
     if not links:
@@ -198,13 +219,8 @@ def _walk(links, measure: str | None, alpha: float):
         per_hop = tuple(_scp(lk.schmidt) for lk in links)
     else:
         per_hop = tuple(lk.native_value for lk in links)
-    end, chi, alive, states = 1.0, 1.0, True, []
-    for value, lk in zip(per_hop, links):
-        end *= value
-        chi *= lk.native_value
-        alive = alive and lk.native_value > 0.0
-        states.append((end, chi, alive))
-    return kind, measure, per_hop, states
+    hops = ((value, lk.native_value, lk.native_value > 0.0) for value, lk in zip(per_hop, links))
+    return kind, measure, per_hop, accumulate(hops, lambda s, h: (s[0] * h[0], s[1] * h[1], s[2] and h[2]))
 
 
 def _prefix_result(kind: str, measure: str, alpha: float, per_hop: tuple, length: int,
@@ -242,7 +258,9 @@ def chain_compose(links, measure: str | None = None, alpha: float = 1.0) -> Chai
     rejected unless a link is dead (value 0), which gives xi = 0.
     """
     kind, measure, per_hop, states = _walk(links, measure, alpha)
-    return _prefix_result(kind, measure, alpha, per_hop, len(states), states[-1])
+    for state in states:  # keep only the last
+        pass
+    return _prefix_result(kind, measure, alpha, per_hop, len(per_hop), state)
 
 
 def chain_prefixes(links, measure: str | None = None, alpha: float = 1.0) -> list[ChainResult]:

@@ -11,17 +11,13 @@ from qchain.measures import (
     MeasureSpec,
     _from_negativity,
     _pt_parts,
-    alpha_ratio_negativity,
     compose_ratio_tensor,
-    concurrence_pure,
     evaluate_measure,
     f_negativity,
-    g_concurrence_pure,
     log_negativity,
     negativity,
     pt_trace_norm,
     ratio_negativity,
-    scp_pure_qubit,
     validate_f,
 )
 from qchain.states import (
@@ -38,6 +34,7 @@ from qchain.states import (
     substream,
     tmsvs_truncated,
 )
+from qchain.swapping import chain_compose, qubit_link, qudit_link
 from qchain.tensor import TRACE_TOL, SubsystemLayout, kron
 
 from conftest import scp_oracle
@@ -280,21 +277,22 @@ class TestRatioNegativity:
 class TestAlphaRatio:
     def test_alpha_one_reduces(self):
         dm = random_density_matrix(QUBIT_PAIR, 2, 8)
-        assert alpha_ratio_negativity(dm, 1.0) == ratio_negativity(dm)
+        assert evaluate_measure(MeasureSpec("alpha_ratio", 1.0), dm).value == ratio_negativity(dm)
 
     def test_bell_squared(self):
-        assert abs(alpha_ratio_negativity(bell_state(), 2.0) - 1 / 9) < 1e-12
+        assert abs(evaluate_measure(MeasureSpec("alpha_ratio", 2.0), bell_state()).value - 1 / 9) < 1e-12
 
     def test_high_precision_power(self):
         # (1/3)^3.191 against a 50-digit evaluation.
         expected = float(mpmath.mpf(1) / 3 ** mpmath.mpf("3.191"))
         with mpmath.workdps(50):
             expected = float(mpmath.power(mpmath.mpf(1) / 3, mpmath.mpf("3.191")))
-        assert abs(alpha_ratio_negativity(bell_state(), 3.191) - expected) < 1e-12
+        value = evaluate_measure(MeasureSpec("alpha_ratio", 3.191), bell_state()).value
+        assert abs(value - expected) < 1e-12
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
-            alpha_ratio_negativity(bell_state(), 0.0)
+            evaluate_measure(MeasureSpec("alpha_ratio", 0.0), bell_state())
 
 
 class TestPureClosedForms:
@@ -320,21 +318,21 @@ class TestPureClosedForms:
 
 class TestConcurrence:
     def test_bell(self):
-        assert abs(concurrence_pure(bell_state()) - 1.0) < 1e-12
+        assert abs(evaluate_measure(MeasureSpec("concurrence"), bell_state()).value - 1.0) < 1e-12
 
     def test_lopsided_pair(self):
         st = pure_from_schmidt([0.9, 0.1], (2, 2))
-        assert abs(concurrence_pure(st) - 0.6) < 1e-12
+        assert abs(evaluate_measure(MeasureSpec("concurrence"), st).value - 0.6) < 1e-12
 
     def test_product(self):
-        assert concurrence_pure(pure_from_schmidt([1.0], (2, 2))) < 1e-12
+        assert evaluate_measure(MeasureSpec("concurrence"), pure_from_schmidt([1.0], (2, 2))).value < 1e-12
 
     def test_trace_norm_identity_for_qubit_pairs(self):
         # For pure two-qubit states |rho^T_A|_1 = 1 + C, hence N = C/2 and
         # the ratio value is C/(C+2).
         for i in range(50):
             st = random_haar_pure(QUBIT_PAIR, substream(12, i))
-            c = concurrence_pure(st)
+            c = evaluate_measure(MeasureSpec("concurrence"), st).value
             assert abs(pt_trace_norm(st) - (1 + c)) < 1e-10
             assert abs(negativity(st) - c / 2) < 1e-10
             assert abs(ratio_negativity(st) - c / (c + 2)) < 1e-10
@@ -343,43 +341,44 @@ class TestConcurrence:
 class TestGConcurrence:
     def test_uniform_is_one(self):
         for d in (2, 3, 5):
-            assert abs(g_concurrence_pure([1 / d] * d, d) - 1.0) < 1e-12
+            assert abs(qudit_link([1 / d] * d, d).native_value - 1.0) < 1e-12
 
     def test_reduces_to_concurrence_for_qubits(self):
-        assert abs(g_concurrence_pure([0.9, 0.1], 2) - 0.6) < 1e-12
+        assert abs(qudit_link([0.9, 0.1], 2).native_value - 0.6) < 1e-12
 
     def test_qutrit_value(self):
         expected = 3 * (0.5 * 0.3 * 0.2) ** (1 / 3)
-        assert abs(g_concurrence_pure([0.5, 0.3, 0.2], 3) - expected) < 1e-12
+        assert abs(qudit_link([0.5, 0.3, 0.2], 3).native_value - expected) < 1e-12
 
     def test_zero_coefficient_gives_zero(self):
-        assert g_concurrence_pure([0.5, 0.5, 0.0], 3) == 0.0
+        assert qudit_link([0.5, 0.5, 0.0], 3).native_value == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            g_concurrence_pure([0.5, 0.5], 3)
+            qudit_link([0.5, 0.5], 3)
 
 
 class TestScp:
     def test_bell_is_certain(self):
-        assert abs(scp_pure_qubit([0.5, 0.5]) - 1.0) < 1e-14
+        assert abs(chain_compose([qubit_link([0.5, 0.5])], "scp").per_hop[0] - 1.0) < 1e-14
 
     def test_lopsided_pair(self):
-        assert abs(scp_pure_qubit([0.9, 0.1]) - 0.2) < 1e-14
+        assert abs(chain_compose([qubit_link([0.9, 0.1])], "scp").per_hop[0] - 0.2) < 1e-14
 
     def test_matches_tail_sum_oracle(self):
         rng = substream(14, 0)
         for _ in range(25):
             lam = rng.uniform(0.01, 1.0, 2)
             lam /= lam.sum()
-            assert abs(scp_pure_qubit(lam) - scp_oracle(lam)) < 1e-12
+            assert abs(chain_compose([qubit_link(lam)], "scp").per_hop[0] - scp_oracle(lam)) < 1e-12
 
     def test_product_state(self):
-        assert scp_pure_qubit([1.0]) == 0.0
+        product = pure_from_schmidt([1.0], (2, 2))
+        assert evaluate_measure(MeasureSpec("scp"), product).value == 0.0
 
     def test_rejects_qudit_input(self):
         with pytest.raises(ValueError):
-            scp_pure_qubit([0.5, 0.3, 0.2])
+            qubit_link([0.5, 0.3, 0.2])
         with pytest.raises(ValueError, match="needs a 2-qubit pure state"):
             evaluate_measure(MeasureSpec("scp"), random_haar_pure(SubsystemLayout((2, 3), (0,)), 1))
 
@@ -622,17 +621,15 @@ class TestOneNegativityRule:
         psi = random_haar_pure(SubsystemLayout((3, 3), (0,)), 17)
         n = negativity(psi)
         assert ratio_negativity(psi) == n / (n + 1.0)
-        assert alpha_ratio_negativity(psi, 2.5) == (n / (n + 1.0)) ** 2.5
         assert evaluate_measure(MeasureSpec("alpha_ratio", alpha=2.5), psi).value == \
-            alpha_ratio_negativity(psi, 2.5)
+            (n / (n + 1.0)) ** 2.5
 
     @pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.0, -1.0])
     def test_one_alpha_rule_everywhere(self, alpha):
         from qchain.monogamy import check_ineq_xya_grid, ckw_residual, ckw_violation_state
-        from qchain.swapping import chain_compose, tmsvs_link
+        from qchain.swapping import tmsvs_link
         calls = [
             lambda: MeasureSpec("alpha_ratio", alpha=alpha),
-            lambda: alpha_ratio_negativity(bell_state(), alpha),
             lambda: chain_compose([tmsvs_link(0.5)], "alpha_ratio", alpha).per_hop[0],
             lambda: check_ineq_xya_grid(0.5, 0.5, alpha, 100),
             lambda: ckw_residual(ckw_violation_state(), alpha=alpha),
@@ -650,35 +647,31 @@ class TestOneNegativityRule:
 
     @pytest.mark.parametrize("lam", [[0.5, math.nan], [math.nan, math.nan], [1.5, -0.5]])
     def test_schmidt_vector_rule_rejects_non_distributions(self, lam):
-        from qchain.swapping import qubit_link, qudit_link
-        for call in (lambda: scp_pure_qubit(lam), lambda: g_concurrence_pure(lam, 2),
-                     lambda: qubit_link(lam=lam), lambda: qudit_link(lam=lam)):
+        for call in (lambda: qubit_link(lam=lam), lambda: qudit_link(lam=lam),
+                     lambda: qudit_link(lam=lam, d=2)):
             with pytest.raises(ValueError, match="Schmidt coefficients"):
                 call()
 
     def test_schmidt_vector_length_checked(self):
-        from qchain.swapping import qubit_link, qudit_link
         with pytest.raises(ValueError, match="need exactly 2"):
             qubit_link(lam=[0.5, 0.25, 0.25])
         with pytest.raises(ValueError, match="need exactly 4"):
             qudit_link(lam=[0.5, 0.25, 0.25], d=4)
         with pytest.raises(ValueError, match="need exactly 3"):
-            g_concurrence_pure([0.5, 0.5], 3)
+            qudit_link([0.5, 0.5], 3)
 
     def test_one_unit_weight_rule_for_schmidt_vectors(self):
         """States and links take one sum rule, TRACE_TOL: a pair 5e-11
         heavy is accepted everywhere and its links read 1, a pair 2e-10
         heavy is refused everywhere."""
-        from qchain.states import pure_from_schmidt
-        from qchain.swapping import qubit_link, qudit_link
         heavy = [0.5, 0.5 + 5e-11]
         assert np.allclose(pure_from_schmidt(heavy, (2, 2)).schmidt_coefficients, heavy[::-1])
-        assert g_concurrence_pure(heavy, 2) == 1.0
+        assert qudit_link(lam=heavy, d=2).native_value == 1.0
         assert qudit_link(lam=heavy).native_value == 1.0
         assert qubit_link(lam=heavy).native_value == 1.0
         too_heavy = [0.5, 0.5 + 2e-10]
         for call in (lambda: pure_from_schmidt(too_heavy, (2, 2)), lambda: qudit_link(lam=too_heavy),
-                     lambda: qubit_link(lam=too_heavy), lambda: g_concurrence_pure(too_heavy, 2)):
+                     lambda: qubit_link(lam=too_heavy), lambda: qudit_link(lam=too_heavy, d=2)):
             with pytest.raises(ValueError, match="must sum to 1"):
                 call()
 
@@ -772,7 +765,8 @@ def test_one_measure_functions_follow_the_clamp_rule():
         assert negativity(state) == n, i
         assert log_negativity(state) == math.log1p(2.0 * n) / math.log(2.0), i
         assert ratio_negativity(state) == n / (n + 1.0), i
-        assert alpha_ratio_negativity(state, alpha) == (n / (n + 1.0)) ** alpha, i
+        assert evaluate_measure(MeasureSpec("alpha_ratio", alpha), state).value == \
+            (n / (n + 1.0)) ** alpha, i
         assert f_negativity(f, state) == f(n), i
 
 
@@ -811,7 +805,7 @@ def _check_pure_against_mpmath(psi):
         n = _clamped(n)
         _assert_close(negativity(psi), n, "negativity")
         _assert_close(ratio_negativity(psi), n / (n + 1), "ratio")
-        _assert_close(concurrence_pure(psi), c, "concurrence")
+        _assert_close(evaluate_measure(MeasureSpec("concurrence"), psi).value, c, "concurrence")
 
 
 @settings(max_examples=150, deadline=None)

@@ -79,9 +79,8 @@ class TestPureFromSchmidt:
 
     def test_uniform_qutrit(self):
         st = pure_from_schmidt([1 / 3] * 3, (3, 3))
-        lam = st.schmidt_coefficients
-        from qchain.measures import g_concurrence_pure
-        assert abs(g_concurrence_pure(lam, 3) - 1.0) < 1e-12
+        from qchain.measures import MeasureSpec, evaluate_measure
+        assert abs(evaluate_measure(MeasureSpec("g_concurrence"), st).value - 1.0) < 1e-12
 
     @pytest.mark.parametrize("lam,dims", [
         ([0.5, 0.6], (2, 2)),       # does not sum to 1
@@ -310,6 +309,22 @@ class TestRandomStates:
         with pytest.raises(ValueError, match=f"^{re.escape(f'seed must be an integer, got {seed!r}')}$"):
             substream(seed, 0)
 
+    @pytest.mark.parametrize("index", [-1, 2**64, 2**65 - 1])
+    def test_index_outside_the_key_word_refused(self, index):
+        # Each was masked to 64 bits: -1 and 2**65 - 1 drew the stream of
+        # index 2**64 - 1, and 2**64 that of index 0.
+        message = f"^{re.escape(f'index must lie in [0, 2**64), got {index}')}$"
+        with pytest.raises(ValueError, match=message):
+            substream(0, index)
+        with pytest.raises(ValueError, match=message):
+            haar_amplitude_rows(4, 0, range(index, index + 2))
+
+    @pytest.mark.parametrize("index", [1.5, True, "3", None])
+    def test_substream_index_must_be_an_integer(self, index):
+        # 1.5 ended in a bare TypeError, and True drew the stream of index 1.
+        with pytest.raises(ValueError, match=f"^{re.escape(f'index must be an integer, got {index!r}')}$"):
+            substream(0, index)
+
     @pytest.mark.parametrize("rank", [2.5, True])
     def test_non_integer_rank_refused(self, rank):
         # 2.5 ended in a bare TypeError, and True drew a rank-1 state.
@@ -343,14 +358,21 @@ class TestRandomStates:
     @pytest.mark.parametrize("start", [0, 77, 2**32 + 5, 2**64 - 3, 2**64 - 1])
     def test_rekeyed_generator_matches_substream(self, seed, start):
         # Row j is re-keyed in place from one shared state dict; it must
-        # equal a fresh substream(seed, start + j), byte for byte, including
-        # across the 64-bit wrap of the index word. A seed outside
-        # [0, 2^64), which would alias seed + 2^64, is refused by both.
+        # equal a fresh substream(seed, start + j), byte for byte. A seed or
+        # an index outside [0, 2^64), which would alias the word less 2^64,
+        # is refused by both, the seed first.
         dim = 5
         if seed < 0:
             for call in (lambda: haar_amplitude_rows(dim, seed, range(start, start + 4)),
                          lambda: substream(seed, start)):
                 with pytest.raises(ValueError, match=r"^seed must lie in \[0, 2\*\*64\), got -1$"):
+                    call()
+            return
+        if start + 3 >= 2**64:
+            for call in (lambda: haar_amplitude_rows(dim, seed, range(start, start + 4)),
+                         lambda: substream(seed, start + 3)):
+                with pytest.raises(ValueError, match=rf"^index must lie in \[0, 2\*\*64\), "
+                                                     rf"got {start + 3}$"):
                     call()
             return
         rows = haar_amplitude_rows(dim, seed, range(start, start + 4))

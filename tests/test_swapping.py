@@ -2,23 +2,16 @@ import functools
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import qchain.measures
 import qchain.swapping
 from qchain.gaussian import tmsvs_cm
-from qchain.measures import (
-    MeasureSpec,
-    concurrence_pure,
-    evaluate_measure,
-    g_concurrence_pure,
-    ratio_negativity,
-    scp_pure_qubit,
-)
+from qchain.measures import MeasureSpec, evaluate_measure, ratio_negativity
 from qchain.states import (
     TmsvsSpec,
     pure_from_schmidt,
@@ -121,7 +114,7 @@ class TestSwapQubit:
             c1, c2 = rng.uniform(0.05, 1.0, 2)
             out = swap(qubit_link(concurrence=c1), qubit_link(concurrence=c2))
             state = pure_from_schmidt(out.schmidt, (2, 2))
-            assert abs(concurrence_pure(state) - c1 * c2) < 1e-6
+            assert abs(evaluate_measure(MeasureSpec("concurrence"), state).value - c1 * c2) < 1e-6
 
 
 class TestSwapQudit:
@@ -133,7 +126,7 @@ class TestSwapQudit:
     def test_value_is_product(self):
         lam = [0.5, 0.3, 0.2]
         link = qudit_link(lam=lam)
-        cg = g_concurrence_pure(lam, 3)
+        cg = 3 * (0.5 * 0.3 * 0.2) ** (1 / 3)
         out = swap(link, link)
         assert abs(out.native_value - cg ** 2) < 1e-10
 
@@ -222,7 +215,7 @@ class TestChainCompose:
         link = qubit_link(lam=(0.9, 0.1))
         res = chain_compose([link] * 2, measure="scp")
         assert math.isclose(res.end_to_end, 0.04, rel_tol=1e-12)
-        assert math.isclose(res.per_hop[0], scp_pure_qubit([0.9, 0.1]), rel_tol=1e-12)
+        assert math.isclose(res.per_hop[0], 0.2, rel_tol=1e-12)
 
     def test_monotone_decay(self):
         values = [chain_compose([tmsvs_link(0.5)] * l).end_to_end for l in range(1, 12)]
@@ -240,6 +233,20 @@ class TestChainCompose:
         res = chain_compose([qubit_link(concurrence=1.0)] * 100)
         assert res.end_to_end == 1.0
         assert math.isinf(res.characteristic_length)
+
+    def test_long_chain_keeps_one_running_state(self):
+        # The link list's copy and the per-hop tuple take 8 bytes a link
+        # (1.6 MB at 10^5 links); a running state kept for every prefix
+        # took about 110 more (13.6 MB in all).
+        links = [tmsvs_link(5.0)] * 10**5
+        tracemalloc.start()
+        try:
+            res = chain_compose(links)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.end_to_end == chain_prefixes(links)[-1].end_to_end
+        assert peak < 4e6, peak
 
 
 class TestCharacteristicLength:
@@ -433,6 +440,43 @@ class TestLinkValidation:
     def test_malformed_link_or_chain_refused(self, build, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             build()
+
+    @pytest.mark.parametrize("kind,schmidt,d,message", [
+        ("qubit_pure", (0.9, 0.1), 7, "qubit links need local dimension d = 2, got 7"),
+        ("qubit_pure", (0.9, 0.1), 2.0, "d must be an integer, got 2.0"),
+        ("qubit_pure", (0.9, 0.1), True, "d must be an integer, got True"),
+        ("qudit_pure", None, None, "qudit links need a local dimension d >= 2, got None"),
+        ("qudit_pure", None, -3, "qudit links need a local dimension d >= 2, got -3"),
+        ("qudit_pure", None, 1, "qudit links need a local dimension d >= 2, got 1"),
+        ("qudit_pure", None, 3.0, "d must be an integer, got 3.0"),
+        ("qudit_pure", (1.0,), None, "qudit links need at least 2 Schmidt coefficients, got 1"),
+        ("tmsvs", None, 3, "tmsvs links take no local dimension d, got 3"),
+    ], ids=["qubit_d7", "qubit_float_d", "qubit_bool_d", "qudit_no_d", "qudit_negative_d",
+            "qudit_d1", "qudit_float_d", "qudit_one_coefficient", "tmsvs_d"])
+    def test_link_dimension_must_match_its_kind(self, kind, schmidt, d, message):
+        # Each was accepted: a qubit link of d = 7 ended a chain in a
+        # TypeError from sorting None with 2, and a d = -3 qudit chain
+        # composed until a swap refused it.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LinkResource(kind, native_value=0.5, schmidt=schmidt, d=d)
+
+    @pytest.mark.parametrize("build,d", [
+        (lambda: LinkResource("qubit_pure", 0.6, schmidt=(0.9, 0.1)), 2),
+        (lambda: LinkResource("qubit_pure", 0.6, schmidt=(0.9, 0.1), d=np.int64(2)), 2),
+        (lambda: LinkResource("qudit_pure", 0.6, schmidt=(0.5, 0.3, 0.2)), 3),
+        (lambda: LinkResource("qudit_pure", 0.6, d=np.int64(4)), 4),
+        (lambda: LinkResource("tmsvs", 0.5, r=0.55), None),
+    ], ids=["qubit_none", "qubit_numpy", "qudit_from_vector", "qudit_numpy", "tmsvs"])
+    def test_link_dimension_is_stored_as_its_kind_reads_it(self, build, d):
+        link = build()
+        assert link.d == d and type(link.d) is type(d)
+
+    def test_direct_qubit_link_chains_with_a_built_one(self):
+        built = qubit_link([0.9, 0.1])
+        direct = LinkResource("qubit_pure", built.native_value, schmidt=(0.9, 0.1))
+        assert direct == built
+        res = chain_compose([direct, qubit_link(concurrence=0.5)])
+        assert res.end_to_end == built.native_value * 0.5
 
     def test_direct_link_keeps_an_integer_value(self):
         # The [0, 1] rule checks the value; the link stores it as given.
@@ -655,26 +699,23 @@ class TestSchmidtChecksRunOnce:
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = []
-        check = qchain.measures._check_distribution
+        check = qchain.swapping._check_distribution
 
         def counting_check(lam, *args):
             calls.append(tuple(np.asarray(lam, dtype=float)))
             return check(lam, *args)
 
-        for module in (qchain.measures, qchain.swapping):
-            monkeypatch.setattr(module, "_check_distribution", counting_check)
+        monkeypatch.setattr(qchain.swapping, "_check_distribution", counting_check)
         return calls
 
     @pytest.mark.parametrize("build", [
         lambda lam: qubit_link(lam),
         lambda lam: qudit_link(lam),
         lambda lam: qudit_link(lam, d=2),
-        lambda lam: scp_pure_qubit(lam),
-        lambda lam: g_concurrence_pure(lam, 2),
         lambda lam: LinkResource("qubit_pure", native_value=0.6, schmidt=lam, d=2),
         lambda lam: LinkResource("qudit_pure", native_value=0.6, schmidt=lam, d=2),
-    ], ids=["qubit_link", "qudit_link", "qudit_link_with_d", "scp_pure_qubit",
-            "g_concurrence_pure", "qubit_LinkResource", "qudit_LinkResource"])
+    ], ids=["qubit_link", "qudit_link", "qudit_link_with_d", "qubit_LinkResource",
+            "qudit_LinkResource"])
     def test_a_callers_vector_is_checked_once(self, calls, build):
         build(self.LAM)
         assert calls == [tuple(self.LAM)]
