@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Callable, Union
 import numpy as np
 
 from .states import PSD_TOL, DensityMatrix, PureState
-from .tensor import _trace_norm, require_positive, require_tolerance
+from .tensor import _real, _trace_norm, require_positive, require_tolerance
 
 if TYPE_CHECKING:
     from .gaussian import CovarianceMatrix
@@ -72,7 +72,7 @@ class MeasureSpec:
             raise ValueError(f"unknown measure kind {self.kind!r}; choose from {MEASURE_KINDS}")
         if self.kind == "alpha_ratio":
             require_positive(self.alpha, "alpha")
-        elif self.alpha != 1:
+        elif _real(self.alpha, "alpha") != 1:
             raise ValueError(f"alpha {self.alpha!r} applies only to the alpha_ratio measure; "
                              f"{self.kind!r} takes alpha 1")
         if self.kind == "custom_f":

@@ -211,7 +211,7 @@ class DensityMatrix:
 
 def require_squeezing(r) -> float:
     """r as a float when it is a squeezing parameter: finite and > 0."""
-    return require_positive(float(r), "squeezing parameter r")
+    return float(require_positive(r, "squeezing parameter r"))
 
 
 def _require_chi_below_one(r) -> float:

@@ -12,13 +12,15 @@ Chains hold links of one kind and one local dimension; the end-to-end value
 is the product of per-hop values and the characteristic length is -1/ln of
 the per-link value.
 
-Each value has one rule: a link built from a target value carries exactly
-that value, a link built from Schmidt coefficients takes its value from
-`measures` (so a d = 2 qudit link equals the matching qubit link bit for
-bit), and every product of link values comes from one walk of the chain,
-which `chain_compose` reads at its last link and `chain_prefixes` at every
-link. A swap is the two-link chain turned back into a link, and the Fock
-cross-check takes its composite from the same chain.
+Links come only from the builders qubit_link, qudit_link and tmsvs_link,
+which check a caller's input once. Each value has one rule: a link built
+from a target value carries exactly that value, a link built from Schmidt
+coefficients takes its value from `measures` (so a d = 2 qudit link equals
+the matching qubit link bit for bit), and every product of link values
+comes from one walk of the chain, which `chain_compose` reads at its last
+link and `chain_prefixes` at every link. A swap is the two-link chain
+turned back into a link, and the Fock cross-check takes its composite from
+the same chain.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ from .measures import MeasureSpec, _g_concurrence, _scp, ratio_negativity
 from .states import TmsvsSpec, require_squeezing, tmsvs_truncated
 from .tensor import _check_distribution, _integer
 
-LINK_KINDS = ("qubit_pure", "qudit_pure", "tmsvs")
-
 # Multiplicative measures per link kind; the first entry is the native one.
 SUPPORTED_MEASURES = {
     "qubit_pure": ("concurrence", "scp"),
@@ -42,45 +42,29 @@ SUPPORTED_MEASURES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LinkResource:
     """One link of a chain: its kind, the value of its kind's native
     measure, its local dimension d (2 for a qubit link, none for tmsvs),
     and its Schmidt data (none for a qudit link built from a target) or
-    squeezing parameter. A caller's link is checked here, once, Schmidt
-    vector and d included (a qubit link needs a pair, which scp chains read
-    unchecked); the builders store what they derive unchecked."""
+    squeezing parameter. Links come only from qubit_link, qudit_link and
+    tmsvs_link (and swap, which goes through them), so a link's value is
+    always the one its data give; calling the class, or
+    dataclasses.replace on a link, raises TypeError."""
 
     kind: str
     native_value: float
-    schmidt: tuple[float, ...] | None = None
-    d: int | None = None
-    r: float | None = None
+    schmidt: tuple[float, ...] | None
+    d: int | None
+    r: float | None
 
-    def __post_init__(self):
-        if self.kind not in LINK_KINDS:
-            raise ValueError(f"unknown link kind {self.kind!r}")
-        _target(self.native_value, "native measure value")
-        lam, d = self.schmidt, self.d
-        if self.kind == "qudit_pure":
-            lam, d = _qudit_parts(lam, d)
-        elif self.kind == "qubit_pure":
-            if lam is None:
-                raise ValueError("a qubit link needs its Schmidt pair")
-            if d is not None and _integer(d, "d") != 2:
-                raise ValueError(f"qubit links need local dimension d = 2, got {d}")
-            lam, d = _check_distribution(lam, 2), 2
-        elif d is not None:
-            raise ValueError(f"tmsvs links take no local dimension d, got {d}")
-        elif lam is not None:
-            lam = _check_distribution(lam)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "schmidt", None if lam is None else tuple(float(x) for x in lam))
+    def __init__(self, *args, **kwargs):
+        raise TypeError("links are made by qubit_link, qudit_link or tmsvs_link, "
+                        "which take the native value from the link's data")
 
 
 def _built_link(kind: str, native_value: float, schmidt=None, d=None, r=None) -> LinkResource:
-    """A link of fields derived from checked input, stored without the
-    constructor's checks, which could refuse nothing."""
+    """The one constructor of a link: fields derived from checked input."""
     link = object.__new__(LinkResource)
     vars(link).update(kind=kind, native_value=native_value, schmidt=schmidt, d=d, r=r)
     return link
@@ -116,23 +100,15 @@ def qudit_link(lam=None, d: int | None = None, g_concurrence: float | None = Non
     """
     if (lam is None) == (g_concurrence is None):
         raise ValueError("give exactly one of lam or g_concurrence")
-    lam, d = _qudit_parts(lam, d)
-    if lam is None:
-        return _built_link("qudit_pure", _target(g_concurrence, "G-concurrence"), d=d)
-    return _built_link("qudit_pure", _g_concurrence(lam), tuple(float(x) for x in lam), d=d)
-
-
-def _qudit_parts(lam, d):
-    """A qudit link's checked Schmidt vector (or None) and local dimension."""
     d = None if d is None else _integer(d, "d")
     if lam is None:
         if d is None or d < 2:
             raise ValueError(f"qudit links need a local dimension d >= 2, got {d}")
-        return None, d
+        return _built_link("qudit_pure", _target(g_concurrence, "G-concurrence"), d=d)
     lam = _check_distribution(lam, d)
     if lam.size < 2:
         raise ValueError(f"qudit links need at least 2 Schmidt coefficients, got {lam.size}")
-    return lam, lam.size
+    return _built_link("qudit_pure", _g_concurrence(lam), tuple(float(x) for x in lam), d=lam.size)
 
 
 def tmsvs_link(r: float) -> LinkResource:

@@ -101,17 +101,24 @@ def require_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
     return a
 
 
+def _real(value, name: str):
+    """value when it is a real number; True, a string or a complex is refused by name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def require_tolerance(tol: float, name: str) -> float:
     """tol when it is finite and >= 0: a tolerance or a truncation deficit.
     A NaN would make every comparison against it false and pass anything."""
-    if not (math.isfinite(tol) and tol >= 0):
+    if not (math.isfinite(_real(tol, name)) and tol >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
     return tol
 
 
 def require_positive(value: float, name: str) -> float:
     """value when it is finite and > 0: a measure power or a squeezing parameter."""
-    if not (math.isfinite(value) and value > 0):
+    if not (math.isfinite(_real(value, name)) and value > 0):
         raise ValueError(f"{name} must be finite and > 0, got {value}")
     return value
 

@@ -624,18 +624,22 @@ class TestOneNegativityRule:
         assert evaluate_measure(MeasureSpec("alpha_ratio", alpha=2.5), psi).value == \
             (n / (n + 1.0)) ** 2.5
 
-    @pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.0, -1.0, True,
+                                       pytest.param(np.True_, id="np.True_"), "2"])
     def test_one_alpha_rule_everywhere(self, alpha):
         from qchain.monogamy import check_ineq_xya_grid, ckw_residual, ckw_violation_state
         from qchain.swapping import tmsvs_link
         calls = [
             lambda: MeasureSpec("alpha_ratio", alpha=alpha),
             lambda: chain_compose([tmsvs_link(0.5)], "alpha_ratio", alpha).per_hop[0],
+            lambda: chain_compose([tmsvs_link(0.5)], alpha=alpha),
             lambda: check_ineq_xya_grid(0.5, 0.5, alpha, 100),
             lambda: ckw_residual(ckw_violation_state(), alpha=alpha),
         ]
+        # True was stored as alpha and written to reports as true.
+        rule = "finite and > 0" if isinstance(alpha, float) else f"a real number, got {alpha!r}"
         for call in calls:
-            with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            with pytest.raises(ValueError, match=re.escape(f"alpha must be {rule}")):
                 call()
 
     def test_mixed_state_rejected_for_each_pure_only_kind(self):

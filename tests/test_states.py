@@ -490,8 +490,9 @@ class TestValidation:
             PureState(np.array([0.6, 0.0, 0.8]), QUBIT_PAIR)
 
     def test_negative_truncation_deficit_refused(self):
-        for deficit in (-1e-3, math.nan, math.inf):
-            message = re.escape(f"truncation_deficit must be finite and >= 0, got {deficit!r}")
+        for deficit in (-1e-3, math.nan, math.inf, True, "0"):
+            rule = "finite and >= 0" if isinstance(deficit, float) else "a real number"
+            message = re.escape(f"truncation_deficit must be {rule}, got {deficit!r}")
             with pytest.raises(ValueError, match=message):
                 PureState(bell_state().amplitudes, QUBIT_PAIR, deficit)
             with pytest.raises(ValueError, match=message):
@@ -969,7 +970,8 @@ def test_default_cutoff_is_the_deficit_rule(r):
 MEAN_LAW = CompositionLaw("mean", lambda x, y: (x + y) / 2, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, True,
+                                 pytest.param(np.True_, id="np.True_"), "1e-6", 1j])
 @pytest.mark.parametrize("name,call", [
     ("psd_tol", lambda tol: bell_state().density_matrix().validate(tol)),
     ("psd_tol", lambda tol: evaluate_measure(MeasureSpec("negativity"), bell_state(), psd_tol=tol)),
@@ -979,8 +981,9 @@ MEAN_LAW = CompositionLaw("mean", lambda x, y: (x + y) / 2, 0.0, 1.0)
 def test_library_tolerances_refused(name, call, tol):
     # A NaN tolerance fails every comparison, so it would pass anything:
     # nan made the Bell state PPT, the mean law associative and a scan
-    # free of violations.
-    with pytest.raises(ValueError, match=re.escape(f"{name} must be finite and >= 0, got {tol!r}")):
+    # free of violations, and True was read as a tolerance of 1.
+    rule = "finite and >= 0" if isinstance(tol, float) else "a real number"
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be {rule}, got {tol!r}")):
         call(tol)
 
 

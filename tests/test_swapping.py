@@ -1,9 +1,14 @@
+import copy
+import dataclasses
 import functools
+import json
 import math
+import pickle
 import re
 import sys
 import tracemalloc
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,6 +17,7 @@ from hypothesis import strategies as st
 import qchain.swapping
 from qchain.gaussian import tmsvs_cm
 from qchain.measures import MeasureSpec, evaluate_measure, ratio_negativity
+from qchain.reports import CHAIN_SCHEMA, LINK_SCHEMAS, chain_from_json
 from qchain.states import (
     TmsvsSpec,
     pure_from_schmidt,
@@ -418,80 +424,44 @@ class TestLinkValidation:
             qudit_link()
 
     @pytest.mark.parametrize("build,message", [
-        (lambda: LinkResource("mixed", native_value=0.5), "unknown link kind 'mixed'"),
-        (lambda: LinkResource("qubit_pure", native_value=1.5),
-         "native measure value must lie in [0, 1], got 1.5"),
+        (lambda: qubit_link(concurrence=1.5), "concurrence must lie in [0, 1], got 1.5"),
         (lambda: chain_compose([]), "chain must have at least one link"),
-        (lambda: LinkResource("qubit_pure", native_value=0.5, schmidt=(0.3, 0.3), d=2),
-         "Schmidt coefficients must sum to 1, got 0.6"),
-        (lambda: LinkResource("qubit_pure", native_value=0.5, schmidt=(0.5, 0.25, 0.25)),
-         "need exactly 2 Schmidt coefficients, got 3"),
-        (lambda: LinkResource("qubit_pure", native_value=0.5),
-         "a qubit link needs its Schmidt pair"),
-        (lambda: LinkResource("qubit_pure", native_value=0.5, d=2),
-         "a qubit link needs its Schmidt pair"),
-        (lambda: LinkResource("qubit_pure", native_value=0.5, schmidt=(1.2, -0.2)),
-         "Schmidt coefficients must be a non-negative vector"),
-        (lambda: LinkResource("qudit_pure", native_value=0.5, schmidt=(0.5, 0.5), d=3),
-         "need exactly 3 Schmidt coefficients, got 2"),
-    ], ids=["unknown_kind", "value_above_one", "empty_chain", "qubit_pair_sum",
-            "qubit_three_coefficients", "qubit_no_pair", "qubit_no_pair_with_d", "qubit_negative",
-            "qudit_size"])
+        (lambda: qubit_link((0.3, 0.3)), "Schmidt coefficients must sum to 1, got 0.6"),
+        (lambda: qubit_link((0.5, 0.25, 0.25)), "need exactly 2 Schmidt coefficients, got 3"),
+        (lambda: qubit_link(), "give exactly one of lam or concurrence"),
+        (lambda: qubit_link((1.2, -0.2)), "Schmidt coefficients must be a non-negative vector"),
+        (lambda: qudit_link((0.5, 0.5), d=3), "need exactly 3 Schmidt coefficients, got 2"),
+    ], ids=["value_above_one", "empty_chain", "qubit_pair_sum", "qubit_three_coefficients",
+            "qubit_no_pair", "qubit_negative", "qudit_size"])
     def test_malformed_link_or_chain_refused(self, build, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             build()
 
-    @pytest.mark.parametrize("kind,schmidt,d,message", [
-        ("qubit_pure", (0.9, 0.1), 7, "qubit links need local dimension d = 2, got 7"),
-        ("qubit_pure", (0.9, 0.1), 2.0, "d must be an integer, got 2.0"),
-        ("qubit_pure", (0.9, 0.1), True, "d must be an integer, got True"),
-        ("qudit_pure", None, None, "qudit links need a local dimension d >= 2, got None"),
-        ("qudit_pure", None, -3, "qudit links need a local dimension d >= 2, got -3"),
-        ("qudit_pure", None, 1, "qudit links need a local dimension d >= 2, got 1"),
-        ("qudit_pure", None, 3.0, "d must be an integer, got 3.0"),
-        ("qudit_pure", (1.0,), None, "qudit links need at least 2 Schmidt coefficients, got 1"),
-        ("tmsvs", None, 3, "tmsvs links take no local dimension d, got 3"),
-    ], ids=["qubit_d7", "qubit_float_d", "qubit_bool_d", "qudit_no_d", "qudit_negative_d",
-            "qudit_d1", "qudit_float_d", "qudit_one_coefficient", "tmsvs_d"])
-    def test_link_dimension_must_match_its_kind(self, kind, schmidt, d, message):
-        # Each was accepted: a qubit link of d = 7 ended a chain in a
-        # TypeError from sorting None with 2, and a d = -3 qudit chain
-        # composed until a swap refused it.
+    @pytest.mark.parametrize("schmidt,d,message", [
+        (None, None, "qudit links need a local dimension d >= 2, got None"),
+        (None, -3, "qudit links need a local dimension d >= 2, got -3"),
+        (None, 1, "qudit links need a local dimension d >= 2, got 1"),
+        (None, 3.0, "d must be an integer, got 3.0"),
+        ((1.0,), None, "qudit links need at least 2 Schmidt coefficients, got 1"),
+    ], ids=["qudit_no_d", "qudit_negative_d", "qudit_d1", "qudit_float_d",
+            "qudit_one_coefficient"])
+    def test_link_dimension_must_match_its_kind(self, schmidt, d, message):
+        # A d = -3 qudit chain composed until a swap refused it.
+        target = 0.5 if schmidt is None else None
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            LinkResource(kind, native_value=0.5, schmidt=schmidt, d=d)
+            qudit_link(schmidt, d=d, g_concurrence=target)
 
     @pytest.mark.parametrize("build,d", [
-        (lambda: LinkResource("qubit_pure", 0.6, schmidt=(0.9, 0.1)), 2),
-        (lambda: LinkResource("qubit_pure", 0.6, schmidt=(0.9, 0.1), d=np.int64(2)), 2),
-        (lambda: LinkResource("qudit_pure", 0.6, schmidt=(0.5, 0.3, 0.2)), 3),
-        (lambda: LinkResource("qudit_pure", 0.6, d=np.int64(4)), 4),
-        (lambda: LinkResource("tmsvs", 0.5, r=0.55), None),
+        (lambda: qubit_link((0.9, 0.1)), 2),
+        (lambda: qubit_link(np.array([0.9, 0.1])), 2),
+        (lambda: qudit_link((0.5, 0.3, 0.2)), 3),
+        (lambda: qudit_link(d=np.int64(4), g_concurrence=0.6), 4),
+        (lambda: tmsvs_link(0.55), None),
     ], ids=["qubit_none", "qubit_numpy", "qudit_from_vector", "qudit_numpy", "tmsvs"])
     def test_link_dimension_is_stored_as_its_kind_reads_it(self, build, d):
         link = build()
         assert link.d == d and type(link.d) is type(d)
-
-    def test_direct_qubit_link_chains_with_a_built_one(self):
-        built = qubit_link([0.9, 0.1])
-        direct = LinkResource("qubit_pure", built.native_value, schmidt=(0.9, 0.1))
-        assert direct == built
-        res = chain_compose([direct, qubit_link(concurrence=0.5)])
-        assert res.end_to_end == built.native_value * 0.5
-
-    def test_direct_link_keeps_an_integer_value(self):
-        # The [0, 1] rule checks the value; the link stores it as given.
-        link = LinkResource("qubit_pure", native_value=1, schmidt=(0.5, 0.5), d=2)
-        assert type(link.native_value) is int
-
-    def test_direct_link_stores_its_checked_pair(self):
-        link = LinkResource("qubit_pure", native_value=0.6, schmidt=[np.float64(0.9), 0.1], d=2)
-        assert link.schmidt == (0.9, 0.1) and type(link.schmidt[0]) is float
-        assert chain_compose([link], "scp").per_hop == (2.0 * 0.1,)
-        # A builder's link, stored without the constructor, equals the same
-        # fields passed to it.
-        built = qubit_link([0.9, 0.1])
-        same = LinkResource("qubit_pure", native_value=built.native_value, schmidt=(0.9, 0.1), d=2)
-        assert built == same and hash(built) == hash(same) and repr(built) == repr(same)
+        assert link.schmidt is None or {type(x) for x in link.schmidt} == {float}
 
     def test_measure_value_dispatch(self):
         link = tmsvs_link(0.5)
@@ -679,14 +649,15 @@ def test_prefixes_are_the_composed_prefixes(case):
 
 
 class TestSqueezingParameter:
-    @pytest.mark.parametrize("r", [0.0, -0.5, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("r", [0.0, -0.5, math.inf, -math.inf, math.nan, "0.5", True])
     def test_one_rule_everywhere(self, r):
         # The link, the Fock cross-check, the spec and the covariance
-        # matrix share states.require_squeezing and its message.
+        # matrix share states.require_squeezing and its message. A string
+        # r was read as a float.
+        rule = f"finite and > 0, got {r}" if isinstance(r, float) else f"a real number, got {r!r}"
         for build in (tmsvs_link, lambda x: chain_fock_crosscheck(x, 2, 10),
                       TmsvsSpec.from_r, lambda x: TmsvsSpec(r=x, cutoff=5), tmsvs_cm):
-            with pytest.raises(ValueError, match=r"squeezing parameter r must be finite and > 0, "
-                                                 rf"got {r}"):
+            with pytest.raises(ValueError, match=re.escape(f"squeezing parameter r must be {rule}")):
                 build(r)
 
 
@@ -712,10 +683,7 @@ class TestSchmidtChecksRunOnce:
         lambda lam: qubit_link(lam),
         lambda lam: qudit_link(lam),
         lambda lam: qudit_link(lam, d=2),
-        lambda lam: LinkResource("qubit_pure", native_value=0.6, schmidt=lam, d=2),
-        lambda lam: LinkResource("qudit_pure", native_value=0.6, schmidt=lam, d=2),
-    ], ids=["qubit_link", "qudit_link", "qudit_link_with_d", "qubit_LinkResource",
-            "qudit_LinkResource"])
+    ], ids=["qubit_link", "qudit_link", "qudit_link_with_d"])
     def test_a_callers_vector_is_checked_once(self, calls, build):
         build(self.LAM)
         assert calls == [tuple(self.LAM)]
@@ -725,8 +693,7 @@ class TestSchmidtChecksRunOnce:
         lambda: qudit_link(d=3, g_concurrence=0.6),
         lambda: swap(qubit_link(concurrence=0.6), qubit_link(concurrence=0.8)),
         lambda: swap(tmsvs_link(0.5), tmsvs_link(0.7)),
-        lambda: LinkResource("qudit_pure", native_value=0.6, d=3),
-    ], ids=["qubit_target", "qudit_target", "swap", "tmsvs_swap", "qudit_LinkResource"])
+    ], ids=["qubit_target", "qudit_target", "swap", "tmsvs_swap"])
     def test_target_links_are_not_checked(self, calls, build):
         build()
         assert calls == []
@@ -770,3 +737,115 @@ def test_scp_of_haar_qubit_pairs_keeps_the_checked_formula(seed):
     psi = random_haar_pure(SubsystemLayout((2, 2), (0,)), seed)
     lam = psi.schmidt_coefficients
     assert evaluate_measure(MeasureSpec("scp"), psi).value == 2.0 * float(np.min(lam / lam.sum()))
+
+
+BUILDERS = "qubit_link, qudit_link or tmsvs_link"
+
+
+def schmidt_vectors(size):
+    """Normalized Schmidt vectors of `size` coefficients (an integer strategy)."""
+    weights = size.flatmap(lambda n: st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+    return weights.map(lambda w: [x / math.fsum(w) for x in w])
+
+
+@st.composite
+def built_links(draw):
+    """A link from one form of a builder, or the swap of two links of one kind."""
+    form = draw(st.sampled_from(["qubit_pair", "qubit_target", "qudit_vector", "qudit_target",
+                                 "tmsvs", "swap"]))
+    if form == "qubit_pair":
+        return qubit_link(draw(schmidt_vectors(st.just(2))))
+    if form == "qubit_target":
+        return qubit_link(concurrence=draw(st.floats(0.0, 1.0)))
+    if form == "qudit_vector":
+        return qudit_link(draw(schmidt_vectors(st.integers(2, 6))))
+    if form == "qudit_target":
+        return qudit_link(d=draw(st.integers(2, 16)), g_concurrence=draw(st.floats(0.0, 1.0)))
+    if form == "tmsvs":
+        return tmsvs_link(draw(st.floats(1e-6, 19.0)))
+    out = outcome(lambda: swap(*draw(link_pairs())))
+    assume(not isinstance(out, str))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(link=built_links())
+def test_links_are_values(link):
+    # A copy is the same link; no route but a builder makes a new one.
+    for other in (copy.copy(link), copy.deepcopy(link), pickle.loads(pickle.dumps(link))):
+        assert other == link and hash(other) == hash(link) and repr(other) == repr(link)
+    with pytest.raises(TypeError, match=BUILDERS):
+        dataclasses.replace(link, native_value=0.5)
+    with pytest.raises(TypeError, match=BUILDERS):
+        LinkResource(**vars(link))
+
+
+@pytest.mark.parametrize("args,kwargs", [
+    ((), {}),
+    (("tmsvs", 0.5), {"r": 3.0}),
+    (("qubit_pure", 0.6), {"schmidt": (0.5, 0.5)}),
+    (("qudit_pure", 0.6), {"d": 3}),
+    (("mixed", 0.5), {}),
+], ids=["no_arguments", "tmsvs_value_apart_from_r", "qubit_value_apart_from_pair", "qudit_target",
+        "unknown_kind"])
+def test_links_are_made_only_by_the_builders(args, kwargs):
+    # A link built directly kept a value unrelated to its data: tmsvs 0.5
+    # at r = 3 composed as 0.5, not tanh 3.
+    with pytest.raises(TypeError, match=BUILDERS):
+        LinkResource(*args, **kwargs)
+
+
+def link_fields(link) -> dict:
+    """The link's fields with their types, floats as float.hex."""
+    def exact(v):
+        if isinstance(v, float):
+            return v.hex()
+        if isinstance(v, tuple):
+            return tuple(map(exact, v))
+        return type(v).__name__, v
+    return {name: exact(v) for name, v in vars(link).items()}
+
+
+FILE_NUMBERS = {"unit": st.one_of(st.floats(0.0, 1.0), st.integers(0, 1)),
+                "r": st.one_of(st.floats(1e-6, 19.0), st.integers(1, 19))}
+
+
+@st.composite
+def chain_file_entries(draw):
+    """A chain kind, link entries valid under its LINK_SCHEMAS entry as a
+    file holds them, and each entry's builder call."""
+    kind = draw(st.sampled_from(sorted(LINK_SCHEMAS)))
+    entries, builds = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        if kind == "tmsvs":
+            entry = {"r": draw(FILE_NUMBERS["r"])}
+            build = functools.partial(tmsvs_link, entry["r"])
+        elif kind == "qubit" and draw(st.booleans()):
+            entry = {"lambda": draw(schmidt_vectors(st.just(2)))}
+            build = functools.partial(qubit_link, entry["lambda"])
+        elif kind == "qubit":
+            entry = {"concurrence": draw(FILE_NUMBERS["unit"])}
+            build = functools.partial(qubit_link, concurrence=entry["concurrence"])
+        elif draw(st.booleans()):
+            lam = draw(schmidt_vectors(st.integers(2, 6)))
+            entry = {"lambda": lam, **({"d": len(lam)} if draw(st.booleans()) else {})}
+            build = functools.partial(qudit_link, lam, d=entry.get("d"))
+        else:
+            entry = {"d": draw(st.integers(2, 16)), "g_concurrence": draw(FILE_NUMBERS["unit"])}
+            build = functools.partial(qudit_link, d=entry["d"], g_concurrence=entry["g_concurrence"])
+        entries.append(json.loads(json.dumps(entry)))
+        builds.append(build)
+    return kind, entries, builds
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=chain_file_entries(), identical=st.integers(0, 3))
+def test_chain_file_links_are_the_builders_links(case, identical):
+    # As a list, or the first entry repeated as {identical, count}.
+    kind, entries, builds = case
+    doc = {"kind": kind, "links": entries}
+    if identical:
+        doc["links"], builds = {"identical": entries[0], "count": identical}, builds[:1] * identical
+    jsonschema.validate(doc, CHAIN_SCHEMA)
+    links = chain_from_json(doc)[0]
+    assert [link_fields(lk) for lk in links] == [link_fields(build()) for build in builds]
