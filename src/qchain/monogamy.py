@@ -3,6 +3,10 @@ powered ratio negativity on multipartite pure states, the auxiliary
 function behind the power threshold, a scalar grid checker for the
 two-term inequality, and seeded Monte-Carlo scans.
 
+A residual has one source for each input: its split is the state's own
+(party A of the state's layout), and its measure is the paper's, the
+ratio negativity N/(N+1) raised to the power alpha.
+
 Mixed multipartite inputs are rejected: on mixed states the inequality
 involves a convex-roof extension whose evaluation is out of scope, while
 on pure states the extension coincides with the plain measure.
@@ -73,9 +77,13 @@ def aux_g(r: float, u: float) -> float:
 
 @dataclass(frozen=True)
 class MonogamyReport:
+    """One pure state's residual of the one-against-rest inequality for
+    the powered ratio negativity: party_a is the state's own party A, lhs
+    the value across A|rest, rhs_terms the values on A and each party
+    outside A, in index order."""
+
     dims: tuple[int, ...]
     party_a: tuple[int, ...]
-    measure: str
     alpha: float
     lhs: float
     rhs_terms: tuple[float, ...]
@@ -83,18 +91,16 @@ class MonogamyReport:
     satisfied: bool
 
 
-def _check_residual_args(layout: SubsystemLayout, measure: str, alpha: float) -> None:
+def _check_residual_args(layout: SubsystemLayout, alpha: float) -> None:
     if len(layout.dims) < 3:
         raise ValueError(f"need at least 3 parties, got {len(layout.dims)}")
     require_positive(alpha, "alpha")
-    if measure not in ("ratio", "negativity"):
-        raise ValueError(f"unsupported measure {measure!r}: monogamy residuals are negativity-based")
 
 
-def ckw_residuals(amplitudes, layout: SubsystemLayout, measure: str = "ratio",
-                  alpha: float = 1.0):
+def ckw_residuals(amplitudes, layout: SubsystemLayout, alpha: float = 1.0):
     """(lhs, rhs, residual) of the one-against-rest inequality for a stack
-    of pure states over `layout`, one normalized amplitude vector per row.
+    of pure states over `layout`, one normalized amplitude vector per row,
+    with E^alpha = (N/(N+1))^alpha the powered ratio negativity.
 
     lhs has shape (n,): E^alpha across A|rest from the Schmidt closed form.
     rhs has shape (n, parties outside A): E^alpha on the reduced state of A
@@ -104,12 +110,12 @@ def ckw_residuals(amplitudes, layout: SubsystemLayout, measure: str = "ratio",
     only the amplitudes are checked. Both sides share evaluate_measure's
     kernels and equal it bit for bit.
     """
-    _check_residual_args(layout, measure, alpha)
+    _check_residual_args(layout, alpha)
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.ndim != 2 or amps.shape[1] != layout.dim:
         raise ValueError(f"amplitudes must have shape (n, {layout.dim}), got {amps.shape}")
     lam = schmidt_decompose(amps, layout)
-    lhs = _from_negativity(_clamped_negativity(*_schmidt_parts(lam)), measure, alpha)
+    lhs = _from_negativity(_clamped_negativity(*_schmidt_parts(lam)), "ratio", alpha)
     dims, party_a = layout.dims, layout.party_a
     rhs = np.empty((amps.shape[0], len(layout.party_b)))
     for j, b in enumerate(layout.party_b):
@@ -121,26 +127,27 @@ def ckw_residuals(amplitudes, layout: SubsystemLayout, measure: str = "ratio",
         rho = m @ m.conj().transpose(0, 2, 1)
         pair = SubsystemLayout([dims[i] for i in keep], [keep.index(i) for i in party_a])
         parts = _trace_norm_blocks(partial_transpose(rho, pair))
-        rhs[:, j] = _from_negativity(_clamped_negativity(*parts), measure, alpha)
+        rhs[:, j] = _from_negativity(_clamped_negativity(*parts), "ratio", alpha)
     return lhs, rhs, lhs - np.sum(rhs, axis=1)
 
 
-def ckw_residual(psi: PureState, measure: str = "ratio", alpha: float = 1.0,
-                 party_a=(0,)) -> MonogamyReport:
-    """lhs - sum(rhs) for E^alpha across A|rest versus the pairwise terms.
+def ckw_residual(psi: PureState, alpha: float = 1.0) -> MonogamyReport:
+    """lhs - sum(rhs) for E^alpha across A|rest versus the pairwise terms,
+    E^alpha the powered ratio negativity and A the state's own party A.
 
-    psi must be pure with at least 3 parties. The left side uses the
-    Schmidt closed form on the A|rest split; each right-side term is the
-    plain negativity-based value on the reduced two-party mixed state.
-    This is ckw_residuals on a stack of one state; the report counts it
-    satisfied when the residual is at least -VIOLATION_TOL.
+    psi must be a PureState with at least 3 parties. The left side uses
+    the Schmidt closed form on the A|rest split; each right-side term is
+    the value on the reduced two-party mixed state. This is ckw_residuals
+    on a stack of one state; the report counts it satisfied when the
+    residual is at least -VIOLATION_TOL.
     """
-    if isinstance(psi, DensityMatrix):
-        raise ValueError("mixed multipartite states are unsupported (convex roof out of scope)")
-    layout = SubsystemLayout(psi.layout.dims, party_a)
-    lhs, rhs, residual = ckw_residuals(psi.amplitudes[None, :], layout, measure, alpha)
+    if not isinstance(psi, PureState):
+        raise ValueError("mixed multipartite states are unsupported (convex roof out of scope)"
+                         if isinstance(psi, DensityMatrix) else
+                         f"ckw_residual needs a PureState, got {type(psi).__name__}")
+    lhs, rhs, residual = ckw_residuals(psi.amplitudes[None, :], psi.layout, alpha)
     residual = float(residual[0])
-    return MonogamyReport(dims=layout.dims, party_a=layout.party_a, measure=measure, alpha=alpha,
+    return MonogamyReport(dims=psi.layout.dims, party_a=psi.layout.party_a, alpha=alpha,
                           lhs=float(lhs[0]), rhs_terms=tuple(float(v) for v in rhs[0]),
                           residual=residual, satisfied=residual >= -VIOLATION_TOL)
 
@@ -246,7 +253,7 @@ def sample_monogamy_scan(dims, samples: int, alpha: float, seed: int,
     if layout.dim > _MAX_SCAN_DIM:
         raise ValueError(f"dims {dims} give a state of dimension {layout.dim}; a scan draws "
                          f"states of dimension at most {_MAX_SCAN_DIM}")
-    _check_residual_args(layout, "ratio", alpha)
+    _check_residual_args(layout, alpha)
     covered = _family_supported(dims)
 
     pair = dims[0] * max(dims[1:])
@@ -254,9 +261,9 @@ def sample_monogamy_scan(dims, samples: int, alpha: float, seed: int,
     residuals = []
     for start in range(0, samples, rows):
         amps = haar_amplitude_rows(layout.dim, seed, range(start, min(start + rows, samples)))
-        residuals.append(ckw_residuals(amps, layout, "ratio", alpha)[2])
+        residuals.append(ckw_residuals(amps, layout, alpha)[2])
     if dims == (2, 2, 2):
-        residuals.append([ckw_residual(ckw_violation_state(), "ratio", alpha, (0,)).residual])
+        residuals.append([ckw_residual(ckw_violation_state(), alpha).residual])
 
     arr = np.concatenate(residuals)
     hist, edges = np.histogram(np.clip(arr, *HISTOGRAM_RANGE),

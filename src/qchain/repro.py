@@ -138,9 +138,9 @@ def fixture_monotone_counterexample() -> Fixture:
 
 def fixture_ckw_violation() -> Fixture:
     psi = ckw_violation_state()
-    rep1 = ckw_residual(psi, "ratio", 1.0, (0,))
+    rep1 = ckw_residual(psi, 1.0)
     thr = 3.191
-    rep_thr = ckw_residual(psi, "ratio", thr, (0,))
+    rep_thr = ckw_residual(psi, thr)
     lhs_pow = rep1.lhs
     return Fixture("ckw-violation", (
         Check("pairwise ratio negativity (first partner)", "close", rep1.rhs_terms[0], 0.2, 1e-10),

@@ -291,15 +291,14 @@ def bell_state() -> PureState:
 
 def pure_from_schmidt(lam, dims: tuple[int, int]) -> PureState:
     """Sum_a sqrt(lam_a) |aa> in the computational basis of a dA x dB system."""
-    lam = np.asarray(lam, dtype=float)
     if len(dims) != 2:
         raise ValueError(f"dims must name two parties (dA, dB), got {tuple(dims)}")
     d_a, d_b = _integer(dims[0], "each entry of dims"), _integer(dims[1], "each entry of dims")
-    if lam.ndim != 1 or lam.size == 0 or lam.size > min(d_a, d_b):
+    lam = _check_distribution(lam)
+    if lam.size > min(d_a, d_b):
         raise ValueError(f"need 1 <= len(lambda) <= min{(d_a, d_b)}, got {lam.size}")
     if np.any(lam <= 0):
         raise ValueError("Schmidt coefficients must be > 0")
-    _check_distribution(lam)
     return _built_pure(SubsystemLayout((d_a, d_b), (0,)), diagonal=np.sqrt(lam))
 
 

@@ -32,7 +32,7 @@ from itertools import accumulate
 
 from .measures import MeasureSpec, _g_concurrence, _scp, ratio_negativity
 from .states import TmsvsSpec, require_squeezing, tmsvs_truncated
-from .tensor import _check_distribution, _integer
+from .tensor import _check_distribution, _integer, _real
 
 # Multiplicative measures per link kind; the first entry is the native one.
 SUPPORTED_MEASURES = {
@@ -71,7 +71,7 @@ def _built_link(kind: str, native_value: float, schmidt=None, d=None, r=None) ->
 
 
 def _target(value: float, name: str) -> float:
-    if not (0.0 <= value <= 1.0):
+    if not (0.0 <= _real(value, name) <= 1.0):
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
     return float(value)
 
@@ -268,6 +268,11 @@ def swap(link1: LinkResource, link2: LinkResource) -> LinkResource:
     return _built_link("tmsvs", res.end_to_end, r=res.composite_r)
 
 
+# The powers the Fock cross-check reports: the ratio negativity, a root,
+# a square and the rounded power threshold.
+FOCK_ALPHAS = (1.0, 0.5, 2.0, 3.191)
+
+
 @dataclass(frozen=True)
 class FockCrosscheckReport:
     r: float
@@ -279,24 +284,25 @@ class FockCrosscheckReport:
     deviation: dict[float, float]
 
 
-def chain_fock_crosscheck(r: float, length: int, cutoff: int,
-                          alphas=(1.0, 0.5, 2.0, 3.191)) -> FockCrosscheckReport:
+def chain_fock_crosscheck(r: float, length: int, cutoff: int) -> FockCrosscheckReport:
     """Check the Fock-basis measure route on the composite state that
     `chain_compose` reports.
 
     Takes the composite squeezing parameter of `length` identical links
     from `chain_compose`, builds that truncated two-mode squeezed state
     densely, and compares its alpha-ratio negativities (via the dense
-    partial-transpose route) against tanh(r)^(length*alpha). No swap is
-    simulated, so this does not test the multiplication rule itself.
+    partial-transpose route) against tanh(r)^(length*alpha) at each power
+    in FOCK_ALPHAS. No swap is simulated, so this does not test the
+    multiplication rule itself.
     """
+    length = _integer(length, "length")
     if length < 2:
         raise ValueError(f"need at least 2 links, got {length}")
     composite_r = chain_compose([tmsvs_link(r)] * length).composite_r
     dense = tmsvs_truncated(TmsvsSpec.from_r(composite_r, cutoff=cutoff)).density_matrix()
     chi_dense = ratio_negativity(dense)
     expected, computed, deviation = {}, {}, {}
-    for a in alphas:
+    for a in FOCK_ALPHAS:
         expected[a] = math.tanh(r) ** (length * a)
         computed[a] = chi_dense ** a
         deviation[a] = abs(computed[a] - expected[a])

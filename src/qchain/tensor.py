@@ -162,9 +162,13 @@ def require_normalized(psi: np.ndarray) -> np.ndarray:
 
 def _check_distribution(lam, size: int | None = None) -> np.ndarray:
     """lam as a float vector of Schmidt coefficients: non-empty, of length
-    `size` when given, non-negative and summing to 1 within TRACE_TOL."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim != 1 or lam.size == 0 or np.any(lam < 0):
+    `size` when given, non-negative and summing to 1 within TRACE_TOL.
+    Each entry of a vector must be a real number (_real) before anything
+    is converted to float, which would read True as 1.0 and parse '0.5'."""
+    entries = np.asarray(lam, dtype=object)
+    if entries.ndim == 1:
+        lam = np.array([_real(x, "each Schmidt coefficient") for x in entries], dtype=float)
+    if entries.ndim != 1 or lam.size == 0 or np.any(lam < 0):
         raise ValueError(f"Schmidt coefficients must be a non-negative vector, got {lam}")
     if size is not None and lam.size != size:
         raise ValueError(f"need exactly {size} Schmidt coefficients, got {lam.size}")

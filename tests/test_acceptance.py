@@ -121,12 +121,12 @@ def test_criterion_05_povm_branch_fixture():
 
 
 def test_criterion_06_ckw_violation_fixture():
-    rep1 = ckw_residual(ckw_violation_state(), "ratio", 1.0, (0,))
+    rep1 = ckw_residual(ckw_violation_state(), 1.0)
     assert abs(rep1.rhs_terms[0] - 0.2) < 1e-10
     assert abs(rep1.rhs_terms[1] - 0.2) < 1e-10
     assert abs(rep1.lhs - 1 / 3) < 1e-10
     assert rep1.residual < 0
-    assert ckw_residual(ckw_violation_state(), "ratio", 3.191, (0,)).residual > 0
+    assert ckw_residual(ckw_violation_state(), 3.191).residual > 0
 
 
 def test_criterion_07_threshold_constant():

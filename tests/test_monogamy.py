@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qchain import monogamy
-from qchain.gaussian import CovarianceMatrix, cm_ratio_negativity
+from qchain.gaussian import CovarianceMatrix, cm_ratio_negativity, tmsvs_cm
 from qchain.monogamy import (
     HISTOGRAM_BINS,
     HISTOGRAM_RANGE,
@@ -98,7 +98,7 @@ class TestAuxG:
 
 class TestCkwResidual:
     def test_violation_state_at_alpha_one(self):
-        rep = ckw_residual(ckw_violation_state(), "ratio", 1.0, (0,))
+        rep = ckw_residual(ckw_violation_state(), 1.0)
         assert abs(rep.lhs - 1 / 3) < 1e-10
         assert abs(rep.rhs_terms[0] - 0.2) < 1e-10
         assert abs(rep.rhs_terms[1] - 0.2) < 1e-10
@@ -112,7 +112,7 @@ class TestCkwResidual:
             lhs = mpmath.mpf(1) / mpmath.mpf(3) ** mpmath.mpf("3.191")
             rhs = 2 * (mpmath.mpf(1) / mpmath.mpf(5) ** mpmath.mpf("3.191"))
             expected = float(lhs - rhs)
-        rep = ckw_residual(ckw_violation_state(), "ratio", alpha, (0,))
+        rep = ckw_residual(ckw_violation_state(), alpha)
         assert abs(rep.residual - expected) < 1e-12
         assert rep.satisfied
 
@@ -121,27 +121,19 @@ class TestCkwResidual:
         amps[0] = amps[7] = 1 / math.sqrt(2)
         ghz = PureState(amps, SubsystemLayout((2, 2, 2), (0,)))
         for alpha in (1.0, 3.191):
-            rep = ckw_residual(ghz, "ratio", alpha, (0,))
+            rep = ckw_residual(ghz, alpha)
             assert rep.rhs_terms == (0.0, 0.0)
             assert abs(rep.lhs - (1 / 3) ** alpha) < 1e-10
             assert rep.satisfied
 
-    def test_negativity_measure_variant(self):
-        rep = ckw_residual(ckw_violation_state(), "negativity", 2.0, (0,))
-        # Squared negativities: lhs (1/2)^2, rhs 2 (1/4)^2; the squared
-        # version is satisfied on this state.
-        assert abs(rep.lhs - 0.25) < 1e-10
-        assert abs(sum(rep.rhs_terms) - 2 * 0.0625) < 1e-10
-        assert rep.satisfied
-
     def test_composite_party_a(self):
-        layout = SubsystemLayout((2, 2, 2, 2), (0,))
-        psi = random_haar_pure(layout, 99)
-        rep = ckw_residual(psi, "ratio", 2.0, (0, 1))
+        psi = random_haar_pure(SubsystemLayout((2, 2, 2, 2), (0,)), 99)
+        rep = ckw_residual(PureState(psi.amplitudes, SubsystemLayout((2, 2, 2, 2), (0, 1))), 2.0)
         assert len(rep.rhs_terms) == 2  # B partners: subsystems 2 and 3
 
+    # The residuals' one measure; naming it keeps these tests' ids.
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 4), (2, 3, 4), (3, 3, 3), (2, 2, 2, 2)])
-    @pytest.mark.parametrize("measure", ["ratio", "negativity"])
+    @pytest.mark.parametrize("measure", ["ratio"])
     def test_lhs_is_the_measure_bit_for_bit(self, dims, measure):
         """The left side and evaluate_measure take their Schmidt
         coefficients from one kernel, so they agree in every bit."""
@@ -150,10 +142,10 @@ class TestCkwResidual:
             for party_a in ((0,), (len(dims) - 1,), (0, 1)):
                 split = PureState(psi.amplitudes, SubsystemLayout(dims, party_a))
                 expected = evaluate_measure(MeasureSpec(measure), split).value
-                assert ckw_residual(psi, measure, 1.0, party_a).lhs == expected
+                assert ckw_residual(split, 1.0).lhs == expected
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 4), (2, 3, 4), (3, 3, 3), (2, 2, 2, 2)])
-    @pytest.mark.parametrize("measure", ["ratio", "negativity"])
+    @pytest.mark.parametrize("measure", ["ratio"])
     def test_rhs_is_the_measure_bit_for_bit(self, dims, measure):
         """Each pairwise term and evaluate_measure on its reduced state take
         their (w, neg) pairs from one kernel, so they agree in every bit; the
@@ -163,7 +155,7 @@ class TestCkwResidual:
             states.append(ckw_violation_state())
         for psi in states:
             for party_a in ((0,), (len(dims) - 1,), (0, 1)):
-                rep = ckw_residual(psi, measure, 1.0, party_a)
+                rep = ckw_residual(PureState(psi.amplitudes, SubsystemLayout(dims, party_a)), 1.0)
                 partners = [b for b in range(len(dims)) if b not in party_a]
                 assert len(rep.rhs_terms) == len(partners)
                 for term, b in zip(rep.rhs_terms, partners):
@@ -176,16 +168,31 @@ class TestCkwResidual:
     def test_mixed_input_rejected(self):
         dm = random_density_matrix(SubsystemLayout((2, 2, 2), (0,)), 2, 1)
         with pytest.raises(ValueError, match="mixed"):
-            ckw_residual(dm, "ratio", 1.0, (0,))
+            ckw_residual(dm, 1.0)
 
     def test_bipartite_input_rejected(self):
         psi = random_haar_pure(SubsystemLayout((2, 2), (0,)), 1)
         with pytest.raises(ValueError, match="3 parties"):
-            ckw_residual(psi, "ratio", 1.0, (0,))
+            ckw_residual(psi, 1.0)
 
-    def test_unsupported_measure_rejected(self):
-        with pytest.raises(ValueError, match="negativity-based"):
-            ckw_residual(ckw_violation_state(), "concurrence", 1.0, (0,))
+    @pytest.mark.parametrize("state", [tmsvs_cm(0.5), ckw_violation_state().amplitudes],
+                             ids=["covariance", "amplitudes"])
+    def test_only_pure_states_accepted(self, state):
+        # A covariance matrix ended in an AttributeError on its missing layout.
+        message = f"ckw_residual needs a PureState, got {type(state).__name__}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ckw_residual(state, 1.0)
+
+    @pytest.mark.parametrize("party_a", [(1,), (2,)])
+    def test_the_split_is_the_states(self, party_a):
+        # A residual took its split from an argument that defaulted to (0,)
+        # and read -1/15 here, whatever party A the state's layout named.
+        layout = SubsystemLayout((2, 2, 2), party_a)
+        amps = ckw_violation_state().amplitudes
+        report = ckw_residual(PureState(amps, layout))
+        assert report.party_a == party_a
+        assert report.residual == ckw_residuals(amps[None, :], layout)[2][0]
+        assert round(report.residual, 5) == 0.00833
 
     def test_amplitude_shape_checked(self):
         layout = SubsystemLayout((2, 2, 2), (0,))
@@ -396,10 +403,10 @@ class TestBatchedScan:
         assert [i for c in chunks for i in c] == list(range(samples))
 
         layout = SubsystemLayout(dims, (0,))
-        residuals = [ckw_residual(random_haar_pure(layout, substream(seed, i)), "ratio", alpha).residual
+        residuals = [ckw_residual(random_haar_pure(layout, substream(seed, i)), alpha).residual
                      for i in range(samples)]
         if dims == (2, 2, 2):
-            residuals.append(ckw_residual(ckw_violation_state(), "ratio", alpha).residual)
+            residuals.append(ckw_residual(ckw_violation_state(), alpha).residual)
         arr = np.asarray(residuals)
         hist, _ = np.histogram(np.clip(arr, *HISTOGRAM_RANGE), bins=HISTOGRAM_BINS,
                                range=HISTOGRAM_RANGE)
@@ -456,21 +463,25 @@ def split_layouts(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(split=split_layouts(), seed=st.integers(0, 2**32),
-       measure=st.sampled_from(["ratio", "negativity"]), alpha=st.floats(1.0, 4.0))
-@example(split=((2, 3, 2), (0, 2)), seed=1, measure="ratio", alpha=3.191)
-@example(split=((3, 2, 2, 3), (0, 2)), seed=2, measure="negativity", alpha=1.0)
-def test_amplitude_marginals_match_dense_route(split, seed, measure, alpha):
-    """ckw_residual against the full density matrix and partial_trace."""
+@given(split=split_layouts(), seed=st.integers(0, 2**32), alpha=st.floats(1.0, 4.0))
+@example(split=((2, 3, 2), (0, 2)), seed=1, alpha=3.191)
+def test_amplitude_marginals_match_dense_route(split, seed, alpha):
+    """ckw_residual against the full density matrix and partial_trace, and
+    against ckw_residuals on the state's own split, field for field."""
     dims, party_a = split
-    psi = random_haar_pure(SubsystemLayout(dims, (0,)), substream(seed, 0))
-    report = ckw_residual(psi, measure, alpha, party_a)
+    layout = SubsystemLayout(dims, party_a)
+    psi = PureState(random_haar_pure(SubsystemLayout(dims, (0,)), substream(seed, 0)).amplitudes, layout)
+    report = ckw_residual(psi, alpha)
+    lhs, rhs, residual = ckw_residuals(psi.amplitudes[None], psi.layout, alpha)
+    assert report == monogamy.MonogamyReport(
+        dims=dims, party_a=party_a, alpha=alpha, lhs=float(lhs[0]),
+        rhs_terms=tuple(float(v) for v in rhs[0]), residual=float(residual[0]),
+        satisfied=residual[0] >= -VIOLATION_TOL)
 
     def powered(neg):
-        return (neg / (neg + 1.0) if measure == "ratio" else neg) ** alpha
+        return (neg / (neg + 1.0)) ** alpha
 
-    layout = SubsystemLayout(dims, party_a)
-    lam = PureState(psi.amplitudes, layout).schmidt_coefficients
+    lam = psi.schmidt_coefficients
     lhs = powered(max(0.0, (float(np.sum(np.sqrt(lam)) ** 2) - 1.0) / 2.0))
     rho = psi.density_matrix().matrix
     terms = []
@@ -523,13 +534,13 @@ class TestFamilySupport:
 def test_party_a_follows_the_layout_rule(party_a, message):
     # The residuals take SubsystemLayout's party-A rule, not a copy of it.
     with pytest.raises(ValueError, match=message):
-        ckw_residual(ckw_violation_state(), "ratio", 1.0, party_a)
+        ckw_residual(PureState(ckw_violation_state().amplitudes, SubsystemLayout((2, 2, 2), party_a)))
     with pytest.raises(ValueError, match=message):
         monogamy.ckw_residuals(ckw_violation_state().amplitudes[None, :], SubsystemLayout((2, 2, 2), party_a))
 
 
 def test_party_a_is_sorted_without_repeats():
-    report = ckw_residual(ckw_violation_state(), "ratio", 1.0, (2, 0, 2))
+    report = ckw_residual(PureState(ckw_violation_state().amplitudes, SubsystemLayout((2, 2, 2), (2, 0, 2))))
     assert report.party_a == (0, 2)
 
 
@@ -572,7 +583,7 @@ class TestLossyThreeModeFamily:
     @staticmethod
     def residuals(r, eta, c, alpha):
         psi = lossy_tmsvs_amplitudes(r, eta, c)
-        return ckw_residuals(psi.reshape(1, -1), SubsystemLayout((c, c, c), (0,)), "ratio", alpha)
+        return ckw_residuals(psi.reshape(1, -1), SubsystemLayout((c, c, c), (0,)), alpha)
 
     @staticmethod
     def closed_forms(r, eta, alpha):

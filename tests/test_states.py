@@ -87,6 +87,8 @@ class TestPureFromSchmidt:
         ([0.5, 0.5, 0.0], (2, 2)),  # too many coefficients, zero entry
         ([1.5, -0.5], (2, 2)),      # negative entry
         ([0.5, 0.5], (2, 2, 7)),    # more than two parties
+        ([True], (2, 2)),           # built a product state
+        (["0.5", "0.5"], (2, 2)),   # numpy parsed the strings
     ])
     def test_rejects_invalid(self, lam, dims):
         with pytest.raises(ValueError):

@@ -298,7 +298,7 @@ class TestFockCrosscheck:
         assert report.deviation[1.0] < 1e-7
 
     def test_alpha_reports_related_by_squaring(self):
-        report = chain_fock_crosscheck(0.5, 3, cutoff=30, alphas=(1.0, 2.0))
+        report = chain_fock_crosscheck(0.5, 3, cutoff=30)
         assert abs(report.expected[2.0] - report.expected[1.0] ** 2) < 1e-10
         assert abs(report.computed[2.0] - report.computed[1.0] ** 2) < 1e-10
 
@@ -310,9 +310,15 @@ class TestFockCrosscheck:
         with pytest.raises(ValueError):
             chain_fock_crosscheck(0.5, 1, cutoff=30)
 
+    @pytest.mark.parametrize("length", [5.0, True, "5"])
+    def test_length_must_be_an_integer(self, length):
+        # 5.0 ended in a bare TypeError from repeating the link list.
+        with pytest.raises(ValueError, match=f"^{re.escape(f'length must be an integer, got {length!r}')}$"):
+            chain_fock_crosscheck(0.5, length, cutoff=30)
+
     @pytest.mark.parametrize("r,length", [(0.1, 20), (0.5, 5), (0.3, 10), (1.0, 3)])
     def test_composite_r_is_chain_compose(self, r, length):
-        report = chain_fock_crosscheck(r, length, cutoff=30, alphas=(1.0,))
+        report = chain_fock_crosscheck(r, length, cutoff=30)
         assert report.composite_r == chain_compose([tmsvs_link(r)] * length).composite_r
 
 
@@ -431,8 +437,27 @@ class TestLinkValidation:
         (lambda: qubit_link(), "give exactly one of lam or concurrence"),
         (lambda: qubit_link((1.2, -0.2)), "Schmidt coefficients must be a non-negative vector"),
         (lambda: qudit_link((0.5, 0.5), d=3), "need exactly 3 Schmidt coefficients, got 2"),
+        # True built a link of value 1.0, [True, False] the pair (1.0, 0.0),
+        # numpy parsed strings, and a string target raised a bare TypeError.
+        (lambda: qubit_link(concurrence=True), "concurrence must be a real number, got True"),
+        (lambda: qubit_link(concurrence=np.True_),
+         "concurrence must be a real number, got np.True_"),
+        (lambda: qubit_link(concurrence="0.5"), "concurrence must be a real number, got '0.5'"),
+        (lambda: qudit_link(d=3, g_concurrence=True),
+         "G-concurrence must be a real number, got True"),
+        (lambda: qubit_link([True, False]),
+         "each Schmidt coefficient must be a real number, got True"),
+        (lambda: qubit_link(["0.5", "0.5"]),
+         "each Schmidt coefficient must be a real number, got '0.5'"),
+        (lambda: qudit_link(["0.5", "0.5"]),
+         "each Schmidt coefficient must be a real number, got '0.5'"),
+        (lambda: qubit_link(np.array([True, False])),
+         "each Schmidt coefficient must be a real number, got True"),
     ], ids=["value_above_one", "empty_chain", "qubit_pair_sum", "qubit_three_coefficients",
-            "qubit_no_pair", "qubit_negative", "qudit_size"])
+            "qubit_no_pair", "qubit_negative", "qudit_size", "qubit_target_true",
+            "qubit_target_numpy_true", "qubit_target_string", "qudit_target_true",
+            "qubit_boolean_pair", "qubit_string_pair", "qudit_string_vector",
+            "qubit_numpy_boolean_pair"])
     def test_malformed_link_or_chain_refused(self, build, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             build()
